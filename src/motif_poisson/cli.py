@@ -217,8 +217,7 @@ def _cmd_bound(args) -> int:
         else:
             if not isinstance(model, GraphonSpec):
                 raise InvalidParams("variant graphon requires a graphon model")
-            report = bound_graphon(model, m, args.n, args.quad_points)
-            inputs.update(quad_points=args.quad_points)
+            report = bound_graphon(model, m, args.n)
         inputs.update(model=model.to_dict())
     inputs["variant"] = variant
     payload = {
@@ -373,7 +372,6 @@ def _build_parser() -> _Parser:
         choices=("auto", "sbm", "graphon", "nu", "independent", "scaled"),
         default="auto",
     )
-    sp.add_argument("--quad-points", type=int, default=64)
     sp.add_argument("--nu-table", help="JSON table for variant nu")
     sp.add_argument("--g", type=int, default=1, help="dependence width for nu")
     sp.add_argument("--mu", type=float, help="occurrence probability for nu")

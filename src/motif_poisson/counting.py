@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import GraphTooLargeForOracle, MotifLargerThanGraph
 from .models import SampledGraph
@@ -42,9 +43,19 @@ class CopyCount:
             raise ValueError("counts must be non-negative")
 
 
-def _search_order(m: Motif) -> tuple[list[int], list[list[int]]]:
-    """Connectivity-aware vertex order plus, per position, the earlier
-    positions holding already-mapped neighbors.
+class _SearchPlan(NamedTuple):
+    """Per-motif work shared by every count: for each position of the
+    search order, the earlier positions holding already-mapped neighbors
+    and the degree its image needs; and the automorphism count."""
+
+    back_edges: tuple[tuple[int, ...], ...]
+    need_deg: tuple[int, ...]
+    aut: int
+
+
+@lru_cache(maxsize=None)
+def _search_plan(m: Motif) -> _SearchPlan:
+    """Connectivity-aware vertex order, computed once per motif.
 
     Each next vertex is chosen adjacent to as many placed vertices as
     possible (ties broken by degree), so connected motifs never restart the
@@ -66,21 +77,20 @@ def _search_order(m: Motif) -> tuple[list[int], list[list[int]]]:
         placed |= 1 << best
         remaining.remove(best)
     pos_of = {u: i for i, u in enumerate(order)}
-    back_edges: list[list[int]] = []
-    for i, u in enumerate(order):
-        back_edges.append(
-            sorted(pos_of[w] for w in range(v) if (adj[u] >> w) & 1 and pos_of[w] < i)
-        )
-    return order, back_edges
+    back_edges = tuple(
+        tuple(sorted(pos_of[w] for w in range(v) if (adj[u] >> w) & 1 and pos_of[w] < i))
+        for i, u in enumerate(order)
+    )
+    return _SearchPlan(
+        back_edges, tuple(deg[u] for u in order), automorphism_count(m)
+    )
 
 
 def count_injections(g: SampledGraph, m: Motif) -> int:
     """Number of injective maps of the motif's vertices into the graph that
     carry every motif edge onto a graph edge."""
     v = m.vertex_count
-    order, back_edges = _search_order(m)
-    mdeg = m.degrees
-    need_deg = [mdeg[u] for u in order]
+    back_edges, need_deg, _ = _search_plan(m)
     adj = g.adjacency
     gdeg = [a.bit_count() for a in adj]
     full = (1 << g.n) - 1
@@ -120,7 +130,7 @@ def count_copies(g: SampledGraph, m: Motif) -> CopyCount:
             f"graph has {g.n} vertices, motif needs {m.vertex_count}"
         )
     injections = count_injections(g, m)
-    aut = automorphism_count(m)
+    aut = _search_plan(m).aut
     assert injections % aut == 0, "injections not divisible by automorphisms"
     return CopyCount(count=injections // aut, injections=injections)
 

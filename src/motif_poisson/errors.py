@@ -67,7 +67,7 @@ class GraphTooLargeForOracle(MotifPoissonError):
 
 
 class TooManyTerms(MotifPoissonError):
-    """Exact summation would exceed the configured term budget."""
+    """An exact contraction step would sum more terms than the budget allows."""
 
 
 class NotStrictlyBalanced(MotifPoissonError):

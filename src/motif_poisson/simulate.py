@@ -53,7 +53,6 @@ class SimulationPlan:
     n: int
     replicates: int
     seed: int
-    quad_points: int = 64
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -114,7 +113,7 @@ def _model_lambda(plan: SimulationPlan) -> float:
     if isinstance(plan.model, SbmParams):
         mu = mu_sbm(plan.model, plan.motif)
     else:
-        mu = mu_graphon(plan.model, plan.motif, plan.quad_points)
+        mu = mu_graphon(plan.model, plan.motif)
     return lambda_value(plan.motif, plan.n, mu)
 
 
@@ -122,7 +121,7 @@ def _model_bound(plan: SimulationPlan) -> BoundReport | None:
     try:
         if isinstance(plan.model, SbmParams):
             return bound_sbm(plan.model, plan.motif, plan.n)
-        return bound_graphon(plan.model, plan.motif, plan.n, plan.quad_points)
+        return bound_graphon(plan.model, plan.motif, plan.n)
     except NotStrictlyBalanced:
         return None
 
@@ -158,17 +157,25 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     """Run the ensemble and assemble the summary.
 
     Counts accumulate in replicate-index order whatever ``threads`` is, so
-    the summary (wall time aside) is a pure function of the plan.
+    the summary (wall time aside) is a pure function of the plan.  lambda
+    and the bound come first, so a plan whose mu cannot be evaluated fails
+    before any graph is sampled.
     """
     start = time.perf_counter()
-    indices = range(plan.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(lambda r: _replicate_count(plan, r), indices))
-    else:
-        counts = [_replicate_count(plan, r) for r in indices]
-
+    lam = _model_lambda(plan)
+    report = _model_bound(plan)
     r_total = plan.replicates
+    if threads > 1:
+        # one contiguous block of replicates per worker: a future per
+        # replicate held several MB more memory at once
+        step = -(-r_total // threads)
+        blocks = [range(s, min(s + step, r_total)) for s in range(0, r_total, step)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = pool.map(lambda rs: [_replicate_count(plan, r) for r in rs], blocks)
+            counts = [w for part in parts for w in part]
+    else:
+        counts = [_replicate_count(plan, r) for r in range(r_total)]
+
     histogram: dict[int, float] = {}
     for w in counts:
         histogram[w] = histogram.get(w, 0.0) + 1.0
@@ -180,8 +187,6 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     else:
         var = 0.0
 
-    lam = _model_lambda(plan)
-    report = _model_bound(plan)
     tv = tv_distance_empirical(histogram, lam)
     se = tv_standard_error(
         histogram,

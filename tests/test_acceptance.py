@@ -186,14 +186,14 @@ def test_criterion_4_graphon_product_example():
     for name, (m, exact) in cases.items():
         # exact value is the product of 1/(degree+1) over vertices
         assert exact == math.prod(1 / (d + 1) for d in m.degrees)
-        got = mu_graphon(spec, m, quad_points=64)
+        got = mu_graphon(spec, m)
         if abs(got - exact) >= 1e-6:
             failures.append(f"{name}: |{got!r} - {exact!r}| = {abs(got - exact):.2e}")
     p = 0.37
     block = GraphonSpec(
         family="piecewise_constant", breakpoints=(0.0, 1.0), values=((p,),)
     )
-    got = mu_graphon(block, builtin_motif("complete", 3), 8)
+    got = mu_graphon(block, builtin_motif("complete", 3))
     if not math.isclose(got, p**3, rel_tol=1e-15):
         failures.append(f"piecewise path not exact: {got!r} vs {p**3!r}")
     _report(

@@ -27,7 +27,6 @@ from motif_poisson import (
     max_copy_capacity,
     motif_from_edge_list,
     mu_graphon,
-    mu_graphon_with_error,
     mu_sbm,
     poisson_pmf,
     poisson_tail,
@@ -66,9 +65,15 @@ class TestMuSbm:
         assert mu_sbm(params, K3) == pytest.approx(0.002, rel=1e-13)
 
     def test_term_budget(self):
+        # the budget bounds each contraction step, not Q^v: a 9-cycle
+        # (10^9 class tuples) contracts in small steps, while any path
+        # through K_10 has a step summing 10^10 terms
         params = SbmParams(10, (0.1,) * 10, ((0.5,) * 10,) * 10)
+        assert mu_sbm(params, builtin_motif("cycle", 9)) == pytest.approx(
+            0.5**9, rel=1e-13
+        )
         with pytest.raises(TooManyTerms):
-            mu_sbm(params, builtin_motif("cycle", 9))
+            mu_sbm(params, builtin_motif("complete", 10))
 
     def test_mu_ceiling(self, rng):
         # mu never exceeds (max edge probability)^e
@@ -92,37 +97,47 @@ class TestMuSbm:
 class TestMuGraphon:
     def test_product_triangle(self):
         spec = GraphonSpec(family="product", scale=1.0)
-        assert abs(mu_graphon(spec, K3, 64) - 1 / 27) < 1e-6
+        assert abs(mu_graphon(spec, K3) - 1 / 27) < 1e-6
 
     def test_product_path(self):
         # degrees 2,1,1: closed form 1/(3*2*2)
         spec = GraphonSpec(family="product", scale=1.0)
-        assert abs(mu_graphon(spec, P3, 64) - 1 / 12) < 1e-6
+        assert abs(mu_graphon(spec, P3) - 1 / 12) < 1e-6
 
     def test_affine_closed_forms(self):
         # hand integration: E[(X+Y)(Y+Z)]/4 = 13/48 and
         # E[(X+Y)(Y+Z)(X+Z)]/8 = 5/32
         spec = GraphonSpec(family="affine_mean", scale=1.0)
-        assert abs(mu_graphon(spec, P3, 64) - 13 / 48) < 1e-6
-        assert abs(mu_graphon(spec, K3, 64) - 5 / 32) < 1e-6
+        assert abs(mu_graphon(spec, P3) - 13 / 48) < 1e-6
+        assert abs(mu_graphon(spec, K3) - 5 / 32) < 1e-6
 
     def test_piecewise_exact(self):
         p = 0.37
-        assert mu_graphon(single_block(p), K3, 8) == pytest.approx(
+        assert mu_graphon(single_block(p), K3) == pytest.approx(
             p**3, rel=1e-15
         )
-        assert mu_graphon_with_error(single_block(p), K3, 8)[1] == 0.0
 
-    def test_refinement_error_estimate(self):
+    def test_exact_closed_forms(self):
+        # Gauss-Legendre at ceil((max degree + 1)/2) nodes integrates the
+        # polynomial integrand exactly: product gives 1/prod(deg + 1)
         spec = GraphonSpec(family="product", scale=1.0)
-        value, err = mu_graphon_with_error(spec, K3, 64)
-        assert 0 < err < 1e-4
-        assert abs(value - 1 / 27) < err
+        for fam, v in [("complete", 3), ("cycle", 4), ("complete", 4),
+                       ("complete", 6), ("cycle", 7)]:
+            m = builtin_motif(fam, v)
+            exact = 1 / math.prod(d + 1 for d in m.degrees)
+            assert mu_graphon(spec, m) == pytest.approx(exact, rel=1e-14)
+        spec = GraphonSpec(family="affine_mean", scale=1.0)
+        assert mu_graphon(spec, P3) == pytest.approx(13 / 48, rel=1e-14)
+        assert mu_graphon(spec, K3) == pytest.approx(5 / 32, rel=1e-14)
 
-    def test_term_budget(self):
-        spec = GraphonSpec(family="product", scale=1.0)
-        with pytest.raises(TooManyTerms):
-            mu_graphon(spec, builtin_motif("complete", 5), 64)
+    def test_five_vertex_bounds(self):
+        # 64^5 midpoint-rule terms used to exceed the budget here
+        spec = GraphonSpec(family="product", scale=0.5)
+        for m, exact in [(builtin_motif("cycle", 5), 0.5**5 / 3**5),
+                         (builtin_motif("complete", 5), 0.5**10 / 5**5)]:
+            report = bound_graphon(spec, m, 200)
+            assert report.mu == pytest.approx(exact, rel=1e-14)
+            assert report.bound > 0
 
 
 class TestLambda:

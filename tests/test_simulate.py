@@ -6,12 +6,15 @@ import pytest
 
 from motif_poisson import (
     GraphonSpec,
+    SbmParams,
     SimulationPlan,
+    TooManyTerms,
     builtin_motif,
     erdos_renyi,
     histogram_csv,
     motif_from_edge_list,
     run,
+    simulate,
     tv_standard_error,
 )
 
@@ -30,10 +33,11 @@ class TestDeterminism:
         assert run(plan).to_dict() == run(plan).to_dict()
 
     def test_identical_across_thread_counts(self):
-        plan = er_plan()
-        reference = run(plan, threads=1).to_dict()
-        for threads in (2, 4):
-            assert run(plan, threads=threads).to_dict() == reference
+        # 3 replicates: fewer than the workers, and not a multiple of 2
+        for plan in (er_plan(), er_plan(replicates=3)):
+            reference = run(plan, threads=1).to_dict()
+            for threads in (2, 4):
+                assert run(plan, threads=threads).to_dict() == reference
 
     def test_seed_changes_results(self):
         a = run(er_plan(seed=1)).histogram
@@ -61,6 +65,21 @@ class TestDegenerate:
         summary = run(plan)
         assert summary.theoretical_bound is None
         assert summary.empirical_tv >= 0
+
+    def test_unevaluable_mu_fails_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled a graph before checking mu")
+
+        monkeypatch.setattr(simulate, "sample_sbm", no_sampling)
+        plan = SimulationPlan(
+            model=SbmParams(10, (0.1,) * 10, ((0.5,) * 10,) * 10),
+            motif=builtin_motif("complete", 10),
+            n=20,
+            replicates=1000,
+            seed=5,
+        )
+        with pytest.raises(TooManyTerms):
+            run(plan)
 
 
 class TestSummaryInvariants:
