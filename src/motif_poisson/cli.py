@@ -165,6 +165,9 @@ def _cmd_motif(args) -> int:
         print(f"  density            {stats.density}")
         print(f"  alpha              {stats.alpha}")
         print(f"  gamma              {stats.gamma}")
+        for name in ("alpha", "gamma"):
+            edges = getattr(stats, f"{name}_witness")
+            print(f"  {name}_witness      " + " ".join(f"{a}-{b}" for a, b in edges))
         print(f"  strictly_balanced  {stats.strictly_balanced}")
         print(f"  automorphisms      {stats.automorphism_count}")
         print(f"  rho                {stats.rho}")

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     DuplicateEdge,
     EmptyEdgeSet,
@@ -27,15 +25,10 @@ from .errors import (
     TooLarge,
 )
 
-#: Hard cap on motif size.  Automorphisms are found by exhaustive search over
-#: vertex permutations (10! = 3,628,800) and the invariant minima enumerate
-#: subgraphs, so larger motifs are rejected rather than silently slow.
+#: Hard cap on motif size.  The invariant minima scan all 2^v vertex subsets
+#: and the automorphism count backtracks over vertex maps, so larger motifs
+#: are rejected rather than silently slow.
 MAX_VERTICES = 10
-
-#: Above this many edges the subgraph minima switch from direct edge-subset
-#: enumeration (2^e - 2 subsets, vectorised) to an equivalent reduction over
-#: vertex subsets; see ``_subgraph_minima_by_vertex_sets``.
-_EDGE_ENUM_MAX = 21
 
 Edge = tuple[int, int]
 
@@ -204,51 +197,50 @@ def motif_from_text(text: str) -> Motif:
 
 
 def automorphism_count(m: Motif) -> int:
-    """Order of the automorphism group of ``m``.
+    """Order of the automorphism group of ``m``, by orbit-stabiliser.
 
-    Exhaustive search over vertex permutations, organised as a backtracking
-    scan so non-automorphisms are abandoned at the first broken edge.  The
-    ``MAX_VERTICES`` cap keeps the worst case (a complete graph) tractable.
+    Vertices ``0, 1, ..., v-1`` are fixed in turn: the orbit of vertex ``k``
+    under the pointwise stabiliser of ``0..k-1`` is the set of ``w`` for
+    which some automorphism fixes ``0..k-1`` and maps ``k`` to ``w``, and
+    the group order is the product of those orbit sizes.  Each membership
+    test is a backtracking search for one such automorphism that keeps
+    degrees, edges and non-edges and stops at the first hit, so the cost
+    grows with the number of orbit candidates rather than the group order.
     """
     v = m.vertex_count
     adj = m.neighbor_masks()
     deg = m.degrees
-    count = 0
-    image = [0] * v
+    everyone = (1 << v) - 1
+    image = list(range(v))
 
-    def extend(pos: int, used: int) -> None:
-        nonlocal count
+    def extends(pos: int, used: int, allowed: int) -> bool:
+        # can image[:pos] be completed with image[pos] in ``allowed``?
         if pos == v:
-            count += 1
-            return
+            return True
+        # the placed vertices adjacent to image[pos] must be exactly the
+        # images of pos's placed neighbors
+        want = 0
+        lower = adj[pos] & ((1 << pos) - 1)
+        while lower:
+            b = lower & -lower
+            lower ^= b
+            want |= 1 << image[b.bit_length() - 1]
         for cand in range(v):
             bit = 1 << cand
-            if used & bit or deg[cand] != deg[pos]:
+            if not allowed & bit or used & bit or deg[cand] != deg[pos]:
                 continue
-            # every already-placed neighbor of pos must map to a neighbor
-            ok = True
-            lower = adj[pos] & ((1 << pos) - 1)
-            while lower:
-                b = lower & -lower
-                lower ^= b
-                if not (adj[cand] >> image[b.bit_length() - 1]) & 1:
-                    ok = False
-                    break
-            # and every placed non-neighbor must stay a non-neighbor
-            if ok:
-                non = ~adj[pos] & ((1 << pos) - 1)
-                while non:
-                    b = non & -non
-                    non ^= b
-                    if (adj[cand] >> image[b.bit_length() - 1]) & 1:
-                        ok = False
-                        break
-            if ok:
+            if adj[cand] & used == want:
                 image[pos] = cand
-                extend(pos + 1, used | bit)
+                if extends(pos + 1, used | bit, everyone):
+                    return True
+        return False
 
-    extend(0, 0)
-    return count
+    order = 1
+    for k in range(v):
+        fixed = (1 << k) - 1  # image[i] == i for every i < k
+        order *= sum(extends(k, fixed, 1 << w) for w in range(k, v))
+        image[k] = k
+    return order
 
 
 @dataclass(frozen=True)
@@ -258,9 +250,11 @@ class MotifStats:
     ``density`` is edges per vertex.  ``alpha`` is the minimum, over proper
     subgraphs on strictly fewer vertices, of the edge deficit per missing
     vertex; ``gamma`` is the minimum density gap scaled by subgraph order.
-    ``kappa[s]`` is the overlap exponent used by the error bounds for two
-    copies sharing ``s`` vertices.  ``rho`` is the number of distinct copies
-    of the motif on a fixed vertex set of its own size.
+    ``alpha_witness`` and ``gamma_witness`` are the edges of a subgraph
+    attaining each minimum.  ``kappa[s]`` is the overlap exponent used by
+    the error bounds for two copies sharing ``s`` vertices.  ``rho`` is the
+    number of distinct copies of the motif on a fixed vertex set of its own
+    size.
     """
 
     density: Fraction
@@ -271,60 +265,25 @@ class MotifStats:
     strictly_balanced: bool
     kappa: Mapping[int, Fraction]
     degrees: tuple[int, ...]
+    alpha_witness: tuple[Edge, ...]
+    gamma_witness: tuple[Edge, ...]
 
 
-def _subgraph_minima_by_edge_subsets(m: Motif) -> tuple[Fraction, Fraction]:
-    """(alpha, gamma) by direct enumeration of all proper non-empty edge
-    subsets, vectorised.
+def _subgraph_minima_by_vertex_sets(
+    m: Motif,
+) -> tuple[Fraction, tuple[Edge, ...], Fraction, tuple[Edge, ...]]:
+    """(alpha, its witness, gamma, its witness) by a reduction over vertex
+    subsets.
 
-    A subgraph without isolated vertices is exactly an edge subset together
-    with its endpoints, so the 2^e - 2 proper non-empty subsets parameterise
-    the minima's range.  Returns exact rationals: gamma's minimum is taken
-    over the integer scores e(G)*v(H) - v(G)*e(H), alpha's per distinct
-    denominator v(G) - v(H).
-    """
-    v, e = m.vertex_count, m.edge_count
-    n_subsets = 1 << e
-    # vertex bitmask of each subset, built by doubling on each edge bit
-    edge_vmask = np.array(
-        [(1 << a) | (1 << b) for a, b in m.edges], dtype=np.uint16
-    )
-    vmask = np.zeros(n_subsets, dtype=np.uint16)
-    for j in range(e):
-        size = 1 << j
-        vmask[size : 2 * size] = vmask[:size] | edge_vmask[j]
-    subset_ids = np.arange(n_subsets, dtype=np.uint32)
-    e_h = np.bitwise_count(subset_ids).astype(np.int64)
-    v_h = np.bitwise_count(vmask).astype(np.int64)
-    proper = (subset_ids != 0) & (subset_ids != n_subsets - 1)
-
-    gamma_scores = e * v_h - v * e_h
-    gamma = Fraction(int(gamma_scores[proper].min()), v)
-
-    alpha = None
-    missing = v - v_h
-    for dv in range(1, v - 1):
-        sel = proper & (missing == dv)
-        if not sel.any():
-            continue
-        cand = Fraction(int(e - e_h[sel].max()), dv)
-        if alpha is None or cand < alpha:
-            alpha = cand
-    assert alpha is not None  # a single edge always has v(H)=2 < v
-    return alpha, gamma
-
-
-def _subgraph_minima_by_vertex_sets(m: Motif) -> tuple[Fraction, Fraction]:
-    """(alpha, gamma) via the vertex-subset reduction, for dense motifs.
-
-    Both minima are monotone in the subgraph's edge count at fixed vertex
-    count, so only the densest subgraph on each vertex set matters: the
-    induced subgraph, valid whenever it leaves no vertex isolated.  Proper
-    spanning subgraphs additionally contribute to gamma; the best of those
-    removes a single edge whose endpoints both have degree >= 2 (if every
-    edge has a degree-1 endpoint, any removal isolates a vertex and no
-    proper spanning subgraph exists).  Gives the same exact values as
-    ``_subgraph_minima_by_edge_subsets``.
+    A subgraph without isolated vertices is an edge subset together with
+    its endpoints.  Both minima are monotone in the subgraph's edge count at
+    fixed vertex count, so only the densest subgraph on each vertex set
+    matters: the induced subgraph, valid whenever it leaves no vertex
+    isolated.  Proper spanning subgraphs additionally contribute to gamma;
+    the best of those removes a single edge whose endpoints both have
+    degree >= 2 (if every edge has a degree-1 endpoint, any removal isolates
+    a vertex and no proper spanning subgraph exists).  Each witness is the
+    first minimiser in vertex-mask order, the spanning candidate last.
     """
     v, e = m.vertex_count, m.edge_count
     adj = m.neighbor_masks()
@@ -332,50 +291,45 @@ def _subgraph_minima_by_vertex_sets(m: Motif) -> tuple[Fraction, Fraction]:
 
     alpha: Fraction | None = None
     gamma: Fraction | None = None
-
-    def offer(v_h: int, e_h: int) -> None:
-        nonlocal alpha, gamma
-        g_cand = Fraction(e * v_h - v * e_h, v)
-        if gamma is None or g_cand < gamma:
-            gamma = g_cand
-        if v_h < v:
-            a_cand = Fraction(e - e_h, v - v_h)
-            if alpha is None or a_cand < alpha:
-                alpha = a_cand
-
+    alpha_mask = gamma_mask = 0
     for mask in range(1, (1 << v) - 1):
         members = [i for i in range(v) if (mask >> i) & 1]
-        if len(members) < 2:
-            continue
         if any(adj[i] & mask == 0 for i in members):
             continue  # induced subgraph would isolate i
-        e_ind = sum((adj[i] & mask).bit_count() for i in members) // 2
-        if e_ind == 0:
-            continue
-        offer(len(members), e_ind)
+        v_h = len(members)
+        e_h = sum((adj[i] & mask).bit_count() for i in members) // 2
+        g_cand = Fraction(e * v_h - v * e_h, v)
+        if gamma is None or g_cand < gamma:
+            gamma, gamma_mask = g_cand, mask
+        a_cand = Fraction(e - e_h, v - v_h)
+        if alpha is None or a_cand < alpha:
+            alpha, alpha_mask = a_cand, mask
+    assert alpha is not None and gamma is not None  # any edge is a candidate
 
-    if any(deg[a] >= 2 and deg[b] >= 2 for a, b in m.edges):
-        offer(v, e - 1)
+    def induced(mask: int) -> tuple[Edge, ...]:
+        return tuple((a, b) for a, b in m.edges if (mask >> a) & (mask >> b) & 1)
 
-    assert alpha is not None and gamma is not None
-    return alpha, gamma
+    gamma_witness = induced(gamma_mask)
+    removable = [(a, b) for a, b in m.edges if deg[a] >= 2 and deg[b] >= 2]
+    # the spanning graph minus one edge scores d*v - (e - 1) = 1
+    if removable and gamma > 1:
+        gamma = Fraction(1)
+        gamma_witness = tuple(x for x in m.edges if x != removable[0])
+    return alpha, induced(alpha_mask), gamma, gamma_witness
 
 
 @lru_cache(maxsize=None)
 def compute_stats(m: Motif) -> MotifStats:
-    """All exact invariants of a motif, from exhaustive subgraph enumeration.
+    """All exact invariants of a motif.
 
-    The minima over proper non-empty subgraphs without isolated vertices are
-    taken over edge subsets directly; motifs too dense for that enumeration
-    fall back to an equivalent vertex-subset reduction.  ``kappa`` covers
-    every overlap ``s`` in ``2..v-1``.
+    The subgraph minima and their witnesses come from one exhaustive pass
+    over vertex subsets, the automorphism count from orbit-stabiliser
+    (``automorphism_count``).  ``kappa`` covers every overlap ``s`` in
+    ``2..v-1``.
     """
     v, e = m.vertex_count, m.edge_count
     d = Fraction(e, v)
-    if e <= _EDGE_ENUM_MAX:
-        alpha, gamma = _subgraph_minima_by_edge_subsets(m)
-    else:
-        alpha, gamma = _subgraph_minima_by_vertex_sets(m)
+    alpha, alpha_witness, gamma, gamma_witness = _subgraph_minima_by_vertex_sets(m)
     aut = automorphism_count(m)
     fact = math.factorial(v)
     assert fact % aut == 0
@@ -391,6 +345,8 @@ def compute_stats(m: Motif) -> MotifStats:
         strictly_balanced=gamma > 0,
         kappa=kappa,
         degrees=m.degrees,
+        alpha_witness=alpha_witness,
+        gamma_witness=gamma_witness,
     )
 
 
@@ -417,4 +373,6 @@ def stats_to_dict(stats: MotifStats) -> dict:
         "strictly_balanced": stats.strictly_balanced,
         "kappa": {str(s): str(k) for s, k in sorted(stats.kappa.items())},
         "degrees": list(stats.degrees),
+        "alpha_witness": [list(e) for e in stats.alpha_witness],
+        "gamma_witness": [list(e) for e in stats.gamma_witness],
     }

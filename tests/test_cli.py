@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, deterministic JSON."""
 
 import json
+import math
 
 import pytest
 
@@ -25,6 +26,8 @@ class TestMotifCommand:
         code, out, _ = run_cli(capsys, "motif", "complete:4")
         assert code == 0
         assert "density            3/2" in out and "alpha              5/2" in out
+        assert "alpha_witness      0-1\n" in out
+        assert "gamma_witness      0-2 0-3 1-2 1-3 2-3\n" in out
 
     def test_tree4(self, capsys):
         code, out, _ = run_cli(capsys, "motif", "tree:4")
@@ -40,6 +43,17 @@ class TestMotifCommand:
         assert payload["stats"]["gamma"] == "1"
         assert payload["stats"]["rho"] == 3
         assert payload["manifest"]["timestamp"] is None
+
+    def test_complete10_json(self, capsys):
+        code, out, _ = run_cli(capsys, "motif", "complete:10", "--format", "json")
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert [stats[k] for k in ("density", "alpha", "gamma")] == ["9/2", "11/2", "1"]
+        assert stats["automorphism_count"] == math.factorial(10)
+        assert stats["rho"] == 1
+        assert stats["alpha_witness"] == [[0, 1]]
+        all_pairs = [[a, b] for a in range(10) for b in range(a + 1, 10)]
+        assert stats["gamma_witness"] == all_pairs[1:]  # K_10 minus edge 0-1
 
     def test_motif_file(self, capsys, tmp_path):
         path = tmp_path / "triangle.txt"
@@ -371,6 +385,13 @@ class TestTablesCommand:
             if parts and parts[0] == "tree_path":
                 v = int(parts[1])
                 assert parts[5] == f"1/{v - 1}"
+
+    def test_ten_vertex_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "tables", "--v-range", "3..10")
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()]
+        assert len(rows) == 1 + 4 * 8
+        assert ["complete", "10", "9/2", "11/2", "1", "2/9"] in rows
 
     def test_diff_stable(self, capsys):
         _, out1, _ = run_cli(capsys, "tables")

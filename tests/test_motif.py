@@ -1,5 +1,6 @@
 """Motif construction, invariants and exact statistics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,10 +24,7 @@ from motif_poisson import (
     motif_from_string,
     motif_from_text,
 )
-from motif_poisson.motif import (
-    _subgraph_minima_by_edge_subsets,
-    _subgraph_minima_by_vertex_sets,
-)
+from motif_poisson.motif import _subgraph_minima_by_vertex_sets
 
 from conftest import automorphisms_oracle, random_motif, subgraph_minima_oracle
 
@@ -121,10 +119,52 @@ class TestAutomorphisms:
             ("complete", 3, 6),  # all 3! permutations
             ("tree_path", 3, 2),
             ("cycle", 4, 8),  # dihedral group; brute-force oracle agrees
+            ("complete", 10, math.factorial(10)),
+            ("almost_complete", 10, 2 * math.factorial(8)),
         ],
     )
     def test_known_groups(self, family, v, expected):
         assert automorphism_count(builtin_motif(family, v)) == expected
+
+    @pytest.mark.parametrize(
+        "edges,expected",
+        [
+            pytest.param(
+                [(i, (i + 1) % 5) for i in range(5)]
+                + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+                120,
+                id="petersen",
+            ),
+            pytest.param(
+                [(a, b) for a in range(3) for b in range(3, 6)], 72, id="k33"
+            ),
+            pytest.param(
+                [(i, (i + 1) % 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 1) % 5) for i in range(5)],
+                200,  # 10 * 10 within the cycles, times the component swap
+                id="two_c5",
+            ),
+            pytest.param(
+                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)], 1, id="asymmetric"
+            ),
+        ],
+    )
+    def test_named_groups(self, edges, expected):
+        m = motif_from_edge_list(edges)
+        assert automorphism_count(m) == expected
+        if m.vertex_count <= 6:  # the oracle lists all v! permutations
+            assert automorphisms_oracle(m) == expected
+
+    def test_every_labelled_motif_up_to_five_vertices(self):
+        for v in (3, 4, 5):
+            pairs = list(itertools.combinations(range(v), 2))
+            for r in range(2, len(pairs) + 1):
+                for edges in itertools.combinations(pairs, r):
+                    if len({x for e in edges for x in e}) < v:
+                        continue  # would leave a vertex isolated
+                    m = motif_from_edge_list(edges)
+                    assert automorphism_count(m) == automorphisms_oracle(m)
 
     def test_two_disjoint_edges(self):
         m = motif_from_edge_list([(0, 1), (2, 3)])
@@ -163,6 +203,7 @@ class TestStats:
         st_ = compute_stats(m)
         assert (st_.density, st_.alpha, st_.gamma) == (F(5, 4), F(2), F(3, 4))
         assert (st_.alpha, st_.gamma) == subgraph_minima_oracle(m)
+        assert st_.gamma_witness == ((0, 1), (0, 2), (1, 2))
 
     def test_kappa_formula(self, rng):
         for _ in range(20):
@@ -223,15 +264,29 @@ class TestStats:
         st_ = compute_stats(m)
         assert st_.gamma == 0 and not st_.strictly_balanced
 
-    def test_enumeration_paths_agree(self, rng):
+    def test_vertex_set_reduction_matches_oracle(self, rng):
         for _ in range(25):
             m = random_motif(rng, v_max=6)
-            assert _subgraph_minima_by_edge_subsets(
-                m
-            ) == _subgraph_minima_by_vertex_sets(m)
+            alpha, _, gamma, _ = _subgraph_minima_by_vertex_sets(m)
+            assert (alpha, gamma) == subgraph_minima_oracle(m)
+
+    def test_witnesses_attain_minima(self, rng):
+        motifs = [random_motif(rng, v_max=6) for _ in range(40)]
+        motifs += [builtin_motif(f, 10) for f in ("tree_path", "cycle", "complete")]
+        for m in motifs:
+            st_ = compute_stats(m)
+            v, e = m.vertex_count, m.edge_count
+            # an edge tuple has no isolated vertex: its vertices are endpoints
+            for witness in (st_.alpha_witness, st_.gamma_witness):
+                assert 0 < len(witness) < e and set(witness) <= set(m.edges)
+            v_a = len({x for ed in st_.alpha_witness for x in ed})
+            e_a = len(st_.alpha_witness)
+            assert v_a < v and F(e - e_a, v - v_a) == st_.alpha
+            v_g = len({x for ed in st_.gamma_witness for x in ed})
+            assert st_.density * v_g - len(st_.gamma_witness) == st_.gamma
 
     def test_dense_fallback_closed_forms(self):
-        # e > 21 takes the vertex-subset route; closed forms still pin it
+        # the densest builtins, pinned by closed forms
         st8 = compute_stats(builtin_motif("complete", 8))
         assert (st8.density, st8.alpha, st8.gamma) == (F(7, 2), F(9, 2), F(1))
         assert st8.automorphism_count == math.factorial(8)
@@ -243,6 +298,9 @@ class TestStats:
         )
         assert ac9.automorphism_count == 2 * math.factorial(7)
         assert ac9.rho == math.comb(9, 2)  # one copy per choice of missing edge
+        st10 = compute_stats(builtin_motif("complete", 10))
+        assert (st10.density, st10.alpha, st10.gamma) == (F(9, 2), F(11, 2), F(1))
+        assert st10.automorphism_count == math.factorial(10)
 
     @staticmethod
     def _label_free(stats):
