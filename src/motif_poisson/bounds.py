@@ -224,6 +224,25 @@ def _assemble(
 # ---------------------------------------------------------------- bounds
 
 
+def _assemble_power(
+    variant: str, m: Motif, stats: MotifStats, n: int, mu: float, x: float, g: int
+) -> BoundReport:
+    """Bound whose probabilities are all powers of one base ``x``: ``x**e``
+    for a whole copy, ``x`` for one edge and ``x**kappa(s)`` for overlap
+    size ``s``, with dependence width ``g``."""
+    return _assemble(
+        variant,
+        m,
+        stats,
+        n,
+        mu,
+        pair_prob=x**m.edge_count,
+        same_prob=x,
+        overlap_prob={s: x ** float(k) for s, k in stats.kappa.items()},
+        dependence_factor=float(g),
+    )
+
+
 def bound_sbm(
     params: SbmParams, m: Motif, n: int, stats: MotifStats | None = None
 ) -> BoundReport:
@@ -232,20 +251,7 @@ def bound_sbm(
     powers of it."""
     stats = _stats_for(m, stats)
     _require_strictly_balanced(stats)
-    mu = mu_sbm(params, m)
-    x = params.pi_star
-    e = m.edge_count
-    return _assemble(
-        "sbm",
-        m,
-        stats,
-        n,
-        mu,
-        pair_prob=x**e,
-        same_prob=x,
-        overlap_prob={s: x ** float(k) for s, k in stats.kappa.items()},
-        dependence_factor=1.0,
-    )
+    return _assemble_power("sbm", m, stats, n, mu_sbm(params, m), params.pi_star, 1)
 
 
 def bound_independent_edges(
@@ -259,18 +265,7 @@ def bound_independent_edges(
     _require_strictly_balanced(stats)
     if not 0.0 <= nu_max <= 1.0:
         raise ValueError("nu_max must be a probability")
-    e = m.edge_count
-    return _assemble(
-        "independent",
-        m,
-        stats,
-        n,
-        mu=nu_max**e,
-        pair_prob=nu_max**e,
-        same_prob=nu_max,
-        overlap_prob={s: nu_max ** float(k) for s, k in stats.kappa.items()},
-        dependence_factor=1.0,
-    )
+    return _assemble_power("independent", m, stats, n, nu_max**m.edge_count, nu_max, 1)
 
 
 @dataclass(frozen=True)
@@ -397,20 +392,7 @@ def bound_graphon(
     maximum edge probability."""
     stats = _stats_for(m, stats)
     _require_strictly_balanced(stats)
-    mu = mu_graphon(spec, m)
-    hs = h_star(spec)
-    e = m.edge_count
-    return _assemble(
-        "graphon",
-        m,
-        stats,
-        n,
-        mu,
-        pair_prob=hs**e,
-        same_prob=hs,
-        overlap_prob={s: hs ** float(k) for s, k in stats.kappa.items()},
-        dependence_factor=2.0,
-    )
+    return _assemble_power("graphon", m, stats, n, mu_graphon(spec, m), h_star(spec), 2)
 
 
 # ---------------------------------------------------------- scaled form

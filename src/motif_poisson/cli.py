@@ -99,18 +99,19 @@ def _default_seed(value) -> int:
 _OPERATIONAL_FLAGS = {"--out", "--threads", "--hist-csv"}
 
 
-def _recorded_command() -> list[str]:
-    """argv without the flags that steer execution but not the computation,
-    so equal computations produce equal manifests."""
-    argv = sys.argv[1:] if sys.argv[0].endswith(("motif-poisson", "cli.py")) else list(sys.argv)
+def _recorded_command(argv: list[str]) -> list[str]:
+    """The parsed argv without the flags that steer execution but not the
+    computation (``--flag value`` or ``--flag=value``), so equal
+    computations produce equal manifests."""
     out: list[str] = []
     skip = False
     for token in argv:
         if skip:
             skip = False
             continue
-        if token in _OPERATIONAL_FLAGS:
-            skip = True
+        flag, eq, _ = token.partition("=")
+        if flag in _OPERATIONAL_FLAGS:
+            skip = not eq
             continue
         out.append(token)
     return out
@@ -119,7 +120,7 @@ def _recorded_command() -> list[str]:
 def _manifest(args: argparse.Namespace, config: dict, stamp: bool) -> dict:
     blob = json.dumps(config, sort_keys=True, default=str).encode()
     return {
-        "command": _recorded_command(),
+        "command": _recorded_command(args.argv),
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": config.get("seed"),
         "versions": {
@@ -415,8 +416,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except NotStrictlyBalanced as exc:

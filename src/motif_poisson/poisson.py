@@ -1,4 +1,5 @@
-"""Poisson reference distribution and total-variation utilities."""
+"""Poisson reference distribution and the empirical total-variation
+statistic, a positive-part sum over the observed counts."""
 
 from __future__ import annotations
 
@@ -34,22 +35,15 @@ def poisson_tail(lam: float, k: int) -> float:
 
 def tv_distance_empirical(hist: Mapping[int, float], lam: float) -> float:
     """Total variation distance between an empirical integer law and
-    Poisson(lam), as half the L1 difference.
+    Poisson(lam).
 
-    The comparison runs over ``k <= K`` with ``K`` far enough past both the
-    largest observed count and the Poisson bulk that the remaining Poisson
-    mass is handled by a single tail term (any histogram mass above K would
-    be added likewise, but K always clears the observed support).
+    Both laws sum to one, so half the L1 difference equals
+    ``sum_k max(hist[k] - pmf(k), 0)``, and only the observed counts ``k``
+    can contribute to that sum.
     """
     total = math.fsum(hist.values())
     if abs(total - 1.0) > _HIST_TOL:
         raise UnnormalizedHistogram(f"frequencies sum to {total!r}, not 1")
     if any(k < 0 for k in hist):
         raise UnnormalizedHistogram("histogram has negative counts as keys")
-    max_obs = max(hist.keys(), default=0)
-    cutoff = max_obs + math.ceil(10 + 10 * lam)
-    body = math.fsum(
-        abs(hist.get(k, 0.0) - poisson_pmf(lam, k)) for k in range(cutoff + 1)
-    )
-    above = math.fsum(f for k, f in hist.items() if k > cutoff)
-    return 0.5 * (body + poisson_tail(lam, cutoff) + above)
+    return math.fsum(max(f - poisson_pmf(lam, k), 0.0) for k, f in hist.items())

@@ -477,20 +477,24 @@ class TestTvDistance:
             )
 
     def test_matches_direct_half_l1(self):
-        # histogram = a different Poisson law, truncated far out
-        lam_hist, lam_ref = 2.0, 3.5
-        support = range(0, 60)
-        hist = {k: poisson_pmf(lam_hist, k) for k in support}
-        hist[0] += 1.0 - math.fsum(hist.values())
-        direct = 0.5 * (
-            math.fsum(
-                abs(hist.get(k, 0.0) - poisson_pmf(lam_ref, k)) for k in range(400)
+        # histogram = a different Poisson law, truncated far out; the second
+        # case puts the whole histogram mass far from k = 0
+        for lam_hist, lam_ref, support, cutoff in (
+            (2.0, 3.5, 60, 400),
+            (480.0, 500.0, 1000, 1400),
+        ):
+            hist = {k: poisson_pmf(lam_hist, k) for k in range(support)}
+            hist[0] += 1.0 - math.fsum(hist.values())
+            direct = 0.5 * (
+                math.fsum(
+                    abs(hist.get(k, 0.0) - poisson_pmf(lam_ref, k))
+                    for k in range(cutoff)
+                )
+                + poisson_tail(lam_ref, cutoff - 1)
             )
-            + poisson_tail(lam_ref, 399)
-        )
-        assert tv_distance_empirical(hist, lam_ref) == pytest.approx(
-            direct, abs=1e-12
-        )
+            assert tv_distance_empirical(hist, lam_ref) == pytest.approx(
+                direct, abs=1e-12
+            )
 
     def test_unnormalised_rejected(self):
         with pytest.raises(UnnormalizedHistogram):

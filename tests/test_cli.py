@@ -337,6 +337,28 @@ class TestSimulateCommand:
         )
         assert code == 2 and "requires" in err
 
+    def test_seed_outside_64_bits_exits_2(self, capsys):
+        argv = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]
+        argv += ["-n", "20", "-R", "10", "--seed"]
+        for seed in ("-1", str(1 << 64)):
+            code, out, err = run_cli(capsys, *argv, seed)
+            assert code == 2 and out == "" and "seed" in err
+
+    def test_manifest_records_parsed_argv(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.argv", ["-c", "extra-arg"])
+        argv = ["motif", "complete:3", "--format", "json"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert json.loads(out)["manifest"]["command"] == argv
+        # operational flags and their values are still stripped
+        dest = tmp_path / "sim.json"
+        argv = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]
+        argv += ["-n", "20", "-R", "10", "--seed", "3"]
+        steering = ["--threads=2", "--out", str(dest)]
+        steering += ["--hist-csv", str(tmp_path / "hist.csv")]
+        code, _, _ = run_cli(capsys, *argv, *steering)
+        assert code == 0
+        assert json.loads(dest.read_text())["manifest"]["command"] == argv
+
     def test_graphon_model_end_to_end(self, capsys):
         graphon = json.dumps(
             {

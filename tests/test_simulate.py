@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from motif_poisson import (
     GraphonSpec,
+    InvalidParams,
     SbmParams,
     SimulationPlan,
     TooManyTerms,
@@ -13,6 +15,8 @@ from motif_poisson import (
     erdos_renyi,
     histogram_csv,
     motif_from_edge_list,
+    poisson_pmf,
+    poisson_tail,
     run,
     simulate,
     tv_standard_error,
@@ -131,6 +135,32 @@ class TestBootstrap:
     def test_point_mass_near_zero(self):
         assert tv_standard_error({0: 1.0}, 500, 0.0, seed=7) < 1e-12
 
+    @pytest.mark.parametrize("lam", [1.5, 50.0, 500.0])
+    def test_matches_direct_half_l1_per_resample(self, lam):
+        # rebuild the 200 multinomial resamples from the same Philox key and
+        # score each by the half-L1 distance up to the largest observed
+        # count plus the Poisson mass above it
+        replicates, seed = 600, 4242
+        sample = np.random.default_rng(int(lam)).poisson(0.96 * lam, replicates)
+        keys, counts = np.unique(sample, return_counts=True)
+        histogram = {int(k): c / replicates for k, c in zip(keys, counts)}
+        probs = counts / replicates
+        probs = probs / probs.sum()
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        draws = rng.multinomial(replicates, probs, size=200)
+        top = int(keys[-1])
+        pmf = [poisson_pmf(lam, k) for k in range(top + 1)]
+        tail = poisson_tail(lam, top)
+        tvs = []
+        for row in draws:
+            freq = dict(zip(keys.tolist(), (row / replicates).tolist()))
+            body = math.fsum(abs(freq.get(k, 0.0) - pmf[k]) for k in range(top + 1))
+            tvs.append(0.5 * (body + tail))
+        expected = float(np.std(tvs, ddof=1))
+        got = tv_standard_error(histogram, replicates, lam, seed=seed)
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert got > 0
+
     def test_quarter_rate_scaling(self):
         # SE of the TV statistic shrinks like 1/sqrt(R): quadrupling R
         # roughly halves it
@@ -156,6 +186,20 @@ class TestPlanValidation:
             SimulationPlan(
                 model=erdos_renyi(0.1), motif=K3, n=10, replicates=0, seed=1
             )
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 5 + 3 * (1 << 64)])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # substream_seed masks to 64 bits, so -1 would alias 2**64 - 1
+        with pytest.raises(InvalidParams):
+            SimulationPlan(
+                model=erdos_renyi(0.1), motif=K3, n=10, replicates=10, seed=seed
+            )
+
+    def test_seed_bounds_accepted(self):
+        for seed in (0, (1 << 64) - 1):
+            assert SimulationPlan(
+                model=erdos_renyi(0.1), motif=K3, n=10, replicates=10, seed=seed
+            ).seed == seed
 
     def test_n_at_least_motif(self):
         with pytest.raises(Exception):
