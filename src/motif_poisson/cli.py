@@ -60,6 +60,11 @@ _SEED_ENV = "MOTIF_POISSON_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefixes, or an abbreviated --threads would reach the manifest;
+    # set here because add_parser does not pass allow_abbrev down
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -179,13 +184,11 @@ def _cmd_motif(args) -> int:
 
 def _cmd_bound(args) -> int:
     m = _load_motif(args.motif)
-    seed = _default_seed(args.seed)
     config = {
         "motif": args.motif,
         "model": args.model,
         "n": args.n,
         "variant": args.variant,
-        "seed": seed,
     }
     inputs: dict = {
         "motif": {"vertex_count": m.vertex_count, "edges": [list(e) for e in m.edges]},
@@ -382,7 +385,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--nu-max", type=float, help="max edge mean (independent)")
     sp.add_argument("--c", type=float, help="lower scaling constant (scaled)")
     sp.add_argument("--C", type=float, help="upper scaling constant (scaled)")
-    sp.add_argument("--seed", type=int)
     common(sp)
     sp.set_defaults(func=_cmd_bound)
 

@@ -1,5 +1,10 @@
 """Random-graph models: stochastic block model and graphon sampling.
 
+Both models give each vertex a latent value (a class label or a uniform
+variate), then flip one independent coin per vertex pair with probability
+set by the two latents.  The samplers share that second step,
+:func:`_draw_pairs`, so both models draw their pairs in one order.
+
 Sampling is driven by the counter-based Philox generator keyed directly by
 the caller's seed, so a sampled graph is a pure function of
 ``(params, n, seed)`` regardless of how surrounding work is scheduled.
@@ -258,7 +263,9 @@ def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
     return SampledGraph(size, tuple(adj))
 
 
-def _generator(seed: int) -> np.random.Generator:
+def _generator(seed: int, n: int) -> np.random.Generator:
+    if n < 2:
+        raise InvalidParams("n must be >= 2")
     if not 0 <= seed <= _SEED_MASK:
         raise InvalidParams("seed must be an unsigned 64-bit integer")
     return np.random.Generator(np.random.Philox(key=seed))
@@ -277,11 +284,14 @@ def substream_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _SEED_MASK
 
 
-def _pack_adjacency(upper_bits: np.ndarray, n: int) -> tuple[int, ...]:
-    """Symmetric bitset rows from the boolean upper triangle (i < j)."""
+def _draw_pairs(rng: np.random.Generator, probs: np.ndarray) -> tuple[int, ...]:
+    """Bitset rows of a graph with edge {i, j} present with probability
+    ``probs[i, j]`` (a symmetric n x n matrix): one uniform per pair i < j,
+    in row-major upper-triangle order, the one pair order of both models."""
+    n = len(probs)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     dense = np.zeros((n, n), dtype=bool)
-    iu, ju = np.triu_indices(n, k=1)
-    dense[iu, ju] = upper_bits
+    dense[upper] = rng.random(n * (n - 1) // 2) < probs[upper]
     dense |= dense.T
     row_bytes = np.packbits(dense, axis=1, bitorder="little")
     return tuple(
@@ -292,40 +302,29 @@ def _pack_adjacency(upper_bits: np.ndarray, n: int) -> tuple[int, ...]:
 def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
     """Draw one block-model graph.
 
-    Class labels first (n inverse-CDF draws), then one uniform per vertex
-    pair in fixed row-major upper-triangle order, so the output is fully
-    determined by the seed.
+    Class labels first (n inverse-CDF draws), then the pair coins of
+    :func:`_draw_pairs`, so the output is fully determined by the seed.
     """
-    if n < 2:
-        raise InvalidParams("n must be >= 2")
-    rng = _generator(seed)
+    rng = _generator(seed, n)
     cum = np.cumsum(params.proportions)
     labels = np.searchsorted(cum, rng.random(n), side="right")
     labels = np.minimum(labels, params.class_count - 1)
-    iu, ju = np.triu_indices(n, k=1)
     pi = np.asarray(params.edge_probs)
-    thresholds = pi[labels[iu], labels[ju]]
-    bits = rng.random(iu.size) < thresholds
     return SampledGraph(
         n=n,
-        adjacency=_pack_adjacency(bits, n),
+        adjacency=_draw_pairs(rng, pi[labels[:, None], labels[None, :]]),
         class_labels=tuple(int(x) for x in labels),
     )
 
 
 def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
     """Draw one graphon graph: i.i.d. uniforms per vertex, then one coin per
-    pair with probability h(U_i, U_j), in the same fixed pair order as the
-    block-model sampler."""
-    if n < 2:
-        raise InvalidParams("n must be >= 2")
-    rng = _generator(seed)
+    pair with probability h(U_i, U_j), drawn by the shared
+    :func:`_draw_pairs`."""
+    rng = _generator(seed, n)
     latent = rng.random(n)
-    iu, ju = np.triu_indices(n, k=1)
-    thresholds = spec.evaluate(latent[iu], latent[ju])
-    bits = rng.random(iu.size) < thresholds
     return SampledGraph(
         n=n,
-        adjacency=_pack_adjacency(bits, n),
+        adjacency=_draw_pairs(rng, spec.evaluate(latent[:, None], latent[None, :])),
         latent_u=tuple(float(x) for x in latent),
     )

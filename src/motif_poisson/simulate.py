@@ -31,7 +31,6 @@ from .errors import InvalidParams, NotStrictlyBalanced
 from .models import (
     _SEED_MASK,
     GraphonSpec,
-    SampledGraph,
     SbmParams,
     sample_graphon,
     sample_sbm,
@@ -101,32 +100,13 @@ class SimulationSummary:
         return out
 
 
-def _sample(model, n: int, seed: int) -> SampledGraph:
+def _model_functions(model):
+    """The sampler, mu evaluator and bound of the model's family, read from
+    this module's names at call time, so rebinding one of them takes
+    effect."""
     if isinstance(model, SbmParams):
-        return sample_sbm(model, n, seed)
-    return sample_graphon(model, n, seed)
-
-
-def _replicate_count(plan: SimulationPlan, r: int) -> int:
-    graph = _sample(plan.model, plan.n, substream_seed(plan.seed, r))
-    return count_copies(graph, plan.motif).count
-
-
-def _model_lambda(plan: SimulationPlan) -> float:
-    if isinstance(plan.model, SbmParams):
-        mu = mu_sbm(plan.model, plan.motif)
-    else:
-        mu = mu_graphon(plan.model, plan.motif)
-    return lambda_value(plan.motif, plan.n, mu)
-
-
-def _model_bound(plan: SimulationPlan) -> BoundReport | None:
-    try:
-        if isinstance(plan.model, SbmParams):
-            return bound_sbm(plan.model, plan.motif, plan.n)
-        return bound_graphon(plan.model, plan.motif, plan.n)
-    except NotStrictlyBalanced:
-        return None
+        return sample_sbm, mu_sbm, bound_sbm
+    return sample_graphon, mu_graphon, bound_graphon
 
 
 def tv_standard_error(
@@ -157,11 +137,25 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     Counts accumulate in replicate-index order whatever ``threads`` is, so
     the summary (wall time aside) is a pure function of the plan.  lambda
     and the bound come first, so a plan whose mu cannot be evaluated fails
-    before any graph is sampled.
+    before any graph is sampled; lambda is the bound report's, and mu is
+    evaluated on its own only when the motif is not strictly balanced.
+    ``threads`` must be at least 1.
     """
+    if threads < 1:
+        raise InvalidParams("threads must be >= 1")
     start = time.perf_counter()
-    lam = _model_lambda(plan)
-    report = _model_bound(plan)
+    sample, mu, bound = _model_functions(plan.model)
+    try:
+        report = bound(plan.model, plan.motif, plan.n)
+        lam = report.lam
+    except NotStrictlyBalanced:
+        report = None
+        lam = lambda_value(plan.motif, plan.n, mu(plan.model, plan.motif))
+
+    def count(r: int) -> int:
+        graph = sample(plan.model, plan.n, substream_seed(plan.seed, r))
+        return count_copies(graph, plan.motif).count
+
     r_total = plan.replicates
     if threads > 1:
         # one contiguous block of replicates per worker: a future per
@@ -169,10 +163,10 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
         step = -(-r_total // threads)
         blocks = [range(s, min(s + step, r_total)) for s in range(0, r_total, step)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda rs: [_replicate_count(plan, r) for r in rs], blocks)
+            parts = pool.map(lambda rs: [count(r) for r in rs], blocks)
             counts = [w for part in parts for w in part]
     else:
-        counts = [_replicate_count(plan, r) for r in range(r_total)]
+        counts = [count(r) for r in range(r_total)]
 
     histogram: dict[int, float] = {}
     for w in counts:

@@ -88,6 +88,15 @@ class TestBoundCommand:
         assert payload["report"]["variant"] == "sbm"
         assert payload["report"]["bound"] == pytest.approx(0.0104512537, rel=1e-8)
 
+    def test_takes_no_seed(self, capsys):
+        model = json.dumps({"Q": 1, "f": [1.0], "pi": [[0.01]]})
+        argv = ["bound", "--motif", "complete:3", "--model", model, "-n", "100"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 1
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["manifest"]["seed"] is None
+
     def test_constant_sbm_matches_independent_variant(self, capsys):
         model = json.dumps({"Q": 1, "f": [1.0], "pi": [[0.02]]})
         _, out_sbm, _ = run_cli(
@@ -343,6 +352,21 @@ class TestSimulateCommand:
         for seed in ("-1", str(1 << 64)):
             code, out, err = run_cli(capsys, *argv, seed)
             assert code == 2 and out == "" and "seed" in err
+
+    def test_abbreviated_flag_exits_1(self, capsys):
+        # a prefix of --threads would escape the manifest's flag stripping
+        argv = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]
+        argv += ["-n", "20", "-R", "10", "--seed", "3"]
+        for flag in ("--thread", "--thr"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "2"])
+            assert exc.value.code == 1
+
+    def test_threads_below_one_exits_2(self, capsys):
+        argv = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]
+        argv += ["-n", "20", "-R", "10", "--seed", "3", "--threads", "0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "threads" in err
 
     def test_manifest_records_parsed_argv(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("sys.argv", ["-c", "extra-arg"])

@@ -4,6 +4,7 @@ Frequency assertions use 3-standard-error bands around exact expectations;
 all randomness is seeded, so each check is deterministic once written.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -169,6 +170,61 @@ class TestDeterminism:
             )
         corr = np.corrcoef(np.array(xs, float), np.array(ys, float))[0, 1]
         assert abs(corr) < 0.05
+
+
+PIN_MODELS = {
+    "sbm1": erdos_renyi(0.7),
+    "sbm2": SbmParams(2, (0.4, 0.6), ((0.8, 0.3), (0.3, 0.6))),
+    "sbm3": SbmParams(
+        3, (0.2, 0.3, 0.5), ((0.9, 0.2, 0.4), (0.2, 0.7, 0.3), (0.4, 0.3, 0.5))
+    ),
+    "product": GraphonSpec(family="product", scale=1.0),
+    "affine_mean": GraphonSpec(family="affine_mean", scale=0.9),
+    "piecewise_constant": GraphonSpec(
+        family="piecewise_constant",
+        breakpoints=(0.0, 0.3, 1.0),
+        values=((0.9, 0.3), (0.3, 0.6)),
+    ),
+}
+
+# sha256 prefixes of edge text + latents; a change to the random stream
+# must update these and stamp a sampler version into the manifest
+PINNED_DIGESTS = {
+    ("sbm1", 2): "7f5d981dd6e172db",
+    ("sbm1", 3): "0f5ef720c7466fbd",
+    ("sbm1", 60): "41aecbd4a946e093",
+    ("sbm1", 257): "04ac3b1196fddb8d",
+    ("sbm2", 2): "7b57f5e106cd84aa",
+    ("sbm2", 3): "da1cbf22a40783d2",
+    ("sbm2", 60): "72fb1f99e2870bf3",
+    ("sbm2", 257): "97b45f2dd4c997fa",
+    ("sbm3", 2): "0f84b257fe56927a",
+    ("sbm3", 3): "c51f53adfba21247",
+    ("sbm3", 60): "725f85509a0b943b",
+    ("sbm3", 257): "29969533923a5db5",
+    ("product", 2): "0c87986cadf08ebf",
+    ("product", 3): "e9792fdb7513ea4a",
+    ("product", 60): "5ac86e0d910c6016",
+    ("product", 257): "5e9dd9ab24d66070",
+    ("affine_mean", 2): "f79bfa2e0edf838a",
+    ("affine_mean", 3): "9e9770dd7e09160e",
+    ("affine_mean", 60): "a1053a660c25f1a3",
+    ("affine_mean", 257): "20c2482e83075838",
+    ("piecewise_constant", 2): "851f5e525bee01cf",
+    ("piecewise_constant", 3): "21e48ae7d856c543",
+    ("piecewise_constant", 60): "619bf0e1f5eabc34",
+    ("piecewise_constant", 257): "fad30e0ee21d9926",
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(PINNED_DIGESTS))
+def test_sampled_graphs_pinned(name, n):
+    model = PIN_MODELS[name]
+    sample = sample_sbm if isinstance(model, SbmParams) else sample_graphon
+    g = sample(model, n, seed=1000 * list(PIN_MODELS).index(name) + n)
+    text = g.to_edge_text() + repr(g.class_labels) + repr(g.latent_u)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest[:16] == PINNED_DIGESTS[name, n]
 
 
 class TestSampling:

@@ -201,6 +201,11 @@ class TestPlanValidation:
                 model=erdos_renyi(0.1), motif=K3, n=10, replicates=10, seed=seed
             ).seed == seed
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(InvalidParams):
+            run(er_plan(replicates=2), threads=threads)
+
     def test_n_at_least_motif(self):
         with pytest.raises(Exception):
             SimulationPlan(
