@@ -40,7 +40,7 @@ from .errors import (
     MotifPoissonError,
     NotStrictlyBalanced,
 )
-from .models import GraphonSpec, SbmParams, graph_from_edge_text
+from .models import SAMPLER_VERSION, GraphonSpec, SbmParams, graph_from_edge_text
 from .motif import (
     BUILTIN_FAMILIES,
     Motif,
@@ -132,6 +132,7 @@ def _manifest(args: argparse.Namespace, config: dict, stamp: bool) -> dict:
             "motif_poisson": __version__,
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
+            "sampler": SAMPLER_VERSION,
         },
         "timestamp": (
             datetime.datetime.now(datetime.timezone.utc).isoformat()

@@ -3,7 +3,13 @@
 Both models give each vertex a latent value (a class label or a uniform
 variate), then flip one independent coin per vertex pair with probability
 set by the two latents.  The samplers share that second step,
-:func:`_draw_pairs`, so both models draw their pairs in one order.
+:func:`_draw_pairs`.  It groups the vertices into blocks whose pairs are
+one coin, and skips from one success to the next by geometric gaps, so a
+graph with m edges takes O(n + m) work beside its n^2/8 bytes of bitsets.
+Block models use their classes; piecewise-constant graphons the blocks of
+the latents; smooth graphons one block at the surface maximum h*, each
+candidate pair then kept with probability h(U_i, U_j)/h*.  Candidates
+come in fixed-size batches, so memory stays bounded for dense graphs too.
 
 Sampling is driven by the counter-based Philox generator keyed directly by
 the caller's seed, so a sampled graph is a pure function of
@@ -14,8 +20,9 @@ Replicate ensembles derive one independent key per replicate index via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,6 +30,15 @@ from .errors import InvalidParams, WrongFamily
 
 _PROPORTION_TOL = 1e-12
 _SEED_MASK = (1 << 64) - 1
+#: Candidate pairs drawn per batch: bounds the int64 buffers a dense block
+#: holds at once.
+_CHUNK = 1 << 18
+#: The byte with only bit b set, at index b.
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
+
+#: Version of the random stream behind sampled graphs, stamped into every
+#: manifest: a given seed gives other graphs under another version.
+SAMPLER_VERSION = 2
 
 GRAPHON_FAMILIES = ("product", "piecewise_constant", "affine_mean")
 
@@ -284,47 +300,135 @@ def substream_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _SEED_MASK
 
 
-def _draw_pairs(rng: np.random.Generator, probs: np.ndarray) -> tuple[int, ...]:
-    """Bitset rows of a graph with edge {i, j} present with probability
-    ``probs[i, j]`` (a symmetric n x n matrix): one uniform per pair i < j,
-    in row-major upper-triangle order, the one pair order of both models."""
-    n = len(probs)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    dense = np.zeros((n, n), dtype=bool)
-    dense[upper] = rng.random(n * (n - 1) // 2) < probs[upper]
-    dense |= dense.T
-    row_bytes = np.packbits(dense, axis=1, bitorder="little")
-    return tuple(
-        int.from_bytes(row_bytes[i].tobytes(), "little") for i in range(n)
-    )
+def _skip_positions(
+    rng: np.random.Generator, p: float, total: int
+) -> Iterator[np.ndarray]:
+    """Ascending positions of the successes among ``total`` independent
+    ``p``-coins, in batches of at most ``_CHUNK``.
+
+    The gaps between successes are geometric (Batagelj & Brandes 2005), so
+    the draws are proportional to the successes, not to ``total``.  The
+    first batch covers the expected count with room to spare, so a sparse
+    block takes one batch; the batch sizes depend only on ``(p, total)``.
+    """
+    if p <= 0.0 or total == 0:
+        return
+    if p >= 1.0:
+        for start in range(0, total, _CHUNK):
+            yield np.arange(start, min(start + _CHUNK, total))
+        return
+    mean = p * total
+    size = int(min(_CHUNK, mean + 4.0 * math.sqrt(mean) + 16.0))
+    last = -1
+    while True:
+        # a gap above ``total`` ends the block either way; capping it keeps
+        # the int64 cumulative sum from overflowing at tiny p
+        pos = last + np.cumsum(np.minimum(rng.geometric(p, size), total))
+        if pos[-1] >= total:
+            yield pos[: np.searchsorted(pos, total)]
+            return
+        yield pos
+        last = int(pos[-1])
+
+
+def _row_start(i, m: int):
+    """Row-major index of pair (i, i + 1) in the strict upper triangle of
+    an m x m matrix."""
+    return i * (2 * m - i - 1) // 2
+
+
+def _triangle_pair(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) with i < j < m at row-major index ``k`` of the strict upper
+    triangle of an m x m matrix, the order of ``np.triu_indices(m, 1)``.
+
+    The float root gives the row to within one; the integer comparisons
+    then make it exact."""
+    b = 2 * m - 1
+    i = np.floor((b - np.sqrt(b * b - 8.0 * k)) / 2).astype(np.int64)
+    i -= _row_start(i, m) > k
+    i += _row_start(i + 1, m) <= k
+    return i, k - _row_start(i, m) + i + 1
+
+
+def _draw_pairs(
+    rng: np.random.Generator,
+    labels: np.ndarray,
+    probs: tuple[tuple[float, ...], ...],
+    keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> tuple[int, ...]:
+    """Bitset rows of a graph on ``len(labels)`` vertices in which pair
+    {u, v} is an independent coin of probability
+    ``probs[labels[u]][labels[v]]``, thinned by ``keep(u, v)`` if given.
+
+    Vertices are grouped by label.  For each label pair a <= b, the
+    successful coins of that block are skip-sampled by
+    :func:`_skip_positions` over the block's pairs: row-major strict upper
+    triangle for a == b, and row-major |A| x |B| for a < b.  A candidate
+    survives thinning when one more uniform falls below ``keep(u, v)``.
+    Candidates come in batches of at most ``_CHUNK``, so the work is
+    O(n + m) for m candidates and the int64 buffers stay bounded however
+    dense the graph.  Edges are set straight into a packed n x n/8 byte
+    buffer, no larger than the returned bitsets.
+    """
+    n = len(labels)
+    row_bytes = (n + 7) // 8
+    bits = np.zeros((n, row_bytes), dtype=np.uint8)
+    order = np.argsort(labels, kind="stable")
+    cuts = np.searchsorted(labels[order], np.arange(len(probs) + 1))
+    members = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    for a, rows in enumerate(members):
+        m = len(rows)
+        for b in range(a, len(probs)):
+            cols = members[b]
+            total = m * (m - 1) // 2 if a == b else m * len(cols)
+            for k in _skip_positions(rng, probs[a][b], total):
+                i, j = _triangle_pair(k, m) if a == b else np.divmod(k, len(cols))
+                u, v = rows[i], cols[j]
+                if keep is not None:
+                    hit = rng.random(len(k)) < keep(u, v)
+                    u, v = u[hit], v[hit]
+                x, y = np.concatenate((u, v)), np.concatenate((v, u))
+                np.bitwise_or.at(bits, (x, y >> 3), _BIT[y & 7])
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
     """Draw one block-model graph.
 
-    Class labels first (n inverse-CDF draws), then the pair coins of
+    Class labels first (n inverse-CDF draws), then the block coins of
     :func:`_draw_pairs`, so the output is fully determined by the seed.
     """
     rng = _generator(seed, n)
     cum = np.cumsum(params.proportions)
     labels = np.searchsorted(cum, rng.random(n), side="right")
     labels = np.minimum(labels, params.class_count - 1)
-    pi = np.asarray(params.edge_probs)
     return SampledGraph(
         n=n,
-        adjacency=_draw_pairs(rng, pi[labels[:, None], labels[None, :]]),
-        class_labels=tuple(int(x) for x in labels),
+        adjacency=_draw_pairs(rng, labels, params.edge_probs),
+        class_labels=tuple(labels.tolist()),
     )
 
 
 def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
     """Draw one graphon graph: i.i.d. uniforms per vertex, then one coin per
     pair with probability h(U_i, U_j), drawn by the shared
-    :func:`_draw_pairs`."""
+    :func:`_draw_pairs`.
+
+    A piecewise-constant surface is a block model on the blocks of the
+    latents.  A smooth one is one block at h*, thinned to h(U_i, U_j)/h*.
+    """
     rng = _generator(seed, n)
     latent = rng.random(n)
+    if spec.family == "piecewise_constant":
+        adjacency = _draw_pairs(rng, spec._block_of(latent), spec.values)
+    else:
+        top = h_star(spec)
+        adjacency = _draw_pairs(
+            rng,
+            np.zeros(n, dtype=np.int64),
+            ((top,),),
+            keep=lambda u, v: spec.evaluate(latent[u], latent[v]) / top,
+        )
     return SampledGraph(
-        n=n,
-        adjacency=_draw_pairs(rng, spec.evaluate(latent[:, None], latent[None, :])),
-        latent_u=tuple(float(x) for x in latent),
+        n=n, adjacency=adjacency, latent_u=tuple(latent.tolist())
     )

@@ -383,6 +383,20 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(dest.read_text())["manifest"]["command"] == argv
 
+    def test_sampler_version_in_every_manifest(self, capsys):
+        sim = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]
+        sim += ["-n", "20", "-R", "10", "--seed", "3"]
+        bound = ["bound", "--motif", "complete:3", "--model", self.MODEL]
+        for argv in (
+            [*sim, "--threads", "1"],
+            [*sim, "--threads", "3"],
+            [*bound, "-n", "20"],
+            ["motif", "complete:3", "--format", "json"],
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["manifest"]["versions"]["sampler"] == 2
+
     def test_graphon_model_end_to_end(self, capsys):
         graphon = json.dumps(
             {

@@ -6,6 +6,7 @@ all randomness is seeded, so each check is deterministic once written.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from motif_poisson import (
     sample_sbm,
     substream_seed,
 )
+from motif_poisson.models import _triangle_pair
 
 
 def three_se(p: float, trials: int) -> float:
@@ -187,33 +189,33 @@ PIN_MODELS = {
     ),
 }
 
-# sha256 prefixes of edge text + latents; a change to the random stream
-# must update these and stamp a sampler version into the manifest
+# sha256 prefixes of edge text + latents, recorded at sampler version 2; a
+# change to the random stream must update these and bump SAMPLER_VERSION
 PINNED_DIGESTS = {
-    ("sbm1", 2): "7f5d981dd6e172db",
-    ("sbm1", 3): "0f5ef720c7466fbd",
-    ("sbm1", 60): "41aecbd4a946e093",
-    ("sbm1", 257): "04ac3b1196fddb8d",
-    ("sbm2", 2): "7b57f5e106cd84aa",
-    ("sbm2", 3): "da1cbf22a40783d2",
-    ("sbm2", 60): "72fb1f99e2870bf3",
-    ("sbm2", 257): "97b45f2dd4c997fa",
-    ("sbm3", 2): "0f84b257fe56927a",
-    ("sbm3", 3): "c51f53adfba21247",
-    ("sbm3", 60): "725f85509a0b943b",
-    ("sbm3", 257): "29969533923a5db5",
+    ("sbm1", 2): "9bad26590c294d5b",
+    ("sbm1", 3): "e49253da979bf5bf",
+    ("sbm1", 60): "2d5fb5b910ed65be",
+    ("sbm1", 257): "7aac2b19fea74b66",
+    ("sbm2", 2): "79bd838f285803d7",
+    ("sbm2", 3): "1a2ed42d73afa0c4",
+    ("sbm2", 60): "acceca258494ab0d",
+    ("sbm2", 257): "d2afde35f1c7544b",
+    ("sbm3", 2): "3332a84e808df348",
+    ("sbm3", 3): "162e1c7fddb975c8",
+    ("sbm3", 60): "ca39f0c3ba765e65",
+    ("sbm3", 257): "6e6b4bb4ba9b9813",
     ("product", 2): "0c87986cadf08ebf",
     ("product", 3): "e9792fdb7513ea4a",
     ("product", 60): "5ac86e0d910c6016",
     ("product", 257): "5e9dd9ab24d66070",
-    ("affine_mean", 2): "f79bfa2e0edf838a",
-    ("affine_mean", 3): "9e9770dd7e09160e",
-    ("affine_mean", 60): "a1053a660c25f1a3",
-    ("affine_mean", 257): "20c2482e83075838",
+    ("affine_mean", 2): "0d082088544f15b7",
+    ("affine_mean", 3): "399f1fdc695db5c1",
+    ("affine_mean", 60): "e4248c6552869ca9",
+    ("affine_mean", 257): "c77f420bde960b62",
     ("piecewise_constant", 2): "851f5e525bee01cf",
-    ("piecewise_constant", 3): "21e48ae7d856c543",
-    ("piecewise_constant", 60): "619bf0e1f5eabc34",
-    ("piecewise_constant", 257): "fad30e0ee21d9926",
+    ("piecewise_constant", 3): "3b4dd66d63a81c0e",
+    ("piecewise_constant", 60): "e1370fa63e4dd969",
+    ("piecewise_constant", 257): "1f299ad6c8a588e4",
 }
 
 
@@ -352,6 +354,73 @@ class TestSampling:
         assert g.latent_u is not None and len(g.latent_u) == 10
         g = sample_sbm(erdos_renyi(0.5), 10, seed=1)
         assert g.class_labels == (0,) * 10
+
+
+class TestSkipSampler:
+    @pytest.mark.parametrize("m", [2, 3, 4, 17, 1000])
+    def test_pair_index_matches_triu_indices(self, m):
+        i, j = _triangle_pair(np.arange(m * (m - 1) // 2), m)
+        ti, tj = np.triu_indices(m, 1)
+        assert np.array_equal(i, ti) and np.array_equal(j, tj)
+
+    def test_pair_index_row_ends_at_ten_thousand(self):
+        # the first and last index of every row, where a float root that
+        # rounds the wrong way would land in the neighbouring row
+        m = 10**4
+        rows = np.arange(m - 1)
+        first = rows * (2 * m - rows - 1) // 2
+        last = first + (m - 2 - rows)
+        for k, col in ((first, rows + 1), (last, np.full(m - 1, m - 1))):
+            i, j = _triangle_pair(k, m)
+            assert np.array_equal(i, rows) and np.array_equal(j, col)
+
+    def test_identity_block_matrix_gives_two_cliques(self):
+        params = SbmParams(2, (0.5, 0.5), ((1, 0), (0, 1)))
+        for seed in range(5):
+            g = sample_sbm(params, 30, seed)
+            labels = g.class_labels
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    assert g.has_edge(u, v) == (labels[u] == labels[v])
+
+    @pytest.mark.parametrize("family", ["product", "affine_mean"])
+    def test_thinning_conditional_on_latents(self, family):
+        # given the latents, the edge count is a sum of independent
+        # h(U_i, U_j) coins; pooled over graphs it sits within 3 SE of the
+        # summed probabilities
+        spec = GraphonSpec(family=family, scale=1.0)
+        n = 40
+        iu, ju = np.triu_indices(n, 1)
+        edges = expected = variance = 0.0
+        for r in range(100):
+            g = sample_graphon(spec, n, substream_seed(31, r))
+            u = np.asarray(g.latent_u)
+            h = spec.evaluate(u[iu], u[ju])
+            edges += g.edge_count
+            expected += h.sum()
+            variance += (h * (1.0 - h)).sum()
+        assert abs(edges - expected) <= 3.0 * math.sqrt(variance)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: sample_sbm(erdos_renyi(2e-4), 10**4, seed=3),
+            lambda: sample_graphon(
+                GraphonSpec(family="product", scale=8e-4), 10**4, seed=3
+            ),
+            # guards the batching: unchunked, p = 1/2 peaks near 400 MiB
+            lambda: sample_sbm(erdos_renyi(0.5), 4000, seed=3),
+        ],
+        ids=["er_sparse_1e4", "product_sparse_1e4", "er_dense_4000"],
+    )
+    def test_sampler_memory_bounded(self, draw):
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestEdgeText:

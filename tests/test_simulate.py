@@ -108,6 +108,18 @@ class TestSummaryInvariants:
                 failures += 1
         assert failures <= 1
 
+    def test_ten_thousand_vertices(self):
+        # the README's largest graphs: ER(2/n) triangles, lambda about 4/3;
+        # the variance is floored at lambda so equal counts cannot shrink
+        # the standard error to zero
+        n = 10**4
+        plan = SimulationPlan(
+            model=erdos_renyi(2.0 / n), motif=K3, n=n, replicates=3, seed=17
+        )
+        summary = run(plan)
+        se = math.sqrt(max(summary.sample_variance, summary.lam) / 3)
+        assert abs(summary.sample_mean - summary.lam) <= 5 * se
+
     def test_graphon_plan(self):
         plan = SimulationPlan(
             model=GraphonSpec(
