@@ -8,9 +8,11 @@ The variants differ in which worst-case edge probability feeds the terms
 and in a dependence-width factor.  All variants require a strictly
 balanced motif.
 
-The occurrence probability mu is exact in both models: one tensor
-contraction over the motif's edges, with Gauss-Legendre nodes standing in
-for the classes of a smooth graphon.
+The occurrence probability mu is exact in both models: a sum over class
+tuples of the weight and edge-probability products, evaluated by summing
+out one motif vertex at a time, with Gauss-Legendre nodes standing in for
+the classes of a smooth graphon.  Each function derives the motif's
+invariants itself through the cached ``compute_stats``.
 
 Large combinatorial factors are evaluated in floating point via product
 forms; the relative error budget of the assembled bounds is ~1e-12.
@@ -44,50 +46,64 @@ def _binom_float(n: int, k: int) -> float:
     return out
 
 
-def _require_strictly_balanced(stats: MotifStats) -> None:
+def _require_strictly_balanced(m: Motif) -> MotifStats:
+    """The motif's invariants, or NotStrictlyBalanced: every bound needs it."""
+    stats = compute_stats(m)
     if not stats.strictly_balanced:
         raise NotStrictlyBalanced(
             "bound requires a strictly balanced motif (gamma > 0)"
         )
-
-
-def _stats_for(m: Motif, stats: MotifStats | None) -> MotifStats:
-    return compute_stats(m) if stats is None else stats
+    return stats
 
 
 # ------------------------------------------------------------------ mu
 
 
-def _contract(weights: np.ndarray, mat: np.ndarray, m: Motif) -> float:
+def _contract(
+    weights: np.ndarray,
+    mat: np.ndarray,
+    vertex_count: int,
+    edges: tuple[tuple[int, int], ...],
+) -> float:
     """Sum over all class tuples c of
-    prod_u weights[c_u] * prod_{(u,w) in E} mat[c_u, c_w], as one einsum
-    with one weight vector per vertex and one matrix per edge.
+    prod_u weights[c_u] * prod_{(u,w) in edges} mat[c_u, c_w], by vertex
+    elimination.
 
-    The contraction follows NumPy's greedy path, which depends only on the
-    motif and the class count, so a given input always sums in the same
-    order.  Before contracting, each step's index space (the terms it sums)
-    is checked against the budget.  Checking only the intermediates a step
-    writes would not do: on K_10 the greedy path keeps them at Q^2 elements
-    but ends in one step over all ten indices.
+    The factors start as one weight vector per vertex and one matrix per
+    edge.  Each step sums out the remaining vertex whose factors span the
+    fewest indices (ties to the lower vertex) in one einsum over just
+    those factors, which leaves one factor on the rest of their span.  The
+    order and the spans depend only on the graph, so every step is planned
+    and its Q^span summed terms checked against the budget before any
+    contraction runs.
     """
     q = len(weights)
-    letters = [chr(ord("a") + u) for u in range(m.vertex_count)]
-    subscripts = letters + [letters[a] + letters[b] for a, b in m.edges]
-    operands = [weights] * m.vertex_count + [mat] * m.edge_count
-    expr = ",".join(subscripts) + "->"
-    path, _ = np.einsum_path(expr, *operands, optimize="greedy")
-    live = [set(s) for s in subscripts]
-    for step in path[1:]:
-        merged = set().union(*(live[i] for i in step))
-        if q ** len(merged) > _MAX_TERMS:
+    scopes = [frozenset((u,)) for u in range(vertex_count)]
+    scopes += [frozenset(e) for e in edges]
+    steps = []
+    for _ in range(vertex_count):
+        spans = {
+            u: frozenset().union(*(s for s in scopes if u in s))
+            for u in frozenset().union(*scopes)
+        }
+        u = min(spans, key=lambda w: (len(spans[w]), w))
+        if q ** len(spans[u]) > _MAX_TERMS:
             raise TooManyTerms(
-                f"a contraction step sums {q}^{len(merged)} terms, over the "
+                f"a contraction step sums {q}^{len(spans[u])} terms, over the "
                 f"{_MAX_TERMS} budget"
             )
-        for i in sorted(step, reverse=True):
-            del live[i]
-        live.append({c for c in merged if any(c in s for s in live)})
-    return float(np.einsum(expr, *operands, optimize=path))
+        used = [i for i, s in enumerate(scopes) if u in s]
+        rest = spans[u] - {u}
+        steps.append((used, sorted(rest)))
+        scopes = [s for s in scopes if u not in s] + [rest]
+    factors = [(weights, [u]) for u in range(vertex_count)]
+    factors += [(mat, list(e)) for e in edges]
+    for used, out in steps:
+        operands = [x for i in used for x in factors[i]]
+        factors = [f for i, f in enumerate(factors) if i not in used]
+        factors.append((np.einsum(*operands, out), out))
+    # one scalar factor is left per connected component
+    return math.prod(float(f) for f, _ in factors)
 
 
 def mu_sbm(params: SbmParams, m: Motif) -> float:
@@ -96,7 +112,7 @@ def mu_sbm(params: SbmParams, m: Motif) -> float:
     class assignments of the motif's vertices."""
     weights = np.asarray(params.proportions)
     mat = np.asarray(params.edge_probs)
-    return _contract(weights, mat, m)
+    return _contract(weights, mat, m.vertex_count, m.edges)
 
 
 def mu_graphon(spec: GraphonSpec, m: Motif) -> float:
@@ -111,18 +127,16 @@ def mu_graphon(spec: GraphonSpec, m: Motif) -> float:
         return mu_sbm(graphon_to_sbm(spec), m)
     nodes, weights = np.polynomial.legendre.leggauss((max(m.degrees) + 2) // 2)
     x = (nodes + 1.0) / 2.0
-    return _contract(weights / 2.0, spec.evaluate(x[:, None], x[None, :]), m)
+    mat = spec.evaluate(x[:, None], x[None, :])
+    return _contract(weights / 2.0, mat, m.vertex_count, m.edges)
 
 
-def lambda_value(
-    m: Motif, n: int, mu: float, stats: MotifStats | None = None
-) -> float:
+def lambda_value(m: Motif, n: int, mu: float) -> float:
     """Expected copy count: positions times copies per position times the
     single-copy occurrence probability."""
     if n < m.vertex_count:
         raise ValueError(f"n={n} smaller than motif ({m.vertex_count} vertices)")
-    stats = _stats_for(m, stats)
-    return _binom_float(n, m.vertex_count) * stats.rho * mu
+    return _binom_float(n, m.vertex_count) * compute_stats(m).rho * mu
 
 
 # --------------------------------------------------------------- reports
@@ -196,7 +210,7 @@ def _assemble(
     dependence_factor: float,
 ) -> BoundReport:
     v = m.vertex_count
-    lam = lambda_value(m, n, mu, stats)
+    lam = lambda_value(m, n, mu)
     nf = float(n)
     pair = 2.0 * v * v / math.factorial(v) * nf ** (v - 1) * pair_prob
     overlaps = {
@@ -243,26 +257,20 @@ def _assemble_power(
     )
 
 
-def bound_sbm(
-    params: SbmParams, m: Motif, n: int, stats: MotifStats | None = None
-) -> BoundReport:
+def bound_sbm(params: SbmParams, m: Motif, n: int) -> BoundReport:
     """Total-variation bound for the block model, driven by the maximum
     edge probability; non-integer overlap exponents are applied as real
     powers of it."""
-    stats = _stats_for(m, stats)
-    _require_strictly_balanced(stats)
+    stats = _require_strictly_balanced(m)
     return _assemble_power("sbm", m, stats, n, mu_sbm(params, m), params.pi_star, 1)
 
 
-def bound_independent_edges(
-    m: Motif, n: int, nu_max: float, stats: MotifStats | None = None
-) -> BoundReport:
+def bound_independent_edges(m: Motif, n: int, nu_max: float) -> BoundReport:
     """Bound for independent (not necessarily identical) edges with maximum
     mean ``nu_max``.  The reference mean uses ``nu_max ** e`` for the
     occurrence probability, which is exact in the equal-probability case
     and the natural ceiling otherwise."""
-    stats = _stats_for(m, stats)
-    _require_strictly_balanced(stats)
+    stats = _require_strictly_balanced(m)
     if not 0.0 <= nu_max <= 1.0:
         raise ValueError("nu_max must be a probability")
     return _assemble_power("independent", m, stats, n, nu_max**m.edge_count, nu_max, 1)
@@ -302,30 +310,21 @@ class NuTable:
             ) from None
 
     @staticmethod
-    def required_triples(
-        m: Motif, stats: MotifStats | None = None
-    ) -> tuple[tuple[Fraction, int, int], ...]:
+    def required_triples(m: Motif) -> tuple[tuple[Fraction, int, int], ...]:
         """Every (k, v, s) triple the dependent-edge bound consumes."""
-        stats = _stats_for(m, stats)
+        stats = compute_stats(m)
         e = m.edge_count
         triples = [(Fraction(e), e, 1), (Fraction(1), e, 1)]
         triples.extend((stats.kappa[s], e, s) for s in sorted(stats.kappa))
         return tuple(triples)
 
     @classmethod
-    def from_power(
-        cls, nu: float, m: Motif, stats: MotifStats | None = None
-    ) -> "NuTable":
+    def from_power(cls, nu: float, m: Motif) -> "NuTable":
         """The table ``nu ** k`` at every required triple (the independent
         and graphon specialisations)."""
         if not 0.0 <= nu <= 1.0:
             raise ValueError("nu must be a probability")
-        return cls(
-            {
-                t: nu ** float(t[0])
-                for t in cls.required_triples(m, stats)
-            }
-        )
+        return cls({t: nu ** float(t[0]) for t in cls.required_triples(m)})
 
     def to_dict(self) -> dict:
         return {
@@ -339,8 +338,11 @@ class NuTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NuTable":
+        rows = data.get("entries", []) if isinstance(data, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError("nu-table JSON must be an object with an 'entries' list")
         entries = {}
-        for row in data.get("entries", []):
+        for row in rows:
             try:
                 key = (Fraction(str(row["k"])), int(row["v"]), int(row["s"]))
                 entries[key] = float(row["value"])
@@ -349,22 +351,14 @@ class NuTable:
         return cls(entries)
 
 
-def bound_nu(
-    m: Motif,
-    n: int,
-    g: int,
-    mu: float,
-    nu: NuTable,
-    stats: MotifStats | None = None,
-) -> BoundReport:
+def bound_nu(m: Motif, n: int, g: int, mu: float, nu: NuTable) -> BoundReport:
     """Bound for locally dependent edge probabilities.
 
     ``g`` caps the width of any edge's dependence neighborhood and ``mu``
     is the model's occurrence probability, supplied by the caller because
     the general dependent model leaves it model-specific.
     """
-    stats = _stats_for(m, stats)
-    _require_strictly_balanced(stats)
+    stats = _require_strictly_balanced(m)
     if g < 1:
         raise ValueError("dependence width g must be >= 1")
     e = m.edge_count
@@ -381,17 +375,11 @@ def bound_nu(
     )
 
 
-def bound_graphon(
-    spec: GraphonSpec,
-    m: Motif,
-    n: int,
-    stats: MotifStats | None = None,
-) -> BoundReport:
+def bound_graphon(spec: GraphonSpec, m: Motif, n: int) -> BoundReport:
     """Bound for the graphon model: edges sharing a vertex are dependent,
     giving dependence width 2, with the graphon's maximum in place of the
     maximum edge probability."""
-    stats = _stats_for(m, stats)
-    _require_strictly_balanced(stats)
+    stats = _require_strictly_balanced(m)
     return _assemble_power("graphon", m, stats, n, mu_graphon(spec, m), h_star(spec), 2)
 
 
@@ -428,12 +416,9 @@ class ScaledBoundReport:
         }
 
 
-def bound_scaled(
-    m: Motif, n: int, c: float, C: float, stats: MotifStats | None = None
-) -> ScaledBoundReport:
+def bound_scaled(m: Motif, n: int, c: float, C: float) -> ScaledBoundReport:
     """Evaluate the scaled-regime bound for constants ``0 < c <= C``."""
-    stats = _stats_for(m, stats)
-    _require_strictly_balanced(stats)
+    stats = _require_strictly_balanced(m)
     if not 0 < c <= C:
         raise ValueError("need 0 < c <= C")
     if n < m.vertex_count:
@@ -469,13 +454,12 @@ def bound_scaled(
     )
 
 
-def rate_exponent(m: Motif, stats: MotifStats | None = None) -> Fraction:
+def rate_exponent(m: Motif) -> Fraction:
     """Decay exponent of the block-model bound when the maximum edge
     probability scales critically as ``n^(-1/d)``: the slowest of the
     pair term (exponent 1), the same-position term (1/d) and each overlap
     term (kappa(s)/d - (v - s)), in exact rationals."""
-    stats = _stats_for(m, stats)
-    _require_strictly_balanced(stats)
+    stats = _require_strictly_balanced(m)
     v = m.vertex_count
     d = stats.density
     candidates = [Fraction(1), 1 / d]

@@ -88,6 +88,8 @@ def _load_model(spec: str) -> SbmParams | GraphonSpec:
     configs carry a 'Q' key, graphon configs a 'family' key."""
     text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InvalidParams("model JSON must be an object")
     if "Q" in data:
         return SbmParams.from_dict(data)
     if "family" in data:
@@ -265,19 +267,18 @@ def _cmd_simulate(args) -> int:
     }
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(file_cfg, dict):
+            raise InvalidParams("simulate config must be a JSON object")
         config.update({k: v for k, v in file_cfg.items() if v is not None})
     config["seed"] = _default_seed(config.get("seed"))
     for key in ("model", "motif", "n", "replicates"):
         if config.get(key) is None:
             raise InvalidParams(f"simulate requires {key} (flag or --config)")
     model_spec = config["model"]
-    model = (
-        _load_model(json.dumps(model_spec))
-        if isinstance(model_spec, dict)
-        else _load_model(model_spec)
+    model = _load_model(
+        model_spec if isinstance(model_spec, str) else json.dumps(model_spec)
     )
-    motif_spec = config["motif"]
-    m = _load_motif(motif_spec)
+    m = _load_motif(str(config["motif"]))
     plan = SimulationPlan(
         model=model,
         motif=m,
@@ -321,7 +322,7 @@ def _cmd_tables(args) -> int:
         for family in BUILTIN_FAMILIES:
             m = builtin_motif(family, v)
             st = compute_stats(m)
-            rate = rate_exponent(m, st) if st.strictly_balanced else None
+            rate = rate_exponent(m) if st.strictly_balanced else None
             rows.append(
                 (
                     family,

@@ -101,9 +101,13 @@ class SbmParams:
     @classmethod
     def from_dict(cls, data: dict) -> "SbmParams":
         try:
-            return cls(int(data["Q"]), tuple(data["f"]), tuple(map(tuple, data["pi"])))
+            return cls(int(data["Q"]), data["f"], data["pi"])
         except KeyError as exc:
             raise InvalidParams(f"missing SBM field {exc}") from exc
+        except TypeError as exc:
+            raise InvalidParams(
+                "SBM needs an integer 'Q', a list 'f' and a list of lists 'pi'"
+            ) from exc
 
 
 def erdos_renyi(p: float) -> SbmParams:
@@ -188,14 +192,16 @@ class GraphonSpec:
     def from_dict(cls, data: dict) -> "GraphonSpec":
         fam = data.get("family")
         if fam in ("product", "affine_mean"):
-            return cls(family=fam, scale=data.get("c"))
-        if fam == "piecewise_constant":
-            return cls(
-                family=fam,
-                breakpoints=tuple(data.get("breakpoints", ())),
-                values=tuple(map(tuple, data.get("values", ()))),
-            )
-        raise InvalidParams(f"unknown graphon family {fam!r}")
+            fields, shape = {"scale": data.get("c")}, "a number 'c'"
+        elif fam == "piecewise_constant":
+            fields = {k: data.get(k) for k in ("breakpoints", "values")}
+            shape = "a list 'breakpoints' and a list of lists 'values'"
+        else:
+            raise InvalidParams(f"unknown graphon family {fam!r}")
+        try:
+            return cls(family=fam, **fields)
+        except TypeError as exc:
+            raise InvalidParams(f"{fam} graphon needs {shape}") from exc
 
 
 def h_star(spec: GraphonSpec) -> float:
@@ -264,7 +270,12 @@ def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        u, v = (int(x) for x in line.split())
+        parts = line.split()
+        if len(parts) != 2 or not all(x.isdecimal() for x in parts):
+            raise InvalidParams(
+                f"bad edge line: {line!r}; expected two non-negative integers"
+            )
+        u, v = map(int, parts)
         if u == v:
             raise InvalidParams(f"self-loop at {u}")
         pairs.append((u, v))

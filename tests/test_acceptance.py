@@ -128,7 +128,7 @@ def test_criterion_2_rate_exponents_and_slopes():
         for v in V_RANGE:
             m = builtin_motif(family, v)
             stats = compute_stats(m)
-            got = rate_exponent(m, stats)
+            got = rate_exponent(m)
             want = closed_form_exponent(family, v)
             if got != want:
                 failures.append(
@@ -138,7 +138,7 @@ def test_criterion_2_rate_exponents_and_slopes():
             d = float(stats.density)
 
             def bound_at(n):
-                return bound_sbm(erdos_renyi(float(n) ** (-1.0 / d)), m, n, stats).bound
+                return bound_sbm(erdos_renyi(float(n) ** (-1.0 / d)), m, n).bound
 
             slope = math.log10(bound_at(10**6) / bound_at(10**7))
             if abs(slope - float(got)) >= 0.05:
@@ -218,13 +218,13 @@ def test_criterion_5_consistency_web():
         p = float(0.01 + 0.4 * rng.random())
         n = int(rng.integers(m.vertex_count, 5000))
         e = m.edge_count
-        via_sbm = bound_sbm(erdos_renyi(p), m, n, stats)
-        via_ind = bound_independent_edges(m, n, p, stats)
-        via_nu = bound_nu(m, n, 1, p**e, NuTable.from_power(p, m, stats), stats)
+        via_sbm = bound_sbm(erdos_renyi(p), m, n)
+        via_ind = bound_independent_edges(m, n, p)
+        via_nu = bound_nu(m, n, 1, p**e, NuTable.from_power(p, m))
         block = GraphonSpec(
             family="piecewise_constant", breakpoints=(0.0, 1.0), values=((p,),)
         )
-        via_graphon = bound_graphon(block, m, n, stats=stats)
+        via_graphon = bound_graphon(block, m, n)
         checks = [
             ("independent", via_ind.bound, via_sbm.bound),
             ("nu-table", via_nu.bound, via_sbm.bound),

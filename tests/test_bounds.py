@@ -1,9 +1,11 @@
 """Bound evaluation: frozen hand-computed cases, cross-variant identities
 and the exact-rational rate exponents."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from motif_poisson import (
@@ -75,6 +77,35 @@ class TestMuSbm:
         with pytest.raises(TooManyTerms):
             mu_sbm(params, builtin_motif("complete", 10))
 
+    def test_budget_checked_before_any_contraction(self, monkeypatch):
+        # the pendant vertex goes first and fits the budget; the K_9 step
+        # after it sums 10^9 terms, so the plan is refused before einsum runs
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("einsum ran before the budget check")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        k9 = builtin_motif("complete", 9)
+        m = motif_from_edge_list(list(k9.edges) + [(0, 9)])
+        params = SbmParams(10, (0.1,) * 10, ((0.5,) * 10,) * 10)
+        with pytest.raises(TooManyTerms):
+            mu_sbm(params, m)
+
+    def test_matches_sum_over_class_tuples(self, rng):
+        for _ in range(50):
+            m = random_motif(rng, v_max=6)
+            q = int(rng.integers(1, 4))
+            raw = np.triu(rng.random((q, q)))
+            pi = raw + np.triu(raw, 1).T
+            f = rng.random(q) + 0.05
+            f /= f.sum()
+            direct = math.fsum(
+                math.prod(f[c] for c in cs)
+                * math.prod(pi[cs[a], cs[b]] for a, b in m.edges)
+                for cs in itertools.product(range(q), repeat=m.vertex_count)
+            )
+            params = SbmParams(q, tuple(f), tuple(map(tuple, pi)))
+            assert mu_sbm(params, m) == pytest.approx(direct, rel=1e-12)
+
     def test_mu_ceiling(self, rng):
         # mu never exceeds (max edge probability)^e
         for _ in range(100):
@@ -122,7 +153,8 @@ class TestMuGraphon:
         # polynomial integrand exactly: product gives 1/prod(deg + 1)
         spec = GraphonSpec(family="product", scale=1.0)
         for fam, v in [("complete", 3), ("cycle", 4), ("complete", 4),
-                       ("complete", 6), ("cycle", 7)]:
+                       ("complete", 6), ("cycle", 7), ("complete", 10),
+                       ("almost_complete", 10), ("tree_path", 10)]:
             m = builtin_motif(fam, v)
             exact = 1 / math.prod(d + 1 for d in m.degrees)
             assert mu_graphon(spec, m) == pytest.approx(exact, rel=1e-14)
@@ -238,7 +270,7 @@ class TestBoundSbm:
             )
             f = rng.random(q) + 0.1
             f = tuple(float(x) for x in f / f.sum())
-            lam = lambda_value(m, n, mu_sbm(SbmParams(q, f, pi), m), stats)
+            lam = lambda_value(m, n, mu_sbm(SbmParams(q, f, pi), m))
             v, e = m.vertex_count, m.edge_count
             lo = stats.rho / v**v * c**e
             hi = stats.rho / math.factorial(v) * C**e

@@ -202,6 +202,26 @@ class TestBoundCommand:
         )
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"Q": 1, "f": 1.0, "pi": [[0.1]]},
+            {"Q": 1, "f": [1.0], "pi": [0.1]},
+            {"family": "piecewise_constant", "breakpoints": [0, 1], "values": [0.5]},
+        ],
+    )
+    def test_malformed_model_exits_2(self, capsys, model):
+        argv = ["bound", "--motif", "complete:3", "--model", json.dumps(model)]
+        code, _, err = run_cli(capsys, *argv, "-n", "50")
+        assert code == 2 and err.startswith("motif-poisson: ")
+
+    def test_nu_table_not_an_object_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        argv = ["bound", "--motif", "complete:3", "--variant", "nu", "--mu", "0.001"]
+        code, _, err = run_cli(capsys, *argv, "-n", "100", "--nu-table", str(path))
+        assert code == 2 and err.startswith("motif-poisson: ")
+
     def test_not_strictly_balanced_exits_3(self, capsys, tmp_path):
         path = tmp_path / "pair.txt"
         path.write_text("0 1\n2 3\n")
@@ -239,6 +259,17 @@ class TestCountCommand:
             "--bruteforce",
         )
         assert json.loads(fast)["count"] == json.loads(slow)["count"] == 2
+
+
+    @pytest.mark.parametrize("line", ["-1 2", "0 1 2"])
+    def test_bad_edge_line_exits_2(self, capsys, tmp_path, line):
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"0 1\n{line}\n")
+        code, _, err = run_cli(
+            capsys, "count", "--motif", "complete:3", "--graph", str(graph)
+        )
+        assert code == 2
+        assert err.startswith("motif-poisson: bad edge line") and repr(line) in err
 
 
 class TestSimulateCommand:
@@ -345,6 +376,12 @@ class TestSimulateCommand:
             capsys, "simulate", "--model", self.MODEL, "--motif", "complete:3"
         )
         assert code == 2 and "requires" in err
+
+    def test_config_not_an_object_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2 and err.startswith("motif-poisson: ")
 
     def test_seed_outside_64_bits_exits_2(self, capsys):
         argv = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]
