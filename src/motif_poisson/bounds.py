@@ -1,18 +1,18 @@
 """Poisson-approximation error bounds for motif counts.
 
-Every bound here has the same three-part shape: a term for copies meeting
-at a single vertex, a term for a second copy on the same position, and one
-term per overlap size ``s`` weighted by the overlap exponent ``kappa(s)``.
-The variants differ in which worst-case edge probability feeds the terms
-(block-model maximum, user-supplied conditional table, graphon maximum)
-and in a dependence-width factor.  All variants require a strictly
-balanced motif.
+Every itemised bound is the dependent-edge (nu-table) bound: a term for
+copies meeting at a single vertex, a term for a second copy on the same
+position, and one term per overlap size ``s``, fed by the probabilities
+at the triples :meth:`NuTable.required_triples` lists, times a
+dependence-width factor.  The block-model, independent-edge and graphon
+variants are this bound with the power table ``x ** k`` of their
+worst-case edge probability (pi*, nu_max, h*) and widths 1, 1 and 2.
+All variants require a strictly balanced motif.
 
 The occurrence probability mu is exact in both models: a sum over class
 tuples of the weight and edge-probability products, evaluated by summing
 out one motif vertex at a time, with Gauss-Legendre nodes standing in for
-the classes of a smooth graphon.  Each function derives the motif's
-invariants itself through the cached ``compute_stats``.
+the classes of a smooth graphon.
 
 Large combinatorial factors are evaluated in floating point via product
 forms; the relative error budget of the assembled bounds is ~1e-12.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -199,81 +199,64 @@ def _prefactor(lam: float) -> tuple[float, str]:
 
 
 def _assemble(
-    variant: str,
-    m: Motif,
-    stats: MotifStats,
-    n: int,
-    mu: float,
-    pair_prob: float,
-    same_prob: float,
-    overlap_prob: Mapping[int, float],
-    dependence_factor: float,
+    variant: str, m: Motif, n: int, mu: float, prob: Callable[..., float], g: int
 ) -> BoundReport:
+    """The bound with dependence width ``g`` whose probabilities are
+    ``prob(k, v, s)`` at the triples of :meth:`NuTable.required_triples`,
+    read in that order: a whole copy, one edge, then one per overlap size."""
+    triples = NuTable.required_triples(m)
+    pair_prob, same_prob, *overlap_probs = (prob(*t) for t in triples)
     v = m.vertex_count
+    rho = compute_stats(m).rho
     lam = lambda_value(m, n, mu)
     nf = float(n)
     pair = 2.0 * v * v / math.factorial(v) * nf ** (v - 1) * pair_prob
     overlaps = {
-        s: math.comb(v, s) * nf ** (v - s) * overlap_prob[s] / math.factorial(v - s)
-        for s in range(2, v)
+        s: math.comb(v, s) * nf ** (v - s) * p / math.factorial(v - s)
+        for (_, _, s), p in zip(triples[2:], overlap_probs)
     }
     prefactor, label = _prefactor(lam)
     bracket = math.fsum([pair, same_prob, *overlaps.values()])
-    bound = prefactor * stats.rho * dependence_factor * bracket
     return BoundReport(
         variant=variant,
         mu=mu,
         lam=lam,
         prefactor=prefactor,
         prefactor_used=label,
-        rho=stats.rho,
-        dependence_factor=dependence_factor,
+        rho=rho,
+        dependence_factor=float(g),
         pair_term=pair,
         same_position_term=same_prob,
         overlap_terms=overlaps,
-        bound=bound,
+        bound=prefactor * rho * float(g) * bracket,
     )
+
+
+def _powers(x: float) -> Callable[..., float]:
+    """The probabilities of ``NuTable.from_power(x, m)``, unbuilt."""
+    return lambda k, v, s: x ** float(k)
 
 
 # ---------------------------------------------------------------- bounds
-
-
-def _assemble_power(
-    variant: str, m: Motif, stats: MotifStats, n: int, mu: float, x: float, g: int
-) -> BoundReport:
-    """Bound whose probabilities are all powers of one base ``x``: ``x**e``
-    for a whole copy, ``x`` for one edge and ``x**kappa(s)`` for overlap
-    size ``s``, with dependence width ``g``."""
-    return _assemble(
-        variant,
-        m,
-        stats,
-        n,
-        mu,
-        pair_prob=x**m.edge_count,
-        same_prob=x,
-        overlap_prob={s: x ** float(k) for s, k in stats.kappa.items()},
-        dependence_factor=float(g),
-    )
 
 
 def bound_sbm(params: SbmParams, m: Motif, n: int) -> BoundReport:
     """Total-variation bound for the block model, driven by the maximum
     edge probability; non-integer overlap exponents are applied as real
     powers of it."""
-    stats = _require_strictly_balanced(m)
-    return _assemble_power("sbm", m, stats, n, mu_sbm(params, m), params.pi_star, 1)
+    _require_strictly_balanced(m)
+    return _assemble("sbm", m, n, mu_sbm(params, m), _powers(params.pi_star), 1)
 
 
 def bound_independent_edges(m: Motif, n: int, nu_max: float) -> BoundReport:
     """Bound for independent (not necessarily identical) edges with maximum
-    mean ``nu_max``.  The reference mean uses ``nu_max ** e`` for the
-    occurrence probability, which is exact in the equal-probability case
-    and the natural ceiling otherwise."""
-    stats = _require_strictly_balanced(m)
+    mean ``nu_max``, whose powers feed the terms.  The reference mean uses
+    ``nu_max ** e`` for the occurrence probability, which is exact in the
+    equal-probability case and the natural ceiling otherwise."""
+    _require_strictly_balanced(m)
     if not 0.0 <= nu_max <= 1.0:
         raise ValueError("nu_max must be a probability")
-    return _assemble_power("independent", m, stats, n, nu_max**m.edge_count, nu_max, 1)
+    return _assemble("independent", m, n, nu_max**m.edge_count, _powers(nu_max), 1)
 
 
 @dataclass(frozen=True)
@@ -311,7 +294,9 @@ class NuTable:
 
     @staticmethod
     def required_triples(m: Motif) -> tuple[tuple[Fraction, int, int], ...]:
-        """Every (k, v, s) triple the dependent-edge bound consumes."""
+        """Every (k, v, s) triple the dependent-edge bound consumes, in the
+        order it reads them: ``k = e`` for a whole copy, ``k = 1`` for one
+        edge, then ``k = kappa(s)`` for each overlap size ``s``."""
         stats = compute_stats(m)
         e = m.edge_count
         triples = [(Fraction(e), e, 1), (Fraction(1), e, 1)]
@@ -320,11 +305,12 @@ class NuTable:
 
     @classmethod
     def from_power(cls, nu: float, m: Motif) -> "NuTable":
-        """The table ``nu ** k`` at every required triple (the independent
-        and graphon specialisations)."""
+        """The table ``nu ** k`` at every required triple (the block-model,
+        independent and graphon specialisations)."""
         if not 0.0 <= nu <= 1.0:
             raise ValueError("nu must be a probability")
-        return cls({t: nu ** float(t[0]) for t in cls.required_triples(m)})
+        power = _powers(nu)
+        return cls({t: power(*t) for t in cls.required_triples(m)})
 
     def to_dict(self) -> dict:
         return {
@@ -358,29 +344,18 @@ def bound_nu(m: Motif, n: int, g: int, mu: float, nu: NuTable) -> BoundReport:
     is the model's occurrence probability, supplied by the caller because
     the general dependent model leaves it model-specific.
     """
-    stats = _require_strictly_balanced(m)
+    _require_strictly_balanced(m)
     if g < 1:
         raise ValueError("dependence width g must be >= 1")
-    e = m.edge_count
-    return _assemble(
-        "nu",
-        m,
-        stats,
-        n,
-        mu,
-        pair_prob=nu.lookup(e, e, 1),
-        same_prob=nu.lookup(1, e, 1),
-        overlap_prob={s: nu.lookup(k, e, s) for s, k in stats.kappa.items()},
-        dependence_factor=float(g),
-    )
+    return _assemble("nu", m, n, mu, nu.lookup, g)
 
 
 def bound_graphon(spec: GraphonSpec, m: Motif, n: int) -> BoundReport:
     """Bound for the graphon model: edges sharing a vertex are dependent,
     giving dependence width 2, with the graphon's maximum in place of the
     maximum edge probability."""
-    stats = _require_strictly_balanced(m)
-    return _assemble_power("graphon", m, stats, n, mu_graphon(spec, m), h_star(spec), 2)
+    _require_strictly_balanced(m)
+    return _assemble("graphon", m, n, mu_graphon(spec, m), _powers(h_star(spec)), 2)
 
 
 # ---------------------------------------------------------- scaled form

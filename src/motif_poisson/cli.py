@@ -197,18 +197,17 @@ def _cmd_bound(args) -> int:
         "motif": {"vertex_count": m.vertex_count, "edges": [list(e) for e in m.edges]},
         "n": args.n,
     }
-    variant = args.variant
-    if variant == "scaled":
+    if args.variant == "scaled":
         if args.c is None or args.C is None:
             raise InvalidParams("variant scaled requires --c and --C")
         report = bound_scaled(m, args.n, args.c, args.C)
         inputs.update(c=args.c, C=args.C)
-    elif variant == "independent":
+    elif args.variant == "independent":
         if args.nu_max is None:
             raise InvalidParams("variant independent requires --nu-max")
         report = bound_independent_edges(m, args.n, args.nu_max)
         inputs.update(nu_max=args.nu_max)
-    elif variant == "nu":
+    elif args.variant == "nu":
         if args.nu_table is None or args.mu is None:
             raise InvalidParams("variant nu requires --nu-table and --mu")
         table = NuTable.from_dict(json.loads(Path(args.nu_table).read_text()))
@@ -216,22 +215,15 @@ def _cmd_bound(args) -> int:
         inputs.update(g=args.g, mu=args.mu, nu_table=table.to_dict())
     else:
         if args.model is None:
-            raise InvalidParams(f"variant {variant} requires --model")
+            raise InvalidParams("variant auto requires --model")
         model = _load_model(args.model)
-        if variant == "auto":
-            variant = "sbm" if isinstance(model, SbmParams) else "graphon"
-        if variant == "sbm":
-            if not isinstance(model, SbmParams):
-                raise InvalidParams("variant sbm requires an SBM model")
-            report = bound_sbm(model, m, args.n)
-        else:
-            if not isinstance(model, GraphonSpec):
-                raise InvalidParams("variant graphon requires a graphon model")
-            report = bound_graphon(model, m, args.n)
+        bound = bound_sbm if isinstance(model, SbmParams) else bound_graphon
+        report = bound(model, m, args.n)
         inputs.update(model=model.to_dict())
-    inputs["variant"] = variant
+    reported = report.to_dict()
+    inputs["variant"] = reported["variant"]
     payload = {
-        "report": report.to_dict(),
+        "report": reported,
         "stats": stats_to_dict(compute_stats(m)),
         "inputs": inputs,
         "manifest": _manifest(args, config, args.stamp),
@@ -270,6 +262,10 @@ def _cmd_simulate(args) -> int:
         if not isinstance(file_cfg, dict):
             raise InvalidParams("simulate config must be a JSON object")
         config.update({k: v for k, v in file_cfg.items() if v is not None})
+    for key in ("n", "replicates", "seed"):
+        value = config.get(key)
+        if value is not None and type(value) is not int:
+            raise InvalidParams(f"simulate {key} must be an integer, got {value!r}")
     config["seed"] = _default_seed(config.get("seed"))
     for key in ("model", "motif", "n", "replicates"):
         if config.get(key) is None:
@@ -282,9 +278,9 @@ def _cmd_simulate(args) -> int:
     plan = SimulationPlan(
         model=model,
         motif=m,
-        n=int(config["n"]),
-        replicates=int(config["replicates"]),
-        seed=int(config["seed"]),
+        n=config["n"],
+        replicates=config["replicates"],
+        seed=config["seed"],
     )
     summary = run(plan, threads=args.threads)
     payload = {
@@ -378,7 +374,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("-n", type=int, required=True, help="graph size")
     sp.add_argument(
         "--variant",
-        choices=("auto", "sbm", "graphon", "nu", "independent", "scaled"),
+        choices=("auto", "nu", "independent", "scaled"),
         default="auto",
     )
     sp.add_argument("--nu-table", help="JSON table for variant nu")

@@ -27,6 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import InvalidParams, WrongFamily
+from .motif import parse_edge_lines
 
 _PROPORTION_TOL = 1e-12
 _SEED_MASK = (1 << 64) - 1
@@ -35,6 +36,10 @@ _SEED_MASK = (1 << 64) - 1
 _CHUNK = 1 << 18
 #: The byte with only bit b set, at index b.
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
+
+#: Largest graph the samplers and the edge-list reader accept: its bitsets
+#: take 128 MiB.
+MAX_GRAPH_VERTICES = 2**15
 
 #: Version of the random stream behind sampled graphs, stamped into every
 #: manifest: a given seed gives other graphs under another version.
@@ -264,25 +269,15 @@ def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
     ``n`` extends the vertex universe beyond the highest label seen, which
     unlike motifs is legal for sampled graphs (isolated vertices allowed).
     """
-    pairs = []
-    top = -1
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or not all(x.isdecimal() for x in parts):
-            raise InvalidParams(
-                f"bad edge line: {line!r}; expected two non-negative integers"
-            )
-        u, v = map(int, parts)
+    pairs = parse_edge_lines(text, InvalidParams)
+    for u, v in pairs:
         if u == v:
             raise InvalidParams(f"self-loop at {u}")
-        pairs.append((u, v))
-        top = max(top, u, v)
+    top = max((max(e) for e in pairs), default=-1)
     size = max(top + 1, n or 0)
     if size <= 0:
         raise InvalidParams("graph has no vertices")
+    check_graph_size(size)
     adj = [0] * size
     for u, v in pairs:
         adj[u] |= 1 << v
@@ -290,9 +285,17 @@ def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
     return SampledGraph(size, tuple(adj))
 
 
+def check_graph_size(n: int) -> None:
+    """InvalidParams unless ``n`` is within the vertex cap, so an oversize
+    graph fails before any of its memory is allocated."""
+    if n > MAX_GRAPH_VERTICES:
+        raise InvalidParams(f"graph has {n} vertices; cap is {MAX_GRAPH_VERTICES}")
+
+
 def _generator(seed: int, n: int) -> np.random.Generator:
     if n < 2:
         raise InvalidParams("n must be >= 2")
+    check_graph_size(n)
     if not 0 <= seed <= _SEED_MASK:
         raise InvalidParams("seed must be an unsigned 64-bit integer")
     return np.random.Generator(np.random.Philox(key=seed))

@@ -182,18 +182,26 @@ def motif_from_string(spec: str) -> Motif:
     return builtin_motif(_SPEC_ALIASES[name], int(size))
 
 
-def motif_from_text(text: str) -> Motif:
-    """Parse edge-list text: one ``u v`` pair per line, ``#`` comments."""
-    edges = []
+def parse_edge_lines(text: str, error: type[Exception] = ValueError) -> list[Edge]:
+    """The ``u v`` pairs of edge-list text, one per line, with ``#``
+    comments and blank lines skipped; any other line raises ``error``."""
+    pairs = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return motif_from_edge_list(edges)
+        if len(parts) != 2 or not all(x.isdecimal() for x in parts):
+            raise error(
+                f"bad edge line: {line!r}; expected two non-negative integers"
+            )
+        pairs.append((int(parts[0]), int(parts[1])))
+    return pairs
+
+
+def motif_from_text(text: str) -> Motif:
+    """Parse edge-list text: one ``u v`` pair per line, ``#`` comments."""
+    return motif_from_edge_list(parse_edge_lines(text))
 
 
 def automorphism_count(m: Motif) -> int:

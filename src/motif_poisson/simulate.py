@@ -32,6 +32,7 @@ from .models import (
     _SEED_MASK,
     GraphonSpec,
     SbmParams,
+    check_graph_size,
     sample_graphon,
     sample_sbm,
     substream_seed,
@@ -61,6 +62,7 @@ class SimulationPlan:
             raise InvalidParams("seed must be an unsigned 64-bit integer")
         if self.n < self.motif.vertex_count:
             raise InvalidParams("n must be at least the motif's vertex count")
+        check_graph_size(self.n)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from motif_poisson import (
     rate_exponent,
     tv_distance_empirical,
 )
+from motif_poisson import bounds
 
 from conftest import random_motif
 
@@ -416,6 +417,21 @@ class TestBoundGraphon:
     def test_requires_strict_balance(self):
         with pytest.raises(NotStrictlyBalanced):
             bound_graphon(single_block(0.1), NOT_BALANCED, 50)
+
+
+def test_balance_is_checked_before_mu(monkeypatch):
+    # run() evaluates mu itself after NotStrictlyBalanced, so a bound that
+    # evaluated it first would make it twice
+    def refuse(*args):
+        raise AssertionError("mu evaluated before the balance check")
+
+    monkeypatch.setattr(bounds, "mu_sbm", refuse)
+    monkeypatch.setattr(bounds, "mu_graphon", refuse)
+    with pytest.raises(NotStrictlyBalanced):
+        bound_sbm(erdos_renyi(0.1), NOT_BALANCED, 50)
+    for spec in (single_block(0.1), GraphonSpec(family="product", scale=0.5)):
+        with pytest.raises(NotStrictlyBalanced):
+            bound_graphon(spec, NOT_BALANCED, 50)
 
 
 class TestIndependentEdges:

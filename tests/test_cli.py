@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from motif_poisson import MAX_GRAPH_VERTICES
 from motif_poisson.cli import main
 
 
@@ -87,6 +88,20 @@ class TestBoundCommand:
         payload = json.loads(out)
         assert payload["report"]["variant"] == "sbm"
         assert payload["report"]["bound"] == pytest.approx(0.0104512537, rel=1e-8)
+
+    def test_auto_variant_follows_model(self, capsys):
+        argv = ["bound", "--motif", "complete:3", "-n", "100", "--model"]
+        for model, variant in (
+            ('{"Q": 1, "f": [1.0], "pi": [[0.01]]}', "sbm"),
+            ('{"family": "product", "c": 0.5}', "graphon"),
+        ):
+            code, out, _ = run_cli(capsys, *argv, model)
+            payload = json.loads(out)
+            assert code == 0 and payload["inputs"]["variant"] == variant
+            assert payload["report"]["variant"] == variant
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, model, "--variant", variant])
+            assert exc.value.code == 1
 
     def test_takes_no_seed(self, capsys):
         model = json.dumps({"Q": 1, "f": [1.0], "pi": [[0.01]]})
@@ -260,6 +275,12 @@ class TestCountCommand:
         )
         assert json.loads(fast)["count"] == json.loads(slow)["count"] == 2
 
+    def test_n_above_vertex_cap_exits_2(self, capsys, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n")
+        argv = ["count", "--motif", "complete:3", "--graph", str(graph)]
+        code, out, err = run_cli(capsys, *argv, "-n", str(MAX_GRAPH_VERTICES + 1))
+        assert code == 2 and out == "" and "cap" in err
 
     @pytest.mark.parametrize("line", ["-1 2", "0 1 2"])
     def test_bad_edge_line_exits_2(self, capsys, tmp_path, line):
@@ -382,6 +403,33 @@ class TestSimulateCommand:
         path.write_text("[1]")
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2 and err.startswith("motif-poisson: ")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", [25]),
+            ("seed", [11]),
+            ("n", 25.9),
+            ("replicates", 80.0),
+            ("replicates", True),
+            ("seed", False),
+        ],
+    )
+    def test_config_integer_fields_checked(self, capsys, tmp_path, key, value):
+        plan = {"model": {"Q": 1, "f": [1.0], "pi": [[0.04]]}, "motif": "complete:3"}
+        plan.update(n=25, replicates=80, seed=11)
+        plan[key] = value
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(plan))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"motif-poisson: simulate {key} must be an integer")
+
+    def test_n_above_vertex_cap_exits_2(self, capsys):
+        argv = ["simulate", "--model", '{"Q": 1, "f": [1.0], "pi": [[0.0]]}']
+        argv += ["--motif", "complete:3", "-n", str(MAX_GRAPH_VERTICES + 1)]
+        code, out, err = run_cli(capsys, *argv, "-R", "1")
+        assert code == 2 and out == "" and "cap" in err
 
     def test_seed_outside_64_bits_exits_2(self, capsys):
         argv = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from motif_poisson import (
+    MAX_GRAPH_VERTICES,
     GraphonSpec,
     InvalidParams,
     SbmParams,
@@ -432,3 +433,35 @@ class TestEdgeText:
     def test_comments_and_isolated(self):
         g = graph_from_edge_text("# header\n0 1\n2 3\n", n=6)
         assert g.n == 6 and g.edge_count == 2 and g.degree(5) == 0
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [("0 1\n", MAX_GRAPH_VERTICES + 1), (f"0 {MAX_GRAPH_VERTICES}\n", None)],
+    )
+    def test_vertex_cap(self, text, n):
+        with pytest.raises(InvalidParams, match="cap"):
+            graph_from_edge_text(text, n=n)
+
+
+class TestVertexCap:
+    """An oversize graph is refused before its bitsets are allocated."""
+
+    N = MAX_GRAPH_VERTICES + 1
+
+    def test_sbm_sampler(self):
+        with pytest.raises(InvalidParams, match="cap"):
+            sample_sbm(erdos_renyi(0.0), self.N, seed=1)
+
+    def test_graphon_samplers(self):
+        for spec in (
+            GraphonSpec(family="product", scale=0.0),
+            GraphonSpec(
+                family="piecewise_constant", breakpoints=(0.0, 1.0), values=((0.0,),)
+            ),
+        ):
+            with pytest.raises(InvalidParams, match="cap"):
+                sample_graphon(spec, self.N, seed=1)
+
+    def test_cap_itself_is_allowed(self):
+        g = graph_from_edge_text("0 1\n", n=MAX_GRAPH_VERTICES)
+        assert g.n == MAX_GRAPH_VERTICES and g.edge_count == 1

@@ -24,6 +24,7 @@ from motif_poisson import (
     motif_from_string,
     motif_from_text,
 )
+from motif_poisson.cli import main
 from motif_poisson.motif import _subgraph_minima_by_vertex_sets
 
 from conftest import automorphisms_oracle, random_motif, subgraph_minima_oracle
@@ -110,6 +111,13 @@ class TestBuiltins:
     def test_from_text(self):
         m = motif_from_text("# a triangle\n0 1\n1 2 # last\n0 2\n")
         assert m == builtin_motif("complete", 3)
+
+    def test_negative_label_file_exits_2(self, capsys, tmp_path):
+        # motif and graph files share one line parser and its message
+        path = tmp_path / "motif.txt"
+        path.write_text("0 1\n-1 2\n")
+        assert main(["motif", str(path)]) == 2
+        assert "bad edge line: '-1 2'" in capsys.readouterr().err
 
 
 class TestAutomorphisms:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from motif_poisson import (
+    MAX_GRAPH_VERTICES,
     GraphonSpec,
     InvalidParams,
     SbmParams,
@@ -223,3 +224,7 @@ class TestPlanValidation:
             SimulationPlan(
                 model=erdos_renyi(0.1), motif=K3, n=2, replicates=10, seed=1
             )
+
+    def test_n_above_vertex_cap_rejected(self):
+        with pytest.raises(InvalidParams, match="cap"):
+            er_plan(p=0.0, n=MAX_GRAPH_VERTICES + 1, replicates=1)
