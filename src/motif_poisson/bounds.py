@@ -347,6 +347,8 @@ def bound_nu(m: Motif, n: int, g: int, mu: float, nu: NuTable) -> BoundReport:
     _require_strictly_balanced(m)
     if g < 1:
         raise ValueError("dependence width g must be >= 1")
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu {mu} not in [0, 1]")
     return _assemble("nu", m, n, mu, nu.lookup, g)
 
 

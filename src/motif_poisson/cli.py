@@ -4,7 +4,7 @@ Subcommands: ``motif`` (exact invariants), ``bound`` (total-variation
 bounds), ``count`` (exact counting), ``simulate`` (seeded replicate
 ensembles), ``tables`` (invariant and rate tables for the builtin
 families).  Every command is deterministic given its flags and seed;
-emitted JSON is byte-stable across reruns and thread counts, with
+emitted JSON is byte-stable across reruns and ``--threads`` values, with
 timestamps opt-in via ``--stamp``.
 
 Exit codes: 1 usage, 2 invalid motif or model parameters, 3 bound
@@ -403,7 +403,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("-n", type=int)
     sp.add_argument("-R", "--replicates", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument(
+        "--threads", type=int, default=1, help="accepted (>= 1) with no effect"
+    )
     sp.add_argument("--hist-csv", help="also write the histogram as CSV here")
     common(sp)
     sp.set_defaults(func=_cmd_simulate)

@@ -79,9 +79,10 @@ class SbmParams:
         f = tuple(float(x) for x in self.proportions)
         if len(f) != q:
             raise InvalidParams("proportions length must equal class_count")
-        if any(x <= 0.0 for x in f):
+        # written so that NaN fails each check
+        if any(not x > 0.0 for x in f):
             raise InvalidParams("proportions must be strictly positive")
-        if abs(sum(f) - 1.0) > _PROPORTION_TOL:
+        if not abs(sum(f) - 1.0) <= _PROPORTION_TOL:
             raise InvalidParams(f"proportions sum to {sum(f)!r}, not 1")
         pi = _check_probability_matrix(self.edge_probs, "edge_probs")
         if len(pi) != q:
@@ -106,7 +107,11 @@ class SbmParams:
     @classmethod
     def from_dict(cls, data: dict) -> "SbmParams":
         try:
-            return cls(int(data["Q"]), data["f"], data["pi"])
+            q = data["Q"]
+            # a JSON integer only: int() would also take true, "1" and 2.5
+            if type(q) is not int:
+                raise InvalidParams(f"SBM 'Q' must be an integer, got {q!r}")
+            return cls(q, data["f"], data["pi"])
         except KeyError as exc:
             raise InvalidParams(f"missing SBM field {exc}") from exc
         except TypeError as exc:
@@ -159,7 +164,7 @@ class GraphonSpec:
             bp = tuple(float(x) for x in self.breakpoints)
             if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
                 raise InvalidParams("breakpoints must run 0 = s_1 < ... < s_{Q+1} = 1")
-            if any(a >= b for a, b in zip(bp, bp[1:])):
+            if any(not a < b for a, b in zip(bp, bp[1:])):
                 raise InvalidParams("breakpoints must be strictly increasing")
             vals = _check_probability_matrix(self.values, "values")
             if len(vals) != len(bp) - 1:

@@ -2,9 +2,8 @@
 reference.
 
 Every replicate r draws its graph from an independent generator keyed by
-(seed, r), so the ensemble is reproducible replicate-by-replicate and the
-result is byte-identical no matter how replicates are spread over worker
-threads; accumulation always happens in replicate order.
+(seed, r), so the ensemble is reproducible replicate-by-replicate.
+Replicates run one after another in index order, in the calling thread.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -136,12 +134,14 @@ def tv_standard_error(
 def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     """Run the ensemble and assemble the summary.
 
-    Counts accumulate in replicate-index order whatever ``threads`` is, so
-    the summary (wall time aside) is a pure function of the plan.  lambda
-    and the bound come first, so a plan whose mu cannot be evaluated fails
-    before any graph is sampled; lambda is the bound report's, and mu is
-    evaluated on its own only when the motif is not strictly balanced.
-    ``threads`` must be at least 1.
+    Replicates run serially in index order, so the summary (wall time
+    aside) is a pure function of the plan.  lambda and the bound come
+    first, so a plan whose mu cannot be evaluated fails before any graph is
+    sampled; lambda is the bound report's, and mu is evaluated on its own
+    only when the motif is not strictly balanced.  ``threads`` must be at
+    least 1; it is accepted for compatibility and changes neither the
+    result nor how the work runs, since the counting search holds the
+    interpreter lock and a thread pool only slowed it down.
     """
     if threads < 1:
         raise InvalidParams("threads must be >= 1")
@@ -154,21 +154,11 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
         report = None
         lam = lambda_value(plan.motif, plan.n, mu(plan.model, plan.motif))
 
-    def count(r: int) -> int:
-        graph = sample(plan.model, plan.n, substream_seed(plan.seed, r))
-        return count_copies(graph, plan.motif).count
-
     r_total = plan.replicates
-    if threads > 1:
-        # one contiguous block of replicates per worker: a future per
-        # replicate held several MB more memory at once
-        step = -(-r_total // threads)
-        blocks = [range(s, min(s + step, r_total)) for s in range(0, r_total, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda rs: [count(r) for r in rs], blocks)
-            counts = [w for part in parts for w in part]
-    else:
-        counts = [count(r) for r in range(r_total)]
+    counts = []
+    for r in range(r_total):
+        graph = sample(plan.model, plan.n, substream_seed(plan.seed, r))
+        counts.append(count_copies(graph, plan.motif).count)
 
     histogram: dict[int, float] = {}
     for w in counts:

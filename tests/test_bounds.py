@@ -356,6 +356,12 @@ class TestNuTable:
         with pytest.raises(ValueError):
             NuTable({(F(1), 2, 1): 1.5})
 
+    @pytest.mark.parametrize("mu", [-1.0, math.nan, 5.0])
+    def test_mu_outside_unit_interval_rejected(self, mu):
+        table = NuTable.from_power(0.05, C4)
+        with pytest.raises(ValueError, match="mu"):
+            bound_nu(C4, 100, 1, mu, table)
+
 
 class TestConsistencyWeb:
     def test_four_paths_agree(self, rng):

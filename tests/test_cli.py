@@ -230,6 +230,33 @@ class TestBoundCommand:
         code, _, err = run_cli(capsys, *argv, "-n", "50")
         assert code == 2 and err.startswith("motif-poisson: ")
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            '{"Q": true, "f": [1.0], "pi": [[0.1]]}',
+            '{"Q": "1", "f": [1.0], "pi": [[0.1]]}',
+            '{"Q": 2, "f": [NaN, 1.0], "pi": [[0.1, 0.1], [0.1, 0.1]]}',
+            '{"family": "piecewise_constant", "breakpoints": [0, NaN, 1],'
+            ' "values": [[0.1, 0.1], [0.1, 0.1]]}',
+        ],
+    )
+    def test_non_integer_q_or_nan_model_exits_2(self, capsys, model):
+        argv = ["bound", "--motif", "complete:3", "--model", model]
+        code, out, err = run_cli(capsys, *argv, "-n", "100")
+        assert code == 2 and out == "" and err.startswith("motif-poisson: ")
+
+    @pytest.mark.parametrize("mu", ["-1", "nan", "5"])
+    def test_nu_variant_mu_outside_unit_interval_exits_2(self, capsys, tmp_path, mu):
+        from motif_poisson import NuTable, builtin_motif
+
+        path = tmp_path / "nu.json"
+        table = NuTable.from_power(0.05, builtin_motif("complete", 3))
+        path.write_text(json.dumps(table.to_dict()))
+        argv = ["bound", "--motif", "complete:3", "--variant", "nu", "--g", "1"]
+        argv += ["--nu-table", str(path), f"--mu={mu}", "-n", "100"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "mu" in err
+
     def test_nu_table_not_an_object_exits_2(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -446,6 +473,12 @@ class TestSimulateCommand:
             with pytest.raises(SystemExit) as exc:
                 main([*argv, flag, "2"])
             assert exc.value.code == 1
+
+    def test_nan_proportions_exit_2(self, capsys):
+        model = '{"Q": 2, "f": [NaN, NaN], "pi": [[0.1, 0.1], [0.1, 0.1]]}'
+        argv = ["simulate", "--model", model, "--motif", "complete:3"]
+        code, out, err = run_cli(capsys, *argv, "-n", "20", "-R", "2", "--seed", "3")
+        assert code == 2 and out == "" and "proportions" in err
 
     def test_threads_below_one_exits_2(self, capsys):
         argv = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]

@@ -61,6 +61,16 @@ class TestSbmParams:
         params = SbmParams(2, (0.3, 0.7), ((0.2, 0.05), (0.05, 0.1)))
         assert SbmParams.from_dict(params.to_dict()) == params
 
+    @pytest.mark.parametrize("q", [True, "1", 1.0])
+    def test_from_dict_requires_json_integer_q(self, q):
+        with pytest.raises(InvalidParams, match="'Q' must be an integer"):
+            SbmParams.from_dict({"Q": q, "f": [1.0], "pi": [[0.1]]})
+
+    @pytest.mark.parametrize("f", [(math.nan, 1.0), (math.nan, math.nan)])
+    def test_nan_proportions_rejected(self, f):
+        with pytest.raises(InvalidParams):
+            SbmParams(2, f, ((0.1, 0.1), (0.1, 0.1)))
+
 
 class TestGraphonSpec:
     def test_product_scale_range(self):
@@ -76,6 +86,14 @@ class TestGraphonSpec:
             GraphonSpec(
                 family="piecewise_constant",
                 breakpoints=(0.0, 0.5, 0.9),
+                values=((0.1, 0.1), (0.1, 0.1)),
+            )
+
+    def test_nan_breakpoint_rejected(self):
+        with pytest.raises(InvalidParams, match="strictly increasing"):
+            GraphonSpec(
+                family="piecewise_constant",
+                breakpoints=(0.0, math.nan, 1.0),
                 values=((0.1, 0.1), (0.1, 0.1)),
             )
 

@@ -1,6 +1,7 @@
 """Replicate ensembles: determinism, statistical consistency, bootstrap."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ class TestDeterminism:
             reference = run(plan, threads=1).to_dict()
             for threads in (2, 4):
                 assert run(plan, threads=threads).to_dict() == reference
+
+    def test_threads_start_no_thread(self, monkeypatch):
+        seen, count_copies = [], simulate.count_copies
+
+        def spy(graph, motif):
+            seen.append(threading.active_count())
+            return count_copies(graph, motif)
+
+        monkeypatch.setattr(simulate, "count_copies", spy)
+        before = threading.active_count()
+        run(er_plan(replicates=8), threads=4)
+        assert len(seen) == 8 and max(seen) <= before
 
     def test_seed_changes_results(self):
         a = run(er_plan(seed=1)).histogram
@@ -98,6 +111,18 @@ class TestSummaryInvariants:
         summary = run(er_plan(p=0.05, n=40, replicates=3000, seed=12))
         se = math.sqrt(summary.sample_variance / summary.replicates)
         assert abs(summary.sample_mean - summary.lam) <= 3 * se
+
+    def test_variance_within_clt_band(self):
+        # exact Var W for triangles in ER(p): single copies plus pairs of
+        # copies sharing one edge; the SE of s^2 comes from the sample's
+        # fourth central moment
+        n, p, r = 40, 0.1, 2000
+        summary = run(er_plan(p=p, n=n, replicates=r, seed=31))
+        exact = math.comb(n, 3) * (p**3 * (1 - p**3) + 3 * (n - 3) * (p**5 - p**6))
+        mean, s2 = summary.sample_mean, summary.sample_variance
+        m4 = math.fsum(f * (k - mean) ** 4 for k, f in summary.histogram.items())
+        se = math.sqrt((m4 - s2**2) / r)
+        assert abs(s2 - exact) <= 5 * se
 
     def test_mean_consistency_across_scenarios(self):
         # the 3-SE band should hold in >= 95% of seeded repetitions
