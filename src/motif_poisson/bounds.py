@@ -21,7 +21,7 @@ forms; the relative error budget of the assembled bounds is ~1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -405,21 +405,25 @@ def bound_scaled(m: Motif, n: int, c: float, C: float) -> ScaledBoundReport:
     alpha = float(stats.alpha)
     gamma = float(stats.gamma)
     rho = stats.rho
-    lam_lo = rho / v**v * c**e
-    lam_hi = rho / math.factorial(v) * C**e
-    nf = float(n)
-    a_env = (1.0 + C**alpha) ** (v - 1) * nf ** (1.0 - alpha / d)
-    b_env = C ** (e + gamma) * (1.0 + C**-d) ** (v - 1) * nf ** (-gamma / d)
-    bound = (
-        min(1.0, lam_hi)
-        * rho
-        * (
-            2.0 * v * v / math.factorial(v) * C**e / nf
-            + C * nf ** (-1.0 / d)
-            + min(a_env, b_env)
+    where = f"C={C!r}, n={n}, motif with {v} vertices and {e} edges"
+    try:
+        lam_lo = rho / v**v * c**e
+        lam_hi = rho / math.factorial(v) * C**e
+        nf = float(n)
+        a_env = (1.0 + C**alpha) ** (v - 1) * nf ** (1.0 - alpha / d)
+        b_env = C ** (e + gamma) * (1.0 + C**-d) ** (v - 1) * nf ** (-gamma / d)
+        bound = (
+            min(1.0, lam_hi)
+            * rho
+            * (
+                2.0 * v * v / math.factorial(v) * C**e / nf
+                + C * nf ** (-1.0 / d)
+                + min(a_env, b_env)
+            )
         )
-    )
-    return ScaledBoundReport(
+    except OverflowError:
+        raise ValueError(f"scaled bound overflows at {where}") from None
+    report = ScaledBoundReport(
         C=C,
         c=c,
         n=n,
@@ -429,6 +433,9 @@ def bound_scaled(m: Motif, n: int, c: float, C: float) -> ScaledBoundReport:
         B=b_env,
         bound=bound,
     )
+    if not all(math.isfinite(x) for x in astuple(report)):
+        raise ValueError(f"scaled bound is not finite at {where}")
+    return report
 
 
 def rate_exponent(m: Motif) -> Fraction:

@@ -1,12 +1,14 @@
 """Exact motif counting.
 
 ``count_copies`` is the production counter: a backtracking search for
-injective edge-preserving maps with bitset candidate filtering, divided by
-the automorphism count.  ``count_copies_bruteforce`` enumerates every
-vertex-set position and every distinct copy of the motif on it, exactly as
-the count is defined, and serves as the independent oracle.  Copies are
-counted, not induced copies: extra edges among the image vertices are
-permitted.
+injective edge-preserving maps with bitset candidate filtering, under the
+symmetry-breaking conditions of Grochow & Kellis (RECOMB 2007), so each
+copy is found exactly once; the injection count is the copy count times the
+automorphism count, not enumerated.  ``count_copies_bruteforce`` enumerates
+every vertex-set position and every distinct copy of the motif on it,
+exactly as the count is defined, and serves as the independent oracle.
+Copies are counted, not induced copies: extra edges among the image
+vertices are permitted.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import GraphTooLargeForOracle, MotifLargerThanGraph
 from .models import SampledGraph
-from .motif import Motif, automorphism_count
+from .motif import Motif, automorphism_count, stabiliser_orbits
 
 #: The brute-force oracle touches all C(n, v) positions times all copies per
 #: position; above this many vertices that blows up combinatorially.
@@ -31,8 +33,8 @@ class CopyCount:
     """A motif count together with the underlying injection count.
 
     ``injections`` is the number of injective edge-preserving maps from the
-    motif into the graph; dividing by the automorphism count gives the copy
-    count, and that division must be exact.
+    motif into the graph, which is the copy count times the automorphism
+    count.
     """
 
     count: int
@@ -45,11 +47,14 @@ class CopyCount:
 
 class _SearchPlan(NamedTuple):
     """Per-motif work shared by every count: for each position of the
-    search order, the earlier positions holding already-mapped neighbors
-    and the degree its image needs; and the automorphism count."""
+    search order, the earlier positions holding already-mapped neighbors,
+    the degree its image needs and the symmetry-breaking floor (the
+    earlier position whose image its own must exceed, or -1); and the
+    automorphism count."""
 
     back_edges: tuple[tuple[int, ...], ...]
     need_deg: tuple[int, ...]
+    floor: tuple[int, ...]
     aut: int
 
 
@@ -61,6 +66,13 @@ def _search_plan(m: Motif) -> _SearchPlan:
     possible (ties broken by degree), so connected motifs never restart the
     candidate set; disconnected motifs start each component fresh with
     injectivity still enforced globally.
+
+    Symmetry is broken on the stabiliser chain of the motif relabelled into
+    search order: an image at position ``i`` must exceed the image at every
+    earlier ``k`` whose orbit holds ``i``, which keeps exactly one injection
+    per automorphism class.  Only the largest such ``k`` needs checking: if
+    ``i`` lies in the orbits of ``k1 < k2``, then ``k2`` lies in the orbit
+    of ``k1``, so the image at ``k1`` is already below the one at ``k2``.
     """
     v = m.vertex_count
     adj = m.neighbor_masks()
@@ -81,16 +93,23 @@ def _search_plan(m: Motif) -> _SearchPlan:
         tuple(sorted(pos_of[w] for w in range(v) if (adj[u] >> w) & 1 and pos_of[w] < i))
         for i, u in enumerate(order)
     )
-    return _SearchPlan(
-        back_edges, tuple(deg[u] for u in order), automorphism_count(m)
+    orbits = stabiliser_orbits(m.relabelled([pos_of[u] for u in range(v)]))
+    floor = tuple(
+        max((k for k in range(i) if (orbits[k] >> i) & 1), default=-1)
+        for i in range(v)
     )
+    aut = math.prod(orbit.bit_count() for orbit in orbits)
+    return _SearchPlan(back_edges, tuple(deg[u] for u in order), floor, aut)
 
 
-def count_injections(g: SampledGraph, m: Motif) -> int:
-    """Number of injective maps of the motif's vertices into the graph that
-    carry every motif edge onto a graph edge."""
+def count_copies(g: SampledGraph, m: Motif) -> CopyCount:
+    """Exact number of copies of ``m`` in ``g``: the injective maps of the
+    motif's vertices into the graph that carry every motif edge onto a
+    graph edge, one per automorphism class."""
     v = m.vertex_count
-    back_edges, need_deg, _ = _search_plan(m)
+    if g.n < v:
+        raise MotifLargerThanGraph(f"graph has {g.n} vertices, motif needs {v}")
+    back_edges, need_deg, floor, aut = _search_plan(m)
     adj = g.adjacency
     gdeg = [a.bit_count() for a in adj]
     full = (1 << g.n) - 1
@@ -110,6 +129,10 @@ def count_injections(g: SampledGraph, m: Motif) -> int:
             cand &= ~used
         else:
             cand = full & ~used
+        f = floor[pos]
+        if f >= 0:
+            lo = images[f] + 1
+            cand = cand >> lo << lo
         dmin = need_deg[pos]
         while cand:
             bit = cand & -cand
@@ -120,19 +143,7 @@ def count_injections(g: SampledGraph, m: Motif) -> int:
                 extend(pos + 1, used | bit)
 
     extend(0, 0)
-    return total
-
-
-def count_copies(g: SampledGraph, m: Motif) -> CopyCount:
-    """Exact number of copies of ``m`` in ``g``."""
-    if g.n < m.vertex_count:
-        raise MotifLargerThanGraph(
-            f"graph has {g.n} vertices, motif needs {m.vertex_count}"
-        )
-    injections = count_injections(g, m)
-    aut = _search_plan(m).aut
-    assert injections % aut == 0, "injections not divisible by automorphisms"
-    return CopyCount(count=injections // aut, injections=injections)
+    return CopyCount(count=total, injections=total * aut)
 
 
 @lru_cache(maxsize=None)

@@ -204,16 +204,15 @@ def motif_from_text(text: str) -> Motif:
     return motif_from_edge_list(parse_edge_lines(text))
 
 
-def automorphism_count(m: Motif) -> int:
-    """Order of the automorphism group of ``m``, by orbit-stabiliser.
+def stabiliser_orbits(m: Motif) -> tuple[int, ...]:
+    """The orbits of the stabiliser chain of ``m``, as vertex bitmasks.
 
-    Vertices ``0, 1, ..., v-1`` are fixed in turn: the orbit of vertex ``k``
-    under the pointwise stabiliser of ``0..k-1`` is the set of ``w`` for
-    which some automorphism fixes ``0..k-1`` and maps ``k`` to ``w``, and
-    the group order is the product of those orbit sizes.  Each membership
-    test is a backtracking search for one such automorphism that keeps
-    degrees, edges and non-edges and stops at the first hit, so the cost
-    grows with the number of orbit candidates rather than the group order.
+    Entry ``k`` is the orbit of vertex ``k`` under the pointwise stabiliser
+    of ``0..k-1``: the set of ``w`` for which some automorphism fixes
+    ``0..k-1`` and maps ``k`` to ``w``.  Each membership test is a
+    backtracking search for one such automorphism that keeps degrees, edges
+    and non-edges and stops at the first hit, so the cost grows with the
+    number of orbit candidates rather than the group order.
     """
     v = m.vertex_count
     adj = m.neighbor_masks()
@@ -243,12 +242,20 @@ def automorphism_count(m: Motif) -> int:
                     return True
         return False
 
-    order = 1
+    orbits = []
     for k in range(v):
         fixed = (1 << k) - 1  # image[i] == i for every i < k
-        order *= sum(extends(k, fixed, 1 << w) for w in range(k, v))
+        orbits.append(
+            sum(1 << w for w in range(k, v) if extends(k, fixed, 1 << w))
+        )
         image[k] = k
-    return order
+    return tuple(orbits)
+
+
+def automorphism_count(m: Motif) -> int:
+    """Order of the automorphism group of ``m``, by orbit-stabiliser: the
+    product of the sizes of its ``stabiliser_orbits``."""
+    return math.prod(orbit.bit_count() for orbit in stabiliser_orbits(m))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ Replicates run one after another in index order, in the calling thread.
 from __future__ import annotations
 
 import io
-import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -155,19 +155,19 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
         lam = lambda_value(plan.motif, plan.n, mu(plan.model, plan.motif))
 
     r_total = plan.replicates
-    counts = []
+    tally: dict[int, int] = {}
     for r in range(r_total):
         graph = sample(plan.model, plan.n, substream_seed(plan.seed, r))
-        counts.append(count_copies(graph, plan.motif).count)
+        w = count_copies(graph, plan.motif).count
+        tally[w] = tally.get(w, 0) + 1
+    histogram = {w: c / r_total for w, c in sorted(tally.items())}
 
-    histogram: dict[int, float] = {}
-    for w in counts:
-        histogram[w] = histogram.get(w, 0.0) + 1.0
-    histogram = {k: v / r_total for k, v in sorted(histogram.items())}
-
-    mean = math.fsum(counts) / r_total
+    # exact sums, correctly rounded once, as math.fsum over every replicate
+    # would give them
+    mean = float(sum(c * w for w, c in tally.items())) / r_total
     if r_total > 1:
-        var = math.fsum((w - mean) ** 2 for w in counts) / (r_total - 1)
+        sq = sum(c * Fraction((w - mean) ** 2) for w, c in tally.items())
+        var = float(sq) / (r_total - 1)
     else:
         var = 0.0
 

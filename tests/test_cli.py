@@ -173,6 +173,25 @@ class TestBoundCommand:
         payload = json.loads(out)
         assert payload["report"]["A"] == pytest.approx(0.004, rel=1e-12)
 
+    @pytest.mark.parametrize("C", ["1e300", "1e120", "inf"])
+    def test_scaled_variant_huge_C_exits_2(self, capsys, C):
+        code, out, err = run_cli(
+            capsys,
+            "bound",
+            "--motif",
+            "complete:3",
+            "--variant",
+            "scaled",
+            "--c",
+            "1e-300",
+            "--C",
+            C,
+            "-n",
+            "100",
+        )
+        assert code == 2 and out == ""
+        assert f"C={float(C)!r}" in err and "3 vertices and 3 edges" in err
+
     def test_nu_variant_with_table_file(self, capsys, tmp_path):
         from motif_poisson import NuTable, builtin_motif
 

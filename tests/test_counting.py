@@ -1,5 +1,6 @@
 """Exact counting against the brute-force oracle and closed-form cases."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motif_poisson import (
+    CopyCount,
     GraphTooLargeForOracle,
     MotifLargerThanGraph,
     SampledGraph,
@@ -27,6 +29,7 @@ from motif_poisson import (
     substream_seed,
     GraphonSpec,
 )
+from motif_poisson.motif import BUILTIN_FAMILIES
 
 from conftest import complete_graph, graph_from_edges, random_motif
 
@@ -80,6 +83,15 @@ class TestClosedForms:
         assert count_copies(complete_graph(4), P3).count == 12
         assert count_copies(complete_graph(4), P3).count == max_copy_capacity(
             P3, 4
+        )
+
+    @pytest.mark.parametrize("n", [5, 9, 16])
+    def test_five_cliques_and_cycles_in_complete_graph(self, n):
+        k5, c5 = builtin_motif("complete", 5), builtin_motif("cycle", 5)
+        copies = math.comb(n, 5)
+        assert count_copies(complete_graph(n), k5) == CopyCount(copies, copies * 120)
+        assert count_copies(complete_graph(n), c5) == CopyCount(
+            12 * copies, 12 * copies * 10
         )
 
 
@@ -158,6 +170,49 @@ def test_counter_equals_oracle_property(seed, n):
     g = sample_sbm(erdos_renyi(0.5), n, seed)
     if g.n < m.vertex_count:
         return
+    assert count_copies(g, m) == count_copies_bruteforce(g, m)
+
+
+class TestSymmetryBreaking:
+    # a motif inside a copy of itself has one copy, so exactly one injection
+    # may survive the symmetry-breaking conditions
+    @pytest.mark.parametrize("family", BUILTIN_FAMILIES)
+    def test_builtin_self_count(self, family):
+        for v in range(3, 11):
+            m = builtin_motif(family, v)
+            own = graph_from_edges(v, m.edges)
+            assert count_copies(own, m) == CopyCount(1, automorphism_count(m))
+
+    def test_random_self_count(self, rng):
+        # every other motif is the disjoint union of two random ones
+        for i in range(200):
+            m = random_motif(rng, v_max=10 if i % 2 else 5)
+            if i % 2 == 0:
+                shift, other = m.vertex_count, random_motif(rng, v_max=5)
+                m = motif_from_edge_list(
+                    m.edges + tuple((a + shift, b + shift) for a, b in other.edges)
+                )
+            own = graph_from_edges(m.vertex_count, m.edges)
+            assert count_copies(own, m) == CopyCount(1, automorphism_count(m))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    edges=st.sets(
+        st.sampled_from(list(itertools.combinations(range(5), 2))),
+        min_size=2,
+        max_size=8,
+    ),
+    n=st.integers(min_value=3, max_value=12),
+    p=st.sampled_from([0.3, 0.6, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_symmetry_broken_counter_equals_oracle_property(edges, n, p, seed):
+    # five labels, so disconnected motifs of four and five vertices are drawn too
+    m = motif_from_edge_list(sorted(edges))
+    if n < m.vertex_count:
+        return
+    g = sample_sbm(erdos_renyi(p), n, seed)
     assert count_copies(g, m) == count_copies_bruteforce(g, m)
 
 

@@ -25,7 +25,7 @@ from motif_poisson import (
     motif_from_text,
 )
 from motif_poisson.cli import main
-from motif_poisson.motif import _subgraph_minima_by_vertex_sets
+from motif_poisson.motif import _subgraph_minima_by_vertex_sets, stabiliser_orbits
 
 from conftest import automorphisms_oracle, random_motif, subgraph_minima_oracle
 
@@ -190,6 +190,25 @@ class TestAutomorphisms:
             assert st_.automorphism_count * st_.rho == math.factorial(
                 m.vertex_count
             )
+
+
+class TestStabiliserOrbits:
+    def test_orbits_match_permutation_enumeration(self, rng):
+        for _ in range(40):
+            m = random_motif(rng, v_max=6)
+            v, es = m.vertex_count, set(m.edges)
+            auts = [
+                p
+                for p in itertools.permutations(range(v))
+                if all(tuple(sorted((p[a], p[b]))) in es for a, b in m.edges)
+            ]
+            expected = tuple(
+                sum(1 << w for w in {p[k] for p in auts if p[:k] == tuple(range(k))})
+                for k in range(v)
+            )
+            orbits = stabiliser_orbits(m)
+            assert orbits == expected
+            assert math.prod(o.bit_count() for o in orbits) == automorphisms_oracle(m)
 
 
 class TestStats:

@@ -8,6 +8,7 @@ import pytest
 
 from motif_poisson import (
     MAX_GRAPH_VERTICES,
+    CopyCount,
     GraphonSpec,
     InvalidParams,
     SbmParams,
@@ -105,6 +106,19 @@ class TestSummaryInvariants:
         summary = run(er_plan(replicates=700))
         assert abs(math.fsum(summary.histogram.values()) - 1.0) < 1e-12
         assert summary.sample_mean >= 0
+
+    def test_moments_equal_fsum_over_every_replicate(self, monkeypatch):
+        # counts past 2**53 lose bits in a running float sum; the moments
+        # from the histogram must still equal fsum over the replicate list
+        counts = [2**53 + 2, 1, 2**53, 7, 3]
+        drawn = iter(counts)
+        monkeypatch.setattr(
+            simulate, "count_copies", lambda graph, motif: CopyCount(next(drawn), 0)
+        )
+        summary = run(er_plan(replicates=len(counts)))
+        mean = math.fsum(counts) / len(counts)
+        var = math.fsum((w - mean) ** 2 for w in counts) / (len(counts) - 1)
+        assert summary.sample_mean == mean and summary.sample_variance == var
 
     def test_mean_within_clt_band(self):
         # lambda ~ 1.23 at these settings
