@@ -4,7 +4,11 @@
 injective edge-preserving maps with bitset candidate filtering, under the
 symmetry-breaking conditions of Grochow & Kellis (RECOMB 2007), so each
 copy is found exactly once; the injection count is the copy count times the
-automorphism count, not enumerated.  ``count_copies_bruteforce`` enumerates
+automorphism count, not enumerated.  The search is one loop over an
+explicit stack, not recursion: per graph it builds one mask of the vertices
+of high enough degree for each degree the motif needs, and it never
+iterates the last position, whose candidate mask's popcount is the number
+of copies completed there.  ``count_copies_bruteforce`` enumerates
 every vertex-set position and every distinct copy of the motif on it,
 exactly as the count is defined, and serves as the independent oracle.
 Copies are counted, not induced copies: extra edges among the image
@@ -46,15 +50,18 @@ class CopyCount:
 
 
 class _SearchPlan(NamedTuple):
-    """Per-motif work shared by every count: for each position of the
-    search order, the earlier positions holding already-mapped neighbors,
-    the degree its image needs and the symmetry-breaking floor (the
-    earlier position whose image its own must exceed, or -1); and the
-    automorphism count."""
+    """Per-motif work shared by every count.  For each position of the
+    search order: the earlier positions holding already-mapped neighbors;
+    the degree its image needs, or 0 where those neighbors already
+    guarantee it; the symmetry-breaking floor (the earlier position whose
+    image its own must exceed, or -1); and the earlier positions off its
+    floor chain, whose images it must still avoid.  And the automorphism
+    count."""
 
     back_edges: tuple[tuple[int, ...], ...]
     need_deg: tuple[int, ...]
     floor: tuple[int, ...]
+    avoid: tuple[tuple[int, ...], ...]
     aut: int
 
 
@@ -73,6 +80,10 @@ def _search_plan(m: Motif) -> _SearchPlan:
     per automorphism class.  Only the largest such ``k`` needs checking: if
     ``i`` lies in the orbits of ``k1 < k2``, then ``k2`` lies in the orbit
     of ``k1``, so the image at ``k1`` is already below the one at ``k2``.
+
+    Injectivity needs no test against the images on a position's floor
+    chain (the floor, its floor, and so on): each is below the floor's
+    image, which the position's own image exceeds.
     """
     v = m.vertex_count
     adj = m.neighbor_masks()
@@ -93,57 +104,93 @@ def _search_plan(m: Motif) -> _SearchPlan:
         tuple(sorted(pos_of[w] for w in range(v) if (adj[u] >> w) & 1 and pos_of[w] < i))
         for i, u in enumerate(order)
     )
+    # an image adjacent to the images of k back neighbors has degree >= k
+    need_deg = tuple(
+        deg[u] if deg[u] > len(backs) else 0 for u, backs in zip(order, back_edges)
+    )
     orbits = stabiliser_orbits(m.relabelled([pos_of[u] for u in range(v)]))
     floor = tuple(
         max((k for k in range(i) if (orbits[k] >> i) & 1), default=-1)
         for i in range(v)
     )
+    avoid = []
+    for i in range(v):
+        chain = set()
+        k = floor[i]
+        while k >= 0:
+            chain.add(k)
+            k = floor[k]
+        avoid.append(tuple(k for k in range(i) if k not in chain))
     aut = math.prod(orbit.bit_count() for orbit in orbits)
-    return _SearchPlan(back_edges, tuple(deg[u] for u in order), floor, aut)
+    return _SearchPlan(back_edges, need_deg, floor, tuple(avoid), aut)
+
+
+def _degree_masks(adj: tuple[int, ...], degrees) -> dict[int, int]:
+    """For each degree d, the bitmask of the vertices with at least d
+    neighbors."""
+    rdeg = [a.bit_count() for a in reversed(adj)]
+    masks = {
+        d: int("".join(["1" if x >= d else "0" for x in rdeg]), 2)
+        for d in set(degrees) - {0}
+    }
+    masks[0] = (1 << len(adj)) - 1
+    return masks
 
 
 def count_copies(g: SampledGraph, m: Motif) -> CopyCount:
     """Exact number of copies of ``m`` in ``g``: the injective maps of the
     motif's vertices into the graph that carry every motif edge onto a
-    graph edge, one per automorphism class."""
+    graph edge, one per automorphism class.
+
+    The search fills the positions of :func:`_search_plan`'s order one at a
+    time, as a loop over an explicit stack of candidate masks.  A
+    position's candidates are the vertices of high enough degree (one mask
+    per needed degree, built once per graph), intersected with the
+    neighbor rows of its mapped back neighbors, stripped of the images it
+    could still repeat, and kept above its floor's image.  The last
+    position is never iterated: its candidate mask's popcount is added to
+    the count.
+    """
     v = m.vertex_count
     if g.n < v:
         raise MotifLargerThanGraph(f"graph has {g.n} vertices, motif needs {v}")
-    back_edges, need_deg, floor, aut = _search_plan(m)
+    back_edges, need_deg, floor, avoid, aut = _search_plan(m)
     adj = g.adjacency
-    gdeg = [a.bit_count() for a in adj]
-    full = (1 << g.n) - 1
+    masks = _degree_masks(adj, need_deg)
+    steps = [
+        (b, masks[d], f, a) for b, d, f, a in zip(back_edges, need_deg, floor, avoid)
+    ]
+    last = v - 1
     images = [0] * v
+    bits = [0] * v
+    cands = [0] * v
     total = 0
-
-    def extend(pos: int, used: int) -> None:
-        nonlocal total
-        if pos == v:
-            total += 1
-            return
-        backs = back_edges[pos]
-        if backs:
-            cand = adj[images[backs[0]]]
-            for q in backs[1:]:
-                cand &= adj[images[q]]
-            cand &= ~used
-        else:
-            cand = full & ~used
-        f = floor[pos]
+    pos = -1
+    while True:
+        # candidates of the position after ``pos``, images[:pos + 1] set
+        backs, cand, f, earlier = steps[pos + 1]
+        for q in backs:
+            cand &= adj[images[q]]
+        for q in earlier:
+            cand &= ~bits[q]
         if f >= 0:
             lo = images[f] + 1
             cand = cand >> lo << lo
-        dmin = need_deg[pos]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            i = bit.bit_length() - 1
-            if gdeg[i] >= dmin:
-                images[pos] = i
-                extend(pos + 1, used | bit)
-
-    extend(0, 0)
-    return CopyCount(count=total, injections=total * aut)
+        if pos + 1 == last:
+            total += cand.bit_count()
+        elif cand:
+            pos += 1
+            cands[pos] = cand
+        # the next image, at the deepest position with candidates left
+        while pos >= 0 and not cands[pos]:
+            pos -= 1
+        if pos < 0:
+            return CopyCount(count=total, injections=total * aut)
+        cand = cands[pos]
+        bit = cand & -cand
+        cands[pos] = cand ^ bit
+        bits[pos] = bit
+        images[pos] = bit.bit_length() - 1
 
 
 @lru_cache(maxsize=None)

@@ -187,7 +187,7 @@ class GraphonSpec:
 
     def _block_of(self, u):
         edges = np.asarray(self.breakpoints[1:-1])
-        return np.searchsorted(edges, u, side="right")
+        return edges.searchsorted(u, side="right")
 
     def to_dict(self) -> dict:
         out: dict = {"family": self.family}
@@ -342,9 +342,10 @@ def _skip_positions(
     while True:
         # a gap above ``total`` ends the block either way; capping it keeps
         # the int64 cumulative sum from overflowing at tiny p
-        pos = last + np.cumsum(np.minimum(rng.geometric(p, size), total))
+        pos = np.minimum(rng.geometric(p, size), total).cumsum()
+        pos += last
         if pos[-1] >= total:
-            yield pos[: np.searchsorted(pos, total)]
+            yield pos[: pos.searchsorted(total)]
             return
         yield pos
         last = int(pos[-1])
@@ -360,13 +361,11 @@ def _triangle_pair(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) with i < j < m at row-major index ``k`` of the strict upper
     triangle of an m x m matrix, the order of ``np.triu_indices(m, 1)``.
 
-    The float root gives the row to within one; the integer comparisons
-    then make it exact."""
-    b = 2 * m - 1
-    i = np.floor((b - np.sqrt(b * b - 8.0 * k)) / 2).astype(np.int64)
-    i -= _row_start(i, m) > k
-    i += _row_start(i + 1, m) <= k
-    return i, k - _row_start(i, m) + i + 1
+    The row is found by binary search among the exact integer row starts,
+    so no float root can land it in a neighbouring row."""
+    starts = _row_start(np.arange(m), m)
+    i = starts.searchsorted(k, side="right") - 1
+    return i, k - starts[i] + i + 1
 
 
 def _draw_pairs(
@@ -387,13 +386,14 @@ def _draw_pairs(
     Candidates come in batches of at most ``_CHUNK``, so the work is
     O(n + m) for m candidates and the int64 buffers stay bounded however
     dense the graph.  Edges are set straight into a packed n x n/8 byte
-    buffer, no larger than the returned bitsets.
+    buffer, no larger than the returned bitsets; one bytes copy of it is
+    sliced into the rows.
     """
     n = len(labels)
     row_bytes = (n + 7) // 8
     bits = np.zeros((n, row_bytes), dtype=np.uint8)
-    order = np.argsort(labels, kind="stable")
-    cuts = np.searchsorted(labels[order], np.arange(len(probs) + 1))
+    order = labels.argsort(kind="stable")
+    cuts = labels[order].searchsorted(np.arange(len(probs) + 1))
     members = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     for a, rows in enumerate(members):
         m = len(rows)
@@ -408,7 +408,9 @@ def _draw_pairs(
                     u, v = u[hit], v[hit]
                 x, y = np.concatenate((u, v)), np.concatenate((v, u))
                 np.bitwise_or.at(bits, (x, y >> 3), _BIT[y & 7])
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
+    buf = bits.tobytes()
+    starts = range(0, len(buf), row_bytes)
+    return tuple([int.from_bytes(buf[i : i + row_bytes], "little") for i in starts])
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
@@ -418,8 +420,8 @@ def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
     :func:`_draw_pairs`, so the output is fully determined by the seed.
     """
     rng = _generator(seed, n)
-    cum = np.cumsum(params.proportions)
-    labels = np.searchsorted(cum, rng.random(n), side="right")
+    cum = np.asarray(params.proportions).cumsum()
+    labels = cum.searchsorted(rng.random(n), side="right")
     labels = np.minimum(labels, params.class_count - 1)
     return SampledGraph(
         n=n,

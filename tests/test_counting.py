@@ -1,5 +1,6 @@
 """Exact counting against the brute-force oracle and closed-form cases."""
 
+import gc
 import itertools
 import math
 
@@ -93,6 +94,63 @@ class TestClosedForms:
         assert count_copies(complete_graph(n), c5) == CopyCount(
             12 * copies, 12 * copies * 10
         )
+
+
+def adjacency_matrix(g: SampledGraph) -> np.ndarray:
+    """The 0/1 int64 adjacency matrix of ``g``, unpacked from its bitsets."""
+    row_bytes = (g.n + 7) // 8
+    packed = b"".join(a.to_bytes(row_bytes, "little") for a in g.adjacency)
+    bits = np.unpackbits(
+        np.frombuffer(packed, np.uint8).reshape(g.n, row_bytes),
+        axis=1,
+        bitorder="little",
+    )
+    return bits[:, : g.n].astype(np.int64)
+
+
+class TestDenseTraceFormulas:
+    """Dense graphs far past the oracle's cap, where the last position's
+    popcount does nearly all the work, against closed walk counts:
+    K3 = tr(A^3)/6 and C4 = (tr(A^4) - 2 sum d^2 + 2m)/8."""
+
+    @pytest.fixture(scope="class", params=[200, 400])
+    def dense(self, request):
+        n = request.param
+        g = sample_sbm(erdos_renyi(0.5), n, seed=n)
+        a = adjacency_matrix(g)
+        a2 = a @ a
+        return g, a, a2
+
+    def test_triangles(self, dense):
+        g, a, a2 = dense
+        tr3 = int((a2 * a).sum())  # tr(A^3), A symmetric
+        assert tr3 % 6 == 0
+        assert count_copies(g, K3) == CopyCount(tr3 // 6, tr3)
+
+    def test_four_cycles(self, dense):
+        g, a, a2 = dense
+        tr4 = int((a2 * a2).sum())  # tr(A^4), A symmetric
+        d = a.sum(axis=1)
+        closed = tr4 - 2 * int((d * d).sum()) + int(d.sum())  # 2m = sum d
+        assert closed % 8 == 0
+        c4 = builtin_motif("cycle", 4)
+        assert count_copies(g, c4) == CopyCount(closed // 8, closed)
+
+
+def test_count_leaves_no_garbage():
+    # the search must not leave a reference cycle per call: one would keep
+    # the graph's bitsets alive until the cyclic collector ran
+    g = sample_sbm(erdos_renyi(0.3), 40, seed=5)
+    count_copies(g, K3)  # warm-up: builds and caches the search plan
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        count_copies(g, K3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestErrors:

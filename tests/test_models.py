@@ -441,6 +441,43 @@ class TestSkipSampler:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize(
+        "draw, mib",
+        [
+            (lambda: sample_sbm(erdos_renyi(0.5), 4000, seed=3), 29.2),
+            (
+                lambda: sample_sbm(
+                    SbmParams(
+                        3,
+                        (0.2, 0.3, 0.5),
+                        ((0.5, 0.1, 0.9), (0.1, 0.5, 0.2), (0.9, 0.2, 0.05)),
+                    ),
+                    4000,
+                    seed=3,
+                ),
+                28.5,
+            ),
+            (
+                lambda: sample_graphon(
+                    GraphonSpec(family="product", scale=0.9), 4000, seed=3
+                ),
+                22.5,
+            ),
+        ],
+        ids=["er_half", "sbm3_dense", "product_dense"],
+    )
+    def test_dense_sampler_peak_pinned(self, draw, mib):
+        # tracemalloc peaks of one dense graph at n = 4000 as measured at
+        # sampler version 2 with per-batch edge setting, plus a 10 % margin:
+        # batching changes must keep the _CHUNK bound on the buffers
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * mib * 2**20
+
 
 class TestEdgeText:
     def test_round_trip(self):
