@@ -21,7 +21,7 @@ forms; the relative error budget of the assembled bounds is ~1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -29,11 +29,16 @@ import numpy as np
 
 from .errors import (
     IncompleteNuTable,
+    InvalidParams,
     NotStrictlyBalanced,
     TooManyTerms,
+    json_int,
+    probability,
+    real,
+    sequence,
 )
 from .models import GraphonSpec, SbmParams, graphon_to_sbm, h_star
-from .motif import Motif, MotifStats, compute_stats
+from .motif import Motif, MotifStats, check_fits, compute_stats
 
 _MAX_TERMS = 10**8
 
@@ -134,8 +139,7 @@ def mu_graphon(spec: GraphonSpec, m: Motif) -> float:
 def lambda_value(m: Motif, n: int, mu: float) -> float:
     """Expected copy count: positions times copies per position times the
     single-copy occurrence probability."""
-    if n < m.vertex_count:
-        raise ValueError(f"n={n} smaller than motif ({m.vertex_count} vertices)")
+    check_fits(m, n)
     return _binom_float(n, m.vertex_count) * compute_stats(m).rho * mu
 
 
@@ -198,6 +202,15 @@ def _prefactor(lam: float) -> tuple[float, str]:
     return one_minus_exp, "1-exp(-lambda)"
 
 
+def _finite(report, where: str):
+    """``report``, or InvalidParams if one of its numbers is infinite or NaN,
+    which JSON cannot hold.  The overlap terms sum into ``bound``, so its
+    top-level numbers cover them."""
+    if not all(math.isfinite(x) for x in vars(report).values() if isinstance(x, float)):
+        raise InvalidParams(f"bound is not finite at {where}")
+    return report
+
+
 def _assemble(
     variant: str, m: Motif, n: int, mu: float, prob: Callable[..., float], g: int
 ) -> BoundReport:
@@ -208,28 +221,33 @@ def _assemble(
     pair_prob, same_prob, *overlap_probs = (prob(*t) for t in triples)
     v = m.vertex_count
     rho = compute_stats(m).rho
-    lam = lambda_value(m, n, mu)
-    nf = float(n)
-    pair = 2.0 * v * v / math.factorial(v) * nf ** (v - 1) * pair_prob
-    overlaps = {
-        s: math.comb(v, s) * nf ** (v - s) * p / math.factorial(v - s)
-        for (_, _, s), p in zip(triples[2:], overlap_probs)
-    }
+    where = f"n={n}, g={g}, motif with {v} vertices and {m.edge_count} edges"
+    try:
+        lam = lambda_value(m, n, mu)
+        nf, gf = float(n), float(g)
+        pair = 2.0 * v * v / math.factorial(v) * nf ** (v - 1) * pair_prob
+        overlaps = {
+            s: math.comb(v, s) * nf ** (v - s) * p / math.factorial(v - s)
+            for (_, _, s), p in zip(triples[2:], overlap_probs)
+        }
+        bracket = math.fsum([pair, same_prob, *overlaps.values()])
+    except OverflowError:
+        raise InvalidParams(f"bound overflows at {where}") from None
     prefactor, label = _prefactor(lam)
-    bracket = math.fsum([pair, same_prob, *overlaps.values()])
-    return BoundReport(
+    report = BoundReport(
         variant=variant,
         mu=mu,
         lam=lam,
         prefactor=prefactor,
         prefactor_used=label,
         rho=rho,
-        dependence_factor=float(g),
+        dependence_factor=gf,
         pair_term=pair,
         same_position_term=same_prob,
         overlap_terms=overlaps,
-        bound=prefactor * rho * float(g) * bracket,
+        bound=prefactor * rho * gf * bracket,
     )
+    return _finite(report, where)
 
 
 def _powers(x: float) -> Callable[..., float]:
@@ -254,8 +272,7 @@ def bound_independent_edges(m: Motif, n: int, nu_max: float) -> BoundReport:
     ``nu_max ** e`` for the occurrence probability, which is exact in the
     equal-probability case and the natural ceiling otherwise."""
     _require_strictly_balanced(m)
-    if not 0.0 <= nu_max <= 1.0:
-        raise ValueError("nu_max must be a probability")
+    nu_max = probability(nu_max, "nu_max")
     return _assemble("independent", m, n, nu_max**m.edge_count, _powers(nu_max), 1)
 
 
@@ -277,10 +294,8 @@ class NuTable:
     def __post_init__(self):
         norm = {}
         for (k, v, s), val in self.entries.items():
-            val = float(val)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"nu value {val} not in [0, 1]")
-            norm[(Fraction(k), int(v), int(s))] = val
+            key = (Fraction(k), json_int(v, "nu-table v"), json_int(s, "nu-table s"))
+            norm[key] = probability(val, "nu value")
         object.__setattr__(self, "entries", norm)
 
     def lookup(self, k, v: int, s: int) -> float:
@@ -307,9 +322,7 @@ class NuTable:
     def from_power(cls, nu: float, m: Motif) -> "NuTable":
         """The table ``nu ** k`` at every required triple (the block-model,
         independent and graphon specialisations)."""
-        if not 0.0 <= nu <= 1.0:
-            raise ValueError("nu must be a probability")
-        power = _powers(nu)
+        power = _powers(probability(nu, "nu"))
         return cls({t: power(*t) for t in cls.required_triples(m)})
 
     def to_dict(self) -> dict:
@@ -324,16 +337,14 @@ class NuTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NuTable":
-        rows = data.get("entries", []) if isinstance(data, dict) else None
-        if not isinstance(rows, list):
-            raise ValueError("nu-table JSON must be an object with an 'entries' list")
         entries = {}
-        for row in rows:
+        for row in sequence(data.get("entries", []), "nu-table 'entries'"):
             try:
-                key = (Fraction(str(row["k"])), int(row["v"]), int(row["s"]))
-                entries[key] = float(row["value"])
-            except (KeyError, TypeError, ZeroDivisionError) as exc:
-                raise ValueError(f"malformed nu-table row {row!r}") from exc
+                # "p" or "p/q": Fraction would also parse "1e9999999"
+                k = Fraction(*map(int, str(row["k"]).split("/")))
+                entries[k, row["v"], row["s"]] = row["value"]
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InvalidParams(f"malformed nu-table row {row!r}") from exc
         return cls(entries)
 
 
@@ -346,10 +357,8 @@ def bound_nu(m: Motif, n: int, g: int, mu: float, nu: NuTable) -> BoundReport:
     """
     _require_strictly_balanced(m)
     if g < 1:
-        raise ValueError("dependence width g must be >= 1")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu {mu} not in [0, 1]")
-    return _assemble("nu", m, n, mu, nu.lookup, g)
+        raise InvalidParams("dependence width g must be >= 1")
+    return _assemble("nu", m, n, probability(mu, "mu"), nu.lookup, g)
 
 
 def bound_graphon(spec: GraphonSpec, m: Motif, n: int) -> BoundReport:
@@ -396,10 +405,10 @@ class ScaledBoundReport:
 def bound_scaled(m: Motif, n: int, c: float, C: float) -> ScaledBoundReport:
     """Evaluate the scaled-regime bound for constants ``0 < c <= C``."""
     stats = _require_strictly_balanced(m)
+    c, C = real(c, "c"), real(C, "C")
     if not 0 < c <= C:
-        raise ValueError("need 0 < c <= C")
-    if n < m.vertex_count:
-        raise ValueError(f"n={n} smaller than motif ({m.vertex_count} vertices)")
+        raise InvalidParams("need 0 < c <= C")
+    check_fits(m, n)
     v, e = m.vertex_count, m.edge_count
     d = float(stats.density)
     alpha = float(stats.alpha)
@@ -422,7 +431,7 @@ def bound_scaled(m: Motif, n: int, c: float, C: float) -> ScaledBoundReport:
             )
         )
     except OverflowError:
-        raise ValueError(f"scaled bound overflows at {where}") from None
+        raise InvalidParams(f"bound overflows at {where}") from None
     report = ScaledBoundReport(
         C=C,
         c=c,
@@ -433,9 +442,7 @@ def bound_scaled(m: Motif, n: int, c: float, C: float) -> ScaledBoundReport:
         B=b_env,
         bound=bound,
     )
-    if not all(math.isfinite(x) for x in astuple(report)):
-        raise ValueError(f"scaled bound is not finite at {where}")
-    return report
+    return _finite(report, where)
 
 
 def rate_exponent(m: Motif) -> Fraction:

@@ -83,24 +83,27 @@ def _load_motif(spec: str) -> Motif:
     return motif_from_text(path.read_text())
 
 
+def _json_object(text: str, what: str) -> dict:
+    """The JSON object in ``text``; InvalidParams for anything else."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise InvalidParams(f"{what} JSON is nested too deeply") from None
+    if type(data) is not dict:
+        raise InvalidParams(f"{what} JSON must be an object")
+    return data
+
+
 def _load_model(spec: str) -> SbmParams | GraphonSpec:
     """Inline JSON (starts with '{') or a path to a JSON file; block-model
     configs carry a 'Q' key, graphon configs a 'family' key."""
     text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise InvalidParams("model JSON must be an object")
+    data = _json_object(text, "model")
     if "Q" in data:
         return SbmParams.from_dict(data)
     if "family" in data:
         return GraphonSpec.from_dict(data)
     raise InvalidParams("model JSON needs either a 'Q' (SBM) or 'family' key")
-
-
-def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get(_SEED_ENV, "0"))
 
 
 _OPERATIONAL_FLAGS = {"--out", "--threads", "--hist-csv"}
@@ -210,7 +213,8 @@ def _cmd_bound(args) -> int:
     elif args.variant == "nu":
         if args.nu_table is None or args.mu is None:
             raise InvalidParams("variant nu requires --nu-table and --mu")
-        table = NuTable.from_dict(json.loads(Path(args.nu_table).read_text()))
+        text = Path(args.nu_table).read_text()
+        table = NuTable.from_dict(_json_object(text, "nu-table"))
         report = bound_nu(m, args.n, args.g, args.mu, table)
         inputs.update(g=args.g, mu=args.mu, nu_table=table.to_dict())
     else:
@@ -258,15 +262,10 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed,
     }
     if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
-        if not isinstance(file_cfg, dict):
-            raise InvalidParams("simulate config must be a JSON object")
+        file_cfg = _json_object(Path(args.config).read_text(), "simulate config")
         config.update({k: v for k, v in file_cfg.items() if v is not None})
-    for key in ("n", "replicates", "seed"):
-        value = config.get(key)
-        if value is not None and type(value) is not int:
-            raise InvalidParams(f"simulate {key} must be an integer, got {value!r}")
-    config["seed"] = _default_seed(config.get("seed"))
+    if config.get("seed") is None:
+        config["seed"] = int(os.environ.get(_SEED_ENV, "0"))
     for key in ("model", "motif", "n", "replicates"):
         if config.get(key) is None:
             raise InvalidParams(f"simulate requires {key} (flag or --config)")
@@ -283,6 +282,8 @@ def _cmd_simulate(args) -> int:
         seed=config["seed"],
     )
     summary = run(plan, threads=args.threads)
+    if args.hist_csv:
+        Path(args.hist_csv).write_text(histogram_csv(summary.histogram), newline="")
     payload = {
         "summary": summary.to_dict(deterministic=not args.stamp),
         "inputs": {
@@ -298,8 +299,6 @@ def _cmd_simulate(args) -> int:
         "manifest": _manifest(args, config, args.stamp),
     }
     _emit(payload, args.out)
-    if args.hist_csv:
-        Path(args.hist_csv).write_text(histogram_csv(summary.histogram), newline="")
     print(
         f"simulate: {plan.replicates} replicates in {summary.wall_time:.2f}s",
         file=sys.stderr,
@@ -309,6 +308,8 @@ def _cmd_simulate(args) -> int:
 
 def _parse_v_range(text: str) -> range:
     lo, _, hi = text.partition("..")
+    if not (lo.isdecimal() and (hi or lo).isdecimal()) or int(lo) > int(hi or lo):
+        raise InvalidParams(f"--v-range {text!r} is not lo..hi with lo <= hi")
     return range(int(lo), int(hi or lo) + 1)
 
 
@@ -426,7 +427,7 @@ def main(argv=None) -> int:
     except NotStrictlyBalanced as exc:
         print(f"motif-poisson: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (MotifPoissonError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (MotifPoissonError, ValueError, OSError) as exc:
         print(f"motif-poisson: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

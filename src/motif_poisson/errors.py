@@ -1,8 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the readers of values from outside.
 
 Every error the library raises derives from :class:`MotifPoissonError` so
 callers can catch broadly; the leaf classes mirror the distinct failure
-conditions of the public operations.
+conditions of the public operations.  Every value from outside is read by
+:func:`json_int`, :func:`real`, :func:`probability` or :func:`sequence`,
+which raise :class:`InvalidParams`, also a ``ValueError``.
 """
 
 
@@ -44,8 +46,40 @@ class TooLarge(InvalidMotifError):
 # ---------------------------------------------------------------- models
 
 
-class InvalidParams(MotifPoissonError):
-    """Random-graph model parameters fail validation."""
+class InvalidParams(MotifPoissonError, ValueError):
+    """A value from outside fails validation."""
+
+
+def json_int(x, what: str) -> int:
+    """``x`` if it is an int; bools, floats and strings are refused."""
+    if type(x) is not int:
+        raise InvalidParams(f"{what} must be an integer, got {type(x).__name__}")
+    return x
+
+
+def real(x, what: str) -> float:
+    """``x`` as a float if it is an int or a float (np.float64 too)."""
+    if type(x) is not int and not isinstance(x, float):
+        raise InvalidParams(f"{what} must be a number, got {type(x).__name__}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidParams(f"{what} is too large for a float") from None
+
+
+def probability(x, what: str) -> float:
+    """``real(x)`` if it lies in [0, 1]; NaN is refused."""
+    p = real(x, what)
+    if not 0.0 <= p <= 1.0:
+        raise InvalidParams(f"{what}={p!r} not in [0, 1]")
+    return p
+
+
+def sequence(x, what: str) -> list | tuple:
+    """``x`` if it is a list or a tuple, never a string."""
+    if not isinstance(x, (list, tuple)):
+        raise InvalidParams(f"{what} must be a list, got {type(x).__name__}")
+    return x
 
 
 class WrongFamily(InvalidParams):

@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InvalidParams, WrongFamily
+from .errors import InvalidParams, WrongFamily, json_int, probability, real, sequence
 from .motif import parse_edge_lines
 
 _PROPORTION_TOL = 1e-12
@@ -49,14 +49,15 @@ GRAPHON_FAMILIES = ("product", "piecewise_constant", "affine_mean")
 
 
 def _check_probability_matrix(rows, what: str) -> tuple[tuple[float, ...], ...]:
-    mat = tuple(tuple(float(x) for x in row) for row in rows)
+    mat = tuple(
+        tuple(probability(x, what) for x in sequence(row, what))
+        for row in sequence(rows, what)
+    )
     q = len(mat)
     if q == 0 or any(len(row) != q for row in mat):
         raise InvalidParams(f"{what} must be a non-empty square matrix")
     for a in range(q):
         for b in range(q):
-            if not 0.0 <= mat[a][b] <= 1.0:
-                raise InvalidParams(f"{what}[{a}][{b}]={mat[a][b]} not in [0, 1]")
             if mat[a][b] != mat[b][a]:
                 raise InvalidParams(f"{what} not symmetric at ({a}, {b})")
     return mat
@@ -73,10 +74,11 @@ class SbmParams:
     edge_probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        q = self.class_count
+        q = json_int(self.class_count, "SBM class count 'Q'")
         if q < 1:
             raise InvalidParams("class_count must be >= 1")
-        f = tuple(float(x) for x in self.proportions)
+        f = sequence(self.proportions, "proportions")
+        f = tuple(real(x, "proportions") for x in f)
         if len(f) != q:
             raise InvalidParams("proportions length must equal class_count")
         # written so that NaN fails each check
@@ -106,23 +108,12 @@ class SbmParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SbmParams":
-        try:
-            q = data["Q"]
-            # a JSON integer only: int() would also take true, "1" and 2.5
-            if type(q) is not int:
-                raise InvalidParams(f"SBM 'Q' must be an integer, got {q!r}")
-            return cls(q, data["f"], data["pi"])
-        except KeyError as exc:
-            raise InvalidParams(f"missing SBM field {exc}") from exc
-        except TypeError as exc:
-            raise InvalidParams(
-                "SBM needs an integer 'Q', a list 'f' and a list of lists 'pi'"
-            ) from exc
+        return cls(data.get("Q"), data.get("f"), data.get("pi"))
 
 
 def erdos_renyi(p: float) -> SbmParams:
     """Single-class block model, i.e. every edge an independent ``p`` coin."""
-    return SbmParams(1, (1.0,), ((float(p),),))
+    return SbmParams(1, (1.0,), ((p,),))
 
 
 @dataclass(frozen=True)
@@ -148,20 +139,13 @@ class GraphonSpec:
                 f"expected one of {GRAPHON_FAMILIES}"
             )
         if self.family in ("product", "affine_mean"):
-            if self.scale is None:
-                raise InvalidParams(f"{self.family} graphon requires a scale")
-            c = float(self.scale)
-            if not 0.0 <= c <= 1.0:
-                raise InvalidParams(f"scale {c} not in [0, 1]")
-            object.__setattr__(self, "scale", c)
             if self.breakpoints is not None or self.values is not None:
                 raise InvalidParams(f"{self.family} graphon takes only a scale")
+            c = probability(self.scale, "graphon scale 'c'")
+            object.__setattr__(self, "scale", c)
         else:
-            if self.breakpoints is None or self.values is None:
-                raise InvalidParams(
-                    "piecewise_constant graphon requires breakpoints and values"
-                )
-            bp = tuple(float(x) for x in self.breakpoints)
+            bp = sequence(self.breakpoints, "breakpoints")
+            bp = tuple(real(x, "breakpoints") for x in bp)
             if len(bp) < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
                 raise InvalidParams("breakpoints must run 0 = s_1 < ... < s_{Q+1} = 1")
             if any(not a < b for a, b in zip(bp, bp[1:])):
@@ -202,16 +186,8 @@ class GraphonSpec:
     def from_dict(cls, data: dict) -> "GraphonSpec":
         fam = data.get("family")
         if fam in ("product", "affine_mean"):
-            fields, shape = {"scale": data.get("c")}, "a number 'c'"
-        elif fam == "piecewise_constant":
-            fields = {k: data.get(k) for k in ("breakpoints", "values")}
-            shape = "a list 'breakpoints' and a list of lists 'values'"
-        else:
-            raise InvalidParams(f"unknown graphon family {fam!r}")
-        try:
-            return cls(family=fam, **fields)
-        except TypeError as exc:
-            raise InvalidParams(f"{fam} graphon needs {shape}") from exc
+            return cls(fam, scale=data.get("c"))
+        return cls(fam, breakpoints=data.get("breakpoints"), values=data.get("values"))
 
 
 def h_star(spec: GraphonSpec) -> float:

@@ -25,7 +25,7 @@ from .bounds import (
     mu_sbm,
 )
 from .counting import count_copies
-from .errors import InvalidParams, NotStrictlyBalanced
+from .errors import InvalidParams, NotStrictlyBalanced, json_int
 from .models import (
     _SEED_MASK,
     GraphonSpec,
@@ -35,7 +35,7 @@ from .models import (
     sample_sbm,
     substream_seed,
 )
-from .motif import Motif
+from .motif import Motif, check_fits
 from .poisson import poisson_pmf, tv_distance_empirical
 
 _BOOTSTRAP_RESAMPLES = 200
@@ -54,12 +54,13 @@ class SimulationPlan:
     seed: int
 
     def __post_init__(self):
+        for key in ("n", "replicates", "seed"):
+            json_int(getattr(self, key), f"simulate {key}")
         if self.replicates < 1:
             raise InvalidParams("replicates must be >= 1")
         if not 0 <= self.seed <= _SEED_MASK:
             raise InvalidParams("seed must be an unsigned 64-bit integer")
-        if self.n < self.motif.vertex_count:
-            raise InvalidParams("n must be at least the motif's vertex count")
+        check_fits(self.motif, self.n)
         check_graph_size(self.n)
 
 

@@ -242,6 +242,10 @@ class TestBoundCommand:
             {"Q": 1, "f": 1.0, "pi": [[0.1]]},
             {"Q": 1, "f": [1.0], "pi": [0.1]},
             {"family": "piecewise_constant", "breakpoints": [0, 1], "values": [0.5]},
+            {"Q": 1, "f": "1", "pi": ["1"]},
+            {"family": "piecewise_constant", "breakpoints": "01", "values": [[0.5]]},
+            {"family": "product", "c": True},
+            {"family": "product", "c": "0.5"},
         ],
     )
     def test_malformed_model_exits_2(self, capsys, model):
@@ -257,6 +261,11 @@ class TestBoundCommand:
             '{"Q": 2, "f": [NaN, 1.0], "pi": [[0.1, 0.1], [0.1, 0.1]]}',
             '{"family": "piecewise_constant", "breakpoints": [0, NaN, 1],'
             ' "values": [[0.1, 0.1], [0.1, 0.1]]}',
+            pytest.param(
+                '{"Q": 1, "f": [1.0], "pi": [[0.1]], "x": '
+                + "[" * 10**5 + "]" * 10**5 + "}",
+                id="nested-1e5-deep",
+            ),
         ],
     )
     def test_non_integer_q_or_nan_model_exits_2(self, capsys, model):
@@ -275,6 +284,43 @@ class TestBoundCommand:
         argv += ["--nu-table", str(path), f"--mu={mu}", "-n", "100"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "mu" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("v", 3.7), ("s", True), ("value", "0.1"), ("k", "1e0")]
+    )
+    def test_nu_table_field_types_exit_2(self, capsys, tmp_path, field, value):
+        from motif_poisson import NuTable, builtin_motif
+
+        table = NuTable.from_power(0.1, builtin_motif("complete", 3)).to_dict()
+        table["entries"][0][field] = value
+        path = tmp_path / "nu.json"
+        path.write_text(json.dumps(table))
+        argv = ["bound", "--motif", "complete:3", "--variant", "nu", "--mu", "0.001"]
+        code, out, err = run_cli(capsys, *argv, "-n", "100", "--nu-table", str(path))
+        assert code == 2 and out == "" and err.startswith("motif-poisson: ")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["-n", str(10**120), "--model", '{"Q": 1, "f": [1.0], "pi": [[0.1]]}'],
+            ["-n", str(10**400), "--model", '{"family": "product", "c": 0.5}'],
+            ["-n", str(10**400), "--variant", "independent", "--nu-max", "0.1"],
+        ],
+    )
+    def test_overflowing_bound_exits_2(self, capsys, extra):
+        code, out, err = run_cli(capsys, "bound", "--motif", "complete:3", *extra)
+        assert code == 2 and out == "" and "bound" in err
+
+    def test_dependence_width_overflow_exits_2(self, capsys, tmp_path):
+        from motif_poisson import NuTable, builtin_motif
+
+        path = tmp_path / "nu.json"
+        table = NuTable.from_power(0.05, builtin_motif("complete", 3))
+        path.write_text(json.dumps(table.to_dict()))
+        argv = ["bound", "--motif", "complete:3", "--variant", "nu", "--mu", "0.001"]
+        argv += ["-n", "100", "--nu-table", str(path), "--g", str(10**310)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "g=" in err
 
     def test_nu_table_not_an_object_exits_2(self, capsys, tmp_path):
         path = tmp_path / "list.json"
@@ -421,6 +467,12 @@ class TestSimulateCommand:
         assert code == 0
         text = hist.read_bytes().decode()
         assert text.startswith("count,frequency\r\n")
+
+    def test_unwritable_histogram_csv_leaves_stdout_empty(self, capsys):
+        argv = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]
+        argv += ["-n", "20", "-R", "5", "--hist-csv", "/nonexistent/dir/h.csv"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "h.csv" in err
 
     def test_env_var_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("MOTIF_POISSON_SEED", "42")
@@ -589,6 +641,11 @@ class TestTablesCommand:
         rows = [line.split() for line in out.splitlines()]
         assert len(rows) == 1 + 4 * 8
         assert ["complete", "10", "9/2", "11/2", "1", "2/9"] in rows
+
+    @pytest.mark.parametrize("v_range", ["5..3", "3..x"])
+    def test_bad_v_range_exits_2(self, capsys, v_range):
+        code, out, err = run_cli(capsys, "tables", "--v-range", v_range)
+        assert code == 2 and out == "" and "--v-range" in err
 
     def test_diff_stable(self, capsys):
         _, out1, _ = run_cli(capsys, "tables")

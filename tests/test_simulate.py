@@ -247,6 +247,15 @@ class TestPlanValidation:
                 model=erdos_renyi(0.1), motif=K3, n=10, replicates=10, seed=seed
             )
 
+    @pytest.mark.parametrize(
+        "field, value", [("n", 60.0), ("replicates", 2.0), ("seed", True)]
+    )
+    def test_integer_fields_must_be_ints(self, field, value):
+        fields = dict(model=erdos_renyi(0.1), motif=K3, n=60, replicates=2, seed=1)
+        fields[field] = value
+        with pytest.raises(InvalidParams, match=f"simulate {field} must be an integer"):
+            SimulationPlan(**fields)
+
     def test_seed_bounds_accepted(self):
         for seed in (0, (1 << 64) - 1):
             assert SimulationPlan(
