@@ -276,6 +276,20 @@ def bound_independent_edges(m: Motif, n: int, nu_max: float) -> BoundReport:
     return _assemble("independent", m, n, nu_max**m.edge_count, _powers(nu_max), 1)
 
 
+def _exponent(k) -> Fraction:
+    """A nu-table ``k``: a Fraction, an int, or a ``"p"`` or ``"p/q"``
+    string of integers (``Fraction`` itself would also parse "1e9999999",
+    into ten million digits)."""
+    if isinstance(k, str):
+        try:
+            return Fraction(*map(int, k.split("/")))
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(k, Fraction) or type(k) is int:
+        return Fraction(k)
+    raise InvalidParams(f"nu-table k must be an integer or 'p/q', got {k!r}")
+
+
 @dataclass(frozen=True)
 class NuTable:
     """Worst-case conditional probabilities for dependent edge models.
@@ -283,8 +297,9 @@ class NuTable:
     ``entries[(k, v, s)]`` bounds the probability that ``k`` further edges
     are all present given ``v`` motif edges whose vertex sets share ``s``
     vertices with them.  ``k`` follows the overlap exponent and may be a
-    non-integer rational; keys are normalised to exact fractions and must
-    be supplied at exactly the exponents the bound consumes.
+    non-integer rational, given as a Fraction, an int or a ``"p"`` or
+    ``"p/q"`` string; keys are stored as exact fractions and must be
+    supplied at exactly the exponents the bound consumes.
     """
 
     entries: Mapping[tuple[Fraction, int, int], float] = field(
@@ -294,17 +309,16 @@ class NuTable:
     def __post_init__(self):
         norm = {}
         for (k, v, s), val in self.entries.items():
-            key = (Fraction(k), json_int(v, "nu-table v"), json_int(s, "nu-table s"))
+            key = (_exponent(k), json_int(v, "nu-table v"), json_int(s, "nu-table s"))
             norm[key] = probability(val, "nu value")
         object.__setattr__(self, "entries", norm)
 
-    def lookup(self, k, v: int, s: int) -> float:
-        key = (Fraction(k), int(v), int(s))
+    def lookup(self, k: Fraction, v: int, s: int) -> float:
         try:
-            return self.entries[key]
+            return self.entries[k, v, s]
         except KeyError:
             raise IncompleteNuTable(
-                f"missing nu entry for (k={key[0]}, v={v}, s={s})"
+                f"missing nu entry for (k={k}, v={v}, s={s})"
             ) from None
 
     @staticmethod
@@ -340,10 +354,8 @@ class NuTable:
         entries = {}
         for row in sequence(data.get("entries", []), "nu-table 'entries'"):
             try:
-                # "p" or "p/q": Fraction would also parse "1e9999999"
-                k = Fraction(*map(int, str(row["k"]).split("/")))
-                entries[k, row["v"], row["s"]] = row["value"]
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                entries[row["k"], row["v"], row["s"]] = row["value"]
+            except (KeyError, TypeError) as exc:
                 raise InvalidParams(f"malformed nu-table row {row!r}") from exc
         return cls(entries)
 

@@ -73,6 +73,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_motif(spec: str) -> Motif:
     """A ``family:v`` builtin reference or a path to edge-list text."""
+    if not isinstance(spec, str):
+        raise InvalidMotifError(
+            f"motif must be a family:v string or a file path, got {spec!r}"
+        )
     if ":" in spec:
         return motif_from_string(spec)
     path = Path(spec)
@@ -94,11 +98,16 @@ def _json_object(text: str, what: str) -> dict:
     return data
 
 
-def _load_model(spec: str) -> SbmParams | GraphonSpec:
-    """Inline JSON (starts with '{') or a path to a JSON file; block-model
-    configs carry a 'Q' key, graphon configs a 'family' key."""
-    text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
-    data = _json_object(text, "model")
+def _load_model(spec: str | dict) -> SbmParams | GraphonSpec:
+    """A JSON object, given as a dict, as inline text (starts with '{') or
+    as a path to a JSON file; block-model configs carry a 'Q' key, graphon
+    configs a 'family' key."""
+    data = spec
+    if isinstance(spec, str):
+        text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
+        data = _json_object(text, "model")
+    elif type(spec) is not dict:
+        raise InvalidParams("model must be a JSON object")
     if "Q" in data:
         return SbmParams.from_dict(data)
     if "family" in data:
@@ -269,11 +278,8 @@ def _cmd_simulate(args) -> int:
     for key in ("model", "motif", "n", "replicates"):
         if config.get(key) is None:
             raise InvalidParams(f"simulate requires {key} (flag or --config)")
-    model_spec = config["model"]
-    model = _load_model(
-        model_spec if isinstance(model_spec, str) else json.dumps(model_spec)
-    )
-    m = _load_motif(str(config["motif"]))
+    model = _load_model(config["model"])
+    m = _load_motif(config["motif"])
     plan = SimulationPlan(
         model=model,
         motif=m,

@@ -25,11 +25,14 @@ from typing import NamedTuple
 
 from .errors import GraphTooLargeForOracle, MotifLargerThanGraph
 from .models import SampledGraph
-from .motif import Motif, automorphism_count, stabiliser_orbits
+from .motif import Motif, _canonical_edges, compute_stats, stabiliser_orbits
 
-#: The brute-force oracle touches all C(n, v) positions times all copies per
-#: position; above this many vertices that blows up combinatorially.
+#: The brute-force oracle lists the v! vertex permutations once, then tests
+#: all copies per position at all C(n, v) positions.  That blows up
+#: combinatorially, so both the graph and the work are capped (K_10 in K_14
+#: alone lists 3.6 million permutations).
 ORACLE_MAX_VERTICES = 14
+ORACLE_MAX_WORK = 10**6
 
 
 @dataclass(frozen=True)
@@ -202,11 +205,11 @@ def placement_edge_sets(m: Motif) -> tuple[tuple[tuple[int, int], ...], ...]:
     """
     v = m.vertex_count
     seen = {
-        tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in m.edges))
+        _canonical_edges((p[a], p[b]) for a, b in m.edges)
         for p in itertools.permutations(range(v))
     }
     family = tuple(sorted(seen))
-    assert len(family) == math.factorial(v) // automorphism_count(m)
+    assert len(family) == compute_stats(m).rho
     return family
 
 
@@ -217,12 +220,10 @@ def copies_on_vertices(
     sorted edge tuples in a deterministic order (sorted by edge set)."""
     if len(alpha) != m.vertex_count:
         raise ValueError("alpha must have exactly v(G) vertices")
-    out = []
-    for slots in placement_edge_sets(m):
-        out.append(
-            tuple(sorted(tuple(sorted((alpha[a], alpha[b]))) for a, b in slots))
-        )
-    return sorted(out)
+    return sorted(
+        _canonical_edges((alpha[a], alpha[b]) for a, b in slots)
+        for slots in placement_edge_sets(m)
+    )
 
 
 def copy_indicators(
@@ -239,16 +240,20 @@ def copy_indicators(
 def count_copies_bruteforce(g: SampledGraph, m: Motif) -> CopyCount:
     """Oracle counter: sum the copy indicators over every vertex-set
     position, literally as the count is defined."""
-    if g.n < m.vertex_count:
-        raise MotifLargerThanGraph(
-            f"graph has {g.n} vertices, motif needs {m.vertex_count}"
-        )
+    v = m.vertex_count
+    if g.n < v:
+        raise MotifLargerThanGraph(f"graph has {g.n} vertices, motif needs {v}")
     if g.n > ORACLE_MAX_VERTICES:
         raise GraphTooLargeForOracle(
             f"oracle capped at {ORACLE_MAX_VERTICES} vertices, got {g.n}"
         )
+    stats = compute_stats(m)
+    work = math.factorial(v) + math.comb(g.n, v) * stats.rho
+    if work > ORACLE_MAX_WORK:
+        raise GraphTooLargeForOracle(
+            f"oracle work v! + C(n, v) * rho = {work} exceeds {ORACLE_MAX_WORK}"
+        )
     total = 0
-    for alpha in itertools.combinations(range(g.n), m.vertex_count):
+    for alpha in itertools.combinations(range(g.n), v):
         total += sum(copy_indicators(g, m, alpha))
-    aut = automorphism_count(m)
-    return CopyCount(count=total, injections=total * aut)
+    return CopyCount(count=total, injections=total * stats.automorphism_count)

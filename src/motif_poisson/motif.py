@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     DuplicateEdge,
     EmptyEdgeSet,
+    InvalidMotifError,
     InvalidParams,
     IsolatedVertex,
     SelfLoop,
@@ -36,10 +38,33 @@ Edge = tuple[int, int]
 BUILTIN_FAMILIES = ("tree_path", "cycle", "almost_complete", "complete")
 
 
+def _label(x, what: str = "vertex") -> int:
+    """``x`` if it is an int (NumPy ints too); bools, floats and strings
+    are refused."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise InvalidMotifError(f"{what} {x!r} is not an integer")
+    return operator.index(x)
+
+
+def _pair(e) -> Edge:
+    """``e`` as a pair of vertex labels."""
+    try:
+        u, w = e
+    except (TypeError, ValueError):
+        raise InvalidMotifError(f"not a vertex pair: {e!r}") from None
+    return _label(u), _label(w)
+
+
+def _canonical_edges(pairs: Iterable[Edge]) -> tuple[Edge, ...]:
+    """Each pair sorted, then the pairs sorted."""
+    return tuple(sorted((u, w) if u < w else (w, u) for u, w in pairs))
+
+
 @dataclass(frozen=True)
 class Motif:
     """A labelled graph on vertices ``0..vertex_count-1`` with no isolated
-    vertices, no self-loops and more than one edge.
+    vertices, no self-loops, no repeated edge and more than one edge; the
+    constructor raises an :class:`InvalidMotifError` subclass otherwise.
 
     Edges are stored canonically: each pair sorted, the tuple of pairs
     sorted.  Two motifs compare equal iff they are the same labelled graph.
@@ -47,6 +72,30 @@ class Motif:
 
     vertex_count: int
     edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        v = _label(self.vertex_count, "vertex count")
+        if v > MAX_VERTICES:
+            raise TooLarge(f"motif has {v} vertices; cap is {MAX_VERTICES}")
+        edges = _canonical_edges(_pair(e) for e in self.edges)
+        if not edges:
+            raise EmptyEdgeSet("motif requires at least one edge")
+        for u, w in edges:
+            if u == w:
+                raise SelfLoop(f"self-loop at vertex {u}")
+            if u < 0 or w >= v:
+                bad = u if u < 0 else w
+                raise InvalidMotifError(f"vertex {bad} outside 0..{v - 1}")
+        for e, after in zip(edges, edges[1:]):
+            if e == after:
+                raise DuplicateEdge(f"edge {e} listed twice")
+        if len(edges) == 1:
+            raise SingleEdge("motif must have more than one edge")
+        isolated = set(range(v)).difference(*edges)
+        if isolated:
+            raise IsolatedVertex(f"vertex {min(isolated)} is on no edge")
+        object.__setattr__(self, "vertex_count", v)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -68,69 +117,19 @@ class Motif:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
-
     def relabelled(self, perm: Sequence[int]) -> "Motif":
         """The same graph with vertex ``i`` renamed ``perm[i]``."""
-        edges = tuple(
-            sorted(tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in self.edges)
-        )
+        edges = tuple((perm[u], perm[w]) for u, w in self.edges)
         return Motif(self.vertex_count, edges)
 
-    def to_text(self) -> str:
-        """Edge-list text, one ``u v`` line per edge."""
-        return "".join(f"{u} {v}\n" for u, v in self.edges)
 
-
-def motif_from_edge_list(
-    edges: Iterable[Sequence[int]], vertex_count: int | None = None
-) -> Motif:
-    """Build a validated motif from unordered vertex pairs.
-
-    Vertices are renumbered densely to ``0..v-1`` preserving label order;
-    original labels are not retained.  ``vertex_count`` may assert a vertex
-    universe larger than the labels touched by the edges, in which case the
-    extra vertices would be isolated and the motif is rejected.
-    """
-    edge_list = [tuple(e) for e in edges]
-    if not edge_list:
-        raise EmptyEdgeSet("motif requires at least one edge")
-    seen: set[Edge] = set()
-    canonical: list[Edge] = []
-    for e in edge_list:
-        if len(e) != 2:
-            raise ValueError(f"not a vertex pair: {e!r}")
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) listed twice")
-        seen.add((u, v))
-        canonical.append((u, v))
-    labels = sorted({x for e in canonical for x in e})
-    if vertex_count is not None:
-        if vertex_count > len(labels):
-            raise IsolatedVertex(
-                f"vertex_count={vertex_count} but only {len(labels)} vertices "
-                "are endpoints of an edge"
-            )
-        if vertex_count < len(labels):
-            raise ValueError(
-                f"vertex_count={vertex_count} but edges touch {len(labels)} vertices"
-            )
-    remap = {lab: i for i, lab in enumerate(labels)}
-    v = len(labels)
-    if v > MAX_VERTICES:
-        raise TooLarge(f"motif has {v} vertices; cap is {MAX_VERTICES}")
-    edges_t = tuple(sorted((remap[u], remap[v]) for u, v in canonical))
-    if len(edges_t) <= 1:
-        raise SingleEdge("motif must have more than one edge")
-    return Motif(v, edges_t)
+def motif_from_edge_list(edges: Iterable[Sequence[int]]) -> Motif:
+    """The motif on the given unordered vertex pairs, its vertices
+    renumbered densely to ``0..v-1`` in label order; original labels are
+    not retained.  Validation is :class:`Motif`'s."""
+    pairs = [_pair(e) for e in edges]
+    remap = {lab: i for i, lab in enumerate(sorted({x for e in pairs for x in e}))}
+    return Motif(len(remap), tuple((remap[u], remap[w]) for u, w in pairs))
 
 
 def builtin_motif(family: str, v: int) -> Motif:
@@ -159,7 +158,7 @@ def builtin_motif(family: str, v: int) -> Motif:
         if family == "almost_complete":
             # dropping (0, v-1) makes the v=3 case literally the path
             edges.remove((0, v - 1))
-    return motif_from_edge_list(edges)
+    return Motif(v, tuple(edges))
 
 _SPEC_ALIASES = {
     "tree": "tree_path",

@@ -3,6 +3,7 @@ and the exact-rational rate exponents."""
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from motif_poisson import (
     GraphonSpec,
     IncompleteNuTable,
+    InvalidParams,
     NotStrictlyBalanced,
     NuTable,
     SbmParams,
@@ -355,6 +357,20 @@ class TestNuTable:
     def test_value_range(self):
         with pytest.raises(ValueError):
             NuTable({(F(1), 2, 1): 1.5})
+
+    @pytest.mark.parametrize("k", [True, "1e9999999", 1.0, "1/0", None])
+    def test_exponent_key_read_once(self, k):
+        # Fraction("1e9999999") would first build a ten-million-digit integer
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams, match="nu-table k"):
+            NuTable({(k, 3, 1): 0.1})
+        assert time.perf_counter() - start < 1.0
+
+    def test_exponent_key_forms(self):
+        table = NuTable({(F(16, 3), 9, 3): 0.1, (4, 4, 1): 0.2, ("5/2", 4, 2): 0.3})
+        assert table.lookup(F(16, 3), 9, 3) == 0.1
+        assert table.lookup(F(4), 4, 1) == 0.2
+        assert table.lookup(F(5, 2), 4, 2) == 0.3
 
     @pytest.mark.parametrize("mu", [-1.0, math.nan, 5.0])
     def test_mu_outside_unit_interval_rejected(self, mu):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+from itertools import combinations
 
 import pytest
 
@@ -374,6 +376,16 @@ class TestCountCommand:
         code, out, err = run_cli(capsys, *argv, "-n", str(MAX_GRAPH_VERTICES + 1))
         assert code == 2 and out == "" and "cap" in err
 
+    @pytest.mark.parametrize("motif", ["tree:8", "complete:10"])
+    def test_oracle_work_cap_exits_2_fast(self, capsys, tmp_path, motif):
+        graph = tmp_path / "k14.txt"
+        graph.write_text("".join(f"{a} {b}\n" for a, b in combinations(range(14), 2)))
+        argv = ["count", "--bruteforce", "--motif", motif, "--graph", str(graph)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == "" and "oracle work" in err
+
     @pytest.mark.parametrize("line", ["-1 2", "0 1 2"])
     def test_bad_edge_line_exits_2(self, capsys, tmp_path, line):
         graph = tmp_path / "g.txt"
@@ -522,6 +534,27 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2 and out == ""
         assert err.startswith(f"motif-poisson: simulate {key} must be an integer")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("model", [1], "model must be a JSON object"),
+            ("model", 5, "model must be a JSON object"),
+            ("motif", 5, "motif must be a family:v string"),
+            ("motif", ["complete:3"], "motif must be a family:v string"),
+        ],
+    )
+    def test_config_model_and_motif_read_as_written(
+        self, capsys, tmp_path, key, value, message
+    ):
+        plan = {"model": {"Q": 1, "f": [1.0], "pi": [[0.04]]}, "motif": "complete:3"}
+        plan.update(n=25, replicates=80, seed=11)
+        plan[key] = value
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(plan))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"motif-poisson: {message}")
 
     def test_n_above_vertex_cap_exits_2(self, capsys):
         argv = ["simulate", "--model", '{"Q": 1, "f": [1.0], "pi": [[0.0]]}']

@@ -12,17 +12,23 @@ from hypothesis import strategies as st
 from motif_poisson import (
     DuplicateEdge,
     EmptyEdgeSet,
+    InvalidMotifError,
     IsolatedVertex,
+    Motif,
     SelfLoop,
     SingleEdge,
     TooLarge,
     automorphism_count,
     builtin_motif,
     compute_stats,
+    count_copies,
+    count_copies_bruteforce,
+    erdos_renyi,
     max_copy_capacity,
     motif_from_edge_list,
     motif_from_string,
     motif_from_text,
+    sample_sbm,
 )
 from motif_poisson.cli import main
 from motif_poisson.motif import _subgraph_minima_by_vertex_sets, stabiliser_orbits
@@ -60,11 +66,7 @@ class TestConstruction:
 
     def test_isolated_vertex_via_explicit_count(self):
         with pytest.raises(IsolatedVertex):
-            motif_from_edge_list([(0, 1), (1, 2)], vertex_count=4)
-
-    def test_vertex_count_smaller_than_labels(self):
-        with pytest.raises(ValueError):
-            motif_from_edge_list([(0, 1), (1, 2)], vertex_count=2)
+            Motif(4, ((0, 1), (1, 2)))
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
@@ -77,6 +79,83 @@ class TestConstruction:
     def test_canonical_edge_storage(self):
         m = motif_from_edge_list([(2, 1), (1, 0)])
         assert m.edges == ((0, 1), (1, 2))
+        assert Motif(3, ((1, 0), (2, 1))) == builtin_motif("tree_path", 3)
+
+    @pytest.mark.parametrize(
+        "edges, error, message",
+        [
+            (((0, 1), (1, 1), (1, 2)), SelfLoop, "self-loop at vertex 1"),
+            (((0, 1), (0, 1), (1, 2)), DuplicateEdge, r"edge \(0, 1\) listed twice"),
+            (((0, 1), (1, 5)), InvalidMotifError, r"vertex 5 outside 0\.\.2"),
+        ],
+    )
+    def test_constructor_checks_itself(self, edges, error, message):
+        # built directly, these once counted 60 and 120 copies in K_6 and
+        # raised an IndexError
+        with pytest.raises(error, match=message):
+            Motif(3, edges)
+
+    @pytest.mark.parametrize(
+        "v, edges",
+        [
+            (True, ((0, 1), (1, 2))),
+            (3.0, ((0, 1), (1, 2))),
+            ("3", ((0, 1), (1, 2))),
+            (3, ((0, 1), (1, 2.0))),
+            (3, ((0, True), (1, 2))),
+            (3, ((0, 1), (1, "2"))),
+            (3, ((0, 1), (0, 1, 2))),
+            (3, ((0, 1), 2)),
+        ],
+    )
+    def test_labels_must_be_integers(self, v, edges):
+        with pytest.raises(InvalidMotifError):
+            Motif(v, edges)
+
+    def test_numpy_integers_accepted(self):
+        m = Motif(np.int64(3), ((np.int32(1), np.int64(0)), (2, np.uint8(1))))
+        assert m == builtin_motif("tree_path", 3)
+        assert all(type(x) is int for e in m.edges for x in (m.vertex_count, *e))
+
+
+@st.composite
+def vertex_pairs(draw):
+    """A vertex count ``v`` and an edge set on ``0..v-1``, each pair in
+    either order, with at most one flaw added: a self-loop, a repeated
+    pair, an endpoint at -1 or ``v``, or one vertex more than the labels
+    (an isolated vertex).  Sparse draws also leave vertices isolated."""
+    v = draw(st.integers(min_value=2, max_value=6))
+    pairs = list(itertools.combinations(range(v), 2))
+    edges = [draw(st.sampled_from([e, e[::-1]])) for e in pairs if draw(st.booleans())]
+    vertex = st.integers(min_value=0, max_value=v - 1)
+    flaw = draw(st.sampled_from(["none", "loop", "repeat", "outside", "isolated"]))
+    if flaw == "loop":
+        x = draw(vertex)
+        edges.append((x, x))
+    elif flaw == "repeat" and edges:
+        edges.append(draw(st.sampled_from(edges))[::-1])
+    elif flaw == "outside":
+        edges.append((draw(vertex), draw(st.sampled_from([-1, v]))))
+    elif flaw == "isolated":
+        v += 1
+    return v, draw(st.permutations(edges))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    drawn=vertex_pairs(),
+    n=st.integers(min_value=6, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_constructor_refuses_or_builds_a_countable_motif(drawn, n, seed):
+    v, edges = drawn
+    try:
+        m = Motif(v, edges)
+    except InvalidMotifError:
+        return
+    assert m == motif_from_edge_list(edges)
+    g = sample_sbm(erdos_renyi(0.5), n, seed)
+    assert count_copies(g, m) == count_copies_bruteforce(g, m)
 
 
 class TestBuiltins:
