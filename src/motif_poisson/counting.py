@@ -1,18 +1,28 @@
 """Exact motif counting.
 
-``count_copies`` is the production counter: a backtracking search for
-injective edge-preserving maps with bitset candidate filtering, under the
-symmetry-breaking conditions of Grochow & Kellis (RECOMB 2007), so each
-copy is found exactly once; the injection count is the copy count times the
-automorphism count, not enumerated.  The search is one loop over an
-explicit stack, not recursion: per graph it builds one mask of the vertices
-of high enough degree for each degree the motif needs, and it never
-iterates the last position, whose candidate mask's popcount is the number
-of copies completed there.  ``count_copies_bruteforce`` enumerates
-every vertex-set position and every distinct copy of the motif on it,
-exactly as the count is defined, and serves as the independent oracle.
-Copies are counted, not induced copies: extra edges among the image
-vertices are permitted.
+``count_copies_batch`` is the production counter.  It counts, in each
+graph of a batch, the injective edge-preserving maps of the motif's
+vertices under the symmetry-breaking conditions of Grochow & Kellis
+(RECOMB 2007), so each copy is found exactly once; the injection count is
+the copy count times the automorphism count, not enumerated.
+
+The search runs level by level over NumPy arrays.  The graphs' bitset
+rows are stacked into one (B*n, ⌈n/64⌉) uint64 array, and a frontier row
+holds a graph id and the images of the positions filled so far.  A block
+of frontier rows becomes candidate rows for the next position: the
+graph's mask of vertices of high enough degree, ANDed with the rows of the
+back neighbours' images, with the images it could repeat cleared and only
+the bits above its floor's image kept.  Only their nonzero words are
+expanded into the next level's rows.  The last position is never
+expanded: its candidates' popcounts are added to their graphs' counts.
+An explicit stack of candidate blocks, each expanded at most
+``_BLOCK_ROWS`` children at a time, keeps the search's memory fixed
+however deep or wide it goes.  ``count_copies`` is a batch of one.
+
+``count_copies_bruteforce`` enumerates every vertex-set position and
+every distinct copy of the motif on it, exactly as the count is defined,
+and serves as the independent oracle.  Copies are counted, not induced
+copies: extra edges among the image vertices are permitted.
 """
 
 from __future__ import annotations
@@ -21,10 +31,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import GraphTooLargeForOracle, MotifLargerThanGraph
-from .models import SampledGraph
+import numpy as np
+
+from .errors import GraphTooLargeForOracle, InvalidParams, MotifLargerThanGraph
+from .models import _BIT64, SampledGraph, bit_positions, pack_words
 from .motif import Motif, _canonical_edges, compute_stats, stabiliser_orbits
 
 #: The brute-force oracle lists the v! vertex permutations once, then tests
@@ -33,6 +45,17 @@ from .motif import Motif, _canonical_edges, compute_stats, stabiliser_orbits
 #: alone lists 3.6 million permutations).
 ORACLE_MAX_VERTICES = 14
 ORACLE_MAX_WORK = 10**6
+
+#: Frontier rows per block of the counting search: at most ``_BLOCK_ROWS``,
+#: and fewer for long rows (a row takes ⌈n/64⌉ words) so that a block's
+#: candidates stay within ``_BLOCK_WORDS`` words, but never below
+#: ``_MIN_BLOCK_ROWS``.  Each array of a block then takes at most 128 KiB
+#: below n = 4096.
+_BLOCK_ROWS = 1024
+_BLOCK_WORDS = 16384
+_MIN_BLOCK_ROWS = 64
+#: The uint64 word with bits s..63 set, at index s = 0..64.
+_FROM = np.array([(1 << 64) - (1 << s) for s in range(65)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -128,80 +151,125 @@ def _search_plan(m: Motif) -> _SearchPlan:
     return _SearchPlan(back_edges, need_deg, floor, tuple(avoid), aut)
 
 
-def _degree_masks(adj: tuple[int, ...], degrees) -> dict[int, int]:
-    """For each degree d, the bitmask of the vertices with at least d
-    neighbors."""
-    rdeg = [a.bit_count() for a in reversed(adj)]
-    masks = {
-        d: int("".join(["1" if x >= d else "0" for x in rdeg]), 2)
-        for d in set(degrees) - {0}
-    }
-    masks[0] = (1 << len(adj)) - 1
-    return masks
+def _candidates(rows, n, masks, step, gid, img) -> np.ndarray:
+    """Candidate rows of one position for the frontier rows ``(gid, img)``:
+    the graph's degree mask, ANDed with the rows of the back neighbours'
+    images, the images the position could repeat cleared, and only the
+    bits above its floor's image kept."""
+    backs, deg, floor, avoid = step
+    cand = masks[deg][gid]
+    base = gid * n
+    for q in backs:
+        cand &= rows[base + img[:, q]]
+    if avoid:
+        at = np.arange(len(gid))
+        for q in avoid:
+            x = img[:, q]
+            cand[at, x >> 6] &= ~_BIT64[x & 63]
+    if floor >= 0:
+        # bits below s of word j are cleared for s = floor image + 1 - 64 j
+        s = img[:, floor, None] + 1 - 64 * np.arange(cand.shape[1])
+        cand &= _FROM[np.minimum(np.maximum(s, 0, out=s), 64, out=s)]
+    return cand
+
+
+def _push(stack: list, k, gid, img, cand) -> None:
+    """Push the nonzero candidate words of position ``k``, if any, with
+    their flat indices into ``cand``, whose rows are the frontier rows
+    ``(gid, img)``, and their cumulative popcounts; none is expanded yet."""
+    where = np.flatnonzero(cand != 0)
+    if len(where):
+        word = cand.ravel()[where]
+        stack.append((k, gid, img, where, word, np.bitwise_count(word).cumsum(), 0))
+
+
+def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
+    """Copies of ``m`` in each of the ``graphs`` graphs whose bitset rows
+    are stacked in ``rows``, as an int64 array.
+
+    The stack holds candidate blocks, each with the index of its first
+    word not yet expanded.  Popping one takes the next words whose
+    popcounts sum to at most a block's rows, pushes the block back if
+    words remain, and expands those words into the next level's frontier
+    rows, whose candidates are counted (last position) or pushed.  So at
+    most two blocks per level are alive at once."""
+    back_edges, need_deg, floor, avoid, _ = _search_plan(m)
+    steps = list(zip(back_edges, need_deg, floor, avoid))
+    last = len(steps) - 1
+    w = rows.shape[1]
+    cap = max(_MIN_BLOCK_ROWS, min(_BLOCK_ROWS, _BLOCK_WORDS // w))
+    degrees = np.bitwise_count(rows).sum(axis=1, dtype=np.int64).reshape(graphs, n)
+    wide = np.zeros((graphs, 64 * w), dtype=bool)
+    masks = {}
+    for d in set(need_deg):
+        wide[:, :n] = degrees >= d
+        masks[d] = pack_words(wide)
+    total = np.zeros(graphs, dtype=np.int64)
+    gid = np.arange(graphs)
+    img = np.empty((graphs, 0), dtype=np.int64)
+    stack: list = []
+    _push(stack, 0, gid, img, _candidates(rows, n, masks, steps[0], gid, img))
+    while stack:
+        k, gid, img, where, word, size, lo = stack.pop()
+        done = int(size[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(size.searchsorted(done + cap, "right")))
+        if hi < len(word):
+            stack.append((k, gid, img, where, word, size, hi))
+        bit = bit_positions(word[lo:hi])
+        src = where[lo:hi][bit >> 6]
+        parent = src // w
+        child = np.empty((len(bit), k + 1), dtype=np.int64)
+        child[:, :k] = img[parent]
+        child[:, k] = src % w * 64 + (bit & 63)
+        child_gid = gid[parent]
+        cand = _candidates(rows, n, masks, steps[k + 1], child_gid, child)
+        if k + 1 == last:
+            found = np.bitwise_count(cand).sum(axis=1, dtype=np.int64)
+            np.add.at(total, child_gid, found)
+        else:
+            _push(stack, k + 1, child_gid, child, cand)
+    return total
+
+
+def count_copies_batch(graphs: Iterable[SampledGraph], m: Motif) -> list[int]:
+    """The number of copies of ``m`` in each of ``graphs``, in order, by
+    one search over their stacked rows.  The graphs must all have the same
+    number of vertices.  Only each graph's rows are kept while ``graphs``
+    is read, so a generator of graphs frees the rest of each graph at
+    once."""
+    sizes, blocks = set(), []
+    for g in graphs:
+        sizes.add(g.n)
+        blocks.append(g.adjacency)
+    if not blocks:
+        return []
+    if len(sizes) > 1:
+        raise InvalidParams("the graphs of a batch must have the same vertex count")
+    (n,) = sizes
+    if n < m.vertex_count:
+        raise MotifLargerThanGraph(
+            f"graph has {n} vertices, motif needs {m.vertex_count}"
+        )
+    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return _count_rows(rows, n, len(blocks), m).tolist()
 
 
 def count_copies(g: SampledGraph, m: Motif) -> CopyCount:
     """Exact number of copies of ``m`` in ``g``: the injective maps of the
     motif's vertices into the graph that carry every motif edge onto a
-    graph edge, one per automorphism class.
-
-    The search fills the positions of :func:`_search_plan`'s order one at a
-    time, as a loop over an explicit stack of candidate masks.  A
-    position's candidates are the vertices of high enough degree (one mask
-    per needed degree, built once per graph), intersected with the
-    neighbor rows of its mapped back neighbors, stripped of the images it
-    could still repeat, and kept above its floor's image.  The last
-    position is never iterated: its candidate mask's popcount is added to
-    the count.
-    """
-    v = m.vertex_count
-    if g.n < v:
-        raise MotifLargerThanGraph(f"graph has {g.n} vertices, motif needs {v}")
-    back_edges, need_deg, floor, avoid, aut = _search_plan(m)
-    adj = g.adjacency
-    masks = _degree_masks(adj, need_deg)
-    steps = [
-        (b, masks[d], f, a) for b, d, f, a in zip(back_edges, need_deg, floor, avoid)
-    ]
-    last = v - 1
-    images = [0] * v
-    bits = [0] * v
-    cands = [0] * v
-    total = 0
-    pos = -1
-    while True:
-        # candidates of the position after ``pos``, images[:pos + 1] set
-        backs, cand, f, earlier = steps[pos + 1]
-        for q in backs:
-            cand &= adj[images[q]]
-        for q in earlier:
-            cand &= ~bits[q]
-        if f >= 0:
-            lo = images[f] + 1
-            cand = cand >> lo << lo
-        if pos + 1 == last:
-            total += cand.bit_count()
-        elif cand:
-            pos += 1
-            cands[pos] = cand
-        # the next image, at the deepest position with candidates left
-        while pos >= 0 and not cands[pos]:
-            pos -= 1
-        if pos < 0:
-            return CopyCount(count=total, injections=total * aut)
-        cand = cands[pos]
-        bit = cand & -cand
-        cands[pos] = cand ^ bit
-        bits[pos] = bit
-        images[pos] = bit.bit_length() - 1
+    graph edge, one per automorphism class.  A batch of one graph for
+    :func:`count_copies_batch`."""
+    (count,) = count_copies_batch([g], m)
+    return CopyCount(count=count, injections=count * _search_plan(m).aut)
 
 
-@lru_cache(maxsize=None)
 def placement_edge_sets(m: Motif) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The distinct copies of the motif on placeholder slots ``0..v-1``:
     one canonical sorted edge tuple per copy, the whole family sorted.
 
-    The family size equals v!/a(G); an assertion keeps that honest.
+    The family size equals v!/a(G); an assertion keeps that honest.  It is
+    built afresh on every call and not cached: for sparse 9-vertex motifs
+    it takes hundreds of MiB.
     """
     v = m.vertex_count
     seen = {
@@ -253,7 +321,14 @@ def count_copies_bruteforce(g: SampledGraph, m: Motif) -> CopyCount:
         raise GraphTooLargeForOracle(
             f"oracle work v! + C(n, v) * rho = {work} exceeds {ORACLE_MAX_WORK}"
         )
-    total = 0
-    for alpha in itertools.combinations(range(g.n), v):
-        total += sum(copy_indicators(g, m, alpha))
+    # the indicators of copy_indicators, with the family built once; alpha
+    # ascends and each slot pair (a, b) has a < b, so every image pair is
+    # already in the canonical order of edges()
+    family = placement_edge_sets(m)
+    present = set(g.edges())
+    total = sum(
+        all((alpha[a], alpha[b]) in present for a, b in slots)
+        for alpha in itertools.combinations(range(g.n), v)
+        for slots in family
+    )
     return CopyCount(count=total, injections=total * stats.automorphism_count)

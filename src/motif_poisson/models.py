@@ -5,7 +5,9 @@ variate), then flip one independent coin per vertex pair with probability
 set by the two latents.  The samplers share that second step,
 :func:`_draw_pairs`.  It groups the vertices into blocks whose pairs are
 one coin, and skips from one success to the next by geometric gaps, so a
-graph with m edges takes O(n + m) work beside its n^2/8 bytes of bitsets.
+graph with m edges takes O(n + m) work beside its n^2/8 bytes of bitset
+rows.  A graph keeps those rows as an (n, ⌈n/64⌉) uint64 array, the form
+the counter reads.
 Block models use their classes; piecewise-constant graphons the blocks of
 the latents; smooth graphons one block at the surface maximum h*, each
 candidate pair then kept with probability h(U_i, U_j)/h*.  Candidates
@@ -21,6 +23,7 @@ Replicate ensembles derive one independent key per replicate index via
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -36,6 +39,11 @@ _SEED_MASK = (1 << 64) - 1
 _CHUNK = 1 << 18
 #: The byte with only bit b set, at index b.
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
+#: The uint64 word with only bit b set, at index b.
+_BIT64 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+#: Nonzero words unpacked at once when a graph's set bits are listed: keeps
+#: the index arrays to a few MiB however dense the graph.
+_SCAN_WORDS = 1 << 11
 
 #: Largest graph the samplers and the edge-list reader accept: its bitsets
 #: take 128 MiB.
@@ -208,40 +216,133 @@ def graphon_to_sbm(spec: GraphonSpec) -> SbmParams:
     return SbmParams(len(f), f, spec.values)
 
 
-@dataclass(frozen=True)
+def row_words(n: int) -> int:
+    """uint64 words in one bitset row of an n-vertex graph."""
+    return -(-n // 64)
+
+
+def bit_positions(words: np.ndarray) -> np.ndarray:
+    """Flat positions 64 * i + b of the set bits b of ``words.ravel()[i]``,
+    ascending."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.flatnonzero(np.unpackbits(octets, bitorder="little").view(bool))
+
+
+def _set_bits(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(u, v) of every set bit v of row u, in row-major order, in blocks of
+    at most ``_SCAN_WORDS`` nonzero words."""
+    width = 64 * rows.shape[1]
+    flat = rows.ravel()
+    if flat.size <= _SCAN_WORDS:  # one block: no need to find its nonzero words
+        at = bit_positions(flat)
+        yield at // width, at % width
+        return
+    nonzero = np.flatnonzero(flat != 0)
+    for lo in range(0, len(nonzero), _SCAN_WORDS):
+        word = nonzero[lo : lo + _SCAN_WORDS]
+        bit = bit_positions(flat[word])
+        at = word[bit >> 6] * 64 + (bit & 63)
+        yield at // width, at % width
+
+
+@dataclass(frozen=True, eq=False)
 class SampledGraph:
     """One realisation: a simple undirected graph with optional latent data.
 
-    Adjacency is stored as one integer bitset per vertex; the class labels
-    (block model) or uniform variates (graphon) that generated the graph are
-    retained for diagnostics only, bounds never read them.
+    ``adjacency`` holds one bitset row per vertex, an (n, ⌈n/64⌉) uint64
+    array in which bit ``v % 64`` of word ``v // 64`` of row ``u`` is set
+    when {u, v} is an edge.  The constructor checks it in one pass over the
+    set bits: the rows must be symmetric, with a zero diagonal and no bit
+    past column n - 1, or InvalidParams is raised.  The graph keeps a
+    read-only view of the array.  The class labels (block model) or
+    uniform variates (graphon) that generated the graph are retained for
+    diagnostics only, bounds never read them.
     """
 
     n: int
-    adjacency: tuple[int, ...]
+    adjacency: np.ndarray
     class_labels: tuple[int, ...] | None = None
     latent_u: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not hasattr(self.n, "__index__"):
+            raise InvalidParams(f"graph vertex count {self.n!r} is not an integer")
+        n = operator.index(self.n)  # NumPy ints too, stored as int
+        rows = self.adjacency
+        shape = (n, row_words(n))
+        if not (
+            isinstance(rows, np.ndarray)
+            and rows.dtype == np.uint64
+            and rows.shape == shape
+        ):
+            raise InvalidParams(f"adjacency must be a uint64 array of shape {shape}")
+        for u, v in _set_bits(rows):
+            if not (v < n).all():
+                raise InvalidParams(f"adjacency has bits past column {n - 1}")
+            loop = u == v
+            if loop.any():
+                raise InvalidParams(f"self-loop at {u[loop][0]}")
+            lone = (rows[v, u >> 6] & _BIT64[u & 63]) == 0
+            if lone.any():
+                raise InvalidParams(
+                    f"adjacency not symmetric at ({u[lone][0]}, {v[lone][0]})"
+                )
+        view = rows.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency", view)
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledGraph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.adjacency, other.adjacency)
+            and self.class_labels == other.class_labels
+            and self.latent_u == other.latent_u
+        )
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adjacency[u] >> v) & 1)
+        return bool(self.adjacency[u, v >> 6] & _BIT64[v & 63])
 
     def degree(self, u: int) -> int:
-        return self.adjacency[u].bit_count()
+        return int(np.bitwise_count(self.adjacency[u]).sum())
 
     @property
     def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adjacency) // 2
+        return int(np.bitwise_count(self.adjacency).sum()) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            mask = self.adjacency[u] >> (u + 1) << (u + 1)
-            while mask:
-                b = mask & -mask
-                mask ^= b
-                yield (u, b.bit_length() - 1)
+        for u, v in _set_bits(self.adjacency):
+            upper = u < v
+            yield from zip(u[upper].tolist(), v[upper].tolist())
 
     def to_edge_text(self) -> str:
         return "".join(f"{u} {v}\n" for u, v in self.edges())
+
+
+def _empty_rows(n: int) -> np.ndarray:
+    """Zero bitset rows of an n-vertex graph as bytes, padded to whole
+    uint64 words."""
+    return np.zeros((n, 8 * row_words(n)), dtype=np.uint8)
+
+
+def _set_edges(bits: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Set the pairs {u[i], v[i]} in both rows of the byte rows ``bits``."""
+    x, y = np.concatenate((u, v)), np.concatenate((v, u))
+    np.bitwise_or.at(bits, (x, y >> 3), _BIT[y & 7])
+
+
+def _words(octets: np.ndarray) -> np.ndarray:
+    """The uint64 rows of byte rows whose length is a multiple of 8, little
+    endian, without a copy on a little-endian machine."""
+    return octets.view("<u8").astype(np.uint64, copy=False)
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """uint64 words of 0/1 values along the last axis, whose length must be
+    a multiple of 64: value b of each run of 64 becomes bit b."""
+    return _words(np.packbits(bits, axis=-1, bitorder="little"))
 
 
 def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
@@ -251,19 +352,15 @@ def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
     unlike motifs is legal for sampled graphs (isolated vertices allowed).
     """
     pairs = parse_edge_lines(text, InvalidParams)
-    for u, v in pairs:
-        if u == v:
-            raise InvalidParams(f"self-loop at {u}")
     top = max((max(e) for e in pairs), default=-1)
     size = max(top + 1, n or 0)
     if size <= 0:
         raise InvalidParams("graph has no vertices")
     check_graph_size(size)
-    adj = [0] * size
-    for u, v in pairs:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return SampledGraph(size, tuple(adj))
+    bits = _empty_rows(size)
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    _set_edges(bits, ends[:, 0], ends[:, 1])
+    return SampledGraph(size, _words(bits))
 
 
 def check_graph_size(n: int) -> None:
@@ -349,7 +446,7 @@ def _draw_pairs(
     labels: np.ndarray,
     probs: tuple[tuple[float, ...], ...],
     keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-) -> tuple[int, ...]:
+) -> np.ndarray:
     """Bitset rows of a graph on ``len(labels)`` vertices in which pair
     {u, v} is an independent coin of probability
     ``probs[labels[u]][labels[v]]``, thinned by ``keep(u, v)`` if given.
@@ -361,13 +458,12 @@ def _draw_pairs(
     survives thinning when one more uniform falls below ``keep(u, v)``.
     Candidates come in batches of at most ``_CHUNK``, so the work is
     O(n + m) for m candidates and the int64 buffers stay bounded however
-    dense the graph.  Edges are set straight into a packed n x n/8 byte
-    buffer, no larger than the returned bitsets; one bytes copy of it is
-    sliced into the rows.
+    dense the graph.  Edges are set straight into a packed byte buffer
+    whose rows are padded to whole uint64 words, and its uint64 view is
+    returned: (n, ⌈n/64⌉) bitset rows, with no copy.
     """
     n = len(labels)
-    row_bytes = (n + 7) // 8
-    bits = np.zeros((n, row_bytes), dtype=np.uint8)
+    bits = _empty_rows(n)
     order = labels.argsort(kind="stable")
     cuts = labels[order].searchsorted(np.arange(len(probs) + 1))
     members = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
@@ -382,11 +478,8 @@ def _draw_pairs(
                 if keep is not None:
                     hit = rng.random(len(k)) < keep(u, v)
                     u, v = u[hit], v[hit]
-                x, y = np.concatenate((u, v)), np.concatenate((v, u))
-                np.bitwise_or.at(bits, (x, y >> 3), _BIT[y & 7])
-    buf = bits.tobytes()
-    starts = range(0, len(buf), row_bytes)
-    return tuple([int.from_bytes(buf[i : i + row_bytes], "little") for i in starts])
+                _set_edges(bits, u, v)
+    return _words(bits)
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:

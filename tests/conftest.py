@@ -8,7 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from motif_poisson import Motif, SampledGraph, motif_from_edge_list
+from motif_poisson import (
+    Motif,
+    SampledGraph,
+    graph_from_edge_text,
+    motif_from_edge_list,
+)
 
 
 def subgraph_minima_oracle(m: Motif) -> tuple[Fraction, Fraction]:
@@ -57,11 +62,7 @@ def random_motif(rng: np.random.Generator, v_max: int = 5) -> Motif:
 
 
 def graph_from_edges(n: int, edges) -> SampledGraph:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return SampledGraph(n, tuple(adj))
+    return graph_from_edge_text("".join(f"{u} {v}\n" for u, v in edges), n)
 
 
 def complete_graph(n: int) -> SampledGraph:

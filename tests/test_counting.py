@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from motif_poisson import (
     copies_on_vertices,
     copy_indicators,
     count_copies,
+    count_copies_batch,
     count_copies_bruteforce,
     erdos_renyi,
+    compute_stats,
     lambda_value,
     max_copy_capacity,
     motif_from_edge_list,
@@ -29,7 +32,9 @@ from motif_poisson import (
     sample_sbm,
     substream_seed,
     GraphonSpec,
+    InvalidParams,
 )
+from motif_poisson import counting
 from motif_poisson.motif import BUILTIN_FAMILIES
 
 from conftest import complete_graph, graph_from_edges, random_motif
@@ -71,7 +76,7 @@ class TestClosedForms:
         assert count_copies_bruteforce(complete_graph(n), m).count == expected
 
     def test_empty_graph(self):
-        g = SampledGraph(6, (0,) * 6)
+        g = graph_from_edges(6, [])
         assert count_copies(g, K3).count == 0
         assert count_copies(g, P3).count == 0
 
@@ -98,13 +103,8 @@ class TestClosedForms:
 
 def adjacency_matrix(g: SampledGraph) -> np.ndarray:
     """The 0/1 int64 adjacency matrix of ``g``, unpacked from its bitsets."""
-    row_bytes = (g.n + 7) // 8
-    packed = b"".join(a.to_bytes(row_bytes, "little") for a in g.adjacency)
-    bits = np.unpackbits(
-        np.frombuffer(packed, np.uint8).reshape(g.n, row_bytes),
-        axis=1,
-        bitorder="little",
-    )
+    packed = g.adjacency.astype("<u8").view(np.uint8)
+    bits = np.unpackbits(packed, axis=1, bitorder="little")
     return bits[:, : g.n].astype(np.int64)
 
 
@@ -139,18 +139,58 @@ class TestDenseTraceFormulas:
 
 def test_count_leaves_no_garbage():
     # the search must not leave a reference cycle per call: one would keep
-    # the graph's bitsets alive until the cyclic collector ran
-    g = sample_sbm(erdos_renyi(0.3), 40, seed=5)
-    count_copies(g, K3)  # warm-up: builds and caches the search plan
+    # the graphs' bitsets alive until the cyclic collector ran
+    graphs = [sample_sbm(erdos_renyi(0.3), 40, seed=s) for s in range(5)]
+    c4 = builtin_motif("cycle", 4)
+    # warm-up: builds and caches the search plans
+    count_copies(graphs[0], K3)
+    count_copies_batch(graphs, c4)
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        count_copies(g, K3)
+        count_copies(graphs[0], K3)
+        count_copies_batch(graphs, c4)
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+def test_counting_memory_is_the_rows_plus_a_fixed_budget():
+    # 2000 vertices take 32 words a row, and about 10^6 frontier rows pass
+    # through the last level: expanded whole, that level alone would take
+    # hundreds of MiB
+    g = sample_sbm(erdos_renyi(0.5), 2000, seed=2000)
+    count_copies(graph_from_edges(3, [(0, 1)]), K3)  # caches the search plan
+    tracemalloc.start()
+    try:
+        got = count_copies(g, K3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= g.adjacency.nbytes + 2 * 2**20
+    a = adjacency_matrix(g).astype(float)
+    tr3 = ((a @ a) * a).sum()  # exact: every partial sum is below 2**53
+    assert got.count == tr3 / 6
+
+
+def test_oracle_keeps_no_family_after_the_call():
+    # the 8!/2 copies of an 8-vertex path on fixed slots take about 10 MiB;
+    # they must go when the call returns (the interpreter's free lists may
+    # keep a few hundred KiB of tuples)
+    m = builtin_motif("tree_path", 8)
+    g = graph_from_edges(8, m.edges)
+    compute_stats(m)  # the cached invariants are not the oracle's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert count_copies_bruteforce(g, m).count == 1
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before > 4 * 2**20
+    assert after - before < 2**20
 
 
 class TestErrors:
@@ -160,7 +200,7 @@ class TestErrors:
 
     def test_oracle_cap(self):
         with pytest.raises(GraphTooLargeForOracle):
-            count_copies_bruteforce(SampledGraph(15, (0,) * 15), K3)
+            count_copies_bruteforce(graph_from_edges(15, []), K3)
 
 
 class TestOracleEquivalence:
@@ -274,6 +314,68 @@ def test_symmetry_broken_counter_equals_oracle_property(edges, n, p, seed):
     assert count_copies(g, m) == count_copies_bruteforce(g, m)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    edges=st.sets(
+        st.sampled_from(list(itertools.combinations(range(5), 2))),
+        min_size=2,
+        max_size=8,
+    ),
+    n=st.integers(min_value=5, max_value=11),
+    densities=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9]), min_size=1, max_size=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    one_word_blocks=st.booleans(),
+)
+def test_batch_equals_single_counts_and_oracle(
+    edges, n, densities, seed, one_word_blocks
+):
+    # five labels, so disconnected motifs are drawn too; p = 0 graphs have
+    # no copies, so batches mix zero and nonzero counts
+    m = motif_from_edge_list(sorted(edges))
+    graphs = [
+        sample_sbm(erdos_renyi(p), n, substream_seed(seed, i))
+        for i, p in enumerate(densities)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        if one_word_blocks:  # every block is cut after one candidate word
+            mp.setattr(counting, "_BLOCK_ROWS", 1)
+            mp.setattr(counting, "_MIN_BLOCK_ROWS", 1)
+        batch = count_copies_batch(graphs, m)
+    assert batch == [count_copies(g, m).count for g in graphs]
+    assert batch == [count_copies_bruteforce(g, m).count for g in graphs]
+
+
+@pytest.mark.parametrize("block_rows", [1, 64, counting._BLOCK_ROWS])
+def test_multi_word_batch_against_trace_formulas(monkeypatch, block_rows):
+    # 130 vertices take three words a row; the counts of a mixed batch must
+    # each equal their graph's closed-walk count
+    monkeypatch.setattr(counting, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(counting, "_MIN_BLOCK_ROWS", min(block_rows, 64))
+    graphs = [
+        sample_sbm(erdos_renyi(p), 130, seed=i)
+        for i, p in enumerate([0.3, 0.0, 0.05, 0.6, 0.01])
+    ]
+    c4 = builtin_motif("cycle", 4)
+    triangles, squares = [], []
+    for g in graphs:
+        a = adjacency_matrix(g)
+        a2, d = a @ a, a.sum(axis=1)
+        triangles.append(int((a2 * a).sum()) // 6)
+        closed = int((a2 * a2).sum()) - 2 * int((d * d).sum()) + int(d.sum())
+        squares.append(closed // 8)
+    assert count_copies_batch(graphs, K3) == triangles
+    assert count_copies_batch(graphs, c4) == squares
+    assert triangles[1] == 0 and min(triangles[0], triangles[3]) > 0
+
+
+def test_batch_input_forms():
+    # any iterable of graphs of one size, a generator too
+    assert count_copies_batch((complete_graph(5) for _ in range(3)), K3) == [10] * 3
+    assert count_copies_batch([], K3) == []
+    with pytest.raises(InvalidParams, match="same vertex count"):
+        count_copies_batch([complete_graph(5), complete_graph(6)], K3)
+
+
 class TestProperties:
     def test_monotone_in_edges(self, rng):
         for i in range(10):
@@ -288,10 +390,7 @@ class TestProperties:
             if not absent:
                 continue
             u, v = absent[int(rng.integers(len(absent)))]
-            adj = list(g.adjacency)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            after = count_copies(SampledGraph(g.n, tuple(adj)), K3).count
+            after = count_copies(graph_from_edges(g.n, [*g.edges(), (u, v)]), K3).count
             assert after >= before
 
     def test_capacity_bound_and_tightness(self, rng):
@@ -309,12 +408,10 @@ class TestProperties:
         reference = count_copies(g, K3).count
         for _ in range(20):
             perm = rng.permutation(g.n)
-            adj = [0] * g.n
-            for u, v in g.edges():
-                pu, pv = int(perm[u]), int(perm[v])
-                adj[pu] |= 1 << pv
-                adj[pv] |= 1 << pu
-            assert count_copies(SampledGraph(g.n, tuple(adj)), K3).count == reference
+            relabelled = graph_from_edges(
+                g.n, [(perm[u], perm[v]) for u, v in g.edges()]
+            )
+            assert count_copies(relabelled, K3).count == reference
 
     def test_empirical_mean_matches_expected_count(self):
         # CLT band: the ensemble average of W sits within 3 std errors of

@@ -15,6 +15,7 @@ from motif_poisson import (
     MAX_GRAPH_VERTICES,
     GraphonSpec,
     InvalidParams,
+    SampledGraph,
     SbmParams,
     WrongFamily,
     erdos_renyi,
@@ -25,6 +26,7 @@ from motif_poisson import (
     sample_sbm,
     substream_seed,
 )
+from motif_poisson import models
 from motif_poisson.models import _triangle_pair
 
 
@@ -479,11 +481,73 @@ class TestSkipSampler:
         assert peak <= 1.1 * mib * 2**20
 
 
+def rows(*words, width=1):
+    """(len(words) // width, width) uint64 bitset rows from word values."""
+    return np.array(words, dtype=np.uint64).reshape(-1, width)
+
+
+class TestSampledGraph:
+    @pytest.mark.parametrize(
+        "adjacency, problem",
+        [
+            # edge {0, 1} and {0, 2} stored in row 0 only: the methods
+            # used to disagree (edge_count 1, two edges listed)
+            (rows(0b110, 0, 0), "not symmetric at \\(0, 1\\)"),
+            # a self-loop at 0 beside the edge {0, 1}
+            (rows(0b011, 0b001, 0), "self-loop at 0"),
+            # bit 3 of row 0 is past the last vertex
+            (rows(0b1000, 0, 0), "past column 2"),
+            ((0b110, 0b101, 0b011), "uint64 array of shape \\(3, 1\\)"),
+            (rows(0, 0, 0).astype(np.int64), "uint64 array"),
+            (rows(0, 0, 0, 0, 0, 0, width=2), "shape \\(3, 1\\)"),
+        ],
+        ids=["one_way", "self_loop", "padding", "int_tuple", "int64", "wide"],
+    )
+    def test_rows_checked(self, adjacency, problem):
+        with pytest.raises(InvalidParams, match=problem):
+            SampledGraph(3, adjacency)
+
+    def test_vertex_count_is_an_integer(self):
+        assert SampledGraph(np.int64(3), rows(0, 0, 0)).n == 3
+        for n in (3.0, True, "3"):
+            with pytest.raises(InvalidParams, match="not an integer"):
+                SampledGraph(n, rows(0, 0, 0))
+
+    def test_checks_reach_every_word(self):
+        # 7 words a row, and more nonzero words than one scan block
+        n = 400
+        g = sample_sbm(erdos_renyi(0.9), n, seed=2)
+        assert np.count_nonzero(g.adjacency) > models._SCAN_WORDS
+        for u, v in ((0, 399), (399, 0), (398, 64)):
+            bad = g.adjacency.copy()
+            bad[u, v >> 6] ^= np.uint64(1 << (v & 63))
+            with pytest.raises(InvalidParams, match="not symmetric"):
+                SampledGraph(n, bad)
+        loop = g.adjacency.copy()
+        loop[399, 6] |= np.uint64(1 << 15)
+        with pytest.raises(InvalidParams, match="self-loop at 399"):
+            SampledGraph(n, loop)
+        pad = g.adjacency.copy()
+        pad[5, 6] |= np.uint64(1 << 16)
+        with pytest.raises(InvalidParams, match="past column 399"):
+            SampledGraph(n, pad)
+
+    def test_methods_agree_and_rows_read_only(self):
+        g = sample_sbm(erdos_renyi(0.3), 70, seed=4)
+        edges = list(g.edges())
+        assert len(edges) == g.edge_count
+        assert sum(g.degree(u) for u in range(g.n)) == 2 * g.edge_count
+        assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in edges)
+        assert not any(g.has_edge(u, u) for u in range(g.n))
+        with pytest.raises(ValueError):
+            g.adjacency[0, 0] = 0
+
+
 class TestEdgeText:
     def test_round_trip(self):
         g = sample_sbm(erdos_renyi(0.4), 12, seed=31)
         parsed = graph_from_edge_text(g.to_edge_text(), n=12)
-        assert parsed.adjacency == g.adjacency
+        assert np.array_equal(parsed.adjacency, g.adjacency)
 
     def test_comments_and_isolated(self):
         g = graph_from_edge_text("# header\n0 1\n2 3\n", n=6)

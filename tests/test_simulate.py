@@ -1,5 +1,7 @@
 """Replicate ensembles: determinism, statistical consistency, bootstrap."""
 
+import gc
+import json
 import math
 import threading
 
@@ -8,7 +10,6 @@ import pytest
 
 from motif_poisson import (
     MAX_GRAPH_VERTICES,
-    CopyCount,
     GraphonSpec,
     InvalidParams,
     SbmParams,
@@ -47,16 +48,57 @@ class TestDeterminism:
                 assert run(plan, threads=threads).to_dict() == reference
 
     def test_threads_start_no_thread(self, monkeypatch):
-        seen, count_copies = [], simulate.count_copies
+        seen, count_batch = [], simulate.count_copies_batch
 
-        def spy(graph, motif):
-            seen.append(threading.active_count())
-            return count_copies(graph, motif)
+        def spy(graphs, motif):
+            graphs = list(graphs)
+            seen.append((len(graphs), threading.active_count()))
+            return count_batch(graphs, motif)
 
-        monkeypatch.setattr(simulate, "count_copies", spy)
+        monkeypatch.setattr(simulate, "count_copies_batch", spy)
         before = threading.active_count()
         run(er_plan(replicates=8), threads=4)
-        assert len(seen) == 8 and max(seen) <= before
+        assert sum(size for size, _ in seen) == 8
+        assert max(active for _, active in seen) <= before
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            er_plan(replicates=101),
+            er_plan(p=0.3, n=20, replicates=50, seed=7),
+            SimulationPlan(
+                model=GraphonSpec(family="product", scale=0.5),
+                motif=builtin_motif("cycle", 4),
+                n=70,
+                replicates=45,
+                seed=3,
+            ),
+        ],
+        ids=["er_sparse", "er_dense", "graphon_c4"],
+    )
+    def test_batch_size_changes_nothing(self, monkeypatch, plan):
+        # the default batches hold hundreds of these graphs, and 101 and 45
+        # replicates leave a short last batch
+        assert simulate._batch_size(plan.n) > 8
+        batched = json.dumps(run(plan).to_dict())
+        monkeypatch.setattr(simulate, "_BATCH_WORDS", 1)
+        assert simulate._batch_size(plan.n) == 1
+        assert json.dumps(run(plan).to_dict()) == batched
+
+    def test_run_leaves_no_garbage(self):
+        # batches are counted without reference cycles, so no graph of a
+        # run waits for the cyclic collector
+        plan = er_plan(p=0.2, n=70, replicates=30)
+        run(plan)  # warm-up: builds and caches the search plan and the bound
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            run(plan)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_seed_changes_results(self):
         a = run(er_plan(seed=1)).histogram
@@ -113,7 +155,9 @@ class TestSummaryInvariants:
         counts = [2**53 + 2, 1, 2**53, 7, 3]
         drawn = iter(counts)
         monkeypatch.setattr(
-            simulate, "count_copies", lambda graph, motif: CopyCount(next(drawn), 0)
+            simulate,
+            "count_copies_batch",
+            lambda graphs, motif: [next(drawn) for _ in graphs],
         )
         summary = run(er_plan(replicates=len(counts)))
         mean = math.fsum(counts) / len(counts)
