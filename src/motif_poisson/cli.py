@@ -249,10 +249,10 @@ def _cmd_count(args) -> int:
     m = _load_motif(args.motif)
     graph = graph_from_edge_text(Path(args.graph).read_text(), n=args.n)
     counter = count_copies_bruteforce if args.bruteforce else count_copies
-    result = counter(graph, m)
+    count = counter(graph, m)
     payload = {
-        "count": result.count,
-        "injections": result.injections,
+        "count": count,
+        "injections": count * compute_stats(m).automorphism_count,
         "graph": {"n": graph.n, "edges": graph.edge_count},
         "manifest": _manifest(
             args, {"motif": args.motif, "graph": args.graph}, args.stamp

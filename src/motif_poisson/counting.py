@@ -3,8 +3,7 @@
 ``count_copies_batch`` is the production counter.  It counts, in each
 graph of a batch, the injective edge-preserving maps of the motif's
 vertices under the symmetry-breaking conditions of Grochow & Kellis
-(RECOMB 2007), so each copy is found exactly once; the injection count is
-the copy count times the automorphism count, not enumerated.
+(RECOMB 2007), so each copy is found exactly once.
 
 The search runs level by level over NumPy arrays.  The graphs' bitset
 rows are stacked into one (B*n, ⌈n/64⌉) uint64 array, and a frontier row
@@ -19,9 +18,11 @@ An explicit stack of candidate blocks, each expanded at most
 ``_BLOCK_ROWS`` children at a time, keeps the search's memory fixed
 however deep or wide it goes.  ``count_copies`` is a batch of one.
 
-``count_copies_bruteforce`` enumerates every vertex-set position and
-every distinct copy of the motif on it, exactly as the count is defined,
-and serves as the independent oracle.  Copies are counted, not induced
+``count_copies_bruteforce`` sums the copy indicators over every
+vertex-set position, exactly as the count is defined, and serves as the
+independent oracle.  Each copy on a position is an int mask over the
+position's v(v-1)/2 vertex pairs, present when the pairs that are edges
+cover it (``mask & present == mask``).  Copies are counted, not induced
 copies: extra edges among the image vertices are permitted.
 """
 
@@ -29,15 +30,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import GraphTooLargeForOracle, InvalidParams, MotifLargerThanGraph
+from .errors import GraphTooLargeForOracle, InvalidParams
 from .models import _BIT64, SampledGraph, bit_positions, pack_words
-from .motif import Motif, _canonical_edges, compute_stats, stabiliser_orbits
+from .motif import Motif, check_fits, compute_stats, stabiliser_orbits
 
 #: The brute-force oracle lists the v! vertex permutations once, then tests
 #: all copies per position at all C(n, v) positions.  That blows up
@@ -58,37 +58,18 @@ _MIN_BLOCK_ROWS = 64
 _FROM = np.array([(1 << 64) - (1 << s) for s in range(65)], dtype=np.uint64)
 
 
-@dataclass(frozen=True)
-class CopyCount:
-    """A motif count together with the underlying injection count.
-
-    ``injections`` is the number of injective edge-preserving maps from the
-    motif into the graph, which is the copy count times the automorphism
-    count.
-    """
-
-    count: int
-    injections: int
-
-    def __post_init__(self):
-        if self.count < 0 or self.injections < 0:
-            raise ValueError("counts must be non-negative")
-
-
 class _SearchPlan(NamedTuple):
     """Per-motif work shared by every count.  For each position of the
     search order: the earlier positions holding already-mapped neighbors;
     the degree its image needs, or 0 where those neighbors already
     guarantee it; the symmetry-breaking floor (the earlier position whose
     image its own must exceed, or -1); and the earlier positions off its
-    floor chain, whose images it must still avoid.  And the automorphism
-    count."""
+    floor chain, whose images it must still avoid."""
 
     back_edges: tuple[tuple[int, ...], ...]
     need_deg: tuple[int, ...]
     floor: tuple[int, ...]
     avoid: tuple[tuple[int, ...], ...]
-    aut: int
 
 
 @lru_cache(maxsize=None)
@@ -147,8 +128,7 @@ def _search_plan(m: Motif) -> _SearchPlan:
             chain.add(k)
             k = floor[k]
         avoid.append(tuple(k for k in range(i) if k not in chain))
-    aut = math.prod(orbit.bit_count() for orbit in orbits)
-    return _SearchPlan(back_edges, need_deg, floor, tuple(avoid), aut)
+    return _SearchPlan(back_edges, need_deg, floor, tuple(avoid))
 
 
 def _candidates(rows, n, masks, step, gid, img) -> np.ndarray:
@@ -193,7 +173,7 @@ def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
     words remain, and expands those words into the next level's frontier
     rows, whose candidates are counted (last position) or pushed.  So at
     most two blocks per level are alive at once."""
-    back_edges, need_deg, floor, avoid, _ = _search_plan(m)
+    back_edges, need_deg, floor, avoid = _search_plan(m)
     steps = list(zip(back_edges, need_deg, floor, avoid))
     last = len(steps) - 1
     w = rows.shape[1]
@@ -246,89 +226,90 @@ def count_copies_batch(graphs: Iterable[SampledGraph], m: Motif) -> list[int]:
     if len(sizes) > 1:
         raise InvalidParams("the graphs of a batch must have the same vertex count")
     (n,) = sizes
-    if n < m.vertex_count:
-        raise MotifLargerThanGraph(
-            f"graph has {n} vertices, motif needs {m.vertex_count}"
-        )
+    check_fits(m, n)
     rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return _count_rows(rows, n, len(blocks), m).tolist()
 
 
-def count_copies(g: SampledGraph, m: Motif) -> CopyCount:
+def count_copies(g: SampledGraph, m: Motif) -> int:
     """Exact number of copies of ``m`` in ``g``: the injective maps of the
     motif's vertices into the graph that carry every motif edge onto a
-    graph edge, one per automorphism class.  A batch of one graph for
+    graph edge, one per automorphism class, so the maps number this count
+    times the automorphism count.  A batch of one graph for
     :func:`count_copies_batch`."""
     (count,) = count_copies_batch([g], m)
-    return CopyCount(count=count, injections=count * _search_plan(m).aut)
+    return count
 
 
-def placement_edge_sets(m: Motif) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The distinct copies of the motif on placeholder slots ``0..v-1``:
-    one canonical sorted edge tuple per copy, the whole family sorted.
+def _slot_bits(v: int) -> list[list[int]]:
+    """``bits[a][b]``, the mask bit of slot pair {a, b}: ``1 << k`` for the
+    k-th pair of ``itertools.combinations(range(v), 2)``."""
+    bits = [[0] * v for _ in range(v)]
+    for k, (a, b) in enumerate(itertools.combinations(range(v), 2)):
+        bits[a][b] = bits[b][a] = 1 << k
+    return bits
+
+
+def _copy_masks(m: Motif) -> list[int]:
+    """The distinct copies of the motif on placeholder slots ``0..v-1``, as
+    ascending masks of :func:`_slot_bits`.
 
     The family size equals v!/a(G); an assertion keeps that honest.  It is
-    built afresh on every call and not cached: for sparse 9-vertex motifs
-    it takes hundreds of MiB.
+    built afresh on every call and not cached: a sparse 9-vertex motif has
+    181,440 copies, about 7 MiB as a list of ints.
     """
     v = m.vertex_count
-    seen = {
-        _canonical_edges((p[a], p[b]) for a, b in m.edges)
-        for p in itertools.permutations(range(v))
-    }
-    family = tuple(sorted(seen))
+    bits = _slot_bits(v)
+    family = sorted(
+        {
+            sum(bits[p[a]][p[b]] for a, b in m.edges)
+            for p in itertools.permutations(range(v))
+        }
+    )
     assert len(family) == compute_stats(m).rho
     return family
 
 
-def copies_on_vertices(
-    m: Motif, alpha: tuple[int, ...]
-) -> list[tuple[tuple[int, int], ...]]:
-    """All distinct copies of ``m`` on the fixed vertex tuple ``alpha``, as
-    sorted edge tuples in a deterministic order (sorted by edge set)."""
-    if len(alpha) != m.vertex_count:
-        raise ValueError("alpha must have exactly v(G) vertices")
-    return sorted(
-        _canonical_edges((alpha[a], alpha[b]) for a, b in slots)
-        for slots in placement_edge_sets(m)
+def _present(g: SampledGraph, alpha: tuple[int, ...], bits) -> int:
+    """The mask of the slot pairs whose images under ``alpha`` are edges
+    of ``g``."""
+    return sum(
+        bits[a][b]
+        for a, b in itertools.combinations(range(len(alpha)), 2)
+        if g.has_edge(alpha[a], alpha[b])
     )
 
 
 def copy_indicators(
     g: SampledGraph, m: Motif, alpha: tuple[int, ...]
 ) -> list[int]:
-    """Indicator per distinct copy on ``alpha`` (order of
-    :func:`copies_on_vertices`): 1 iff every edge of that copy is in ``g``."""
-    return [
-        int(all(g.has_edge(u, w) for u, w in copy))
-        for copy in copies_on_vertices(m, alpha)
-    ]
+    """Indicator per distinct copy of ``m`` on the vertex tuple ``alpha``
+    (slot i on vertex ``alpha[i]``), in the order of :func:`_copy_masks`:
+    1 iff every edge of that copy is in ``g``."""
+    if len(alpha) != m.vertex_count:
+        raise ValueError("alpha must have exactly v(G) vertices")
+    have = _present(g, alpha, _slot_bits(len(alpha)))
+    return [int(mask & have == mask) for mask in _copy_masks(m)]
 
 
-def count_copies_bruteforce(g: SampledGraph, m: Motif) -> CopyCount:
+def count_copies_bruteforce(g: SampledGraph, m: Motif) -> int:
     """Oracle counter: sum the copy indicators over every vertex-set
     position, literally as the count is defined."""
     v = m.vertex_count
-    if g.n < v:
-        raise MotifLargerThanGraph(f"graph has {g.n} vertices, motif needs {v}")
+    check_fits(m, g.n)
     if g.n > ORACLE_MAX_VERTICES:
         raise GraphTooLargeForOracle(
             f"oracle capped at {ORACLE_MAX_VERTICES} vertices, got {g.n}"
         )
-    stats = compute_stats(m)
-    work = math.factorial(v) + math.comb(g.n, v) * stats.rho
+    work = math.factorial(v) + math.comb(g.n, v) * compute_stats(m).rho
     if work > ORACLE_MAX_WORK:
         raise GraphTooLargeForOracle(
             f"oracle work v! + C(n, v) * rho = {work} exceeds {ORACLE_MAX_WORK}"
         )
-    # the indicators of copy_indicators, with the family built once; alpha
-    # ascends and each slot pair (a, b) has a < b, so every image pair is
-    # already in the canonical order of edges()
-    family = placement_edge_sets(m)
-    present = set(g.edges())
-    total = sum(
-        all((alpha[a], alpha[b]) in present for a, b in slots)
-        for alpha in itertools.combinations(range(g.n), v)
-        for slots in family
-    )
-    return CopyCount(count=total, injections=total * stats.automorphism_count)
+    # the indicators of copy_indicators, with the family built once
+    family, bits = _copy_masks(m), _slot_bits(v)
+    total = 0
+    for alpha in itertools.combinations(range(g.n), v):
+        have = _present(g, alpha, bits)
+        total += sum(mask & have == mask for mask in family)
+    return total

@@ -89,8 +89,8 @@ class WrongFamily(InvalidParams):
 # --------------------------------------------------------------- counting
 
 
-class MotifLargerThanGraph(MotifPoissonError):
-    pass
+class MotifLargerThanGraph(InvalidParams):
+    """The graph has fewer vertices than the motif."""
 
 
 class GraphTooLargeForOracle(MotifPoissonError):

@@ -7,7 +7,7 @@ set by the two latents.  The samplers share that second step,
 one coin, and skips from one success to the next by geometric gaps, so a
 graph with m edges takes O(n + m) work beside its n^2/8 bytes of bitset
 rows.  A graph keeps those rows as an (n, ⌈n/64⌉) uint64 array, the form
-the counter reads.
+the counter reads; the latents are not kept.
 Block models use their classes; piecewise-constant graphons the blocks of
 the latents; smooth graphons one block at the surface maximum h*, each
 candidate pair then kept with probability h(U_i, U_j)/h*.  Candidates
@@ -247,22 +247,18 @@ def _set_bits(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
-    """One realisation: a simple undirected graph with optional latent data.
+    """One realisation: a simple undirected graph on ``n`` vertices.
 
     ``adjacency`` holds one bitset row per vertex, an (n, ⌈n/64⌉) uint64
     array in which bit ``v % 64`` of word ``v // 64`` of row ``u`` is set
     when {u, v} is an edge.  The constructor checks it in one pass over the
     set bits: the rows must be symmetric, with a zero diagonal and no bit
     past column n - 1, or InvalidParams is raised.  The graph keeps a
-    read-only view of the array.  The class labels (block model) or
-    uniform variates (graphon) that generated the graph are retained for
-    diagnostics only, bounds never read them.
+    read-only view of the array.
     """
 
     n: int
     adjacency: np.ndarray
-    class_labels: tuple[int, ...] | None = None
-    latent_u: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not hasattr(self.n, "__index__"):
@@ -295,18 +291,10 @@ class SampledGraph:
     def __eq__(self, other):
         if not isinstance(other, SampledGraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.adjacency, other.adjacency)
-            and self.class_labels == other.class_labels
-            and self.latent_u == other.latent_u
-        )
+        return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u, v >> 6] & _BIT64[v & 63])
-
-    def degree(self, u: int) -> int:
-        return int(np.bitwise_count(self.adjacency[u]).sum())
 
     @property
     def edge_count(self) -> int:
@@ -492,11 +480,7 @@ def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
     cum = np.asarray(params.proportions).cumsum()
     labels = cum.searchsorted(rng.random(n), side="right")
     labels = np.minimum(labels, params.class_count - 1)
-    return SampledGraph(
-        n=n,
-        adjacency=_draw_pairs(rng, labels, params.edge_probs),
-        class_labels=tuple(labels.tolist()),
-    )
+    return SampledGraph(n, _draw_pairs(rng, labels, params.edge_probs))
 
 
 def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
@@ -519,6 +503,4 @@ def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
             ((top,),),
             keep=lambda u, v: spec.evaluate(latent[u], latent[v]) / top,
         )
-    return SampledGraph(
-        n=n, adjacency=adjacency, latent_u=tuple(latent.tolist())
-    )
+    return SampledGraph(n, adjacency)

@@ -21,8 +21,8 @@ from .errors import (
     DuplicateEdge,
     EmptyEdgeSet,
     InvalidMotifError,
-    InvalidParams,
     IsolatedVertex,
+    MotifLargerThanGraph,
     SelfLoop,
     SingleEdge,
     TooLarge,
@@ -366,20 +366,12 @@ def compute_stats(m: Motif) -> MotifStats:
 
 
 def check_fits(m: Motif, n: int) -> None:
-    """InvalidParams unless a graph on ``n`` vertices has room for ``m``."""
+    """MotifLargerThanGraph unless a graph on ``n`` vertices has room for
+    ``m``."""
     if n < m.vertex_count:
-        raise InvalidParams(f"n={n} smaller than motif ({m.vertex_count} vertices)")
-
-
-def max_copy_capacity(m: Motif, n: int) -> int:
-    """Maximum possible number of copies of ``m`` in any graph on ``n``
-    vertices: the number of vertex-set positions times the number of
-    distinct copies per position.  Exact integer (Python integers do not
-    overflow, so no saturation can occur).
-    """
-    check_fits(m, n)
-    stats = compute_stats(m)
-    return math.comb(n, m.vertex_count) * stats.rho
+        raise MotifLargerThanGraph(
+            f"n={n} smaller than motif ({m.vertex_count} vertices)"
+        )
 
 
 def stats_to_dict(stats: MotifStats) -> dict:

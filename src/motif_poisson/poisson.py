@@ -23,16 +23,6 @@ def poisson_pmf(lam: float, k: int) -> float:
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
-def poisson_tail(lam: float, k: int) -> float:
-    """P(X > k): one minus the CDF, with compensated summation."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    cdf = math.fsum(poisson_pmf(lam, j) for j in range(k + 1))
-    return max(0.0, 1.0 - cdf)
-
-
 def tv_distance_empirical(hist: Mapping[int, float], lam: float) -> float:
     """Total variation distance between an empirical integer law and
     Poisson(lam).

@@ -152,13 +152,12 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     sampled; lambda is the bound report's, and mu is evaluated on its own
     only when the motif is not strictly balanced.  ``threads`` must be at
     least 1; it is accepted for compatibility and changes neither the
-    result nor how the work runs: a thread pool over replicates only
-    slowed the run down.  Replicates are sampled in index order with their
-    own (seed, r) keys and counted in batches of :func:`_batch_size`
-    graphs, and the counts are tallied in index order, so the batch size
-    changes nothing in the summary.  Each batch is handed over as a
-    generator, so only the rows of its graphs are kept until it is
-    counted.
+    result nor how the work runs.  Replicates are sampled in index order
+    with their own (seed, r) keys and counted in batches of
+    :func:`_batch_size` graphs, and the counts are tallied in index order,
+    so the batch size changes nothing in the summary.  Each batch is
+    handed over as a generator, so only the rows of its graphs are kept
+    until it is counted.
     """
     if threads < 1:
         raise InvalidParams("threads must be >= 1")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 from motif_poisson import (
     Motif,
     SampledGraph,
+    SbmParams,
     graph_from_edge_text,
     motif_from_edge_list,
+    poisson_pmf,
 )
 
 
@@ -67,6 +70,25 @@ def graph_from_edges(n: int, edges) -> SampledGraph:
 
 def complete_graph(n: int) -> SampledGraph:
     return graph_from_edges(n, itertools.combinations(range(n), 2))
+
+
+def replayed_latents(n: int, seed: int) -> np.ndarray:
+    """The latent uniforms of the graph a sampler draws from ``seed``: both
+    samplers start with n draws from the Philox generator keyed by it."""
+    return np.random.Generator(np.random.Philox(key=seed)).random(n)
+
+
+def replayed_labels(params: SbmParams, n: int, seed: int) -> tuple[int, ...]:
+    """The class labels of ``sample_sbm(params, n, seed)``: its latents by
+    inverse CDF over the proportions, capped at the last class."""
+    cum = np.asarray(params.proportions).cumsum()
+    labels = cum.searchsorted(replayed_latents(n, seed), side="right")
+    return tuple(np.minimum(labels, params.class_count - 1).tolist())
+
+
+def poisson_tail(lam: float, k: int) -> float:
+    """P(X > k) for X ~ Poisson(lam): one minus the compensated CDF."""
+    return max(0.0, 1.0 - math.fsum(poisson_pmf(lam, j) for j in range(k + 1)))
 
 
 @pytest.fixture

@@ -314,7 +314,7 @@ def test_criterion_7_worked_example():
     indicators = copy_indicators(four_cycle, p3, (0, 1, 2))
     if indicators != [0, 1, 0]:
         failures.append(f"indicators {indicators} != [0, 1, 0]")
-    total = count_copies(four_cycle, p3).count
+    total = count_copies(four_cycle, p3)
     if total != 4:
         failures.append(f"count {total} != 4")
     _report(

@@ -28,18 +28,16 @@ from motif_poisson import (
     erdos_renyi,
     graphon_to_sbm,
     lambda_value,
-    max_copy_capacity,
     motif_from_edge_list,
     mu_graphon,
     mu_sbm,
     poisson_pmf,
-    poisson_tail,
     rate_exponent,
     tv_distance_empirical,
 )
 from motif_poisson import bounds
 
-from conftest import random_motif
+from conftest import poisson_tail, random_motif
 
 F = Fraction
 K3 = builtin_motif("complete", 3)
@@ -183,8 +181,9 @@ class TestLambda:
         assert lambda_value(K3, 50, 0.0) == 0.0
 
     def test_capacity_cross_check(self):
+        # every pair present: the C(4, 3) positions times 3 paths on each
         assert lambda_value(P3, 4, 1.0) == pytest.approx(
-            max_copy_capacity(P3, 4), rel=1e-12
+            math.comb(4, 3) * 3, rel=1e-12
         )
 
 
@@ -526,11 +525,6 @@ class TestPoissonUtilities:
     def test_normalisation(self):
         total = math.fsum(poisson_pmf(5.0, k) for k in range(201))
         assert abs(total - 1.0) < 1e-12
-
-    def test_tail_complements_cdf(self):
-        for lam, k in ((0.5, 0), (3.0, 4), (10.0, 25)):
-            cdf = math.fsum(poisson_pmf(lam, j) for j in range(k + 1))
-            assert poisson_tail(lam, k) == pytest.approx(1 - cdf, abs=1e-14)
 
 
 class TestTvDistance:

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,13 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motif_poisson import (
-    CopyCount,
     GraphTooLargeForOracle,
     MotifLargerThanGraph,
     SampledGraph,
     automorphism_count,
     builtin_motif,
-    copies_on_vertices,
     copy_indicators,
     count_copies,
     count_copies_batch,
@@ -25,7 +24,6 @@ from motif_poisson import (
     erdos_renyi,
     compute_stats,
     lambda_value,
-    max_copy_capacity,
     motif_from_edge_list,
     mu_sbm,
     sample_graphon,
@@ -33,8 +31,11 @@ from motif_poisson import (
     substream_seed,
     GraphonSpec,
     InvalidParams,
+    SimulationPlan,
+    bound_scaled,
 )
 from motif_poisson import counting
+from motif_poisson.cli import main
 from motif_poisson.motif import BUILTIN_FAMILIES
 
 from conftest import complete_graph, graph_from_edges, random_motif
@@ -48,57 +49,50 @@ FOUR_CYCLE = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 class TestWorkedExample:
     def test_path_copies_in_four_cycle(self):
         # each vertex of the cycle is the centre of exactly one path
-        assert count_copies(FOUR_CYCLE, P3).count == 4
-        assert count_copies_bruteforce(FOUR_CYCLE, P3).count == 4
+        assert count_copies(FOUR_CYCLE, P3) == 4
+        assert count_copies_bruteforce(FOUR_CYCLE, P3) == 4
 
     def test_three_indicators_on_fixed_position(self):
-        # the three distinct path placements on {0,1,2}: only the one
-        # centred at 1 is present in the cycle
-        placements = copies_on_vertices(P3, (0, 1, 2))
-        assert placements == [
-            ((0, 1), (0, 2)),
-            ((0, 1), (1, 2)),
-            ((0, 2), (1, 2)),
-        ]
-        assert copy_indicators(FOUR_CYCLE, P3, (0, 1, 2)) == [0, 1, 0]
+        # the three distinct path placements on {0,1,2}, in the order of
+        # their edge sets: only the one centred at 1 is present in the cycle
+        placements = [((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2))]
+        present = [int(all(FOUR_CYCLE.has_edge(*e) for e in p)) for p in placements]
+        assert present == [0, 1, 0]
+        assert copy_indicators(FOUR_CYCLE, P3, (0, 1, 2)) == present
 
 
 class TestClosedForms:
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_triangles_in_complete_graph(self, n):
-        assert count_copies(complete_graph(n), K3).count == math.comb(n, 3)
+        assert count_copies(complete_graph(n), K3) == math.comb(n, 3)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_hamilton_cycles_in_complete_graph(self, n):
         m = builtin_motif("cycle", n)
         expected = math.factorial(n - 1) // 2
-        assert count_copies(complete_graph(n), m).count == expected
-        assert count_copies_bruteforce(complete_graph(n), m).count == expected
+        assert count_copies(complete_graph(n), m) == expected
+        assert count_copies_bruteforce(complete_graph(n), m) == expected
 
     def test_empty_graph(self):
         g = graph_from_edges(6, [])
-        assert count_copies(g, K3).count == 0
-        assert count_copies(g, P3).count == 0
+        assert count_copies(g, K3) == 0
+        assert count_copies(g, P3) == 0
 
     def test_single_edge_has_no_paths(self):
         g = graph_from_edges(4, [(0, 1)])
-        assert count_copies(g, P3).count == 0
-        assert count_copies_bruteforce(g, P3).count == 0
+        assert count_copies(g, P3) == 0
+        assert count_copies_bruteforce(g, P3) == 0
 
     def test_paths_in_k4(self):
-        assert count_copies(complete_graph(4), P3).count == 12
-        assert count_copies(complete_graph(4), P3).count == max_copy_capacity(
-            P3, 4
-        )
+        # every position holds all 3 of its paths
+        assert count_copies(complete_graph(4), P3) == math.comb(4, 3) * 3 == 12
 
     @pytest.mark.parametrize("n", [5, 9, 16])
     def test_five_cliques_and_cycles_in_complete_graph(self, n):
         k5, c5 = builtin_motif("complete", 5), builtin_motif("cycle", 5)
         copies = math.comb(n, 5)
-        assert count_copies(complete_graph(n), k5) == CopyCount(copies, copies * 120)
-        assert count_copies(complete_graph(n), c5) == CopyCount(
-            12 * copies, 12 * copies * 10
-        )
+        assert count_copies(complete_graph(n), k5) == copies
+        assert count_copies(complete_graph(n), c5) == 12 * copies
 
 
 def adjacency_matrix(g: SampledGraph) -> np.ndarray:
@@ -125,7 +119,7 @@ class TestDenseTraceFormulas:
         g, a, a2 = dense
         tr3 = int((a2 * a).sum())  # tr(A^3), A symmetric
         assert tr3 % 6 == 0
-        assert count_copies(g, K3) == CopyCount(tr3 // 6, tr3)
+        assert count_copies(g, K3) == tr3 // 6
 
     def test_four_cycles(self, dense):
         g, a, a2 = dense
@@ -134,7 +128,7 @@ class TestDenseTraceFormulas:
         closed = tr4 - 2 * int((d * d).sum()) + int(d.sum())  # 2m = sum d
         assert closed % 8 == 0
         c4 = builtin_motif("cycle", 4)
-        assert count_copies(g, c4) == CopyCount(closed // 8, closed)
+        assert count_copies(g, c4) == closed // 8
 
 
 def test_count_leaves_no_garbage():
@@ -172,31 +166,69 @@ def test_counting_memory_is_the_rows_plus_a_fixed_budget():
     assert peak <= g.adjacency.nbytes + 2 * 2**20
     a = adjacency_matrix(g).astype(float)
     tr3 = ((a @ a) * a).sum()  # exact: every partial sum is below 2**53
-    assert got.count == tr3 / 6
+    assert got == tr3 / 6
 
 
-def test_oracle_keeps_no_family_after_the_call():
-    # the 8!/2 copies of an 8-vertex path on fixed slots take about 10 MiB;
-    # they must go when the call returns (the interpreter's free lists may
-    # keep a few hundred KiB of tuples)
-    m = builtin_motif("tree_path", 8)
-    g = graph_from_edges(8, m.edges)
-    compute_stats(m)  # the cached invariants are not the oracle's
+def oracle_memory(v: int) -> tuple[int, int, int]:
+    """The size of the copy family of a v-vertex path as int masks (ints
+    and list), and the traced peak and remainder of one oracle call on the
+    path itself, above what was allocated before it."""
+    m = builtin_motif("tree_path", v)
+    g = graph_from_edges(v, m.edges)
+    family = counting._copy_masks(m)  # also caches the invariants
+    family_bytes = sum(map(sys.getsizeof, family)) + sys.getsizeof(family)
+    del family
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert count_copies_bruteforce(g, m).count == 1
+        assert count_copies_bruteforce(g, m) == 1
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before > 4 * 2**20
-    assert after - before < 2**20
+    return family_bytes, peak - before, after - before
+
+
+def test_oracle_keeps_no_family_after_the_call():
+    # the 8!/2 copies of an 8-vertex path on fixed slots take about 0.7 MiB
+    # as int masks; the call builds them, and they must go when it returns
+    family_bytes, peak, after = oracle_memory(8)
+    assert peak > family_bytes
+    assert after < family_bytes // 8
+
+
+def test_oracle_family_memory_is_bounded():
+    # each copy is one int mask of about 28 bytes; the set that dedupes
+    # them has at most 8 slots of 16 bytes per mask (CPython quadruples a
+    # small set's table), so the peak stays below 6 times the family's own
+    # size; a tuple of edge tuples per copy takes about 17 times it
+    family_bytes, peak, _ = oracle_memory(8)
+    assert peak < 6 * family_bytes
 
 
 class TestErrors:
     def test_motif_larger_than_graph(self):
         with pytest.raises(MotifLargerThanGraph):
             count_copies(graph_from_edges(3, [(0, 1)]), builtin_motif("cycle", 4))
+
+    def test_one_fits_check_everywhere(self, tmp_path, capsys):
+        # K4 does not fit in 3 vertices: every entry point raises the same
+        # error, an InvalidParams, so the CLI exits 2
+        k4, g = builtin_motif("complete", 4), complete_graph(3)
+        calls = [
+            lambda: SimulationPlan(erdos_renyi(0.5), k4, 3, 1, 0),
+            lambda: lambda_value(k4, 3, 0.5),
+            lambda: bound_scaled(k4, 3, 0.5, 1.0),
+            lambda: count_copies(g, k4),
+            lambda: count_copies_bruteforce(g, k4),
+        ]
+        for call in calls:
+            with pytest.raises(MotifLargerThanGraph, match="n=3 smaller than motif"):
+                call()
+        assert issubclass(MotifLargerThanGraph, InvalidParams)
+        graph = tmp_path / "k3.txt"
+        graph.write_text("0 1\n1 2\n0 2\n")
+        assert main(["count", "--motif", "complete:4", "--graph", str(graph)]) == 2
+        assert "smaller than motif" in capsys.readouterr().err
 
     def test_oracle_cap(self):
         with pytest.raises(GraphTooLargeForOracle):
@@ -230,12 +262,17 @@ class TestOracleEquivalence:
             )
 
     def test_injection_divisibility(self, rng):
+        # the injective edge-preserving maps, listed one by one, number the
+        # copies times the automorphisms, which `count` reports as injections
         for i in range(15):
             m = random_motif(rng, v_max=5)
             g = sample_sbm(erdos_renyi(0.5), 10, substream_seed(400, i))
-            cc = count_copies(g, m)
-            aut = automorphism_count(m)
-            assert cc.injections == cc.count * aut
+            a = adjacency_matrix(g).tolist()
+            maps = sum(
+                all(a[f[x]][f[y]] for x, y in m.edges)
+                for f in itertools.permutations(range(g.n), m.vertex_count)
+            )
+            assert maps == count_copies(g, m) * automorphism_count(m)
 
 
 class TestStructuredMotifs:
@@ -279,7 +316,7 @@ class TestSymmetryBreaking:
         for v in range(3, 11):
             m = builtin_motif(family, v)
             own = graph_from_edges(v, m.edges)
-            assert count_copies(own, m) == CopyCount(1, automorphism_count(m))
+            assert count_copies(own, m) == 1
 
     def test_random_self_count(self, rng):
         # every other motif is the disjoint union of two random ones
@@ -291,7 +328,7 @@ class TestSymmetryBreaking:
                     m.edges + tuple((a + shift, b + shift) for a, b in other.edges)
                 )
             own = graph_from_edges(m.vertex_count, m.edges)
-            assert count_copies(own, m) == CopyCount(1, automorphism_count(m))
+            assert count_copies(own, m) == 1
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -341,8 +378,8 @@ def test_batch_equals_single_counts_and_oracle(
             mp.setattr(counting, "_BLOCK_ROWS", 1)
             mp.setattr(counting, "_MIN_BLOCK_ROWS", 1)
         batch = count_copies_batch(graphs, m)
-    assert batch == [count_copies(g, m).count for g in graphs]
-    assert batch == [count_copies_bruteforce(g, m).count for g in graphs]
+    assert batch == [count_copies(g, m) for g in graphs]
+    assert batch == [count_copies_bruteforce(g, m) for g in graphs]
 
 
 @pytest.mark.parametrize("block_rows", [1, 64, counting._BLOCK_ROWS])
@@ -380,7 +417,7 @@ class TestProperties:
     def test_monotone_in_edges(self, rng):
         for i in range(10):
             g = sample_sbm(erdos_renyi(0.3), 10, substream_seed(500, i))
-            before = count_copies(g, K3).count
+            before = count_copies(g, K3)
             absent = [
                 (u, v)
                 for u in range(g.n)
@@ -390,7 +427,7 @@ class TestProperties:
             if not absent:
                 continue
             u, v = absent[int(rng.integers(len(absent)))]
-            after = count_copies(graph_from_edges(g.n, [*g.edges(), (u, v)]), K3).count
+            after = count_copies(graph_from_edges(g.n, [*g.edges(), (u, v)]), K3)
             assert after >= before
 
     def test_capacity_bound_and_tightness(self, rng):
@@ -398,20 +435,19 @@ class TestProperties:
             m = random_motif(rng, v_max=4)
             n = int(rng.integers(m.vertex_count, 10))
             g = sample_sbm(erdos_renyi(0.6), n, substream_seed(600, i))
-            assert count_copies(g, m).count <= max_copy_capacity(m, n)
-            assert count_copies(complete_graph(n), m).count == max_copy_capacity(
-                m, n
-            )
+            capacity = math.comb(n, m.vertex_count) * compute_stats(m).rho
+            assert count_copies(g, m) <= capacity
+            assert count_copies(complete_graph(n), m) == capacity
 
     def test_label_invariance(self, rng):
         g = sample_sbm(erdos_renyi(0.4), 12, seed=41)
-        reference = count_copies(g, K3).count
+        reference = count_copies(g, K3)
         for _ in range(20):
             perm = rng.permutation(g.n)
             relabelled = graph_from_edges(
                 g.n, [(perm[u], perm[v]) for u, v in g.edges()]
             )
-            assert count_copies(relabelled, K3).count == reference
+            assert count_copies(relabelled, K3) == reference
 
     def test_empirical_mean_matches_expected_count(self):
         # CLT band: the ensemble average of W sits within 3 std errors of
@@ -419,7 +455,7 @@ class TestProperties:
         params = erdos_renyi(0.08)
         n, reps = 30, 1500
         counts = [
-            count_copies(sample_sbm(params, n, substream_seed(550, r)), K3).count
+            count_copies(sample_sbm(params, n, substream_seed(550, r)), K3)
             for r in range(reps)
         ]
         lam = lambda_value(K3, n, mu_sbm(params, K3))

@@ -29,6 +29,8 @@ from motif_poisson import (
 from motif_poisson import models
 from motif_poisson.models import _triangle_pair
 
+from conftest import replayed_labels, replayed_latents
+
 
 def three_se(p: float, trials: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
@@ -210,8 +212,10 @@ PIN_MODELS = {
     ),
 }
 
-# sha256 prefixes of edge text + latents, recorded at sampler version 2; a
-# change to the random stream must update these and bump SAMPLER_VERSION
+# sha256 prefixes of edge text + the reprs of the replayed class labels and
+# latent uniforms (None where the model has none), recorded at sampler
+# version 2; a change to the random stream must update these and bump
+# SAMPLER_VERSION
 PINNED_DIGESTS = {
     ("sbm1", 2): "9bad26590c294d5b",
     ("sbm1", 3): "e49253da979bf5bf",
@@ -243,9 +247,14 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("name,n", sorted(PINNED_DIGESTS))
 def test_sampled_graphs_pinned(name, n):
     model = PIN_MODELS[name]
-    sample = sample_sbm if isinstance(model, SbmParams) else sample_graphon
-    g = sample(model, n, seed=1000 * list(PIN_MODELS).index(name) + n)
-    text = g.to_edge_text() + repr(g.class_labels) + repr(g.latent_u)
+    seed = 1000 * list(PIN_MODELS).index(name) + n
+    if isinstance(model, SbmParams):
+        g = sample_sbm(model, n, seed)
+        latents = (replayed_labels(model, n, seed), None)
+    else:
+        g = sample_graphon(model, n, seed)
+        latents = (None, tuple(replayed_latents(n, seed).tolist()))
+    text = g.to_edge_text() + "".join(map(repr, latents))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest[:16] == PINNED_DIGESTS[name, n]
 
@@ -296,7 +305,7 @@ class TestSampling:
         between_hits = between_pairs = 0
         for r in range(60):
             g = sample_sbm(params, n, substream_seed(11, r))
-            labels = g.class_labels
+            labels = replayed_labels(params, n, substream_seed(11, r))
             for u in range(n):
                 for v in range(u + 1, n):
                     if labels[u] == labels[v]:
@@ -332,7 +341,8 @@ class TestSampling:
         trials = {}
         for r in range(80):
             g = sample_graphon(spec, 60, substream_seed(17, r))
-            blocks = [0 if u < 0.5 else 1 for u in g.latent_u]
+            latents = replayed_latents(60, substream_seed(17, r))
+            blocks = [0 if u < 0.5 else 1 for u in latents]
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     key = tuple(sorted((blocks[u], blocks[v])))
@@ -370,12 +380,6 @@ class TestSampling:
         with pytest.raises(InvalidParams):
             sample_sbm(erdos_renyi(0.5), 1, seed=0)
 
-    def test_latents_kept(self):
-        g = sample_graphon(GraphonSpec(family="product", scale=0.5), 10, seed=1)
-        assert g.latent_u is not None and len(g.latent_u) == 10
-        g = sample_sbm(erdos_renyi(0.5), 10, seed=1)
-        assert g.class_labels == (0,) * 10
-
 
 class TestSkipSampler:
     @pytest.mark.parametrize("m", [2, 3, 4, 17, 1000])
@@ -399,7 +403,7 @@ class TestSkipSampler:
         params = SbmParams(2, (0.5, 0.5), ((1, 0), (0, 1)))
         for seed in range(5):
             g = sample_sbm(params, 30, seed)
-            labels = g.class_labels
+            labels = replayed_labels(params, 30, seed)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     assert g.has_edge(u, v) == (labels[u] == labels[v])
@@ -415,7 +419,7 @@ class TestSkipSampler:
         edges = expected = variance = 0.0
         for r in range(100):
             g = sample_graphon(spec, n, substream_seed(31, r))
-            u = np.asarray(g.latent_u)
+            u = replayed_latents(n, substream_seed(31, r))
             h = spec.evaluate(u[iu], u[ju])
             edges += g.edge_count
             expected += h.sum()
@@ -536,7 +540,8 @@ class TestSampledGraph:
         g = sample_sbm(erdos_renyi(0.3), 70, seed=4)
         edges = list(g.edges())
         assert len(edges) == g.edge_count
-        assert sum(g.degree(u) for u in range(g.n)) == 2 * g.edge_count
+        degrees = np.bitwise_count(g.adjacency).sum(axis=1)
+        assert np.array_equal(degrees, np.bincount(np.ravel(edges), minlength=g.n))
         assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in edges)
         assert not any(g.has_edge(u, u) for u in range(g.n))
         with pytest.raises(ValueError):
@@ -551,7 +556,8 @@ class TestEdgeText:
 
     def test_comments_and_isolated(self):
         g = graph_from_edge_text("# header\n0 1\n2 3\n", n=6)
-        assert g.n == 6 and g.edge_count == 2 and g.degree(5) == 0
+        assert g.n == 6 and g.edge_count == 2
+        assert np.bitwise_count(g.adjacency[5]).sum() == 0
 
     @pytest.mark.parametrize(
         "text, n",

@@ -24,7 +24,6 @@ from motif_poisson import (
     count_copies,
     count_copies_bruteforce,
     erdos_renyi,
-    max_copy_capacity,
     motif_from_edge_list,
     motif_from_string,
     motif_from_text,
@@ -438,27 +437,3 @@ class TestStats:
         assert self._label_free(
             compute_stats(m.relabelled(perm))
         ) == self._label_free(compute_stats(m))
-
-
-class TestCapacity:
-    def test_path_in_four(self):
-        # brute-force count over K_4 pins this at 12
-        assert max_copy_capacity(builtin_motif("tree_path", 3), 4) == 12
-
-    def test_triangle_tight(self):
-        assert max_copy_capacity(builtin_motif("complete", 3), 3) == 1
-
-    def test_triangle_general(self):
-        for n in (3, 5, 10, 40):
-            assert max_copy_capacity(
-                builtin_motif("complete", 3), n
-            ) == math.comb(n, 3)
-
-    def test_exact_big_values(self):
-        # arbitrary-precision: no overflow, no saturation
-        m = builtin_motif("tree_path", 3)
-        assert max_copy_capacity(m, 10**6) == math.comb(10**6, 3) * 3
-
-    def test_n_too_small(self):
-        with pytest.raises(ValueError):
-            max_copy_capacity(builtin_motif("complete", 4), 3)

@@ -20,11 +20,12 @@ from motif_poisson import (
     histogram_csv,
     motif_from_edge_list,
     poisson_pmf,
-    poisson_tail,
     run,
     simulate,
     tv_standard_error,
 )
+
+from conftest import poisson_tail
 
 K3 = builtin_motif("complete", 3)
 
