@@ -33,6 +33,7 @@ from .errors import (
     NotStrictlyBalanced,
     TooManyTerms,
     json_int,
+    known_keys,
     probability,
     real,
     sequence,
@@ -352,7 +353,9 @@ class NuTable:
     @classmethod
     def from_dict(cls, data: dict) -> "NuTable":
         entries = {}
-        for row in sequence(data.get("entries", []), "nu-table 'entries'"):
+        rows = known_keys(data, ("entries",), "nu-table").get("entries", [])
+        for row in sequence(rows, "nu-table 'entries'"):
+            known_keys(row, ("k", "v", "s", "value"), "nu-table row")
             try:
                 entries[row["k"], row["v"], row["s"]] = row["value"]
             except (KeyError, TypeError) as exc:

@@ -39,6 +39,7 @@ from .errors import (
     InvalidParams,
     MotifPoissonError,
     NotStrictlyBalanced,
+    known_keys,
 )
 from .models import SAMPLER_VERSION, GraphonSpec, SbmParams, graph_from_edge_text
 from .motif import (
@@ -272,6 +273,7 @@ def _cmd_simulate(args) -> int:
     }
     if args.config:
         file_cfg = _json_object(Path(args.config).read_text(), "simulate config")
+        known_keys(file_cfg, tuple(config), "simulate config")
         config.update({k: v for k, v in file_cfg.items() if v is not None})
     if config.get("seed") is None:
         config["seed"] = int(os.environ.get(_SEED_ENV, "0"))

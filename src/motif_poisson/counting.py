@@ -1,22 +1,22 @@
 """Exact motif counting.
 
 ``count_copies_batch`` is the production counter.  It counts, in each
-graph of a batch, the injective edge-preserving maps of the motif's
+graph of a stream, the injective edge-preserving maps of the motif's
 vertices under the symmetry-breaking conditions of Grochow & Kellis
 (RECOMB 2007), so each copy is found exactly once.
 
-The search runs level by level over NumPy arrays.  The graphs' bitset
-rows are stacked into one (B*n, ⌈n/64⌉) uint64 array, and a frontier row
-holds a graph id and the images of the positions filled so far.  A block
-of frontier rows becomes candidate rows for the next position: the
-graph's mask of vertices of high enough degree, ANDed with the rows of the
-back neighbours' images, with the images it could repeat cleared and only
-the bits above its floor's image kept.  Only their nonzero words are
-expanded into the next level's rows.  The last position is never
-expanded: its candidates' popcounts are added to their graphs' counts.
-An explicit stack of candidate blocks, each expanded at most
-``_BLOCK_ROWS`` children at a time, keeps the search's memory fixed
-however deep or wide it goes.  ``count_copies`` is a batch of one.
+One search counts a run of B consecutive graphs of one size over NumPy
+arrays.  Their bitset rows are stacked into one (B*n, ⌈n/64⌉) uint64
+array, and a frontier row holds a graph id and the images of the
+positions filled so far.  A block of frontier rows becomes candidate rows
+for the next position: the graph's mask of vertices of high enough
+degree, ANDed with the rows of the back neighbours' images, with the
+images it could repeat cleared and only the bits above its floor's image
+kept.  Only their nonzero words are expanded into the next level's rows.
+The last position is never expanded: its candidates' popcounts are added
+to their graphs' counts.  The search recurses over the motif's positions,
+expanding at most ``_BLOCK_ROWS`` children at a time, so its memory stays
+fixed however wide it goes.  ``count_copies`` is a stream of one graph.
 
 ``count_copies_bruteforce`` sums the copy indicators over every
 vertex-set position, exactly as the count is defined, and serves as the
@@ -31,12 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import GraphTooLargeForOracle, InvalidParams
-from .models import _BIT64, SampledGraph, bit_positions, pack_words
+from .errors import GraphTooLargeForOracle
+from .models import _BIT64, SampledGraph, bit_positions, pack_words, row_words
 from .motif import Motif, check_fits, compute_stats, stabiliser_orbits
 
 #: The brute-force oracle lists the v! vertex permutations once, then tests
@@ -48,12 +49,10 @@ ORACLE_MAX_WORK = 10**6
 
 #: Frontier rows per block of the counting search: at most ``_BLOCK_ROWS``,
 #: and fewer for long rows (a row takes ⌈n/64⌉ words) so that a block's
-#: candidates stay within ``_BLOCK_WORDS`` words, but never below
-#: ``_MIN_BLOCK_ROWS``.  Each array of a block then takes at most 128 KiB
-#: below n = 4096.
+#: candidates stay within ``_BLOCK_WORDS`` words, as do the stacked rows of
+#: the graphs one search counts (unless one graph alone takes more).
 _BLOCK_ROWS = 1024
 _BLOCK_WORDS = 16384
-_MIN_BLOCK_ROWS = 64
 #: The uint64 word with bits s..63 set, at index s = 0..64.
 _FROM = np.array([(1 << 64) - (1 << s) for s in range(65)], dtype=np.uint64)
 
@@ -153,89 +152,78 @@ def _candidates(rows, n, masks, step, gid, img) -> np.ndarray:
     return cand
 
 
-def _push(stack: list, k, gid, img, cand) -> None:
-    """Push the nonzero candidate words of position ``k``, if any, with
-    their flat indices into ``cand``, whose rows are the frontier rows
-    ``(gid, img)``, and their cumulative popcounts; none is expanded yet."""
+def _search(rows, n, masks, steps, cap, total, gid, img) -> None:
+    """Add to ``total`` the copies that extend the frontier rows
+    ``(gid, img)``, which fill the first k positions: at the last position
+    the popcounts of their candidate rows; elsewhere the search on each
+    run of nonzero candidate words whose popcounts sum to at most ``cap``
+    (one word at least), expanded into frontier rows of position k + 1."""
+    k = img.shape[1]
+    cand = _candidates(rows, n, masks, steps[k], gid, img)
+    if k == len(steps) - 1:
+        np.add.at(total, gid, np.bitwise_count(cand).sum(axis=1, dtype=np.int64))
+        return
+    w = cand.shape[1]
     where = np.flatnonzero(cand != 0)
-    if len(where):
-        word = cand.ravel()[where]
-        stack.append((k, gid, img, where, word, np.bitwise_count(word).cumsum(), 0))
-
-
-def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
-    """Copies of ``m`` in each of the ``graphs`` graphs whose bitset rows
-    are stacked in ``rows``, as an int64 array.
-
-    The stack holds candidate blocks, each with the index of its first
-    word not yet expanded.  Popping one takes the next words whose
-    popcounts sum to at most a block's rows, pushes the block back if
-    words remain, and expands those words into the next level's frontier
-    rows, whose candidates are counted (last position) or pushed.  So at
-    most two blocks per level are alive at once."""
-    back_edges, need_deg, floor, avoid = _search_plan(m)
-    steps = list(zip(back_edges, need_deg, floor, avoid))
-    last = len(steps) - 1
-    w = rows.shape[1]
-    cap = max(_MIN_BLOCK_ROWS, min(_BLOCK_ROWS, _BLOCK_WORDS // w))
-    degrees = np.bitwise_count(rows).sum(axis=1, dtype=np.int64).reshape(graphs, n)
-    wide = np.zeros((graphs, 64 * w), dtype=bool)
-    masks = {}
-    for d in set(need_deg):
-        wide[:, :n] = degrees >= d
-        masks[d] = pack_words(wide)
-    total = np.zeros(graphs, dtype=np.int64)
-    gid = np.arange(graphs)
-    img = np.empty((graphs, 0), dtype=np.int64)
-    stack: list = []
-    _push(stack, 0, gid, img, _candidates(rows, n, masks, steps[0], gid, img))
-    while stack:
-        k, gid, img, where, word, size, lo = stack.pop()
+    word = cand.ravel()[where]
+    del cand
+    size = np.bitwise_count(word).cumsum()
+    lo = 0
+    while lo < len(word):
         done = int(size[lo - 1]) if lo else 0
         hi = max(lo + 1, int(size.searchsorted(done + cap, "right")))
-        if hi < len(word):
-            stack.append((k, gid, img, where, word, size, hi))
         bit = bit_positions(word[lo:hi])
         src = where[lo:hi][bit >> 6]
         parent = src // w
         child = np.empty((len(bit), k + 1), dtype=np.int64)
         child[:, :k] = img[parent]
         child[:, k] = src % w * 64 + (bit & 63)
-        child_gid = gid[parent]
-        cand = _candidates(rows, n, masks, steps[k + 1], child_gid, child)
-        if k + 1 == last:
-            found = np.bitwise_count(cand).sum(axis=1, dtype=np.int64)
-            np.add.at(total, child_gid, found)
-        else:
-            _push(stack, k + 1, child_gid, child, cand)
+        _search(rows, n, masks, steps, cap, total, gid[parent], child)
+        lo = hi
+
+
+def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
+    """Copies of ``m`` in each of the ``graphs`` graphs whose bitset rows
+    are stacked in ``rows``, as an int64 array, by one search."""
+    back_edges, need_deg, floor, avoid = _search_plan(m)
+    w = rows.shape[1]
+    degrees = np.bitwise_count(rows).sum(axis=1, dtype=np.int64).reshape(graphs, n)
+    wide = np.zeros((graphs, 64 * w), dtype=bool)
+    masks = {}
+    for d in set(need_deg):
+        wide[:, :n] = degrees >= d
+        masks[d] = pack_words(wide)
+    steps = tuple(zip(back_edges, need_deg, floor, avoid))
+    cap = min(_BLOCK_ROWS, _BLOCK_WORDS // w)
+    total = np.zeros(graphs, dtype=np.int64)
+    gid, img = np.arange(graphs), np.empty((graphs, 0), dtype=np.int64)
+    _search(rows, n, masks, steps, cap, total, gid, img)
     return total
 
 
-def count_copies_batch(graphs: Iterable[SampledGraph], m: Motif) -> list[int]:
-    """The number of copies of ``m`` in each of ``graphs``, in order, by
-    one search over their stacked rows.  The graphs must all have the same
-    number of vertices.  Only each graph's rows are kept while ``graphs``
-    is read, so a generator of graphs frees the rest of each graph at
-    once."""
-    sizes, blocks = set(), []
-    for g in graphs:
-        sizes.add(g.n)
-        blocks.append(g.adjacency)
-    if not blocks:
-        return []
-    if len(sizes) > 1:
-        raise InvalidParams("the graphs of a batch must have the same vertex count")
-    (n,) = sizes
-    check_fits(m, n)
-    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return _count_rows(rows, n, len(blocks), m).tolist()
+def count_copies_batch(graphs: Iterable[SampledGraph], m: Motif) -> Iterator[int]:
+    """The number of copies of ``m`` in each of ``graphs``, yielded in
+    order.  Consecutive graphs of one size are counted by one search, in
+    runs of at most ``_BLOCK_WORDS`` words of rows (one graph at least).
+    Only a run's rows are kept, and they are dropped before its counts are
+    yielded, so a generator of graphs frees each graph once it is counted."""
+    for n, group in itertools.groupby(graphs, attrgetter("n")):
+        check_fits(m, n)
+        per_run = max(1, _BLOCK_WORDS // (n * row_words(n)))
+        while blocks := [g.adjacency for g in itertools.islice(group, per_run)]:
+            run_len = len(blocks)
+            rows = blocks[0] if run_len == 1 else np.concatenate(blocks)
+            del blocks  # the search reads only the stacked rows
+            counts = _count_rows(rows, n, run_len, m).tolist()
+            del rows
+            yield from counts
 
 
 def count_copies(g: SampledGraph, m: Motif) -> int:
     """Exact number of copies of ``m`` in ``g``: the injective maps of the
     motif's vertices into the graph that carry every motif edge onto a
     graph edge, one per automorphism class, so the maps number this count
-    times the automorphism count.  A batch of one graph for
+    times the automorphism count.  A stream of one graph for
     :func:`count_copies_batch`."""
     (count,) = count_copies_batch([g], m)
     return count

@@ -3,8 +3,9 @@
 Every error the library raises derives from :class:`MotifPoissonError` so
 callers can catch broadly; the leaf classes mirror the distinct failure
 conditions of the public operations.  Every value from outside is read by
-:func:`json_int`, :func:`real`, :func:`probability` or :func:`sequence`,
-which raise :class:`InvalidParams`, also a ``ValueError``.
+:func:`json_int`, :func:`real`, :func:`probability`, :func:`sequence` or
+:func:`known_keys`, which raise :class:`InvalidParams`, also a
+``ValueError``.
 """
 
 
@@ -79,6 +80,19 @@ def sequence(x, what: str) -> list | tuple:
     """``x`` if it is a list or a tuple, never a string."""
     if not isinstance(x, (list, tuple)):
         raise InvalidParams(f"{what} must be a list, got {type(x).__name__}")
+    return x
+
+
+def known_keys(x, allowed: tuple[str, ...], what: str) -> dict:
+    """``x`` if it is a dict with no key outside ``allowed``; the first
+    other key is named, so a misspelt key is never read as absent."""
+    if type(x) is not dict:
+        raise InvalidParams(f"{what} must be a JSON object, got {type(x).__name__}")
+    for key in x:
+        if key not in allowed:
+            raise InvalidParams(
+                f"{what} has unknown key {key!r}; expected {', '.join(allowed)}"
+            )
     return x
 
 

@@ -29,7 +29,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InvalidParams, WrongFamily, json_int, probability, real, sequence
+from .errors import (
+    InvalidParams,
+    WrongFamily,
+    json_int,
+    known_keys,
+    probability,
+    real,
+    sequence,
+)
 from .motif import parse_edge_lines
 
 _PROPORTION_TOL = 1e-12
@@ -116,6 +124,7 @@ class SbmParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SbmParams":
+        known_keys(data, ("Q", "f", "pi"), "block model")
         return cls(data.get("Q"), data.get("f"), data.get("pi"))
 
 
@@ -148,7 +157,7 @@ class GraphonSpec:
             )
         if self.family in ("product", "affine_mean"):
             if self.breakpoints is not None or self.values is not None:
-                raise InvalidParams(f"{self.family} graphon takes only a scale")
+                raise InvalidParams(f"{self.family} graphon takes only a scale 'c'")
             c = probability(self.scale, "graphon scale 'c'")
             object.__setattr__(self, "scale", c)
         else:
@@ -164,7 +173,7 @@ class GraphonSpec:
             object.__setattr__(self, "breakpoints", bp)
             object.__setattr__(self, "values", vals)
             if self.scale is not None:
-                raise InvalidParams("piecewise_constant graphon takes no scale")
+                raise InvalidParams("piecewise_constant graphon takes no scale 'c'")
 
     def evaluate(self, x, y):
         """Vectorised h(x, y); symmetric by construction in every family."""
@@ -192,10 +201,11 @@ class GraphonSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GraphonSpec":
-        fam = data.get("family")
-        if fam in ("product", "affine_mean"):
-            return cls(fam, scale=data.get("c"))
-        return cls(fam, breakpoints=data.get("breakpoints"), values=data.get("values"))
+        """The graphon of ``data``; which of 'c' or 'breakpoints' and
+        'values' its family takes is checked by the constructor."""
+        keys = ("family", "c", "breakpoints", "values")
+        known_keys(data, keys, "graphon")
+        return cls(*(data.get(k) for k in keys))
 
 
 def h_star(spec: GraphonSpec) -> float:

@@ -4,14 +4,15 @@ reference.
 Every replicate r draws its graph from an independent generator keyed by
 (seed, r), so the ensemble is reproducible replicate-by-replicate.
 Replicates are sampled one after another in index order, in the calling
-thread, and counted in batches of consecutive replicates, one counting
-search per batch; the batch size depends on the graph size alone.
+thread, and handed to the counter as one stream, which counts them in
+runs it sizes itself.
 """
 
 from __future__ import annotations
 
 import io
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -33,7 +34,6 @@ from .models import (
     GraphonSpec,
     SbmParams,
     check_graph_size,
-    row_words,
     sample_graphon,
     sample_sbm,
     substream_seed,
@@ -43,14 +43,6 @@ from .poisson import poisson_pmf, tv_distance_empirical
 
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0x0B005EED  # offset separating bootstrap from replicate seeds
-#: Bitset words of the graphs counted in one batch: the counter's stacked
-#: copy of their rows stays at 64 KiB however small the graphs.
-_BATCH_WORDS = 8192
-
-
-def _batch_size(n: int) -> int:
-    """Replicates counted together on n-vertex graphs (at least one)."""
-    return max(1, _BATCH_WORDS // (n * row_words(n)))
 
 
 @dataclass(frozen=True)
@@ -153,11 +145,11 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     only when the motif is not strictly balanced.  ``threads`` must be at
     least 1; it is accepted for compatibility and changes neither the
     result nor how the work runs.  Replicates are sampled in index order
-    with their own (seed, r) keys and counted in batches of
-    :func:`_batch_size` graphs, and the counts are tallied in index order,
-    so the batch size changes nothing in the summary.  Each batch is
-    handed over as a generator, so only the rows of its graphs are kept
-    until it is counted.
+    with their own (seed, r) keys and handed to
+    :func:`count_copies_batch` as one generator, and their counts are
+    tallied as they come, so how the counter groups the graphs changes
+    nothing in the summary.  Only the rows of the graphs not yet counted
+    are kept.
     """
     if threads < 1:
         raise InvalidParams("threads must be >= 1")
@@ -171,15 +163,10 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
         lam = lambda_value(plan.motif, plan.n, mu(plan.model, plan.motif))
 
     r_total = plan.replicates
-    batch = _batch_size(plan.n)
-    tally: dict[int, int] = {}
-    for first in range(0, r_total, batch):
-        graphs = (
-            sample(plan.model, plan.n, substream_seed(plan.seed, r))
-            for r in range(first, min(first + batch, r_total))
-        )
-        for w in count_copies_batch(graphs, plan.motif):
-            tally[w] = tally.get(w, 0) + 1
+    graphs = (
+        sample(plan.model, plan.n, substream_seed(plan.seed, r)) for r in range(r_total)
+    )
+    tally = Counter(count_copies_batch(graphs, plan.motif))
     histogram = {w: c / r_total for w, c in sorted(tally.items())}
 
     # exact sums, correctly rounded once, as math.fsum over every replicate

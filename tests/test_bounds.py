@@ -353,6 +353,14 @@ class TestNuTable:
         again = NuTable.from_dict(table.to_dict())
         assert again == table
 
+    def test_from_dict_refuses_unknown_keys(self):
+        data = NuTable.from_power(0.2, builtin_motif("tree_path", 4)).to_dict()
+        data["entries"][0]["vv"] = 3
+        with pytest.raises(InvalidParams, match="nu-table row has unknown key 'vv'"):
+            NuTable.from_dict(data)
+        with pytest.raises(InvalidParams, match="nu-table has unknown key 'entry'"):
+            NuTable.from_dict({"entry": []})
+
     def test_value_range(self):
         with pytest.raises(ValueError):
             NuTable({(F(1), 2, 1): 1.5})

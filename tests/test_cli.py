@@ -535,6 +535,16 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith(f"motif-poisson: simulate {key} must be an integer")
 
+    def test_config_unknown_key_exits_2(self, capsys, tmp_path):
+        # a misspelt seed ran at seed 0
+        plan = {"model": {"Q": 1, "f": [1.0], "pi": [[0.04]]}, "motif": "complete:3"}
+        plan.update(n=25, replicates=80, seeed=3)
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(plan))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("motif-poisson: simulate config has unknown key 'seeed'")
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

@@ -70,6 +70,12 @@ class TestSbmParams:
         with pytest.raises(InvalidParams, match="'Q' must be an integer"):
             SbmParams.from_dict({"Q": q, "f": [1.0], "pi": [[0.1]]})
 
+    def test_from_dict_refuses_unknown_keys(self):
+        # a graphon key next to 'Q' was read as a block model and ignored
+        data = {"Q": 1, "f": [1.0], "pi": [[0.1]], "family": "product"}
+        with pytest.raises(InvalidParams, match="unknown key 'family'"):
+            SbmParams.from_dict(data)
+
     @pytest.mark.parametrize("f", [(math.nan, 1.0), (math.nan, math.nan)])
     def test_nan_proportions_rejected(self, f):
         with pytest.raises(InvalidParams):
@@ -123,6 +129,27 @@ class TestGraphonSpec:
     def test_json_round_trip(self):
         spec = GraphonSpec(family="affine_mean", scale=0.8)
         assert GraphonSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"family": "product", "c": 0.5, "scale": 0.9}, "unknown key 'scale'"),
+            ({"family": "product", "c": 0.5, "values": [[0.1]]}, "only a scale"),
+            (
+                {
+                    "family": "piecewise_constant",
+                    "breakpoints": [0, 1],
+                    "values": [[0.5]],
+                    "c": 0.5,
+                },
+                "no scale 'c'",
+            ),
+        ],
+    )
+    def test_from_dict_refuses_keys_of_other_families(self, data, message):
+        # each was read as its family's keys alone, the rest ignored
+        with pytest.raises(InvalidParams, match=message):
+            GraphonSpec.from_dict(data)
 
     def test_h_star(self):
         assert h_star(GraphonSpec(family="product", scale=1.0)) == 1.0

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from motif_poisson import (
     simulate,
     tv_standard_error,
 )
+from motif_poisson import counting
+from motif_poisson.models import row_words
 
 from conftest import poisson_tail
 
@@ -78,16 +81,25 @@ class TestDeterminism:
         ids=["er_sparse", "er_dense", "graphon_c4"],
     )
     def test_batch_size_changes_nothing(self, monkeypatch, plan):
-        # the default batches hold hundreds of these graphs, and 101 and 45
-        # replicates leave a short last batch
-        assert simulate._batch_size(plan.n) > 8
+        # by default one search counts every replicate of these plans; with
+        # one-word runs each graph has its own search, cut after every
+        # candidate word
+        searches, count_rows = [], counting._count_rows
+
+        def spy(rows, n, graphs, motif):
+            searches.append(graphs)
+            return count_rows(rows, n, graphs, motif)
+
+        monkeypatch.setattr(counting, "_count_rows", spy)
         batched = json.dumps(run(plan).to_dict())
-        monkeypatch.setattr(simulate, "_BATCH_WORDS", 1)
-        assert simulate._batch_size(plan.n) == 1
+        assert searches == [plan.replicates]
+        monkeypatch.setattr(counting, "_BLOCK_WORDS", 1)
+        searches.clear()
         assert json.dumps(run(plan).to_dict()) == batched
+        assert searches == [1] * plan.replicates
 
     def test_run_leaves_no_garbage(self):
-        # batches are counted without reference cycles, so no graph of a
+        # runs are counted without reference cycles, so no graph of a
         # run waits for the cyclic collector
         plan = er_plan(p=0.2, n=70, replicates=30)
         run(plan)  # warm-up: builds and caches the search plan and the bound
@@ -100,6 +112,22 @@ class TestDeterminism:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_replicates_keep_no_rows(self):
+        # each 2000-vertex graph is counted alone; its rows (0.49 MiB) must
+        # go before the next graph is drawn, so more replicates add no peak
+        def peak(replicates):
+            plan = er_plan(p=2 / 2000, n=2000, replicates=replicates, seed=5)
+            tracemalloc.start()
+            try:
+                run(plan)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: builds and caches the search plan and the bound
+        rows = 2000 * row_words(2000) * 8
+        assert peak(4) - peak(1) <= rows // 4
 
     def test_seed_changes_results(self):
         a = run(er_plan(seed=1)).histogram
