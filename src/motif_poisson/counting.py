@@ -37,7 +37,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import GraphTooLargeForOracle
-from .models import _BIT64, SampledGraph, bit_positions, pack_words, row_words
+from . import models
+from .models import _BIT64, SampledGraph, bit_positions, pack_words, run_length
 from .motif import Motif, check_fits, compute_stats, stabiliser_orbits
 
 #: The brute-force oracle lists the v! vertex permutations once, then tests
@@ -49,10 +50,9 @@ ORACLE_MAX_WORK = 10**6
 
 #: Frontier rows per block of the counting search: at most ``_BLOCK_ROWS``,
 #: and fewer for long rows (a row takes ⌈n/64⌉ words) so that a block's
-#: candidates stay within ``_BLOCK_WORDS`` words, as do the stacked rows of
-#: the graphs one search counts (unless one graph alone takes more).
+#: candidates stay within ``models._BLOCK_WORDS`` words, as do the stacked
+#: rows of the graphs one search counts (unless one graph alone takes more).
 _BLOCK_ROWS = 1024
-_BLOCK_WORDS = 16384
 #: The uint64 word with bits s..63 set, at index s = 0..64.
 _FROM = np.array([(1 << 64) - (1 << s) for s in range(65)], dtype=np.uint64)
 
@@ -194,7 +194,7 @@ def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
         wide[:, :n] = degrees >= d
         masks[d] = pack_words(wide)
     steps = tuple(zip(back_edges, need_deg, floor, avoid))
-    cap = min(_BLOCK_ROWS, _BLOCK_WORDS // w)
+    cap = min(_BLOCK_ROWS, models._BLOCK_WORDS // w)
     total = np.zeros(graphs, dtype=np.int64)
     gid, img = np.arange(graphs), np.empty((graphs, 0), dtype=np.int64)
     _search(rows, n, masks, steps, cap, total, gid, img)
@@ -204,12 +204,12 @@ def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
 def count_copies_batch(graphs: Iterable[SampledGraph], m: Motif) -> Iterator[int]:
     """The number of copies of ``m`` in each of ``graphs``, yielded in
     order.  Consecutive graphs of one size are counted by one search, in
-    runs of at most ``_BLOCK_WORDS`` words of rows (one graph at least).
+    runs of :func:`~motif_poisson.models.run_length` graphs.
     Only a run's rows are kept, and they are dropped before its counts are
     yielded, so a generator of graphs frees each graph once it is counted."""
     for n, group in itertools.groupby(graphs, attrgetter("n")):
         check_fits(m, n)
-        per_run = max(1, _BLOCK_WORDS // (n * row_words(n)))
+        per_run = run_length(n)
         while blocks := [g.adjacency for g in itertools.islice(group, per_run)]:
             run_len = len(blocks)
             rows = blocks[0] if run_len == 1 else np.concatenate(blocks)

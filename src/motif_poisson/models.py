@@ -2,30 +2,37 @@
 
 Both models give each vertex a latent value (a class label or a uniform
 variate), then flip one independent coin per vertex pair with probability
-set by the two latents.  The samplers share that second step,
-:func:`_draw_pairs`.  It groups the vertices into blocks whose pairs are
-one coin, and skips from one success to the next by geometric gaps, so a
-graph with m edges takes O(n + m) work beside its n^2/8 bytes of bitset
-rows.  A graph keeps those rows as an (n, ⌈n/64⌉) uint64 array, the form
-the counter reads; the latents are not kept.
+set by the two latents.  One sampler core, :func:`sample_graphs`, draws
+every model.  It groups the vertices into blocks whose pairs are one coin,
+and skips from one success to the next by geometric gaps, so a graph with
+m edges takes O(n + m) work beside its n^2/8 bytes of bitset rows.  A
+graph keeps those rows as an (n, ⌈n/64⌉) uint64 array, the form the
+counter reads; the latents are not kept.
 Block models use their classes; piecewise-constant graphons the blocks of
 the latents; smooth graphons one block at the surface maximum h*, each
-candidate pair then kept with probability h(U_i, U_j)/h*.  Candidates
-come in fixed-size batches, so memory stays bounded for dense graphs too.
+candidate pair then kept with probability h(U_i, U_j)/h*.
 
-Sampling is driven by the counter-based Philox generator keyed directly by
-the caller's seed, so a sampled graph is a pure function of
-``(params, n, seed)`` regardless of how surrounding work is scheduled.
+The graphs are drawn in batches of one counter run (:func:`run_length`).
+Per graph only the random draws run; a batch re-keys one Philox generator
+per seed, maps its drawn positions to vertex pairs and sets them as edges
+in one pass per ``_CHUNK`` positions, so memory stays bounded for dense
+graphs too, and checks its stacked rows once.  ``sample_sbm`` and
+``sample_graphon`` are batches of one.
+
+Each graph is drawn from the counter-based Philox generator keyed directly
+by its seed, so a sampled graph is a pure function of ``(params, n, seed)``
+regardless of how it is batched or how surrounding work is scheduled.
 Replicate ensembles derive one independent key per replicate index via
 :func:`substream_seed`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,16 +49,21 @@ from .motif import parse_edge_lines
 
 _PROPORTION_TOL = 1e-12
 _SEED_MASK = (1 << 64) - 1
-#: Candidate pairs drawn per batch: bounds the int64 buffers a dense block
-#: holds at once.
+#: Candidate pairs drawn per chunk, and the most a batch holds before it
+#: sets them as edges: bounds the int64 buffers of a dense graph.
 _CHUNK = 1 << 18
+#: uint64 words of bitset rows that one batch of graphs takes (unless one
+#: graph alone takes more), as do the candidates of one block of the
+#: counting search.
+_BLOCK_WORDS = 16384
 #: The byte with only bit b set, at index b.
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
 #: The uint64 word with only bit b set, at index b.
 _BIT64 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-#: Nonzero words unpacked at once when a graph's set bits are listed: keeps
-#: the index arrays to a few MiB however dense the graph.
-_SCAN_WORDS = 1 << 11
+#: Nonzero words unpacked at once when set bits are listed: keeps each
+#: index array to 0.5 MiB however dense the rows, a batch of many small
+#: graphs included.
+_SCAN_WORDS = 1 << 10
 
 #: Largest graph the samplers and the edge-list reader accept: its bitsets
 #: take 128 MiB.
@@ -231,6 +243,13 @@ def row_words(n: int) -> int:
     return -(-n // 64)
 
 
+def run_length(n: int) -> int:
+    """Graphs of n vertices whose stacked bitset rows fit in
+    ``_BLOCK_WORDS`` words, one at least: a batch of the sampler and a run
+    of the counter."""
+    return max(1, _BLOCK_WORDS // (n * row_words(n)))
+
+
 def bit_positions(words: np.ndarray) -> np.ndarray:
     """Flat positions 64 * i + b of the set bits b of ``words.ravel()[i]``,
     ascending."""
@@ -253,6 +272,27 @@ def _set_bits(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         bit = bit_positions(flat[word])
         at = word[bit >> 6] * 64 + (bit & 63)
         yield at // width, at % width
+
+
+def _check_rows(rows: np.ndarray, n: int) -> None:
+    """InvalidParams unless the bitset rows of graphs on n vertices,
+    stacked n rows a graph, are each symmetric, with a zero diagonal and
+    no bit past column n - 1.  One pass over the set bits: the mirror of
+    bit v of row u is read in u's own graph, at row u - u % n + v."""
+    for u, v in _set_bits(rows):
+        if not (v < n).all():
+            raise InvalidParams(f"adjacency has bits past column {n - 1}")
+        vertex = u % n
+        loop = vertex == v
+        if loop.any():
+            raise InvalidParams(f"self-loop at {vertex[loop][0]}")
+        u -= vertex
+        u += v
+        lone = (rows[u, vertex >> 6] & _BIT64[vertex & 63]) == 0
+        if lone.any():
+            raise InvalidParams(
+                f"adjacency not symmetric at ({vertex[lone][0]}, {v[lone][0]})"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,21 +322,20 @@ class SampledGraph:
             and rows.shape == shape
         ):
             raise InvalidParams(f"adjacency must be a uint64 array of shape {shape}")
-        for u, v in _set_bits(rows):
-            if not (v < n).all():
-                raise InvalidParams(f"adjacency has bits past column {n - 1}")
-            loop = u == v
-            if loop.any():
-                raise InvalidParams(f"self-loop at {u[loop][0]}")
-            lone = (rows[v, u >> 6] & _BIT64[u & 63]) == 0
-            if lone.any():
-                raise InvalidParams(
-                    f"adjacency not symmetric at ({u[lone][0]}, {v[lone][0]})"
-                )
+        _check_rows(rows, n)
         view = rows.view()
         view.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", view)
+
+    @classmethod
+    def _checked(cls, n: int, rows: np.ndarray) -> "SampledGraph":
+        """The graph of read-only rows that :func:`_check_rows` has passed,
+        kept as they are: for the sampler, which checks a batch at once."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "adjacency", rows)
+        return graph
 
     def __eq__(self, other):
         if not isinstance(other, SampledGraph):
@@ -319,16 +358,20 @@ class SampledGraph:
         return "".join(f"{u} {v}\n" for u, v in self.edges())
 
 
-def _empty_rows(n: int) -> np.ndarray:
-    """Zero bitset rows of an n-vertex graph as bytes, padded to whole
-    uint64 words."""
-    return np.zeros((n, 8 * row_words(n)), dtype=np.uint8)
+def _empty_rows(n: int, graphs: int = 1) -> np.ndarray:
+    """Zero bitset rows of ``graphs`` n-vertex graphs, stacked, as bytes
+    padded to whole uint64 words."""
+    return np.zeros((graphs * n, 8 * row_words(n)), dtype=np.uint8)
 
 
-def _set_edges(bits: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Set the pairs {u[i], v[i]} in both rows of the byte rows ``bits``."""
-    x, y = np.concatenate((u, v)), np.concatenate((v, u))
-    np.bitwise_or.at(bits, (x, y >> 3), _BIT[y & 7])
+def _set_edges(bits: np.ndarray, u: np.ndarray, v: np.ndarray, n: int) -> None:
+    """Set the pairs {u[i], v[i]} in both rows of the byte rows ``bits``
+    of graphs stacked n rows a graph: vertex u is row u, column u % n."""
+    for row, col in ((u, v), (v, u)):
+        col = col % n
+        bit = _BIT[col & 7]
+        col >>= 3
+        np.bitwise_or.at(bits, (row, col), bit)
 
 
 def _words(octets: np.ndarray) -> np.ndarray:
@@ -357,7 +400,7 @@ def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
     check_graph_size(size)
     bits = _empty_rows(size)
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    _set_edges(bits, ends[:, 0], ends[:, 1])
+    _set_edges(bits, ends[:, 0], ends[:, 1], size)
     return SampledGraph(size, _words(bits))
 
 
@@ -366,15 +409,6 @@ def check_graph_size(n: int) -> None:
     graph fails before any of its memory is allocated."""
     if n > MAX_GRAPH_VERTICES:
         raise InvalidParams(f"graph has {n} vertices; cap is {MAX_GRAPH_VERTICES}")
-
-
-def _generator(seed: int, n: int) -> np.random.Generator:
-    if n < 2:
-        raise InvalidParams("n must be >= 2")
-    check_graph_size(n)
-    if not 0 <= seed <= _SEED_MASK:
-        raise InvalidParams("seed must be an unsigned 64-bit integer")
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def substream_seed(seed: int, index: int) -> int:
@@ -394,12 +428,12 @@ def _skip_positions(
     rng: np.random.Generator, p: float, total: int
 ) -> Iterator[np.ndarray]:
     """Ascending positions of the successes among ``total`` independent
-    ``p``-coins, in batches of at most ``_CHUNK``.
+    ``p``-coins, in chunks of at most ``_CHUNK``.
 
     The gaps between successes are geometric (Batagelj & Brandes 2005), so
     the draws are proportional to the successes, not to ``total``.  The
-    first batch covers the expected count with room to spare, so a sparse
-    block takes one batch; the batch sizes depend only on ``(p, total)``.
+    first chunk covers the expected count with room to spare, so a sparse
+    block takes one chunk; the chunk sizes depend only on ``(p, total)``.
     """
     if p <= 0.0 or total == 0:
         return
@@ -422,95 +456,218 @@ def _skip_positions(
         last = int(pos[-1])
 
 
-def _row_start(i, m: int):
+def _row_start(i: np.ndarray, m) -> np.ndarray:
     """Row-major index of pair (i, i + 1) in the strict upper triangle of
-    an m x m matrix."""
-    return i * (2 * m - i - 1) // 2
+    an m x m matrix, in one new array."""
+    start = 2 * m - 1 - i
+    start *= i
+    start >>= 1
+    return start
 
 
-def _triangle_pair(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _diagonal_pairs(k: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) with i < j < m at row-major index ``k`` of the strict upper
-    triangle of an m x m matrix, the order of ``np.triu_indices(m, 1)``.
+    triangle of an m x m matrix, the order of ``np.triu_indices(m, 1)``;
+    ``m`` is one size or one per element of ``k``.
 
-    The row is found by binary search among the exact integer row starts,
-    so no float root can land it in a neighbouring row."""
-    starts = _row_start(np.arange(m), m)
-    i = starts.searchsorted(k, side="right") - 1
-    return i, k - starts[i] + i + 1
+    The row is the floor of the smaller root of ``_row_start(i, m) = k``,
+    then moved by one either way where the exact integer row starts say the
+    float root landed in a neighbouring row."""
+    b = 2 * m - 1
+    i = (b - np.sqrt(b * b - 8 * k)).astype(np.int64) >> 1
+    i += _row_start(i + 1, m) <= k
+    i -= _row_start(i, m) > k
+    return i, k - _row_start(i, m) + i + 1
 
 
-def _draw_pairs(
-    rng: np.random.Generator,
-    labels: np.ndarray,
-    probs: tuple[tuple[float, ...], ...],
-    keep: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Bitset rows of a graph on ``len(labels)`` vertices in which pair
-    {u, v} is an independent coin of probability
-    ``probs[labels[u]][labels[v]]``, thinned by ``keep(u, v)`` if given.
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    Vertices are grouped by label.  For each label pair a <= b, the
-    successful coins of that block are skip-sampled by
-    :func:`_skip_positions` over the block's pairs: row-major strict upper
-    triangle for a == b, and row-major |A| x |B| for a < b.  A candidate
-    survives thinning when one more uniform falls below ``keep(u, v)``.
-    Candidates come in batches of at most ``_CHUNK``, so the work is
-    O(n + m) for m candidates and the int64 buffers stay bounded however
-    dense the graph.  Edges are set straight into a packed byte buffer
-    whose rows are padded to whole uint64 words, and its uint64 view is
-    returned: (n, ⌈n/64⌉) bitset rows, with no copy.
+
+def _per_element(values: list[int], lengths: list[int]):
+    """``values[c]`` for each element of chunk c: a scalar where every
+    chunk has the same value."""
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.repeat(values, lengths)
+
+
+class _Batch:
+    """The graphs of one batch of seeds while they are drawn: their byte
+    rows stacked in n-row bands, one per graph, and the chunks of
+    positions drawn but not yet set as edges.
+
+    A chunk is ``(k, rows, cols, width, thin)``: positions ``k`` in one
+    block of vertex pairs, the offsets of the block's row and column
+    vertices in ``members``, the length of the block's rows (its column
+    count, or its vertex count on the diagonal) and, where pairs are
+    thinned, one uniform per position.  Diagonal and off-diagonal chunks
+    are held apart, as they map to pairs by different formulas.
     """
-    n = len(labels)
-    bits = _empty_rows(n)
-    order = labels.argsort(kind="stable")
-    cuts = labels[order].searchsorted(np.arange(len(probs) + 1))
-    members = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    for a, rows in enumerate(members):
-        m = len(rows)
-        for b in range(a, len(probs)):
-            cols = members[b]
-            total = m * (m - 1) // 2 if a == b else m * len(cols)
-            for k in _skip_positions(rng, probs[a][b], total):
-                i, j = _triangle_pair(k, m) if a == b else np.divmod(k, len(cols))
-                u, v = rows[i], cols[j]
-                if keep is not None:
-                    hit = rng.random(len(k)) < keep(u, v)
-                    u, v = u[hit], v[hit]
-                _set_edges(bits, u, v)
-    return _words(bits)
+
+    def __init__(self, n: int, graphs: int, layout):
+        self.n = n
+        self.thresholds, self.probs, self.keep = layout
+        self.bits = _empty_rows(n, graphs)
+        #: the latents, kept where thinning reads them
+        self.latents = np.empty((graphs, n)) if self.keep else None
+        #: the batch's vertices by graph, then class, then index; with one
+        #: class, vertex i itself at index i
+        self.members = np.empty(graphs * n, np.intp) if len(self.probs) > 1 else None
+        self.drawn = self.held = 0
+        self.diagonal, self.off_diagonal = [], []
+
+    def draw(self, rng: np.random.Generator) -> None:
+        """Draw the next graph: its latents, then for each class pair
+        a <= b in order the chunks of coins and, if thinned, the uniforms
+        of each chunk."""
+        g, n, probs = self.drawn, self.n, self.probs
+        if self.latents is None:
+            latent = rng.random(n)
+        else:
+            latent = rng.random(out=self.latents[g])
+        sizes = [n]
+        if self.members is not None:
+            labels = self.thresholds.searchsorted(latent, side="right")
+            sizes = np.bincount(labels, minlength=len(probs)).tolist()
+            self.members[g * n : (g + 1) * n] = labels.argsort(kind="stable") + g * n
+        starts = list(itertools.accumulate(sizes, initial=g * n))
+        self.drawn += 1
+        for a, m in enumerate(sizes):
+            for b in range(a, len(sizes)):
+                width = m if a == b else sizes[b]
+                total = m * (m - 1) // 2 if a == b else m * width
+                for k in _skip_positions(rng, probs[a][b], total):
+                    thin = rng.random(len(k)) if self.keep else None
+                    self.record((k, starts[a], starts[b], width, thin), a == b)
+
+    def record(self, chunk, diagonal: bool) -> None:
+        """Hold a chunk, first setting those held if the positions held
+        would pass ``_CHUNK``, and then if they reach it."""
+        if self.held + len(chunk[0]) > _CHUNK:
+            self.flush()
+        (self.diagonal if diagonal else self.off_diagonal).append(chunk)
+        self.held += len(chunk[0])
+        if self.held >= _CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Map every held position to its vertex pair in one pass per kind
+        of block, thin the pairs, and set the edges left in one scatter per
+        direction."""
+        held = ((self.diagonal, True), (self.off_diagonal, False))
+        self.diagonal, self.off_diagonal, self.held = [], [], 0
+        ends = [self._pairs(chunks, diagonal) for chunks, diagonal in held if chunks]
+        if ends:
+            u, v = (_joined(list(side)) for side in zip(*ends))
+            del ends
+            _set_edges(self.bits, u, v, self.n)
+
+    def _pairs(self, chunks, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's vertex pairs (u, v) at the positions in ``chunks``
+        that survive thinning."""
+        lengths = [len(c[0]) for c in chunks]
+        k = _joined([c[0] for c in chunks])
+        width = _per_element([c[3] for c in chunks], lengths)
+        u, v = _diagonal_pairs(k, width) if diagonal else np.divmod(k, width)
+        del k
+        rows = _per_element([c[1] for c in chunks], lengths)
+        u += rows
+        v += rows if diagonal else _per_element([c[2] for c in chunks], lengths)
+        if self.members is not None:
+            u, v = self.members[u], self.members[v]
+        if self.keep is not None:
+            lat = self.latents.ravel()
+            hit = _joined([c[4] for c in chunks]) < self.keep(lat[u], lat[v])
+            u, v = u[hit], v[hit]
+        return u, v
+
+
+def _layout(model: SbmParams | GraphonSpec):
+    """(thresholds, probs, keep) of a model.  A vertex's class is the
+    number of thresholds at or below its latent uniform, the vertex pairs
+    of classes a and b are coins of probability ``probs[a][b]``, and with
+    ``keep`` a drawn pair {u, v} stays when one more uniform falls below
+    ``keep(U_u, U_v)``."""
+    if isinstance(model, SbmParams):
+        # the last class takes every latent past the others, so one that
+        # rounding puts above the summed proportions too
+        cum = np.asarray(model.proportions).cumsum()
+        return cum[:-1], model.edge_probs, None
+    if model.family == "piecewise_constant":
+        return np.asarray(model.breakpoints[1:-1]), model.values, None
+    top = h_star(model)
+    return np.empty(0), ((top,),), lambda x, y: model.evaluate(x, y) / top
+
+
+def sample_graphs(
+    model: SbmParams | GraphonSpec, n: int, seeds: Iterable[int]
+) -> Iterator[SampledGraph]:
+    """One graph of ``model`` on ``n`` vertices per seed, in order.
+
+    Graph by graph, in the stream keyed by its seed: n latent uniforms,
+    then each class pair's coins from :func:`_skip_positions` and, for a
+    smooth graphon, the thinning uniforms of each chunk.  The seeds are
+    taken in batches of ``run_length(n)``, the graphs one counter run
+    holds, and a batch shares one Philox generator, re-keyed per seed, one
+    mapping of positions to pairs and one edge scatter per ``_CHUNK``
+    positions, and one check of its rows.  Its graphs are read-only views
+    of those rows, which this generator keeps no longer than the graphs
+    it has not yet handed on.
+    """
+    if n < 2:
+        raise InvalidParams("n must be >= 2")
+    check_graph_size(n)
+    layout = _layout(model)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    # what re-keying leaves of this state is that of Philox(key=seed):
+    # zero counter, empty buffer
+    state = rng.bit_generator.state
+    seeds = iter(seeds)
+    while batch := list(itertools.islice(seeds, run_length(n))):
+        graphs = _sample_batch(rng, state, layout, n, batch)[::-1]
+        while graphs:
+            # handed on alone, so the batch's rows go with its last graph
+            yield graphs.pop()
+
+
+def _sample_batch(rng, state, layout, n: int, seeds: list[int]) -> list[SampledGraph]:
+    """The graphs of ``seeds`` drawn by ``rng``, re-keyed per seed by
+    setting ``state``, with their stacked rows checked once."""
+    if not all(0 <= seed <= _SEED_MASK for seed in seeds):
+        raise InvalidParams("seed must be an unsigned 64-bit integer")
+    batch = _Batch(n, len(seeds), layout)
+    for seed in seeds:
+        state["state"]["key"][0] = seed
+        rng.bit_generator.state = state
+        batch.draw(rng)
+    batch.flush()
+    words = _words(batch.bits)
+    _check_rows(words, n)
+    words.flags.writeable = False
+    return [
+        SampledGraph._checked(n, words[lo : lo + n]) for lo in range(0, len(words), n)
+    ]
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
-    """Draw one block-model graph.
+    """Draw one block-model graph: a batch of one for
+    :func:`sample_graphs`.
 
-    Class labels first (n inverse-CDF draws), then the block coins of
-    :func:`_draw_pairs`, so the output is fully determined by the seed.
+    Class labels first (n inverse-CDF draws), then the block coins, so the
+    output is fully determined by the seed.
     """
-    rng = _generator(seed, n)
-    cum = np.asarray(params.proportions).cumsum()
-    labels = cum.searchsorted(rng.random(n), side="right")
-    labels = np.minimum(labels, params.class_count - 1)
-    return SampledGraph(n, _draw_pairs(rng, labels, params.edge_probs))
+    (graph,) = sample_graphs(params, n, [seed])
+    return graph
 
 
 def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
-    """Draw one graphon graph: i.i.d. uniforms per vertex, then one coin per
-    pair with probability h(U_i, U_j), drawn by the shared
-    :func:`_draw_pairs`.
+    """Draw one graphon graph, a batch of one for :func:`sample_graphs`:
+    i.i.d. uniforms per vertex, then one coin per pair with probability
+    h(U_i, U_j).
 
     A piecewise-constant surface is a block model on the blocks of the
     latents.  A smooth one is one block at h*, thinned to h(U_i, U_j)/h*.
     """
-    rng = _generator(seed, n)
-    latent = rng.random(n)
-    if spec.family == "piecewise_constant":
-        adjacency = _draw_pairs(rng, spec._block_of(latent), spec.values)
-    else:
-        top = h_star(spec)
-        adjacency = _draw_pairs(
-            rng,
-            np.zeros(n, dtype=np.int64),
-            ((top,),),
-            keep=lambda u, v: spec.evaluate(latent[u], latent[v]) / top,
-        )
-    return SampledGraph(n, adjacency)
+    (graph,) = sample_graphs(spec, n, [seed])
+    return graph

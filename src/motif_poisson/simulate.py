@@ -3,9 +3,9 @@ reference.
 
 Every replicate r draws its graph from an independent generator keyed by
 (seed, r), so the ensemble is reproducible replicate-by-replicate.
-Replicates are sampled one after another in index order, in the calling
-thread, and handed to the counter as one stream, which counts them in
-runs it sizes itself.
+Replicates are sampled in index order, in the calling thread, in batches
+of one counter run, and handed to the counter as one stream, which counts
+each batch in one search.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .models import (
     GraphonSpec,
     SbmParams,
     check_graph_size,
-    sample_graphon,
-    sample_sbm,
+    sample_graphs,
     substream_seed,
 )
 from .motif import Motif, check_fits
@@ -105,12 +104,11 @@ class SimulationSummary:
 
 
 def _model_functions(model):
-    """The sampler, mu evaluator and bound of the model's family, read from
-    this module's names at call time, so rebinding one of them takes
-    effect."""
+    """The mu evaluator and bound of the model's family, read from this
+    module's names at call time, so rebinding one of them takes effect."""
     if isinstance(model, SbmParams):
-        return sample_sbm, mu_sbm, bound_sbm
-    return sample_graphon, mu_graphon, bound_graphon
+        return mu_sbm, bound_sbm
+    return mu_graphon, bound_graphon
 
 
 def tv_standard_error(
@@ -144,17 +142,18 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     sampled; lambda is the bound report's, and mu is evaluated on its own
     only when the motif is not strictly balanced.  ``threads`` must be at
     least 1; it is accepted for compatibility and changes neither the
-    result nor how the work runs.  Replicates are sampled in index order
-    with their own (seed, r) keys and handed to
-    :func:`count_copies_batch` as one generator, and their counts are
-    tallied as they come, so how the counter groups the graphs changes
-    nothing in the summary.  Only the rows of the graphs not yet counted
-    are kept.
+    result nor how the work runs.  Replicates are drawn in index order
+    with their own (seed, r) keys by :func:`sample_graphs`, a batch of one
+    counter run at a time (one re-keyed Philox generator and one check of
+    the rows per batch), handed to :func:`count_copies_batch` as one
+    generator, and their counts are tallied as they come, so how the
+    graphs are batched changes nothing in the summary.  Only the rows of
+    the graphs not yet counted are kept.
     """
     if threads < 1:
         raise InvalidParams("threads must be >= 1")
     start = time.perf_counter()
-    sample, mu, bound = _model_functions(plan.model)
+    mu, bound = _model_functions(plan.model)
     try:
         report = bound(plan.model, plan.motif, plan.n)
         lam = report.lam
@@ -163,9 +162,8 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
         lam = lambda_value(plan.motif, plan.n, mu(plan.model, plan.motif))
 
     r_total = plan.replicates
-    graphs = (
-        sample(plan.model, plan.n, substream_seed(plan.seed, r)) for r in range(r_total)
-    )
+    seeds = (substream_seed(plan.seed, r) for r in range(r_total))
+    graphs = sample_graphs(plan.model, plan.n, seeds)
     tally = Counter(count_copies_batch(graphs, plan.motif))
     histogram = {w: c / r_total for w, c in sorted(tally.items())}
 

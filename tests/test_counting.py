@@ -34,7 +34,7 @@ from motif_poisson import (
     SimulationPlan,
     bound_scaled,
 )
-from motif_poisson import counting
+from motif_poisson import counting, models
 from motif_poisson.cli import main
 from motif_poisson.motif import BUILTIN_FAMILIES
 
@@ -417,7 +417,7 @@ def test_batch_input_forms():
 def test_stream_spans_several_runs(monkeypatch):
     # runs of two 40-vertex graphs, so seven graphs end with a run of one;
     # each run's counts come out before the next run's graphs are drawn
-    monkeypatch.setattr(counting, "_BLOCK_WORDS", 2 * 40)
+    monkeypatch.setattr(models, "_BLOCK_WORDS", 2 * 40)
     graphs = [sample_sbm(erdos_renyi(0.3), 40, seed=s) for s in range(7)]
     drawn = []
 

@@ -27,7 +27,7 @@ from motif_poisson import (
     substream_seed,
 )
 from motif_poisson import models
-from motif_poisson.models import _triangle_pair
+from motif_poisson.models import _diagonal_pairs
 
 from conftest import replayed_labels, replayed_latents
 
@@ -286,6 +286,76 @@ def test_sampled_graphs_pinned(name, n):
     assert digest[:16] == PINNED_DIGESTS[name, n]
 
 
+def single(model, n, seed):
+    sample = sample_sbm if isinstance(model, SbmParams) else sample_graphon
+    return sample(model, n, seed)
+
+
+class TestBatches:
+    """``sample_graphs`` gives every graph that ``sample_sbm`` and
+    ``sample_graphon`` give for its seed, however the seeds are batched."""
+
+    @pytest.mark.parametrize("n", [2, 3, 60, 257])
+    @pytest.mark.parametrize("name", list(PIN_MODELS))
+    def test_batch_equals_single(self, name, n):
+        # the first graphs and those on either side of the first batch
+        # boundary (batches of 8192, 5461, 273 and 12 graphs)
+        model, size = PIN_MODELS[name], models.run_length(n)
+        seeds = [substream_seed(n, r) for r in range(size + 3)]
+        batched = list(models.sample_graphs(model, n, seeds))
+        assert len(batched) == len(seeds)
+        for r in sorted({0, 1, 2, *range(size - 3, size + 3)}):
+            assert batched[r] == single(model, n, seeds[r])
+
+    @pytest.mark.parametrize("n", [2, 60, 257])
+    @pytest.mark.parametrize("name", list(PIN_MODELS))
+    def test_batch_length_changes_nothing(self, monkeypatch, name, n):
+        model = PIN_MODELS[name]
+        seeds = [substream_seed(7, r) for r in range(9)]
+        reference = list(models.sample_graphs(model, n, seeds))
+        for length in (1, 2, 7):
+            monkeypatch.setattr(models, "run_length", lambda n, length=length: length)
+            assert list(models.sample_graphs(model, n, seeds)) == reference
+        assert reference == [single(model, n, seed) for seed in seeds]
+
+    def test_positions_flush_across_graphs(self, monkeypatch):
+        # with 64-position chunks, one flush holds chunks of several graphs
+        # and blocks, and one graph's chunks span several flushes (the
+        # chunk size is part of the stream, so the singles use it too)
+        model, n = PIN_MODELS["sbm3"], 40
+        seeds = [substream_seed(9, r) for r in range(20)]
+        monkeypatch.setattr(models, "_CHUNK", 64)
+        reference = [single(model, n, seed) for seed in seeds]
+        assert list(models.sample_graphs(model, n, seeds)) == reference
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(InvalidParams, match="unsigned 64-bit"):
+            list(models.sample_graphs(erdos_renyi(0.5), 10, [3, seed]))
+
+    def test_check_reads_each_graph_own_rows(self):
+        # three graphs stacked as one batch; each fault is planted in graph
+        # 2 alone, where a check that did not keep to the graph's own rows
+        # would find the mirror bit in graph 0
+        n = 70  # two words a row: columns 70..127 are padding
+        graphs = [sample_sbm(erdos_renyi(0.3), n, seed) for seed in (1, 2, 3)]
+        stacked = np.concatenate([g.adjacency for g in graphs])
+        models._check_rows(stacked, n)
+        u, v = next(
+            (u, v) for u, v in graphs[0].edges() if not graphs[2].has_edge(u, v)
+        )
+        faults = [
+            ("not symmetric", (2 * n + u, v)),
+            ("self-loop at 5", (2 * n + 5, 5)),
+            ("past column 69", (2 * n + 5, 100)),
+        ]
+        for problem, (row, col) in faults:
+            bad = stacked.copy()
+            bad[row, col >> 6] |= np.uint64(1 << (col & 63))
+            with pytest.raises(InvalidParams, match=problem):
+                models._check_rows(bad, n)
+
+
 class TestSampling:
     def test_zero_probability_empty_graph(self):
         params = SbmParams(2, (0.5, 0.5), ((0.0, 0.0), (0.0, 0.0)))
@@ -411,9 +481,31 @@ class TestSampling:
 class TestSkipSampler:
     @pytest.mark.parametrize("m", [2, 3, 4, 17, 1000])
     def test_pair_index_matches_triu_indices(self, m):
-        i, j = _triangle_pair(np.arange(m * (m - 1) // 2), m)
+        i, j = _diagonal_pairs(np.arange(m * (m - 1) // 2), m)
         ti, tj = np.triu_indices(m, 1)
         assert np.array_equal(i, ti) and np.array_equal(j, tj)
+
+    def test_pair_index_with_one_size_per_element(self):
+        # diagonal blocks of several sizes mapped in one call: every index
+        # of the small ones, and the first and last index of every row at
+        # m = 10^4
+        sizes, ks, rows, cols = [], [], [], []
+        for m in (2, 3, 4, 17, 40):
+            ti, tj = np.triu_indices(m, 1)
+            sizes.append(np.full(len(ti), m))
+            ks.append(np.arange(len(ti)))
+            rows.append(ti)
+            cols.append(tj)
+        m, row = 10**4, np.arange(10**4 - 1)
+        first = row * (2 * m - row - 1) // 2
+        for k, col in ((first, row + 1), (first + m - 2 - row, np.full(m - 1, m - 1))):
+            sizes.append(np.full(m - 1, m))
+            ks.append(k)
+            rows.append(row)
+            cols.append(col)
+        i, j = _diagonal_pairs(np.concatenate(ks), np.concatenate(sizes))
+        assert np.array_equal(i, np.concatenate(rows))
+        assert np.array_equal(j, np.concatenate(cols))
 
     def test_pair_index_row_ends_at_ten_thousand(self):
         # the first and last index of every row, where a float root that
@@ -423,7 +515,7 @@ class TestSkipSampler:
         first = rows * (2 * m - rows - 1) // 2
         last = first + (m - 2 - rows)
         for k, col in ((first, rows + 1), (last, np.full(m - 1, m - 1))):
-            i, j = _triangle_pair(k, m)
+            i, j = _diagonal_pairs(k, m)
             assert np.array_equal(i, rows) and np.array_equal(j, col)
 
     def test_identity_block_matrix_gives_two_cliques(self):

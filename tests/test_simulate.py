@@ -1,6 +1,7 @@
 """Replicate ensembles: determinism, statistical consistency, bootstrap."""
 
 import gc
+import hashlib
 import json
 import math
 import threading
@@ -25,7 +26,7 @@ from motif_poisson import (
     simulate,
     tv_standard_error,
 )
-from motif_poisson import counting
+from motif_poisson import counting, models
 from motif_poisson.models import row_words
 
 from conftest import poisson_tail
@@ -81,9 +82,9 @@ class TestDeterminism:
         ids=["er_sparse", "er_dense", "graphon_c4"],
     )
     def test_batch_size_changes_nothing(self, monkeypatch, plan):
-        # by default one search counts every replicate of these plans; with
-        # one-word runs each graph has its own search, cut after every
-        # candidate word
+        # by default one batch samples and one search counts every
+        # replicate of these plans; with one-word runs each graph has its
+        # own batch and its own search, cut after every candidate word
         searches, count_rows = [], counting._count_rows
 
         def spy(rows, n, graphs, motif):
@@ -93,7 +94,7 @@ class TestDeterminism:
         monkeypatch.setattr(counting, "_count_rows", spy)
         batched = json.dumps(run(plan).to_dict())
         assert searches == [plan.replicates]
-        monkeypatch.setattr(counting, "_BLOCK_WORDS", 1)
+        monkeypatch.setattr(models, "_BLOCK_WORDS", 1)
         searches.clear()
         assert json.dumps(run(plan).to_dict()) == batched
         assert searches == [1] * plan.replicates
@@ -135,6 +136,59 @@ class TestDeterminism:
         assert a != b
 
 
+# one plan per sampler path: the three criterion-6 plans, a block model
+# whose first class is often empty or a single vertex at n = 12, one with
+# p = 1 and p = 0 blocks, and the two smooth graphons
+PINNED_PLANS = {
+    "crit6_a": SimulationPlan(
+        SbmParams(2, (0.5, 0.5), ((0.0277, 0.01385), (0.01385, 0.0277))),
+        K3, 100, 1000, 7,
+    ),
+    "crit6_b": SimulationPlan(
+        erdos_renyi(1.5 / 60), builtin_motif("cycle", 4), 60, 1000, 7
+    ),
+    "crit6_c": SimulationPlan(
+        GraphonSpec(
+            family="piecewise_constant",
+            breakpoints=(0.0, 0.5, 1.0),
+            values=((0.02, 0.005), (0.005, 0.02)),
+        ),
+        K3, 120, 1000, 7,
+    ),
+    "sbm3_sparse_class": SimulationPlan(
+        SbmParams(
+            3, (0.04, 0.16, 0.8), ((0.9, 0.5, 0.2), (0.5, 0.7, 0.3), (0.2, 0.3, 0.4))
+        ),
+        K3, 12, 500, 7,
+    ),
+    "sbm_p1_p0": SimulationPlan(
+        SbmParams(2, (0.5, 0.5), ((1.0, 0.0), (0.0, 0.3))), K3, 15, 300, 7
+    ),
+    "product": SimulationPlan(GraphonSpec(family="product", scale=0.8), K3, 40, 300, 7),
+    "affine_mean": SimulationPlan(
+        GraphonSpec(family="affine_mean", scale=0.3), K3, 40, 300, 7
+    ),
+}
+
+# sha256 prefixes of json.dumps(run(plan).to_dict()), recorded with
+# replicates sampled one graph at a time at sampler version 2
+PINNED_RUN_DIGESTS = {
+    "crit6_a": "e33c226077d3b835",
+    "crit6_b": "c502b85944f80304",
+    "crit6_c": "c882c3006dc50310",
+    "sbm3_sparse_class": "ab19136bf9ea478b",
+    "sbm_p1_p0": "71ea7dd5d196f3b3",
+    "product": "2880833200696f51",
+    "affine_mean": "652d0d1f4103e8e1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUN_DIGESTS))
+def test_run_pinned(name):
+    text = json.dumps(run(PINNED_PLANS[name]).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_RUN_DIGESTS[name]
+
+
 class TestDegenerate:
     def test_zero_model_point_mass(self):
         plan = er_plan(p=0.0, replicates=200)
@@ -160,7 +214,7 @@ class TestDegenerate:
         def no_sampling(*args):
             raise AssertionError("sampled a graph before checking mu")
 
-        monkeypatch.setattr(simulate, "sample_sbm", no_sampling)
+        monkeypatch.setattr(simulate, "sample_graphs", no_sampling)
         plan = SimulationPlan(
             model=SbmParams(10, (0.1,) * 10, ((0.5,) * 10,) * 10),
             motif=builtin_motif("complete", 10),
