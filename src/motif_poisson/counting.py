@@ -1,22 +1,23 @@
 """Exact motif counting.
 
-``count_copies_batch`` is the production counter.  It counts, in each
-graph of a stream, the injective edge-preserving maps of the motif's
+``_count_rows`` is the production counter.  It counts, in each of a stack
+of graphs of one size, the injective edge-preserving maps of the motif's
 vertices under the symmetry-breaking conditions of Grochow & Kellis
 (RECOMB 2007), so each copy is found exactly once.
 
-One search counts a run of B consecutive graphs of one size over NumPy
-arrays.  Their bitset rows are stacked into one (B*n, ⌈n/64⌉) uint64
-array, and a frontier row holds a graph id and the images of the
-positions filled so far.  A block of frontier rows becomes candidate rows
-for the next position: the graph's mask of vertices of high enough
-degree, ANDed with the rows of the back neighbours' images, with the
-images it could repeat cleared and only the bits above its floor's image
-kept.  Only their nonzero words are expanded into the next level's rows.
-The last position is never expanded: its candidates' popcounts are added
-to their graphs' counts.  The search recurses over the motif's positions,
-expanding at most ``_BLOCK_ROWS`` children at a time, so its memory stays
-fixed however wide it goes.  ``count_copies`` is a stream of one graph.
+One search counts B graphs over NumPy arrays.  Their bitset rows come
+stacked in one (B*n, ⌈n/64⌉) uint64 array, as the sampler hands on each
+batch (:func:`~motif_poisson.models.sample_batches`), and a frontier row
+holds a graph id and the images of the positions filled so far.  A block
+of frontier rows becomes candidate rows for the next position: the
+graph's mask of vertices of high enough degree, ANDed with the rows of
+the back neighbours' images, with the images it could repeat cleared and
+only the bits above its floor's image kept.  Only their nonzero words are
+expanded into the next level's rows.  The last position is never
+expanded: its candidates' popcounts are added to their graphs' counts.
+The search recurses over the motif's positions, expanding at most
+``_BLOCK_ROWS`` children at a time, so its memory stays fixed however
+wide it goes.  ``count_copies`` is a stack of one graph.
 
 ``count_copies_bruteforce`` sums the copy indicators over every
 vertex-set position, exactly as the count is defined, and serves as the
@@ -31,14 +32,13 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GraphTooLargeForOracle
 from . import models
-from .models import _BIT64, SampledGraph, bit_positions, pack_words, run_length
+from .models import _BIT64, SampledGraph, bit_positions, pack_words
 from .motif import Motif, check_fits, compute_stats, stabiliser_orbits
 
 #: The brute-force oracle lists the v! vertex permutations once, then tests
@@ -51,7 +51,7 @@ ORACLE_MAX_WORK = 10**6
 #: Frontier rows per block of the counting search: at most ``_BLOCK_ROWS``,
 #: and fewer for long rows (a row takes ⌈n/64⌉ words) so that a block's
 #: candidates stay within ``models._BLOCK_WORDS`` words, as do the stacked
-#: rows of the graphs one search counts (unless one graph alone takes more).
+#: rows of one sampled batch (unless one graph alone takes more).
 _BLOCK_ROWS = 1024
 #: The uint64 word with bits s..63 set, at index s = 0..64.
 _FROM = np.array([(1 << 64) - (1 << s) for s in range(65)], dtype=np.uint64)
@@ -201,32 +201,13 @@ def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
     return total
 
 
-def count_copies_batch(graphs: Iterable[SampledGraph], m: Motif) -> Iterator[int]:
-    """The number of copies of ``m`` in each of ``graphs``, yielded in
-    order.  Consecutive graphs of one size are counted by one search, in
-    runs of :func:`~motif_poisson.models.run_length` graphs.
-    Only a run's rows are kept, and they are dropped before its counts are
-    yielded, so a generator of graphs frees each graph once it is counted."""
-    for n, group in itertools.groupby(graphs, attrgetter("n")):
-        check_fits(m, n)
-        per_run = run_length(n)
-        while blocks := [g.adjacency for g in itertools.islice(group, per_run)]:
-            run_len = len(blocks)
-            rows = blocks[0] if run_len == 1 else np.concatenate(blocks)
-            del blocks  # the search reads only the stacked rows
-            counts = _count_rows(rows, n, run_len, m).tolist()
-            del rows
-            yield from counts
-
-
 def count_copies(g: SampledGraph, m: Motif) -> int:
     """Exact number of copies of ``m`` in ``g``: the injective maps of the
     motif's vertices into the graph that carry every motif edge onto a
     graph edge, one per automorphism class, so the maps number this count
-    times the automorphism count.  A stream of one graph for
-    :func:`count_copies_batch`."""
-    (count,) = count_copies_batch([g], m)
-    return count
+    times the automorphism count.  One search over a stack of one graph."""
+    check_fits(m, g.n)
+    return int(_count_rows(g.adjacency, g.n, 1, m)[0])
 
 
 def _slot_bits(v: int) -> list[list[int]]:

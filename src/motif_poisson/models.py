@@ -2,7 +2,7 @@
 
 Both models give each vertex a latent value (a class label or a uniform
 variate), then flip one independent coin per vertex pair with probability
-set by the two latents.  One sampler core, :func:`sample_graphs`, draws
+set by the two latents.  One sampler core, :func:`sample_batches`, draws
 every model.  It groups the vertices into blocks whose pairs are one coin,
 and skips from one success to the next by geometric gaps, so a graph with
 m edges takes O(n + m) work beside its n^2/8 bytes of bitset rows.  A
@@ -16,7 +16,8 @@ The graphs are drawn in batches of one counter run (:func:`run_length`).
 Per graph only the random draws run; a batch re-keys one Philox generator
 per seed, maps its drawn positions to vertex pairs and sets them as edges
 in one pass per ``_CHUNK`` positions, so memory stays bounded for dense
-graphs too, and checks its stacked rows once.  ``sample_sbm`` and
+graphs too, and checks its stacked rows once.  The batch is handed on as
+those stacked rows, the form the counter reads.  ``sample_sbm`` and
 ``sample_graphon`` are batches of one.
 
 Each graph is drawn from the counter-based Philox generator keyed directly
@@ -343,6 +344,9 @@ class SampledGraph:
         return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
+        for x in (u, v):
+            if not 0 <= x < self.n:
+                raise InvalidParams(f"vertex {x} is outside 0..{self.n - 1}")
         return bool(self.adjacency[u, v >> 6] & _BIT64[v & 63])
 
     @property
@@ -600,10 +604,12 @@ def _layout(model: SbmParams | GraphonSpec):
     return np.empty(0), ((top,),), lambda x, y: model.evaluate(x, y) / top
 
 
-def sample_graphs(
+def sample_batches(
     model: SbmParams | GraphonSpec, n: int, seeds: Iterable[int]
-) -> Iterator[SampledGraph]:
-    """One graph of ``model`` on ``n`` vertices per seed, in order.
+) -> Iterator[np.ndarray]:
+    """One graph of ``model`` on ``n`` vertices per seed, in order, in
+    batches: each batch is the read-only, checked bitset rows of its graphs
+    stacked n rows a graph, a (B * n, ⌈n/64⌉) uint64 array.
 
     Graph by graph, in the stream keyed by its seed: n latent uniforms,
     then each class pair's coins from :func:`_skip_positions` and, for a
@@ -611,9 +617,8 @@ def sample_graphs(
     taken in batches of ``run_length(n)``, the graphs one counter run
     holds, and a batch shares one Philox generator, re-keyed per seed, one
     mapping of positions to pairs and one edge scatter per ``_CHUNK``
-    positions, and one check of its rows.  Its graphs are read-only views
-    of those rows, which this generator keeps no longer than the graphs
-    it has not yet handed on.
+    positions, and one check of its rows.  This generator keeps no batch
+    once it has handed it on.
     """
     if n < 2:
         raise InvalidParams("n must be >= 2")
@@ -625,15 +630,12 @@ def sample_graphs(
     state = rng.bit_generator.state
     seeds = iter(seeds)
     while batch := list(itertools.islice(seeds, run_length(n))):
-        graphs = _sample_batch(rng, state, layout, n, batch)[::-1]
-        while graphs:
-            # handed on alone, so the batch's rows go with its last graph
-            yield graphs.pop()
+        yield _sample_batch(rng, state, layout, n, batch)
 
 
-def _sample_batch(rng, state, layout, n: int, seeds: list[int]) -> list[SampledGraph]:
-    """The graphs of ``seeds`` drawn by ``rng``, re-keyed per seed by
-    setting ``state``, with their stacked rows checked once."""
+def _sample_batch(rng, state, layout, n: int, seeds: list[int]) -> np.ndarray:
+    """The stacked rows of the graphs of ``seeds`` drawn by ``rng``,
+    re-keyed per seed by setting ``state``, checked once and read-only."""
     if not all(0 <= seed <= _SEED_MASK for seed in seeds):
         raise InvalidParams("seed must be an unsigned 64-bit integer")
     batch = _Batch(n, len(seeds), layout)
@@ -645,29 +647,27 @@ def _sample_batch(rng, state, layout, n: int, seeds: list[int]) -> list[SampledG
     words = _words(batch.bits)
     _check_rows(words, n)
     words.flags.writeable = False
-    return [
-        SampledGraph._checked(n, words[lo : lo + n]) for lo in range(0, len(words), n)
-    ]
+    return words
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
     """Draw one block-model graph: a batch of one for
-    :func:`sample_graphs`.
+    :func:`sample_batches`.
 
     Class labels first (n inverse-CDF draws), then the block coins, so the
     output is fully determined by the seed.
     """
-    (graph,) = sample_graphs(params, n, [seed])
-    return graph
+    (rows,) = sample_batches(params, n, [seed])
+    return SampledGraph._checked(n, rows)
 
 
 def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
-    """Draw one graphon graph, a batch of one for :func:`sample_graphs`:
+    """Draw one graphon graph, a batch of one for :func:`sample_batches`:
     i.i.d. uniforms per vertex, then one coin per pair with probability
     h(U_i, U_j).
 
     A piecewise-constant surface is a block model on the blocks of the
     latents.  A smooth one is one block at h*, thinned to h(U_i, U_j)/h*.
     """
-    (graph,) = sample_graphs(spec, n, [seed])
-    return graph
+    (rows,) = sample_batches(spec, n, [seed])
+    return SampledGraph._checked(n, rows)

@@ -4,8 +4,8 @@ reference.
 Every replicate r draws its graph from an independent generator keyed by
 (seed, r), so the ensemble is reproducible replicate-by-replicate.
 Replicates are sampled in index order, in the calling thread, in batches
-of one counter run, and handed to the counter as one stream, which counts
-each batch in one search.
+of one counter run, and each batch's stacked rows are counted by one
+search before the next batch is drawn.
 """
 
 from __future__ import annotations
@@ -27,16 +27,9 @@ from .bounds import (
     mu_graphon,
     mu_sbm,
 )
-from .counting import count_copies_batch
+from . import counting, models
 from .errors import InvalidParams, NotStrictlyBalanced, json_int
-from .models import (
-    _SEED_MASK,
-    GraphonSpec,
-    SbmParams,
-    check_graph_size,
-    sample_graphs,
-    substream_seed,
-)
+from .models import _SEED_MASK, GraphonSpec, SbmParams, check_graph_size, substream_seed
 from .motif import Motif, check_fits
 from .poisson import poisson_pmf, tv_distance_empirical
 
@@ -140,17 +133,15 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     aside) is a pure function of the plan.  lambda and the bound come
     first, so a plan whose mu cannot be evaluated fails before any graph is
     sampled; lambda is the bound report's, and mu is evaluated on its own
-    only when the motif is not strictly balanced.  ``threads`` must be at
-    least 1; it is accepted for compatibility and changes neither the
-    result nor how the work runs.  Replicates are drawn in index order
-    with their own (seed, r) keys by :func:`sample_graphs`, a batch of one
-    counter run at a time (one re-keyed Philox generator and one check of
-    the rows per batch), handed to :func:`count_copies_batch` as one
-    generator, and their counts are tallied as they come, so how the
-    graphs are batched changes nothing in the summary.  Only the rows of
-    the graphs not yet counted are kept.
+    only when the motif is not strictly balanced.  ``threads`` must be an
+    integer of at least 1; it is accepted for compatibility and changes
+    neither the result nor how the work runs.  Replicates are drawn with
+    their (seed, r) keys by :func:`~motif_poisson.models.sample_batches`,
+    and each batch's stacked rows are counted by one search and tallied
+    before the next batch is drawn, so only one batch's rows are kept and
+    how the graphs are batched changes nothing in the summary.
     """
-    if threads < 1:
+    if json_int(threads, "threads") < 1:
         raise InvalidParams("threads must be >= 1")
     start = time.perf_counter()
     mu, bound = _model_functions(plan.model)
@@ -161,10 +152,12 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
         report = None
         lam = lambda_value(plan.motif, plan.n, mu(plan.model, plan.motif))
 
-    r_total = plan.replicates
+    r_total, n = plan.replicates, plan.n
     seeds = (substream_seed(plan.seed, r) for r in range(r_total))
-    graphs = sample_graphs(plan.model, plan.n, seeds)
-    tally = Counter(count_copies_batch(graphs, plan.motif))
+    tally = Counter()
+    for rows in models.sample_batches(plan.model, n, seeds):
+        tally.update(counting._count_rows(rows, n, len(rows) // n, plan.motif).tolist())
+        del rows  # the next batch is drawn without this one
     histogram = {w: c / r_total for w, c in sorted(tally.items())}
 
     # exact sums, correctly rounded once, as math.fsum over every replicate

@@ -19,7 +19,6 @@ from motif_poisson import (
     builtin_motif,
     copy_indicators,
     count_copies,
-    count_copies_batch,
     count_copies_bruteforce,
     erdos_renyi,
     compute_stats,
@@ -34,7 +33,7 @@ from motif_poisson import (
     SimulationPlan,
     bound_scaled,
 )
-from motif_poisson import counting, models
+from motif_poisson import counting
 from motif_poisson.cli import main
 from motif_poisson.motif import BUILTIN_FAMILIES
 
@@ -44,6 +43,13 @@ P3 = builtin_motif("tree_path", 3)
 K3 = builtin_motif("complete", 3)
 
 FOUR_CYCLE = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def count_stacked(graphs, m) -> list[int]:
+    """Copies of ``m`` in each of ``graphs``, of one size, by one search
+    over their stacked rows, as the sampler hands on a batch."""
+    rows = np.concatenate([g.adjacency for g in graphs])
+    return counting._count_rows(rows, graphs[0].n, len(graphs), m).tolist()
 
 
 class TestWorkedExample:
@@ -138,13 +144,13 @@ def test_count_leaves_no_garbage():
     c4 = builtin_motif("cycle", 4)
     # warm-up: builds and caches the search plans
     count_copies(graphs[0], K3)
-    list(count_copies_batch(graphs, c4))
+    count_stacked(graphs, c4)
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
         count_copies(graphs[0], K3)
-        list(count_copies_batch(graphs, c4))
+        count_stacked(graphs, c4)
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -375,10 +381,10 @@ def test_batch_equals_single_counts_and_oracle(
     ]
     with pytest.MonkeyPatch.context() as mp:
         if one_word_blocks:
-            # every block is cut after one candidate word, inside one run
-            # that holds all the graphs
+            # every block is cut after one candidate word, inside one
+            # search over all the graphs
             mp.setattr(counting, "_BLOCK_ROWS", 1)
-        batch = list(count_copies_batch(graphs, m))
+        batch = count_stacked(graphs, m)
     assert batch == [count_copies(g, m) for g in graphs]
     assert batch == [count_copies_bruteforce(g, m) for g in graphs]
 
@@ -386,7 +392,7 @@ def test_batch_equals_single_counts_and_oracle(
 @pytest.mark.parametrize("block_rows", [1, 64, counting._BLOCK_ROWS])
 def test_multi_word_batch_against_trace_formulas(monkeypatch, block_rows):
     # 130 vertices take three words a row; the counts of a mixed batch,
-    # counted as one run, must each equal their graph's closed-walk count
+    # counted by one search, must each equal their graph's closed-walk count
     monkeypatch.setattr(counting, "_BLOCK_ROWS", block_rows)
     graphs = [
         sample_sbm(erdos_renyi(p), 130, seed=i)
@@ -400,39 +406,9 @@ def test_multi_word_batch_against_trace_formulas(monkeypatch, block_rows):
         triangles.append(int((a2 * a).sum()) // 6)
         closed = int((a2 * a2).sum()) - 2 * int((d * d).sum()) + int(d.sum())
         squares.append(closed // 8)
-    assert list(count_copies_batch(graphs, K3)) == triangles
-    assert list(count_copies_batch(graphs, c4)) == squares
+    assert count_stacked(graphs, K3) == triangles
+    assert count_stacked(graphs, c4) == squares
     assert triangles[1] == 0 and min(triangles[0], triangles[3]) > 0
-
-
-def test_batch_input_forms():
-    # any iterable of graphs, a generator too, and of any sizes
-    graphs = (complete_graph(5) for _ in range(3))
-    assert list(count_copies_batch(graphs, K3)) == [10] * 3
-    assert list(count_copies_batch([], K3)) == []
-    sizes = [5, 6, 6, 5]
-    assert list(count_copies_batch(map(complete_graph, sizes), K3)) == [10, 20, 20, 10]
-
-
-def test_stream_spans_several_runs(monkeypatch):
-    # runs of two 40-vertex graphs, so seven graphs end with a run of one;
-    # each run's counts come out before the next run's graphs are drawn
-    monkeypatch.setattr(models, "_BLOCK_WORDS", 2 * 40)
-    graphs = [sample_sbm(erdos_renyi(0.3), 40, seed=s) for s in range(7)]
-    drawn = []
-
-    def stream():
-        for g in graphs:
-            drawn.append(g)
-            yield g
-
-    c4 = builtin_motif("cycle", 4)
-    counts, drawn_at_yield = [], []
-    for count in count_copies_batch(stream(), c4):
-        counts.append(count)
-        drawn_at_yield.append(len(drawn))
-    assert drawn_at_yield == [2, 2, 4, 4, 6, 6, 7]
-    assert counts == [count_copies(g, c4) for g in graphs]
 
 
 class TestProperties:

@@ -291,8 +291,18 @@ def single(model, n, seed):
     return sample(model, n, seed)
 
 
+def batched(model, n, seeds):
+    """The graphs of ``sample_batches``, cut n rows at a time from each
+    batch's stacked rows."""
+    return [
+        SampledGraph(n, rows[lo : lo + n])
+        for rows in models.sample_batches(model, n, seeds)
+        for lo in range(0, len(rows), n)
+    ]
+
+
 class TestBatches:
-    """``sample_graphs`` gives every graph that ``sample_sbm`` and
+    """``sample_batches`` stacks every graph that ``sample_sbm`` and
     ``sample_graphon`` give for its seed, however the seeds are batched."""
 
     @pytest.mark.parametrize("n", [2, 3, 60, 257])
@@ -302,20 +312,25 @@ class TestBatches:
         # boundary (batches of 8192, 5461, 273 and 12 graphs)
         model, size = PIN_MODELS[name], models.run_length(n)
         seeds = [substream_seed(n, r) for r in range(size + 3)]
-        batched = list(models.sample_graphs(model, n, seeds))
-        assert len(batched) == len(seeds)
+        batches = list(models.sample_batches(model, n, seeds))
+        assert [rows.shape for rows in batches] == [
+            (size * n, models.row_words(n)),
+            (3 * n, models.row_words(n)),
+        ]
+        assert not any(rows.flags.writeable for rows in batches)
         for r in sorted({0, 1, 2, *range(size - 3, size + 3)}):
-            assert batched[r] == single(model, n, seeds[r])
+            rows = batches[r // size][r % size * n : (r % size + 1) * n]
+            assert SampledGraph(n, rows) == single(model, n, seeds[r])
 
     @pytest.mark.parametrize("n", [2, 60, 257])
     @pytest.mark.parametrize("name", list(PIN_MODELS))
     def test_batch_length_changes_nothing(self, monkeypatch, name, n):
         model = PIN_MODELS[name]
         seeds = [substream_seed(7, r) for r in range(9)]
-        reference = list(models.sample_graphs(model, n, seeds))
+        reference = batched(model, n, seeds)
         for length in (1, 2, 7):
             monkeypatch.setattr(models, "run_length", lambda n, length=length: length)
-            assert list(models.sample_graphs(model, n, seeds)) == reference
+            assert batched(model, n, seeds) == reference
         assert reference == [single(model, n, seed) for seed in seeds]
 
     def test_positions_flush_across_graphs(self, monkeypatch):
@@ -326,12 +341,12 @@ class TestBatches:
         seeds = [substream_seed(9, r) for r in range(20)]
         monkeypatch.setattr(models, "_CHUNK", 64)
         reference = [single(model, n, seed) for seed in seeds]
-        assert list(models.sample_graphs(model, n, seeds)) == reference
+        assert batched(model, n, seeds) == reference
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(InvalidParams, match="unsigned 64-bit"):
-            list(models.sample_graphs(erdos_renyi(0.5), 10, [3, seed]))
+            list(models.sample_batches(erdos_renyi(0.5), 10, [3, seed]))
 
     def test_check_reads_each_graph_own_rows(self):
         # three graphs stacked as one batch; each fault is planted in graph
@@ -665,6 +680,18 @@ class TestSampledGraph:
         assert not any(g.has_edge(u, u) for u in range(g.n))
         with pytest.raises(ValueError):
             g.adjacency[0, 0] = 0
+
+    @pytest.mark.parametrize(
+        "u, v", [(-1, 0), (0, -1), (0, 10), (10, 0), (0, 63), (0, 64)]
+    )
+    def test_has_edge_checks_vertices(self, u, v):
+        # -1 used to answer for vertex 9, 63 to read a padding bit and 64
+        # to raise NumPy's IndexError
+        g = sample_sbm(erdos_renyi(1.0), 10, seed=1)
+        bad = u if not 0 <= u < 10 else v
+        with pytest.raises(InvalidParams, match=f"vertex {bad} is outside 0..9"):
+            g.has_edge(u, v)
+        assert g.has_edge(0, 9) and g.has_edge(9, 0)
 
 
 class TestEdgeText:

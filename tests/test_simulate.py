@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+from collections import Counter
 import json
 import math
 import threading
@@ -18,12 +19,14 @@ from motif_poisson import (
     SimulationPlan,
     TooManyTerms,
     builtin_motif,
+    count_copies,
     erdos_renyi,
     histogram_csv,
     motif_from_edge_list,
     poisson_pmf,
     run,
-    simulate,
+    sample_sbm,
+    substream_seed,
     tv_standard_error,
 )
 from motif_poisson import counting, models
@@ -53,18 +56,61 @@ class TestDeterminism:
                 assert run(plan, threads=threads).to_dict() == reference
 
     def test_threads_start_no_thread(self, monkeypatch):
-        seen, count_batch = [], simulate.count_copies_batch
+        seen, count_rows = [], counting._count_rows
 
-        def spy(graphs, motif):
-            graphs = list(graphs)
-            seen.append((len(graphs), threading.active_count()))
-            return count_batch(graphs, motif)
+        def spy(rows, n, graphs, motif):
+            seen.append((graphs, threading.active_count()))
+            return count_rows(rows, n, graphs, motif)
 
-        monkeypatch.setattr(simulate, "count_copies_batch", spy)
+        monkeypatch.setattr(counting, "_count_rows", spy)
         before = threading.active_count()
         run(er_plan(replicates=8), threads=4)
         assert sum(size for size, _ in seen) == 8
         assert max(active for _, active in seen) <= before
+
+    @pytest.mark.parametrize("threads", ["2", 1.5, True, None])
+    def test_threads_is_an_integer(self, threads):
+        with pytest.raises(InvalidParams, match="threads must be an integer"):
+            run(er_plan(replicates=2), threads=threads)
+        with pytest.raises(InvalidParams, match="threads must be >= 1"):
+            run(er_plan(replicates=2), threads=0)
+
+    def test_each_batch_counted_before_the_next_is_drawn(self, monkeypatch):
+        # batches of two 40-vertex graphs, so seven replicates end with a
+        # batch of one; each batch reaches the search as the sampler's own
+        # checked, read-only array, not a copy, and is counted before the
+        # next batch is drawn
+        monkeypatch.setattr(models, "_BLOCK_WORDS", 2 * 40)
+        events = []
+        sample_batches, count_rows = models.sample_batches, counting._count_rows
+
+        def batches(*args):
+            for rows in sample_batches(*args):
+                events.append(("drawn", rows))
+                yield rows
+
+        def spy(rows, n, graphs, motif):
+            events.append(("counted", rows))
+            return count_rows(rows, n, graphs, motif)
+
+        monkeypatch.setattr(models, "sample_batches", batches)
+        monkeypatch.setattr(counting, "_count_rows", spy)
+        plan = SimulationPlan(
+            erdos_renyi(0.3), builtin_motif("cycle", 4), n=40, replicates=7, seed=3
+        )
+        summary = run(plan)
+        assert [what for what, _ in events] == ["drawn", "counted"] * 4
+        drawn, counted = events[::2], events[1::2]
+        assert [len(rows) // 40 for _, rows in drawn] == [2, 2, 2, 1]
+        assert all(a is b for (_, a), (_, b) in zip(drawn, counted))
+        assert not any(rows.flags.writeable for _, rows in drawn)
+        counts = [
+            count_copies(sample_sbm(plan.model, 40, substream_seed(3, r)), plan.motif)
+            for r in range(7)
+        ]
+        assert summary.histogram == {
+            w: c / 7 for w, c in sorted(Counter(counts).items())
+        }
 
     @pytest.mark.parametrize(
         "plan",
@@ -115,10 +161,12 @@ class TestDeterminism:
                 gc.enable()
 
     def test_replicates_keep_no_rows(self):
-        # each 2000-vertex graph is counted alone; its rows (0.49 MiB) must
-        # go before the next graph is drawn, so more replicates add no peak
-        def peak(replicates):
-            plan = er_plan(p=2 / 2000, n=2000, replicates=replicates, seed=5)
+        # a batch of 2000-vertex graphs holds one graph (0.49 MiB of rows),
+        # and one of 100-vertex graphs holds 81 (0.12 MiB); a batch's rows
+        # must go before the next batch is drawn, so four batches peak no
+        # higher than one
+        def peak(n, replicates):
+            plan = er_plan(p=2 / n, n=n, replicates=replicates, seed=5)
             tracemalloc.start()
             try:
                 run(plan)
@@ -126,9 +174,11 @@ class TestDeterminism:
             finally:
                 tracemalloc.stop()
 
-        peak(1)  # warm-up: builds and caches the search plan and the bound
-        rows = 2000 * row_words(2000) * 8
-        assert peak(4) - peak(1) <= rows // 4
+        for n in (2000, 100):
+            batch = models.run_length(n)
+            peak(n, batch)  # warm-up: caches the search plan and the bound
+            rows = batch * n * row_words(n) * 8
+            assert peak(n, 4 * batch) - peak(n, batch) <= rows // 4, n
 
     def test_seed_changes_results(self):
         a = run(er_plan(seed=1)).histogram
@@ -214,7 +264,7 @@ class TestDegenerate:
         def no_sampling(*args):
             raise AssertionError("sampled a graph before checking mu")
 
-        monkeypatch.setattr(simulate, "sample_graphs", no_sampling)
+        monkeypatch.setattr(models, "sample_batches", no_sampling)
         plan = SimulationPlan(
             model=SbmParams(10, (0.1,) * 10, ((0.5,) * 10,) * 10),
             motif=builtin_motif("complete", 10),
@@ -237,11 +287,10 @@ class TestSummaryInvariants:
         # from the histogram must still equal fsum over the replicate list
         counts = [2**53 + 2, 1, 2**53, 7, 3]
         drawn = iter(counts)
-        monkeypatch.setattr(
-            simulate,
-            "count_copies_batch",
-            lambda graphs, motif: [next(drawn) for _ in graphs],
-        )
+        def fake_count(rows, n, graphs, motif):
+            return np.array([next(drawn) for _ in range(graphs)])
+
+        monkeypatch.setattr(counting, "_count_rows", fake_count)
         summary = run(er_plan(replicates=len(counts)))
         mean = math.fsum(counts) / len(counts)
         var = math.fsum((w - mean) ** 2 for w in counts) / (len(counts) - 1)
