@@ -20,6 +20,14 @@ graphs too, and checks its stacked rows once.  The batch is handed on as
 those stacked rows, the form the counter reads.  ``sample_sbm`` and
 ``sample_graphon`` are batches of one.
 
+Below p = 1/3 NumPy draws a geometric gap as one standard exponential E,
+``ceil(-E / log1p(-p))``.  So in a batch of several graphs a sparse graph,
+with no coin in [1/3, 1) and no thinning, draws the gaps of all its blocks
+in one ``standard_exponential`` call, and the batch turns every graph's
+exponentials into gaps and positions at once; a lone graph has no draws
+to batch and takes its blocks one by one.  The stream, and with it every
+graph of ``SAMPLER_VERSION`` 2, is the same as by geometric draws.
+
 Each graph is drawn from the counter-based Philox generator keyed directly
 by its seed, so a sampled graph is a pure function of ``(params, n, seed)``
 regardless of how it is batched or how surrounding work is scheduled.
@@ -428,16 +436,52 @@ def substream_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _SEED_MASK
 
 
+#: Below this p, NumPy's ``Generator.geometric(p)`` turns one standard
+#: exponential E of the stream into ``ceil(-E / log1p(-p))``, with libm's
+#: ``log1p``; from it on, it searches with other draws.
+_EXPONENTIAL_BELOW = 1 / 3
+
+
+def _first_chunk(p: float, total: int) -> int:
+    """Gaps drawn per chunk of a block of ``total`` ``p``-coins, a function
+    of ``(p, total)`` alone: the expected count of successes with room to
+    spare, so a sparse block takes one chunk."""
+    mean = p * total
+    return int(min(_CHUNK, mean + 4.0 * math.sqrt(mean) + 16.0))
+
+
+def _positions(gaps: np.ndarray, total, lengths=None) -> np.ndarray:
+    """Positions, from 0, of the successes after the gaps ``gaps`` among
+    ``total`` coins, one size or one per gap: ``gaps``, integers or floats
+    of integer value, overwritten.  With ``lengths``, the gaps are runs of
+    that many, one block each, and each block's positions start from 0.
+
+    Each gap is capped at ``total``, which keeps the sums exact at tiny p,
+    within int64 and within the integers of float64 (``_CHUNK`` gaps of at
+    most 2^29).  So a block whose first gap is above ``total``, which has
+    no success, gets one at its last position, ``total - 1``; the version 2
+    stream keeps this."""
+    np.minimum(gaps, total, out=gaps)
+    np.cumsum(gaps, out=gaps)
+    if lengths is None or len(lengths) == 1:
+        gaps -= 1
+    else:
+        start = np.cumsum(lengths) - lengths
+        gaps -= np.repeat(np.where(start > 0, gaps[start - 1], 0) + 1, lengths)
+    return gaps
+
+
 def _skip_positions(
     rng: np.random.Generator, p: float, total: int
 ) -> Iterator[np.ndarray]:
     """Ascending positions of the successes among ``total`` independent
-    ``p``-coins, in chunks of at most ``_CHUNK``.
+    ``p``-coins, in chunks of ``_first_chunk(p, total)`` gaps.
 
     The gaps between successes are geometric (Batagelj & Brandes 2005), so
-    the draws are proportional to the successes, not to ``total``.  The
-    first chunk covers the expected count with room to spare, so a sparse
-    block takes one chunk; the chunk sizes depend only on ``(p, total)``.
+    the draws are proportional to the successes, not to ``total``.  Below
+    ``_EXPONENTIAL_BELOW`` each gap is one standard exponential of the
+    stream, so :class:`_Batch` draws the first chunks of a sparse graph's
+    blocks as one call of exponentials instead, and the stream is the same.
     """
     if p <= 0.0 or total == 0:
         return
@@ -445,14 +489,11 @@ def _skip_positions(
         for start in range(0, total, _CHUNK):
             yield np.arange(start, min(start + _CHUNK, total))
         return
-    mean = p * total
-    size = int(min(_CHUNK, mean + 4.0 * math.sqrt(mean) + 16.0))
-    last = -1
+    size, last = _first_chunk(p, total), -1
     while True:
-        # a gap above ``total`` ends the block either way; capping it keeps
-        # the int64 cumulative sum from overflowing at tiny p
-        pos = np.minimum(rng.geometric(p, size), total).cumsum()
-        pos += last
+        pos = _positions(rng.geometric(p, size), total)
+        if last >= 0:
+            pos += last + 1
         if pos[-1] >= total:
             yield pos[: pos.searchsorted(total)]
             return
@@ -488,7 +529,7 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _per_element(values: list[int], lengths: list[int]):
+def _per_element(values: list, lengths: list[int]):
     """``values[c]`` for each element of chunk c: a scalar where every
     chunk has the same value."""
     if values.count(values[0]) == len(values):
@@ -498,93 +539,217 @@ def _per_element(values: list[int], lengths: list[int]):
 
 class _Batch:
     """The graphs of one batch of seeds while they are drawn: their byte
-    rows stacked in n-row bands, one per graph, and the chunks of
-    positions drawn but not yet set as edges.
+    rows stacked in n-row bands, one per graph, and what is drawn but not
+    yet set as edges.
 
-    A chunk is ``(k, rows, cols, width, thin)``: positions ``k`` in one
-    block of vertex pairs, the offsets of the block's row and column
-    vertices in ``members``, the length of the block's rows (its column
-    count, or its vertex count on the diagonal) and, where pairs are
-    thinned, one uniform per position.  Diagonal and off-diagonal chunks
-    are held apart, as they map to pairs by different formulas.
+    A graph's vertex pairs are blocks ``(p, total, rows, cols, width,
+    diagonal)``: ``total`` ``p``-coins, the offsets of the block's row and
+    column vertices in ``members``, the length of its rows (its column
+    count, or its vertex count on the diagonal) and whether it is a
+    diagonal block, whose positions map to pairs by another formula.
+
+    In a batch of several graphs of a model with no thinning and all its
+    coins below 1 below ``_EXPONENTIAL_BELOW``, a graph whose blocks' first
+    chunks take fewer than ``_CHUNK`` gaps draws them all in one call of
+    standard exponentials, held as a run ``(exponentials, graph, blocks,
+    first-chunk sizes)``.  The flush turns all the runs it holds into
+    positions in one pass.  A graph one of whose blocks needs more than its
+    first chunk, a rare event, is drawn again the other way from its seed.
+    The other way draws each block's chunks of positions from
+    :func:`_skip_positions` and, if thinned, one uniform per position, held
+    as ``(k, rows, cols, width, thin)``.  ``held`` is the off-diagonal
+    chunks, the diagonal chunks and the runs, in that order.
     """
 
-    def __init__(self, n: int, graphs: int, layout):
-        self.n = n
+    def __init__(self, n: int, seeds: list[int], layout):
+        self.n, self.seeds = n, seeds
         self.thresholds, self.probs, self.keep = layout
+        graphs, q = len(seeds), len(self.probs)
         self.bits = _empty_rows(n, graphs)
         #: the latents, kept where thinning reads them
         self.latents = np.empty((graphs, n)) if self.keep else None
-        #: the batch's vertices by graph, then class, then index; with one
-        #: class, vertex i itself at index i
-        self.members = np.empty(graphs * n, np.intp) if len(self.probs) > 1 else None
-        self.drawn = self.held = 0
-        self.diagonal, self.off_diagonal = [], []
+        #: the class pairs a <= b in order, with their coins, where p > 0
+        self.pairs = [
+            (a, b, self.probs[a][b])
+            for a in range(q)
+            for b in range(a, q)
+            if self.probs[a][b] > 0.0
+        ]
+        # a lone graph has no draws to batch: it is drawn block by block
+        self.one_call = (
+            graphs > 1
+            and self.keep is None
+            and all(p < _EXPONENTIAL_BELOW or p == 1.0 for _, _, p in self.pairs)
+        )
+        #: with more than one class, the vertices' labels, and the batch's
+        #: vertices by graph, then class, then index, set for the first
+        #: ``ordered`` graphs; with one class, vertex i itself at index i
+        self.labels = self.members = None
+        if q > 1:
+            self.labels = np.empty(graphs * n, np.intp)
+            self.members = np.empty(graphs * n, np.intp)
+        self.drawn = self.ordered = self.count = 0
+        self.held = ([], [], [])
 
     def draw(self, rng: np.random.Generator) -> None:
         """Draw the next graph: its latents, then for each class pair
-        a <= b in order the chunks of coins and, if thinned, the uniforms
-        of each chunk."""
-        g, n, probs = self.drawn, self.n, self.probs
+        a <= b in order the coins of its block, as one run of
+        exponentials or as chunks of positions."""
+        g, n = self.drawn, self.n
         if self.latents is None:
             latent = rng.random(n)
         else:
             latent = rng.random(out=self.latents[g])
         sizes = [n]
-        if self.members is not None:
-            labels = self.thresholds.searchsorted(latent, side="right")
-            sizes = np.bincount(labels, minlength=len(probs)).tolist()
-            self.members[g * n : (g + 1) * n] = labels.argsort(kind="stable") + g * n
-        starts = list(itertools.accumulate(sizes, initial=g * n))
+        if self.labels is not None:
+            labels = self.labels[g * n : (g + 1) * n]
+            labels[:] = self.thresholds.searchsorted(latent, side="right")
+            sizes = np.bincount(labels, minlength=len(self.probs)).tolist()
         self.drawn += 1
-        for a, m in enumerate(sizes):
-            for b in range(a, len(sizes)):
-                width = m if a == b else sizes[b]
-                total = m * (m - 1) // 2 if a == b else m * width
-                for k in _skip_positions(rng, probs[a][b], total):
-                    thin = rng.random(len(k)) if self.keep else None
-                    self.record((k, starts[a], starts[b], width, thin), a == b)
+        starts = list(itertools.accumulate(sizes, initial=g * n))
+        blocks = []
+        for a, b, p in self.pairs:
+            width = sizes[b]
+            total = width * (width - 1) // 2 if a == b else sizes[a] * width
+            if total:
+                blocks.append((p, total, starts[a], starts[b], width, a == b))
+        if self.one_call:
+            sparse = [block for block in blocks if block[0] < 1.0]
+            lengths = [_first_chunk(p, total) for p, total, *_ in sparse]
+            # a first chunk cut to _CHUNK gaps seldom reaches its total
+            if (gaps := sum(lengths)) < _CHUNK:
+                # the p = 1 blocks draw nothing from the stream
+                self._draw_blocks(rng, [b for b in blocks if b[0] == 1.0])
+                if gaps:
+                    run = rng.standard_exponential(gaps)
+                    self._hold(2, gaps, (run, g, sparse, lengths))
+                return
+        self._draw_blocks(rng, blocks)
 
-    def record(self, chunk, diagonal: bool) -> None:
-        """Hold a chunk, first setting those held if the positions held
-        would pass ``_CHUNK``, and then if they reach it."""
-        if self.held + len(chunk[0]) > _CHUNK:
+    def _draw_blocks(self, rng: np.random.Generator, blocks) -> None:
+        """Hold the chunks of positions of each block in order, drawn by
+        ``rng``, each followed, if thinned, by its uniforms."""
+        for p, total, rows, cols, width, diagonal in blocks:
+            for k in _skip_positions(rng, p, total):
+                thin = rng.random(len(k)) if self.keep else None
+                self._hold(int(diagonal), len(k), (k, rows, cols, width, thin))
+
+    def _hold(self, kind: int, count: int, item) -> None:
+        """Hold ``item``, of ``count`` positions or exponentials, with those
+        of its kind, first setting all those held if the count would pass
+        ``_CHUNK``, and then if it reaches it."""
+        if self.count + count > _CHUNK:
             self.flush()
-        (self.diagonal if diagonal else self.off_diagonal).append(chunk)
-        self.held += len(chunk[0])
-        if self.held >= _CHUNK:
+        self.held[kind].append(item)
+        self.count += count
+        if self.count >= _CHUNK:
             self.flush()
 
     def flush(self) -> None:
         """Map every held position to its vertex pair in one pass per kind
         of block, thin the pairs, and set the edges left in one scatter per
-        direction."""
-        held = ((self.diagonal, True), (self.off_diagonal, False))
-        self.diagonal, self.off_diagonal, self.held = [], [], 0
-        ends = [self._pairs(chunks, diagonal) for chunks, diagonal in held if chunks]
+        direction; then draw again the graphs whose runs fell short."""
+        (off_chunks, diagonal_chunks, runs), self.held = self.held, ([], [], [])
+        self.count = 0
+        if self.members is not None and self.ordered < self.drawn:
+            n, lo, hi = self.n, self.ordered, self.drawn
+            key = self.labels[lo * n : hi * n].reshape(hi - lo, n)
+            key = key + len(self.probs) * np.arange(lo, hi)[:, None]
+            self.members[lo * n : hi * n] = key.ravel().argsort(kind="stable")
+            self.members[lo * n : hi * n] += lo * n
+            self.ordered = hi
+        ends = []
+        for chunks, diagonal in ((diagonal_chunks, True), (off_chunks, False)):
+            if chunks:
+                lengths = [len(c[0]) for c in chunks]
+                k = _joined([c[0] for c in chunks])
+                rows, cols, width = (
+                    _per_element([c[i] for c in chunks], lengths) for i in (1, 2, 3)
+                )
+                thin = _joined([c[4] for c in chunks]) if self.keep else None
+                ends.append(self._pairs(k, rows, cols, width, thin, diagonal))
+        again = self._run_positions(runs, ends) if runs else []
         if ends:
             u, v = (_joined(list(side)) for side in zip(*ends))
             del ends
             _set_edges(self.bits, u, v, self.n)
+        for g, blocks in again:
+            self._redraw(g, blocks)
+        if again:
+            self.flush()
 
-    def _pairs(self, chunks, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The batch's vertex pairs (u, v) at the positions in ``chunks``
-        that survive thinning."""
-        lengths = [len(c[0]) for c in chunks]
-        k = _joined([c[0] for c in chunks])
-        width = _per_element([c[3] for c in chunks], lengths)
+    def _redraw(self, g: int, blocks) -> None:
+        """Draw graph g's ``blocks`` again from its own seed, chunk by
+        chunk: past its latents, its stream is theirs."""
+        rng = np.random.Generator(np.random.Philox(key=self.seeds[g]))
+        rng.random(self.n)
+        self._draw_blocks(rng, blocks)
+
+    def _run_positions(self, runs, ends: list) -> list[tuple[int, list]]:
+        """Append to ``ends`` the vertex pairs at the positions of the held
+        runs, and return ``(graph, blocks)`` of each graph with a block
+        whose first chunk ended short of its total: none of its positions
+        is kept.
+
+        The exponential E of a block of p-coins is the gap
+        ``ceil(E / -log1p(-p))``, as NumPy's geometric computes it."""
+        run, block, lengths = zip(
+            *(
+                (r, block, length)
+                for r, (_, _, blocks, counts) in enumerate(runs)
+                for block, length in zip(blocks, counts)
+            )
+        )
+        p, total, rows, cols, width, diagonal = zip(*block)
+        gaps = _joined([r[0] for r in runs])
+        gaps /= _per_element([-math.log1p(-x) for x in p], lengths)
+        np.ceil(gaps, out=gaps)
+        # float, as the gaps are: NumPy compares mixed types more slowly
+        cap = _per_element([float(t) for t in total], lengths)
+        pos = _positions(gaps, cap, lengths)
+        keep = pos < cap
+        last = np.cumsum(lengths) - 1
+        short = pos[last] < total
+        again = []
+        if short.any():
+            redrawn = sorted({run[i] for i in np.flatnonzero(short)})
+            keep &= np.repeat([r not in redrawn for r in run], lengths)
+            again = [(runs[r][1], runs[r][2]) for r in redrawn]
+        # a block's positions ascend, so those kept come first in it
+        kept = np.add.reduceat(keep, last + 1 - lengths, dtype=np.intp)
+        k = pos[keep].astype(np.int64)
+        del gaps, pos, keep
+        on, rows, cols, width = (
+            _per_element(x, kept) for x in (diagonal, rows, cols, width)
+        )
+        sides = [(on, True), (~on, False)] if np.ndim(on) else [(slice(None), on)]
+        for at, d in sides:
+            if len(part := k[at]):
+                pairs = (part, _at(rows, at), None if d else _at(cols, at))
+                ends.append(self._pairs(*pairs, _at(width, at), None, d))
+        return again
+
+    def _pairs(self, k, rows, cols, width, thin, diagonal: bool):
+        """The batch's vertex pairs (u, v) at positions ``k`` of blocks
+        with ``rows``, ``cols`` and ``width`` (each one value or one per
+        position) that survive the thinning uniforms ``thin``."""
         u, v = _diagonal_pairs(k, width) if diagonal else np.divmod(k, width)
         del k
-        rows = _per_element([c[1] for c in chunks], lengths)
         u += rows
-        v += rows if diagonal else _per_element([c[2] for c in chunks], lengths)
+        v += rows if diagonal else cols
         if self.members is not None:
             u, v = self.members[u], self.members[v]
-        if self.keep is not None:
+        if thin is not None:
             lat = self.latents.ravel()
-            hit = _joined([c[4] for c in chunks]) < self.keep(lat[u], lat[v])
+            hit = thin < self.keep(lat[u], lat[v])
             u, v = u[hit], v[hit]
         return u, v
+
+
+def _at(values, index: np.ndarray):
+    """``values[index]``, or ``values`` itself where it is one value."""
+    return values[index] if np.ndim(values) else values
+
 
 
 def _layout(model: SbmParams | GraphonSpec):
@@ -638,7 +803,7 @@ def _sample_batch(rng, state, layout, n: int, seeds: list[int]) -> np.ndarray:
     re-keyed per seed by setting ``state``, checked once and read-only."""
     if not all(0 <= seed <= _SEED_MASK for seed in seeds):
         raise InvalidParams("seed must be an unsigned 64-bit integer")
-    batch = _Batch(n, len(seeds), layout)
+    batch = _Batch(n, seeds, layout)
     for seed in seeds:
         state["state"]["key"][0] = seed
         rng.bit_generator.state = state

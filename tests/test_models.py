@@ -212,14 +212,13 @@ class TestDeterminism:
         # paired replicate streams from two master seeds: the (0,1) edge
         # indicators should be uncorrelated (|corr| < 0.05 over 10^3 pairs)
         params = erdos_renyi(0.5)
-        xs, ys = [], []
-        for r in range(1000):
-            xs.append(
-                sample_sbm(params, 6, substream_seed(1, r)).has_edge(0, 1)
-            )
-            ys.append(
-                sample_sbm(params, 6, substream_seed(2, r)).has_edge(0, 1)
-            )
+        xs, ys = (
+            [
+                g.has_edge(0, 1)
+                for g in batched(params, 6, [substream_seed(s, r) for r in range(1000)])
+            ]
+            for s in (1, 2)
+        )
         corr = np.corrcoef(np.array(xs, float), np.array(ys, float))[0, 1]
         assert abs(corr) < 0.05
 
@@ -237,6 +236,24 @@ PIN_MODELS = {
         breakpoints=(0.0, 0.3, 1.0),
         values=((0.9, 0.3), (0.3, 0.6)),
     ),
+    # every coin below 1/3 (or 0 or 1): drawn as one run of exponentials
+    "er_sparse": erdos_renyi(0.05),
+    "sbm2_sparse": SbmParams(2, (0.4, 0.6), ((0.3, 0.02), (0.02, 0.1))),
+    "sbm3_sparse": SbmParams(
+        3,
+        (0.2, 0.3, 0.5),
+        ((0.25, 0.01, 0.05), (0.01, 0.3, 0.002), (0.05, 0.002, 0.02)),
+    ),
+    "piecewise_sparse": GraphonSpec(
+        family="piecewise_constant",
+        breakpoints=(0.0, 0.25, 0.6, 1.0),
+        values=((0.2, 0.01, 0.03), (0.01, 0.1, 0.0), (0.03, 0.0, 0.05)),
+    ),
+    "sbm_mixed": SbmParams(
+        3, (0.3, 0.3, 0.4), ((1.0, 0.0, 0.1), (0.0, 0.05, 1.0), (0.1, 1.0, 0.0))
+    ),
+    # a block at exactly 1/3, where NumPy's geometric takes another path
+    "sbm_third": SbmParams(2, (0.5, 0.5), ((1 / 3, 0.05), (0.05, 0.1))),
 }
 
 # sha256 prefixes of edge text + the reprs of the replayed class labels and
@@ -268,22 +285,56 @@ PINNED_DIGESTS = {
     ("piecewise_constant", 3): "3b4dd66d63a81c0e",
     ("piecewise_constant", 60): "e1370fa63e4dd969",
     ("piecewise_constant", 257): "1f299ad6c8a588e4",
+    # recorded while every gap was a geometric draw, before sparse graphs
+    # drew their gaps as one run of exponentials
+    ("er_sparse", 2): "9bad26590c294d5b",
+    ("er_sparse", 3): "e49253da979bf5bf",
+    ("er_sparse", 60): "e81a851209fffa6c",
+    ("er_sparse", 257): "5fd8025165352d21",
+    ("er_sparse", 1000): "7fcf3000033a7eee",
+    ("sbm2_sparse", 2): "26648436c540d2a7",
+    ("sbm2_sparse", 3): "b1f4d9a1ba21ce46",
+    ("sbm2_sparse", 60): "91c669ffbafb2e50",
+    ("sbm2_sparse", 257): "d354d10bc1a5b983",
+    ("sbm2_sparse", 1000): "9b50105b9f5be464",
+    ("sbm3_sparse", 2): "7713b910a38b05c7",
+    ("sbm3_sparse", 3): "b4f7aed172527bd8",
+    ("sbm3_sparse", 60): "5cfc157dcc509cc7",
+    ("sbm3_sparse", 257): "ac43a58f10e7dcb9",
+    ("sbm3_sparse", 1000): "73a9bc886fa75bc8",
+    ("piecewise_sparse", 2): "de9359f9ed010939",
+    ("piecewise_sparse", 3): "edbdaabec01f5ca0",
+    ("piecewise_sparse", 60): "ba4fa7f8d7b7d051",
+    ("piecewise_sparse", 257): "ba7567affa31e5c2",
+    ("piecewise_sparse", 1000): "773b335c9c9c52ee",
+    ("sbm_mixed", 2): "7f8dbac8f05045c1",
+    ("sbm_mixed", 3): "264de3183623fe43",
+    ("sbm_mixed", 60): "0f32e6f7dd4c15f2",
+    ("sbm_mixed", 257): "6aeb0e743ee72e44",
+    ("sbm_mixed", 1000): "4c8f6de6f2694424",
+    ("sbm_third", 2): "9bad26590c294d5b",
+    ("sbm_third", 3): "5f041365e4d9cd8b",
+    ("sbm_third", 60): "134ecbd70dd4ac7e",
+    ("sbm_third", 257): "9dc8cb20caed4a0a",
+    ("sbm_third", 1000): "781d0652db252e71",
 }
 
 
 @pytest.mark.parametrize("name,n", sorted(PINNED_DIGESTS))
-def test_sampled_graphs_pinned(name, n):
+def test_sampled_graphs_pinned(name, n, monkeypatch):
+    # the graph drawn alone, block by block, and first in a batch of two,
+    # where a sparse graph draws its gaps as one run of exponentials
     model = PIN_MODELS[name]
     seed = 1000 * list(PIN_MODELS).index(name) + n
     if isinstance(model, SbmParams):
-        g = sample_sbm(model, n, seed)
         latents = (replayed_labels(model, n, seed), None)
     else:
-        g = sample_graphon(model, n, seed)
         latents = (None, tuple(replayed_latents(n, seed).tolist()))
-    text = g.to_edge_text() + "".join(map(repr, latents))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest[:16] == PINNED_DIGESTS[name, n]
+    monkeypatch.setattr(models, "run_length", lambda n: 2)
+    for g in (single(model, n, seed), batched(model, n, [seed, seed + 1])[0]):
+        text = g.to_edge_text() + "".join(map(repr, latents))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest[:16] == PINNED_DIGESTS[name, n]
 
 
 def single(model, n, seed):
@@ -371,6 +422,96 @@ class TestBatches:
                 models._check_rows(bad, n)
 
 
+@pytest.mark.parametrize(
+    "p",
+    # tiny coins, the criterion-6 coins, the last float below 1/3, and 1/3
+    [1e-12, 1e-8, 0.0277, 0.01385, 1.5 / 60, 0.02, 0.005]
+    + [math.nextafter(1 / 3, 0), 1 / 3],
+)
+def test_geometric_is_one_exponential_below_a_third(p):
+    # sparse graphs draw their gaps as standard exponentials and keep the
+    # stream of geometric draws only while NumPy's geometric is this
+    # inversion of one exponential, which it is below 1/3 alone
+    geometric = np.random.Generator(np.random.Philox(key=99))
+    exponential = np.random.Generator(np.random.Philox(key=99))
+    gaps = geometric.geometric(p, 500)
+    inverted = np.ceil(-exponential.standard_exponential(500) / math.log1p(-p))
+    below = p < models._EXPONENTIAL_BELOW
+    assert below == (p < 1 / 3)
+    assert np.array_equal(gaps, inverted) == below
+    if below:
+        assert geometric.random() == exponential.random()
+
+
+class TestOneCall:
+    """A sparse graph draws its blocks' first chunks of gaps as one run of
+    standard exponentials.  Each graph equals the one drawn block by block
+    by geometric draws, which ``_EXPONENTIAL_BELOW = 0`` forces."""
+
+    @staticmethod
+    def assert_per_block(model, n, seeds):
+        """Assert that the graphs of ``seeds``, batched and single, equal
+        those drawn block by block, and that the single ones, with no draws
+        to batch, are; return the graphs of the runs of each flush of the
+        batch and the graphs it drew again."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_EXPONENTIAL_BELOW", 0.0)
+            reference = [single(model, n, seed) for seed in seeds]
+        runs, redrawn = [], []
+        run_positions, redraw = models._Batch._run_positions, models._Batch._redraw
+
+        def spy_runs(batch, held, *lists):
+            runs.append([run[1] for run in held])
+            return run_positions(batch, held, *lists)
+
+        def spy_redraw(batch, g, sizes):
+            redrawn.append(g)
+            redraw(batch, g, sizes)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models._Batch, "_run_positions", spy_runs)
+            patch.setattr(models._Batch, "_redraw", spy_redraw)
+            assert [single(model, n, seed) for seed in seeds] == reference
+            assert not runs and not redrawn
+            assert batched(model, n, seeds) == reference
+        return runs, redrawn
+
+    def test_short_first_chunk_draws_the_graph_again(self, monkeypatch):
+        # first chunks one standard deviation past the mean: some blocks
+        # need a second chunk, so their graphs are drawn again
+        def first_chunk(p, total):
+            return int(p * total + math.sqrt(p * total)) + 1
+
+        monkeypatch.setattr(models, "_first_chunk", first_chunk)
+        seeds = [substream_seed(3, r) for r in range(20)]
+        runs, redrawn = self.assert_per_block(PIN_MODELS["sbm2_sparse"], 60, seeds)
+        assert runs == [list(range(20))]
+        assert 0 < len(redrawn) < 20 and redrawn == sorted(set(redrawn))
+
+    def test_batch_mixes_runs_and_chunks(self, monkeypatch):
+        # with 130-gap chunks, some graphs' first chunks fit and others not
+        monkeypatch.setattr(models, "_CHUNK", 130)
+        seeds = [substream_seed(3, r) for r in range(20)]
+        runs, redrawn = self.assert_per_block(PIN_MODELS["sbm2_sparse"], 30, seeds)
+        assert 0 < sum(map(len, runs)) < 20 and not redrawn
+
+    def test_runs_flush_across_chunks(self, monkeypatch):
+        # runs of several graphs and the chunks of their p = 1 blocks held
+        # together, and flushed every 200 gaps or positions
+        monkeypatch.setattr(models, "_CHUNK", 200)
+        seeds = [substream_seed(3, r) for r in range(20)]
+        runs, redrawn = self.assert_per_block(PIN_MODELS["sbm_mixed"], 12, seeds)
+        assert len(runs) > 1 and max(map(len, runs)) > 1 and not redrawn
+
+    def test_first_chunk_cut_to_chunk_is_drawn_by_blocks(self, monkeypatch):
+        # ER(0.3) at n = 20 wants 103-gap first chunks, cut to 64: a cut
+        # chunk seldom reaches its total, so no graph is drawn as a run
+        monkeypatch.setattr(models, "_CHUNK", 64)
+        seeds = [substream_seed(3, r) for r in range(20)]
+        runs, redrawn = self.assert_per_block(erdos_renyi(0.3), 20, seeds)
+        assert not runs and not redrawn
+
+
 class TestSampling:
     def test_zero_probability_empty_graph(self):
         params = SbmParams(2, (0.5, 0.5), ((0.0, 0.0), (0.0, 0.0)))
@@ -404,10 +545,8 @@ class TestSampling:
         # with all entries equal, any fixed edge is a p-coin whatever f is
         p = 0.3
         params = SbmParams(2, (0.9, 0.1), ((p, p), (p, p)))
-        hits = sum(
-            sample_sbm(params, 10, substream_seed(5, r)).has_edge(2, 7)
-            for r in range(4000)
-        )
+        seeds = [substream_seed(5, r) for r in range(4000)]
+        hits = sum(g.has_edge(2, 7) for g in batched(params, 10, seeds))
         assert abs(hits / 4000 - p) < three_se(p, 4000)
 
     def test_within_and_between_class_frequencies(self):
@@ -473,13 +612,12 @@ class TestSampling:
         params = graphon_to_sbm(spec)
         n, reps = 40, 200
         pairs = n * (n - 1) // 2
-        t_g = sum(
-            sample_graphon(spec, n, substream_seed(19, r)).edge_count
-            for r in range(reps)
-        )
-        t_s = sum(
-            sample_sbm(params, n, substream_seed(23, r)).edge_count
-            for r in range(reps)
+        t_g, t_s = (
+            sum(
+                g.edge_count
+                for g in batched(model, n, [substream_seed(s, r) for r in range(reps)])
+            )
+            for model, s in ((spec, 19), (params, 23))
         )
         # both estimate the same marginal edge probability
         mean_p = 0.25 * 0.3 + 0.5 * 0.05 + 0.25 * 0.15
