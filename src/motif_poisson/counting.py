@@ -11,13 +11,15 @@ batch (:func:`~motif_poisson.models.sample_batches`), and a frontier row
 holds a graph id and the images of the positions filled so far.  A block
 of frontier rows becomes candidate rows for the next position: the
 graph's mask of vertices of high enough degree, ANDed with the rows of
-the back neighbours' images, with the images it could repeat cleared and
-only the bits above its floor's image kept.  Only their nonzero words are
-expanded into the next level's rows.  The last position is never
-expanded: its candidates' popcounts are added to their graphs' counts.
-The search recurses over the motif's positions, expanding at most
-``_BLOCK_ROWS`` children at a time, so its memory stays fixed however
-wide it goes.  ``count_copies`` is a stack of one graph.
+the back neighbours' images and with the row of the bits above its
+floor's image, with the images it could repeat cleared.  That row is one
+gather from a window over 64 strips of 2w - 1 words, cached per row width
+w.  Only the candidates' nonzero words are expanded into the next level's
+rows.  The last position is never expanded: its candidates' popcounts are
+added to their graphs' counts.  The search recurses over the motif's
+positions, expanding at most ``_BLOCK_ROWS`` children at a time, so its
+memory stays fixed however wide it goes.  ``count_copies`` is a stack of
+one graph.
 
 ``count_copies_bruteforce`` sums the copy indicators over every
 vertex-set position, exactly as the count is defined, and serves as the
@@ -53,8 +55,18 @@ ORACLE_MAX_WORK = 10**6
 #: candidates stay within ``models._BLOCK_WORDS`` words, as do the stacked
 #: rows of one sampled batch (unless one graph alone takes more).
 _BLOCK_ROWS = 1024
-#: The uint64 word with bits s..63 set, at index s = 0..64.
-_FROM = np.array([(1 << 64) - (1 << s) for s in range(65)], dtype=np.uint64)
+
+
+@lru_cache(maxsize=4)
+def _above(w: int) -> np.ndarray:
+    """The rows of w words above each vertex, as a read-only (64, w, w)
+    window over 64 strips: strip b is w - 1 zero words, the word with bits
+    b+1..63 set, and w - 1 all-ones words, so entry
+    ``[x & 63, w - 1 - (x >> 6)]`` has exactly bits x+1..64w-1 set."""
+    strips = np.zeros((64, 2 * w - 1), dtype=np.uint64)
+    strips[:, w - 1] = [(1 << 64) - (2 << b) for b in range(64)]
+    strips[:, w:] = ~np.uint64(0)
+    return np.lib.stride_tricks.sliding_window_view(strips, w, axis=1)
 
 
 class _SearchPlan(NamedTuple):
@@ -133,8 +145,9 @@ def _search_plan(m: Motif) -> _SearchPlan:
 def _candidates(rows, n, masks, step, gid, img) -> np.ndarray:
     """Candidate rows of one position for the frontier rows ``(gid, img)``:
     the graph's degree mask, ANDed with the rows of the back neighbours'
-    images, the images the position could repeat cleared, and only the
-    bits above its floor's image kept."""
+    images and with the row of the bits above its floor's image, gathered
+    from :func:`_above`, with the images the position could repeat
+    cleared."""
     backs, deg, floor, avoid = step
     cand = masks[deg][gid]
     base = gid * n
@@ -146,9 +159,8 @@ def _candidates(rows, n, masks, step, gid, img) -> np.ndarray:
             x = img[:, q]
             cand[at, x >> 6] &= ~_BIT64[x & 63]
     if floor >= 0:
-        # bits below s of word j are cleared for s = floor image + 1 - 64 j
-        s = img[:, floor, None] + 1 - 64 * np.arange(cand.shape[1])
-        cand &= _FROM[np.minimum(np.maximum(s, 0, out=s), 64, out=s)]
+        w, x = cand.shape[1], img[:, floor]
+        cand &= _above(w)[x & 63, w - 1 - (x >> 6)]
     return cand
 
 

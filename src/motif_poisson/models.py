@@ -26,7 +26,7 @@ with no coin in [1/3, 1) and no thinning, draws the gaps of all its blocks
 in one ``standard_exponential`` call, and the batch turns every graph's
 exponentials into gaps and positions at once; a lone graph has no draws
 to batch and takes its blocks one by one.  The stream, and with it every
-graph of ``SAMPLER_VERSION`` 2, is the same as by geometric draws.
+graph of ``SAMPLER_VERSION`` 3, is the same as by geometric draws.
 
 Each graph is drawn from the counter-based Philox generator keyed directly
 by its seed, so a sampled graph is a pure function of ``(params, n, seed)``
@@ -80,7 +80,7 @@ MAX_GRAPH_VERTICES = 2**15
 
 #: Version of the random stream behind sampled graphs, stamped into every
 #: manifest: a given seed gives other graphs under another version.
-SAMPLER_VERSION = 2
+SAMPLER_VERSION = 3
 
 GRAPHON_FAMILIES = ("product", "piecewise_constant", "affine_mean")
 
@@ -456,12 +456,11 @@ def _positions(gaps: np.ndarray, total, lengths=None) -> np.ndarray:
     of integer value, overwritten.  With ``lengths``, the gaps are runs of
     that many, one block each, and each block's positions start from 0.
 
-    Each gap is capped at ``total``, which keeps the sums exact at tiny p,
-    within int64 and within the integers of float64 (``_CHUNK`` gaps of at
-    most 2^29).  So a block whose first gap is above ``total``, which has
-    no success, gets one at its last position, ``total - 1``; the version 2
-    stream keeps this."""
-    np.minimum(gaps, total, out=gaps)
+    Each gap is capped at ``total + 1``, which keeps the sums exact at tiny
+    p, within int64 and within the integers of float64 (``_CHUNK`` gaps of
+    at most 2^29 + 1), and still puts a gap that passes the block past its
+    last position, so a block with no success gets none."""
+    np.minimum(gaps, total + 1, out=gaps)
     np.cumsum(gaps, out=gaps)
     if lengths is None or len(lengths) == 1:
         gaps -= 1
@@ -495,7 +494,8 @@ def _skip_positions(
         if last >= 0:
             pos += last + 1
         if pos[-1] >= total:
-            yield pos[: pos.searchsorted(total)]
+            if cut := pos.searchsorted(total):
+                yield pos[:cut]
             return
         yield pos
         last = int(pos[-1])

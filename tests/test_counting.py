@@ -24,6 +24,7 @@ from motif_poisson import (
     compute_stats,
     lambda_value,
     motif_from_edge_list,
+    motif_from_string,
     mu_sbm,
     sample_graphon,
     sample_sbm,
@@ -35,6 +36,7 @@ from motif_poisson import (
 )
 from motif_poisson import counting
 from motif_poisson.cli import main
+from motif_poisson.models import pack_words
 from motif_poisson.motif import BUILTIN_FAMILIES
 
 from conftest import complete_graph, graph_from_edges, random_motif
@@ -394,21 +396,60 @@ def test_multi_word_batch_against_trace_formulas(monkeypatch, block_rows):
     # 130 vertices take three words a row; the counts of a mixed batch,
     # counted by one search, must each equal their graph's closed-walk count
     monkeypatch.setattr(counting, "_BLOCK_ROWS", block_rows)
-    graphs = [
-        sample_sbm(erdos_renyi(p), 130, seed=i)
-        for i, p in enumerate([0.3, 0.0, 0.05, 0.6, 0.01])
-    ]
+    densities = (0.3, 0.0, 0.05, 0.6, 0.01)
+    graphs = [sample_sbm(erdos_renyi(p), 130, seed=i) for i, p in enumerate(densities)]
     c4 = builtin_motif("cycle", 4)
-    triangles, squares = [], []
+    triangles, squares, pentagons = [], [], []
     for g in graphs:
         a = adjacency_matrix(g)
         a2, d = a @ a, a.sum(axis=1)
+        a3 = a2 @ a
         triangles.append(int((a2 * a).sum()) // 6)
         closed = int((a2 * a2).sum()) - 2 * int((d * d).sum()) + int(d.sum())
         squares.append(closed // 8)
+        tr3, tr5 = int(np.trace(a3)), int((a2 * a3).sum())
+        pentagons.append((tr5 - 5 * tr3 - 5 * int(((d - 2) * np.diag(a3)).sum())) // 10)
     assert count_stacked(graphs, K3) == triangles
     assert count_stacked(graphs, c4) == squares
     assert triangles[1] == 0 and min(triangles[0], triangles[3]) > 0
+    # C5 has about 10^8 copies in ER(0.6), too many to list here, and
+    # one-word blocks make one search call per candidate word, so they
+    # leave out ER(0.3) too
+    below = 0.3 if block_rows == 1 else 0.6
+    some = [i for i, p in enumerate(densities) if p < below]
+    c5 = builtin_motif("cycle", 5)
+    assert count_stacked([graphs[i] for i in some], c5) == [pentagons[i] for i in some]
+    assert pentagons[0] > 10**6 and pentagons[2] > 0
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 63, 512])
+def test_above_window_sets_exactly_the_bits_above(w):
+    window = counting._above(w)
+    assert window.shape == (64, w, w)
+    last = 64 * w - 1
+    for x in range(64 * w) if w <= 3 else [0, 1, 63, 64, 65, last - 64, last - 1, last]:
+        bits = np.zeros(64 * w, dtype=bool)
+        bits[x + 1 :] = True
+        got = window[x & 63, w - 1 - (x >> 6)]
+        assert np.array_equal(got, pack_words(bits[None])[0]), x
+
+
+@pytest.mark.parametrize(
+    "motif",
+    # floors mostly off the back neighbours (the floor's row is not among
+    # the rows ANDed), then all or mostly on them
+    ["cycle:5", "tree_path:5", "complete:4", "almost_complete:5"],
+)
+def test_multi_word_floors_survive_relabelling(motif, rng):
+    # 200 vertices take four words a row, so floors fall in every word
+    m = motif_from_string(motif)
+    g = sample_sbm(erdos_renyi(0.1), 200, seed=17)
+    reference = count_copies(g, m)
+    assert reference > 0
+    for _ in range(5):
+        perm = rng.permutation(g.n)
+        relabelled = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert count_copies(relabelled, m) == reference
 
 
 class TestProperties:

@@ -258,19 +258,21 @@ PIN_MODELS = {
 
 # sha256 prefixes of edge text + the reprs of the replayed class labels and
 # latent uniforms (None where the model has none), recorded at sampler
-# version 2; a change to the random stream must update these and bump
+# version 2 except those marked version 3: each of these graphs lost the
+# edge that version 2 set in a block with no success, and no other graph
+# changed; a change to the random stream must update these and bump
 # SAMPLER_VERSION
 PINNED_DIGESTS = {
-    ("sbm1", 2): "9bad26590c294d5b",
+    ("sbm1", 2): "7f5d981dd6e172db",  # version 3
     ("sbm1", 3): "e49253da979bf5bf",
     ("sbm1", 60): "2d5fb5b910ed65be",
     ("sbm1", 257): "7aac2b19fea74b66",
-    ("sbm2", 2): "79bd838f285803d7",
-    ("sbm2", 3): "1a2ed42d73afa0c4",
+    ("sbm2", 2): "7b57f5e106cd84aa",  # version 3
+    ("sbm2", 3): "22b243f1d6fea948",  # version 3
     ("sbm2", 60): "acceca258494ab0d",
     ("sbm2", 257): "d2afde35f1c7544b",
-    ("sbm3", 2): "3332a84e808df348",
-    ("sbm3", 3): "162e1c7fddb975c8",
+    ("sbm3", 2): "0f84b257fe56927a",  # version 3
+    ("sbm3", 3): "54fbdc0c862b2f00",  # version 3
     ("sbm3", 60): "ca39f0c3ba765e65",
     ("sbm3", 257): "6e6b4bb4ba9b9813",
     ("product", 2): "0c87986cadf08ebf",
@@ -287,32 +289,32 @@ PINNED_DIGESTS = {
     ("piecewise_constant", 257): "1f299ad6c8a588e4",
     # recorded while every gap was a geometric draw, before sparse graphs
     # drew their gaps as one run of exponentials
-    ("er_sparse", 2): "9bad26590c294d5b",
+    ("er_sparse", 2): "7f5d981dd6e172db",  # version 3
     ("er_sparse", 3): "e49253da979bf5bf",
     ("er_sparse", 60): "e81a851209fffa6c",
     ("er_sparse", 257): "5fd8025165352d21",
     ("er_sparse", 1000): "7fcf3000033a7eee",
-    ("sbm2_sparse", 2): "26648436c540d2a7",
+    ("sbm2_sparse", 2): "3a4c501d7ae8c084",  # version 3
     ("sbm2_sparse", 3): "b1f4d9a1ba21ce46",
     ("sbm2_sparse", 60): "91c669ffbafb2e50",
     ("sbm2_sparse", 257): "d354d10bc1a5b983",
     ("sbm2_sparse", 1000): "9b50105b9f5be464",
-    ("sbm3_sparse", 2): "7713b910a38b05c7",
-    ("sbm3_sparse", 3): "b4f7aed172527bd8",
+    ("sbm3_sparse", 2): "f27e1439dd0601ed",  # version 3
+    ("sbm3_sparse", 3): "d408fec294e0c6a0",  # version 3
     ("sbm3_sparse", 60): "5cfc157dcc509cc7",
     ("sbm3_sparse", 257): "ac43a58f10e7dcb9",
     ("sbm3_sparse", 1000): "73a9bc886fa75bc8",
     ("piecewise_sparse", 2): "de9359f9ed010939",
-    ("piecewise_sparse", 3): "edbdaabec01f5ca0",
+    ("piecewise_sparse", 3): "476140564c31cc61",  # version 3
     ("piecewise_sparse", 60): "ba4fa7f8d7b7d051",
     ("piecewise_sparse", 257): "ba7567affa31e5c2",
     ("piecewise_sparse", 1000): "773b335c9c9c52ee",
-    ("sbm_mixed", 2): "7f8dbac8f05045c1",
-    ("sbm_mixed", 3): "264de3183623fe43",
+    ("sbm_mixed", 2): "be6946acdb28f09c",  # version 3
+    ("sbm_mixed", 3): "0e952316e9af5bad",  # version 3
     ("sbm_mixed", 60): "0f32e6f7dd4c15f2",
     ("sbm_mixed", 257): "6aeb0e743ee72e44",
     ("sbm_mixed", 1000): "4c8f6de6f2694424",
-    ("sbm_third", 2): "9bad26590c294d5b",
+    ("sbm_third", 2): "7f5d981dd6e172db",  # version 3
     ("sbm_third", 3): "5f041365e4d9cd8b",
     ("sbm_third", 60): "134ecbd70dd4ac7e",
     ("sbm_third", 257): "9dc8cb20caed4a0a",
@@ -335,6 +337,28 @@ def test_sampled_graphs_pinned(name, n, monkeypatch):
         text = g.to_edge_text() + "".join(map(repr, latents))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest[:16] == PINNED_DIGESTS[name, n]
+
+
+@pytest.mark.parametrize("p,n", [(0.05, 2), (0.05, 3), (0.3, 3)])
+def test_small_block_edge_frequency_is_p(p, n):
+    # a block with no success has no edge: at sampler version 2 it got one
+    # at its last pair, so ER(0.05) at n = 2 had its edge in every seed;
+    # drawn alone block by block, and in one batch as one run of
+    # exponentials per graph
+    model, seeds = erdos_renyi(p), [substream_seed(n, r) for r in range(4000)]
+    assert models.run_length(n) >= len(seeds)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    se = math.sqrt(p * (1 - p) / len(seeds))
+    for graphs in ((single(model, n, s) for s in seeds), batched(model, n, seeds)):
+        hits = np.array([[g.has_edge(u, v) for u, v in pairs] for g in graphs])
+        assert np.all(np.abs(hits.mean(axis=0) - p) <= 5 * se), hits.mean(axis=0)
+
+
+def test_block_with_no_success_yields_no_chunk():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    chunks = [list(models._skip_positions(rng, 0.05, 3)) for _ in range(1000)]
+    assert all(len(c) for block in chunks for c in block)
+    assert 0 < sum(map(len, chunks)) < 400
 
 
 def single(model, n, seed):
