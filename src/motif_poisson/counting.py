@@ -6,20 +6,31 @@ vertices under the symmetry-breaking conditions of Grochow & Kellis
 (RECOMB 2007), so each copy is found exactly once.
 
 One search counts B graphs over NumPy arrays.  Their bitset rows come
-stacked in one (B*n, ⌈n/64⌉) uint64 array, as the sampler hands on each
-batch (:func:`~motif_poisson.models.sample_batches`), and a frontier row
-holds a graph id and the images of the positions filled so far.  A block
-of frontier rows becomes candidate rows for the next position: the
-graph's mask of vertices of high enough degree, ANDed with the rows of
-the back neighbours' images and with the row of the bits above its
-floor's image, with the images it could repeat cleared.  That row is one
-gather from a window over 64 strips of 2w - 1 words, cached per row width
-w.  Only the candidates' nonzero words are expanded into the next level's
-rows.  The last position is never expanded: its candidates' popcounts are
+stacked in one (B*n, w) uint64 array, w = ⌈n/64⌉, as the sampler hands on
+each batch (:func:`~motif_poisson.models.sample_batches`), and a frontier
+row holds a graph id and the images of the positions filled so far.  A
+block of frontier rows becomes the nonzero words of its candidate rows for
+the next position: the graph's mask of vertices of high enough degree,
+ANDed with the rows of the back neighbours' images and with the row of
+the bits above its floor's image, with the images it could repeat
+cleared.  Each batch forms them in one of two ways (:func:`_row_words`):
+
+- as whole rows, the floor's row one gather from a window over 64 strips
+  of 2w - 1 words, cached per w;
+- in wide rows with few nonzero words, listed once per batch, from the
+  nonzero words of the position's pivot row, the row of its first back
+  neighbour's image, from the floor image's word on, ANDed with the same
+  words of the other rows.  The work then grows with the edges, not with
+  n·w (Chiba & Nishizeki, SIAM J. Comput. 1985).  A position with no back
+  neighbour, where a disconnected motif restarts, forms whole rows.
+
+Only the candidates' nonzero words are expanded into the next level's
+rows.  The last position is never expanded: its words' popcounts are
 added to their graphs' counts.  The search recurses over the motif's
-positions, expanding at most ``_BLOCK_ROWS`` children at a time, so its
-memory stays fixed however wide it goes.  ``count_copies`` is a stack of
-one graph.
+positions, expanding at most ``_BLOCK_ROWS`` children at a time, and
+fewer where their candidates could pass ``models._BLOCK_WORDS`` words, so
+its memory stays fixed however wide it goes.  ``count_copies`` is a stack
+of one graph.
 
 ``count_copies_bruteforce`` sums the copy indicators over every
 vertex-set position, exactly as the count is defined, and serves as the
@@ -51,10 +62,27 @@ ORACLE_MAX_VERTICES = 14
 ORACLE_MAX_WORK = 10**6
 
 #: Frontier rows per block of the counting search: at most ``_BLOCK_ROWS``,
-#: and fewer for long rows (a row takes ⌈n/64⌉ words) so that a block's
-#: candidates stay within ``models._BLOCK_WORDS`` words, as do the stacked
-#: rows of one sampled batch (unless one graph alone takes more).
+#: and fewer for long rows (a row takes ⌈n/64⌉ words, a sparse row only its
+#: nonzero ones) so that a block's candidates stay within
+#: ``models._BLOCK_WORDS`` words, as do the stacked rows of one sampled
+#: batch (unless one graph alone takes more).
 _BLOCK_ROWS = 1024
+
+
+#: A batch whose rows take at least ``_SPARSE_WIDTH`` words, at most
+#: ``_SPARSE_SHARE`` of them nonzero, forms candidates from the nonzero words
+#: of each pivot row (:func:`_candidates`).  Timed on ER graphs against whole
+#: rows, K3 and C4 alike, the pivot words took 0.6 of the time at 63 words a
+#: row (n = 4000) up to 12 % nonzero, 0.85 at 27 % and 1.0 at 47 %; at 32
+#: words 0.87-0.96 up to 22 % and 1.04-1.10 at 46 %.  At 16 words or fewer,
+#: where whole-row blocks are not cut below ``_BLOCK_ROWS`` rows, they took
+#: 1.1-2.3 times as long at every share.
+_SPARSE_WIDTH = 32
+_SPARSE_SHARE = 0.25
+
+#: The word with bits b+1..63 set, at index b.
+_HIGH = np.array([(1 << 64) - (2 << b) for b in range(64)], dtype=np.uint64)
+_ONES = ~np.uint64(0)
 
 
 @lru_cache(maxsize=4)
@@ -64,9 +92,18 @@ def _above(w: int) -> np.ndarray:
     b+1..63 set, and w - 1 all-ones words, so entry
     ``[x & 63, w - 1 - (x >> 6)]`` has exactly bits x+1..64w-1 set."""
     strips = np.zeros((64, 2 * w - 1), dtype=np.uint64)
-    strips[:, w - 1] = [(1 << 64) - (2 << b) for b in range(64)]
-    strips[:, w:] = ~np.uint64(0)
+    strips[:, w - 1] = _HIGH
+    strips[:, w:] = _ONES
     return np.lib.stride_tricks.sliding_window_view(strips, w, axis=1)
+
+
+class _Words(NamedTuple):
+    """The nonzero words of stacked bitset rows, in order: row r's are
+    ``word[start[r]:start[r + 1]]``, at flat word positions ``at[...]``."""
+
+    start: np.ndarray
+    at: np.ndarray
+    word: np.ndarray
 
 
 class _SearchPlan(NamedTuple):
@@ -142,74 +179,133 @@ def _search_plan(m: Motif) -> _SearchPlan:
     return _SearchPlan(back_edges, need_deg, floor, tuple(avoid))
 
 
-def _candidates(rows, n, masks, step, gid, img) -> np.ndarray:
-    """Candidate rows of one position for the frontier rows ``(gid, img)``:
-    the graph's degree mask, ANDed with the rows of the back neighbours'
-    images and with the row of the bits above its floor's image, gathered
-    from :func:`_above`, with the images the position could repeat
-    cleared."""
+def _candidates(rows, n, masks, words, step, gid, img):
+    """Candidate words of one position for the frontier rows ``(gid, img)``,
+    as ``(parent, j, word)``: word j of frontier row ``parent``'s candidate
+    row, nonzero.  That row is the graph's degree mask, ANDed with the rows
+    of the back neighbours' images and with the row of the bits above its
+    floor's image, with the images the position could repeat cleared.
+
+    With ``words``, the nonzero words of sparse rows, a position with back
+    neighbours takes only the nonzero words of its pivot row, that of its
+    first back neighbour's image, and ANDs the same words of the rest into
+    each.  Otherwise it forms whole rows, the floor gathered from
+    :func:`_above`, and lists their nonzero words."""
     backs, deg, floor, avoid = step
-    cand = masks[deg][gid]
+    w = rows.shape[1]
+    if words is None or not backs:
+        cand = masks[deg][gid]
+        base = gid * n
+        for q in backs:
+            cand &= rows[base + img[:, q]]
+        if avoid:
+            at = np.arange(len(gid))
+            for q in avoid:
+                x = img[:, q]
+                cand[at, x >> 6] &= ~_BIT64[x & 63]
+        if floor >= 0:
+            x = img[:, floor]
+            cand &= _above(w)[x & 63, w - 1 - (x >> 6)]
+        at = np.flatnonzero(cand != 0)
+        parent = at // w
+        return parent, at - parent * w, cand.ravel()[at]
+    flat = rows.ravel()
     base = gid * n
-    for q in backs:
-        cand &= rows[base + img[:, q]]
-    if avoid:
-        at = np.arange(len(gid))
-        for q in avoid:
-            x = img[:, q]
-            cand[at, x >> 6] &= ~_BIT64[x & 63]
+    pivot = base + img[:, backs[0]]
+    first = pivot * w
     if floor >= 0:
-        w, x = cand.shape[1], img[:, floor]
-        cand &= _above(w)[x & 63, w - 1 - (x >> 6)]
-    return cand
+        x = img[:, floor]
+        # no candidate lies below the floor image's word
+        lo = np.searchsorted(words.at, first + (x >> 6))
+    else:
+        lo = words.start[pivot]
+    size = words.start[pivot + 1] - lo
+    parent = np.repeat(np.arange(len(gid)), size)
+    at = np.repeat(lo - (size.cumsum() - size), size)
+    at += np.arange(len(at))
+    at, word = words.at[at], words.word[at]
+    j = at - first[parent]
+    if floor >= 0:
+        word &= np.where(j == (x >> 6)[parent], _HIGH[x & 63][parent], _ONES)
+    if deg:
+        word &= masks[deg].ravel()[(gid * w)[parent] + j]
+    for q in backs[1:]:
+        word &= flat[at + ((base + img[:, q] - pivot) * w)[parent]]
+    for q in avoid:
+        x = img[:, q]
+        word &= np.where(j == (x >> 6)[parent], ~_BIT64[x & 63][parent], _ONES)
+    keep = word != 0
+    return parent[keep], j[keep], word[keep]
 
 
-def _search(rows, n, masks, steps, cap, total, gid, img) -> None:
+def _search(rows, n, masks, words, steps, cap, total, gid, img) -> None:
     """Add to ``total`` the copies that extend the frontier rows
     ``(gid, img)``, which fill the first k positions: at the last position
-    the popcounts of their candidate rows; elsewhere the search on each
-    run of nonzero candidate words whose popcounts sum to at most ``cap``
-    (one word at least), expanded into frontier rows of position k + 1."""
+    the popcounts of their candidate words; elsewhere the search on each
+    run of candidate words whose popcounts sum to at most ``cap`` (one word
+    at least), expanded into frontier rows of position k + 1."""
     k = img.shape[1]
-    cand = _candidates(rows, n, masks, steps[k], gid, img)
+    parent, j, word = _candidates(rows, n, masks, words, steps[k], gid, img)
     if k == len(steps) - 1:
-        np.add.at(total, gid, np.bitwise_count(cand).sum(axis=1, dtype=np.int64))
+        np.add.at(total, gid[parent], np.bitwise_count(word).astype(np.int64))
         return
-    w = cand.shape[1]
-    where = np.flatnonzero(cand != 0)
-    word = cand.ravel()[where]
-    del cand
     size = np.bitwise_count(word).cumsum()
     lo = 0
     while lo < len(word):
         done = int(size[lo - 1]) if lo else 0
         hi = max(lo + 1, int(size.searchsorted(done + cap, "right")))
         bit = bit_positions(word[lo:hi])
-        src = where[lo:hi][bit >> 6]
-        parent = src // w
+        src = lo + (bit >> 6)
+        up = parent[src]
         child = np.empty((len(bit), k + 1), dtype=np.int64)
-        child[:, :k] = img[parent]
-        child[:, k] = src % w * 64 + (bit & 63)
-        _search(rows, n, masks, steps, cap, total, gid[parent], child)
+        child[:, :k] = img[up]
+        child[:, k] = j[src] * 64 + (bit & 63)
+        _search(rows, n, masks, words, steps, cap, total, gid[up], child)
         lo = hi
+
+
+def _row_words(rows: np.ndarray) -> tuple[_Words | None, np.ndarray]:
+    """The degrees of the stacked rows, and their nonzero words when the
+    rows take at least ``_SPARSE_WIDTH`` words and at most ``_SPARSE_SHARE``
+    of those are nonzero, or else None.  Sparse rows' degrees come from
+    those words, with no temporary as large as the rows."""
+    flat, w = rows.ravel(), rows.shape[1]
+    if w >= _SPARSE_WIDTH:
+        nonzero = flat != 0
+        if np.count_nonzero(nonzero) <= _SPARSE_SHARE * flat.size:
+            at = np.flatnonzero(nonzero)
+            del nonzero
+            row, word = at // w, flat[at]
+            start = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(row, minlength=len(rows)), out=start[1:])
+            ones = np.bincount(row, weights=np.bitwise_count(word), minlength=len(rows))
+            return _Words(start, at, word), ones.astype(np.int64)
+    return None, np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
 def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
     """Copies of ``m`` in each of the ``graphs`` graphs whose bitset rows
-    are stacked in ``rows``, as an int64 array, by one search."""
+    are stacked in ``rows``, as an int64 array, by one search, with
+    candidates from each pivot row's nonzero words where
+    :func:`_row_words` lists them, and from whole rows elsewhere."""
     back_edges, need_deg, floor, avoid = _search_plan(m)
     w = rows.shape[1]
-    degrees = np.bitwise_count(rows).sum(axis=1, dtype=np.int64).reshape(graphs, n)
+    words, degrees = _row_words(rows)
     wide = np.zeros((graphs, 64 * w), dtype=bool)
     masks = {}
     for d in set(need_deg):
-        wide[:, :n] = degrees >= d
+        wide[:, :n] = degrees.reshape(graphs, n) >= d
         masks[d] = pack_words(wide)
     steps = tuple(zip(back_edges, need_deg, floor, avoid))
-    cap = min(_BLOCK_ROWS, models._BLOCK_WORDS // w)
+    # the most words the candidates of one frontier row can take
+    if words is None or not all(back_edges[1:]):
+        widest = w
+    else:
+        widest = max(1, int(np.diff(words.start).max()))
+    cap = min(_BLOCK_ROWS, models._BLOCK_WORDS // widest)
     total = np.zeros(graphs, dtype=np.int64)
     gid, img = np.arange(graphs), np.empty((graphs, 0), dtype=np.int64)
-    _search(rows, n, masks, steps, cap, total, gid, img)
+    _search(rows, n, masks, words, steps, cap, total, gid, img)
     return total
 
 

@@ -266,42 +266,45 @@ def bit_positions(words: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(octets, bitorder="little").view(bool))
 
 
-def _set_bits(rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(u, v) of every set bit v of row u, in row-major order, in blocks of
-    at most ``_SCAN_WORDS`` nonzero words."""
-    width = 64 * rows.shape[1]
+def _set_bits(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Flat positions 64 * i + b of the set bits b of ``rows.ravel()[i]``,
+    ascending, in blocks of at most ``_SCAN_WORDS`` nonzero words."""
     flat = rows.ravel()
     if flat.size <= _SCAN_WORDS:  # one block: no need to find its nonzero words
-        at = bit_positions(flat)
-        yield at // width, at % width
+        yield bit_positions(flat)
         return
     nonzero = np.flatnonzero(flat != 0)
     for lo in range(0, len(nonzero), _SCAN_WORDS):
         word = nonzero[lo : lo + _SCAN_WORDS]
         bit = bit_positions(flat[word])
-        at = word[bit >> 6] * 64 + (bit & 63)
-        yield at // width, at % width
+        yield word[bit >> 6] * 64 + (bit & 63)
 
 
 def _check_rows(rows: np.ndarray, n: int) -> None:
     """InvalidParams unless the bitset rows of graphs on n vertices,
     stacked n rows a graph, are each symmetric, with a zero diagonal and
-    no bit past column n - 1.  One pass over the set bits: the mirror of
-    bit v of row u is read in u's own graph, at row u - u % n + v."""
-    for u, v in _set_bits(rows):
-        if not (v < n).all():
-            raise InvalidParams(f"adjacency has bits past column {n - 1}")
-        vertex = u % n
-        loop = vertex == v
-        if loop.any():
-            raise InvalidParams(f"self-loop at {vertex[loop][0]}")
-        u -= vertex
-        u += v
-        lone = (rows[u, vertex >> 6] & _BIT64[vertex & 63]) == 0
-        if lone.any():
-            raise InvalidParams(
-                f"adjacency not symmetric at ({vertex[lone][0]}, {v[lone][0]})"
-            )
+    no bit past column n - 1.  Padding is read in the last word of each
+    row and the diagonal once a row.  Then one pass over the set bits reads
+    each one's mirror in its own graph: bit v of the row of vertex x, at
+    flat bit position ``at``, has it at ``at + (v - x) * (width - 1)``,
+    where ``width`` is the row's bits."""
+    if n % 64 and (rows[:, -1] >> np.uint64(n % 64)).any():
+        raise InvalidParams(f"adjacency has bits past column {n - 1}")
+    vertex = np.tile(np.arange(n), len(rows) // n)
+    loop = np.flatnonzero(rows[np.arange(len(rows)), vertex >> 6] & _BIT64[vertex & 63])
+    if len(loop):
+        raise InvalidParams(f"self-loop at {vertex[loop[0]]}")
+    width = 64 * rows.shape[1]
+    flat = rows.ravel()
+    for at in _set_bits(rows):
+        u = at // width
+        v = at - u * width
+        x = vertex[u]
+        mirror = at + (v - x) * (width - 1)
+        lone = np.flatnonzero((flat[mirror >> 6] & _BIT64[mirror & 63]) == 0)
+        if len(lone):
+            i = lone[0]
+            raise InvalidParams(f"adjacency not symmetric at ({x[i]}, {v[i]})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,9 +313,9 @@ class SampledGraph:
 
     ``adjacency`` holds one bitset row per vertex, an (n, ⌈n/64⌉) uint64
     array in which bit ``v % 64`` of word ``v // 64`` of row ``u`` is set
-    when {u, v} is an edge.  The constructor checks it in one pass over the
-    set bits: the rows must be symmetric, with a zero diagonal and no bit
-    past column n - 1, or InvalidParams is raised.  The graph keeps a
+    when {u, v} is an edge.  The constructor checks it: the rows must be
+    symmetric, with a zero diagonal and no bit past column n - 1, or
+    InvalidParams is raised.  The graph keeps a
     read-only view of the array.
     """
 
@@ -362,7 +365,9 @@ class SampledGraph:
         return int(np.bitwise_count(self.adjacency).sum()) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u, v in _set_bits(self.adjacency):
+        width = 64 * self.adjacency.shape[1]
+        for at in _set_bits(self.adjacency):
+            u, v = np.divmod(at, width)
             upper = u < v
             yield from zip(u[upper].tolist(), v[upper].tolist())
 

@@ -1,5 +1,6 @@
 """Exact counting against the brute-force oracle and closed-form cases."""
 
+import contextlib
 import gc
 import itertools
 import math
@@ -34,7 +35,7 @@ from motif_poisson import (
     SimulationPlan,
     bound_scaled,
 )
-from motif_poisson import counting
+from motif_poisson import counting, models
 from motif_poisson.cli import main
 from motif_poisson.models import pack_words
 from motif_poisson.motif import BUILTIN_FAMILIES
@@ -45,6 +46,21 @@ P3 = builtin_motif("tree_path", 3)
 K3 = builtin_motif("complete", 3)
 
 FOUR_CYCLE = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+#: The two ways the counter forms candidates: whole rows, or the nonzero
+#: words of each pivot row.
+PATHS = ["rows", "words"]
+
+
+@contextlib.contextmanager
+def forced(path):
+    """Counting that forms candidates by ``path`` whatever the rows' width
+    and share of nonzero words."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_SPARSE_WIDTH", 0 if path == "words" else math.inf)
+        mp.setattr(counting, "_SPARSE_SHARE", 1.0)
+        yield mp
 
 
 def count_stacked(graphs, m) -> list[int]:
@@ -144,19 +160,21 @@ def test_count_leaves_no_garbage():
     # the graphs' bitsets alive until the cyclic collector ran
     graphs = [sample_sbm(erdos_renyi(0.3), 40, seed=s) for s in range(5)]
     c4 = builtin_motif("cycle", 4)
-    # warm-up: builds and caches the search plans
-    count_copies(graphs[0], K3)
-    count_stacked(graphs, c4)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        gc.collect()
-        count_copies(graphs[0], K3)
-        count_stacked(graphs, c4)
-        assert gc.collect() == 0
-    finally:
-        if enabled:
-            gc.enable()
+    for path in PATHS:
+        with forced(path):
+            # warm-up: builds and caches the search plans
+            count_copies(graphs[0], K3)
+            count_stacked(graphs, c4)
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                gc.collect()
+                count_copies(graphs[0], K3)
+                count_stacked(graphs, c4)
+                assert gc.collect() == 0, path
+            finally:
+                if enabled:
+                    gc.enable()
 
 
 def test_counting_memory_is_the_rows_plus_a_fixed_budget():
@@ -175,6 +193,26 @@ def test_counting_memory_is_the_rows_plus_a_fixed_budget():
     a = adjacency_matrix(g).astype(float)
     tr3 = ((a @ a) * a).sum()  # exact: every partial sum is below 2**53
     assert got == tr3 / 6
+
+
+@pytest.mark.parametrize("motif", ["complete:3", "cycle:4"])
+def test_sparse_counting_memory_grows_with_the_edges(motif):
+    # 10^4 vertices take 157 words a row, about 1 % of them nonzero in
+    # ER(2/n): the nonzero words are listed once, and no temporary as large
+    # as the rows is built; the flags of the nonzero words take an eighth
+    g = sample_sbm(erdos_renyi(2 / 10**4), 10**4, seed=4)
+    m = motif_from_string(motif)
+    assert counting._row_words(g.adjacency)[0] is not None
+    count_copies(graph_from_edges(4, [(0, 1)]), m)  # caches the search plan
+    tracemalloc.start()
+    try:
+        got = count_copies(g, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= g.adjacency.nbytes // 8 + 2**20 + 64 * g.edge_count
+    with forced("rows"):
+        assert got == count_copies(g, m)
 
 
 def oracle_memory(v: int) -> tuple[int, int, int]:
@@ -381,14 +419,16 @@ def test_batch_equals_single_counts_and_oracle(
         sample_sbm(erdos_renyi(p), n, substream_seed(seed, i))
         for i, p in enumerate(densities)
     ]
-    with pytest.MonkeyPatch.context() as mp:
-        if one_word_blocks:
-            # every block is cut after one candidate word, inside one
-            # search over all the graphs
-            mp.setattr(counting, "_BLOCK_ROWS", 1)
-        batch = count_stacked(graphs, m)
-    assert batch == [count_copies(g, m) for g in graphs]
-    assert batch == [count_copies_bruteforce(g, m) for g in graphs]
+    oracle = [count_copies_bruteforce(g, m) for g in graphs]
+    for path in PATHS:
+        with forced(path) as mp:
+            if one_word_blocks:
+                # every block is cut after one candidate word, inside one
+                # search over all the graphs
+                mp.setattr(counting, "_BLOCK_ROWS", 1)
+            batch = count_stacked(graphs, m)
+            assert batch == [count_copies(g, m) for g in graphs], path
+        assert batch == oracle, path
 
 
 @pytest.mark.parametrize("block_rows", [1, 64, counting._BLOCK_ROWS])
@@ -409,8 +449,6 @@ def test_multi_word_batch_against_trace_formulas(monkeypatch, block_rows):
         squares.append(closed // 8)
         tr3, tr5 = int(np.trace(a3)), int((a2 * a3).sum())
         pentagons.append((tr5 - 5 * tr3 - 5 * int(((d - 2) * np.diag(a3)).sum())) // 10)
-    assert count_stacked(graphs, K3) == triangles
-    assert count_stacked(graphs, c4) == squares
     assert triangles[1] == 0 and min(triangles[0], triangles[3]) > 0
     # C5 has about 10^8 copies in ER(0.6), too many to list here, and
     # one-word blocks make one search call per candidate word, so they
@@ -418,8 +456,57 @@ def test_multi_word_batch_against_trace_formulas(monkeypatch, block_rows):
     below = 0.3 if block_rows == 1 else 0.6
     some = [i for i, p in enumerate(densities) if p < below]
     c5 = builtin_motif("cycle", 5)
-    assert count_stacked([graphs[i] for i in some], c5) == [pentagons[i] for i in some]
     assert pentagons[0] > 10**6 and pentagons[2] > 0
+    for path in PATHS:
+        with forced(path):
+            assert count_stacked(graphs, K3) == triangles, path
+            assert count_stacked(graphs, c4) == squares, path
+            got = count_stacked([graphs[i] for i in some], c5)
+            assert got == [pentagons[i] for i in some], path
+
+
+def closed_forms(g: SampledGraph) -> tuple[int, int, int]:
+    """K3, C4 and two disjoint edges in ``g``: tr(A^3)/6,
+    (tr(A^4) - 2 sum d^2 + 2m)/8, and C(m, 2) - sum C(d, 2)."""
+    a = adjacency_matrix(g)
+    a2, d = a @ a, a.sum(axis=1)
+    m = int(d.sum()) // 2
+    squares = int((a2 * a2).sum()) - 2 * int((d * d).sum()) + 2 * m
+    return int((a2 * a).sum()) // 6, squares // 8, math.comb(m, 2) - int((d * (d - 1) // 2).sum())
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_word_boundaries_against_closed_forms(n, path):
+    # one word a row at 63 and 64 vertices, a second word holding one
+    # vertex at 65, and three words at 129; empty graphs between the others
+    # in one batch; two disjoint edges restart the search at its third
+    # position, with no back neighbour
+    densities = (0.0, 0.1, 0.0, 0.0, 0.4, 0.02, 0.0)
+    graphs = [sample_sbm(erdos_renyi(p), n, seed=i) for i, p in enumerate(densities)]
+    expected = list(zip(*map(closed_forms, graphs)))
+    motifs = (K3, builtin_motif("cycle", 4), motif_from_edge_list([(0, 1), (2, 3)]))
+    with forced(path):
+        assert [count_stacked(graphs, m) for m in motifs] == [list(e) for e in expected]
+    assert max(expected[0]) > 0 and expected[2][0] == 0
+
+
+def test_path_follows_the_batch_shape():
+    # a large_n graph (ER(2/n) at n = 4000, 63 words a row, about 3 % of
+    # them nonzero) lists its nonzero words; a batch of the ensemble plans
+    # (ER(1.5/60), one word a row) and of the dense counts forms whole rows
+    n = 4000
+    (sparse,) = models.sample_batches(erdos_renyi(2 / n), n, [3])
+    words, degrees = counting._row_words(sparse)
+    assert words is not None and np.count_nonzero(sparse) < sparse.size / 16
+    assert np.array_equal(degrees, np.bitwise_count(sparse).sum(axis=1))
+    assert np.array_equal(words.word, sparse.ravel()[words.at])
+    for model, n in ((erdos_renyi(1.5 / 60), 60), (erdos_renyi(0.3), 60)):
+        batch = next(models.sample_batches(model, n, range(1, 51)))
+        assert counting._row_words(batch)[0] is None
+    # a 4000-vertex graph with more than a quarter of its words nonzero
+    (wide,) = models.sample_batches(erdos_renyi(0.02), n, [3])
+    assert counting._row_words(wide)[0] is None
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 63, 512])
@@ -449,7 +536,9 @@ def test_multi_word_floors_survive_relabelling(motif, rng):
     for _ in range(5):
         perm = rng.permutation(g.n)
         relabelled = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        assert count_copies(relabelled, m) == reference
+        for path in PATHS:
+            with forced(path):
+                assert count_copies(relabelled, m) == reference, path
 
 
 class TestProperties:
