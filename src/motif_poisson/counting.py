@@ -17,20 +17,20 @@ cleared.  Each batch forms them in one of two ways (:func:`_row_words`):
 
 - as whole rows, the floor's row one gather from a window over 64 strips
   of 2w - 1 words, cached per w;
-- in wide rows with few nonzero words, listed once per batch, from the
-  nonzero words of the position's pivot row, the row of its first back
-  neighbour's image, from the floor image's word on, ANDed with the same
-  words of the other rows.  The work then grows with the edges, not with
-  n·w (Chiba & Nishizeki, SIAM J. Comput. 1985).  A position with no back
-  neighbour, where a disconnected motif restarts, forms whole rows.
+- in wide rows with few nonzero words, listed once per batch by the scan
+  that chose the batch's row check, from the nonzero words of the
+  position's pivot row, the row of its first back neighbour's image, from
+  the floor image's word on, ANDed with the same words of the other rows.
+  The work then grows with the edges, not with n·w (Chiba & Nishizeki,
+  SIAM J. Comput. 1985).  A position with no back neighbour, where a
+  disconnected motif restarts, forms whole rows.
 
 Only the candidates' nonzero words are expanded into the next level's
 rows.  The last position is never expanded: its words' popcounts are
 added to their graphs' counts.  The search recurses over the motif's
-positions, expanding at most ``_BLOCK_ROWS`` children at a time, and
-fewer where their candidates could pass ``models._BLOCK_WORDS`` words, so
-its memory stays fixed however wide it goes.  ``count_copies`` is a stack
-of one graph.
+positions, expanding as many children at a time as fit, with their images
+and candidate words, in ``models._BLOCK_WORDS`` words, so its memory stays
+fixed however wide it goes.  ``count_copies`` is a stack of one graph.
 
 ``count_copies_bruteforce`` sums the copy indicators over every
 vertex-set position, exactly as the count is defined, and serves as the
@@ -61,24 +61,14 @@ from .motif import Motif, check_fits, compute_stats, stabiliser_orbits
 ORACLE_MAX_VERTICES = 14
 ORACLE_MAX_WORK = 10**6
 
-#: Frontier rows per block of the counting search: at most ``_BLOCK_ROWS``,
-#: and fewer for long rows (a row takes ⌈n/64⌉ words, a sparse row only its
-#: nonzero ones) so that a block's candidates stay within
-#: ``models._BLOCK_WORDS`` words, as do the stacked rows of one sampled
-#: batch (unless one graph alone takes more).
-_BLOCK_ROWS = 1024
-
-
 #: A batch whose rows take at least ``_SPARSE_WIDTH`` words, at most
-#: ``_SPARSE_SHARE`` of them nonzero, forms candidates from the nonzero words
-#: of each pivot row (:func:`_candidates`).  Timed on ER graphs against whole
-#: rows, K3 and C4 alike, the pivot words took 0.6 of the time at 63 words a
-#: row (n = 4000) up to 12 % nonzero, 0.85 at 27 % and 1.0 at 47 %; at 32
-#: words 0.87-0.96 up to 22 % and 1.04-1.10 at 46 %.  At 16 words or fewer,
-#: where whole-row blocks are not cut below ``_BLOCK_ROWS`` rows, they took
-#: 1.1-2.3 times as long at every share.
+#: ``models._SPARSE_SHARE`` of them nonzero, forms candidates from the
+#: nonzero words of each pivot row (:func:`_candidates`).  Timed on ER graphs
+#: against whole rows, K3 and C4 alike, the pivot words took 0.6 of the time
+#: at 63 words a row (n = 4000) up to 12 % nonzero, 0.85 at 27 % and 1.0 at
+#: 47 %; at 32 words 0.87-0.96 up to 22 % and 1.04-1.10 at 46 %.  At 16
+#: words or fewer they took 1.1-2.3 times as long at every share.
 _SPARSE_WIDTH = 32
-_SPARSE_SHARE = 0.25
 
 #: The word with bits b+1..63 set, at index b.
 _HIGH = np.array([(1 << 64) - (2 << b) for b in range(64)], dtype=np.uint64)
@@ -266,20 +256,17 @@ def _search(rows, n, masks, words, steps, cap, total, gid, img) -> None:
 
 def _row_words(rows: np.ndarray) -> tuple[_Words | None, np.ndarray]:
     """The degrees of the stacked rows, and their nonzero words when the
-    rows take at least ``_SPARSE_WIDTH`` words and at most ``_SPARSE_SHARE``
-    of those are nonzero, or else None.  Sparse rows' degrees come from
-    those words, with no temporary as large as the rows."""
+    rows take at least ``_SPARSE_WIDTH`` words and
+    :func:`~motif_poisson.models.nonzero_words` lists them, or else None.
+    Sparse rows' degrees come from those words, with no temporary as large
+    as the rows."""
     flat, w = rows.ravel(), rows.shape[1]
-    if w >= _SPARSE_WIDTH:
-        nonzero = flat != 0
-        if np.count_nonzero(nonzero) <= _SPARSE_SHARE * flat.size:
-            at = np.flatnonzero(nonzero)
-            del nonzero
-            row, word = at // w, flat[at]
-            start = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(row, minlength=len(rows)), out=start[1:])
-            ones = np.bincount(row, weights=np.bitwise_count(word), minlength=len(rows))
-            return _Words(start, at, word), ones.astype(np.int64)
+    if w >= _SPARSE_WIDTH and (at := models.nonzero_words(rows)) is not None:
+        row, word = at // w, flat[at]
+        start = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=len(rows)), out=start[1:])
+        ones = np.bincount(row, weights=np.bitwise_count(word), minlength=len(rows))
+        return _Words(start, at, word), ones.astype(np.int64)
     return None, np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
@@ -302,7 +289,9 @@ def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
         widest = w
     else:
         widest = max(1, int(np.diff(words.start).max()))
-    cap = min(_BLOCK_ROWS, models._BLOCK_WORDS // widest)
+    # a block's children, each with at most v images and widest candidate
+    # words, fit in one budget of words
+    cap = max(1, models._BLOCK_WORDS // (widest + len(steps)))
     total = np.zeros(graphs, dtype=np.int64)
     gid, img = np.arange(graphs), np.empty((graphs, 0), dtype=np.int64)
     _search(rows, n, masks, words, steps, cap, total, gid, img)

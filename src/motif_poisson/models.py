@@ -20,6 +20,14 @@ graphs too, and checks its stacked rows once.  The batch is handed on as
 those stacked rows, the form the counter reads.  ``sample_sbm`` and
 ``sample_graphon`` are batches of one.
 
+The check (:func:`_check_rows`) reads the padding and the diagonal, then
+scans the words once for the nonzero ones.  A batch with more than a
+quarter (``_SPARSE_SHARE``) of its words nonzero is tested for symmetry by
+64 x 64 bit-block transposes over the whole batch, or over bands of block
+rows of one large graph; a sparser batch lists its set bits and reads
+each one's mirror.  While the batch is handed on, the counter takes the
+words its check listed (:func:`nonzero_words`) instead of a second scan.
+
 Below p = 1/3 NumPy draws a geometric gap as one standard exponential E,
 ``ceil(-E / log1p(-p))``.  So in a batch of several graphs a sparse graph,
 with no coin in [1/3, 1) and no thinning, draws the gaps of all its blocks
@@ -62,8 +70,8 @@ _SEED_MASK = (1 << 64) - 1
 #: sets them as edges: bounds the int64 buffers of a dense graph.
 _CHUNK = 1 << 18
 #: uint64 words of bitset rows that one batch of graphs takes (unless one
-#: graph alone takes more), as do the candidates of one block of the
-#: counting search.
+#: graph alone takes more), as do one band of the row check's transposes
+#: and the candidates and images of one block of the counting search.
 _BLOCK_WORDS = 16384
 #: The byte with only bit b set, at index b.
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
@@ -73,6 +81,20 @@ _BIT64 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 #: index array to 0.5 MiB however dense the rows, a batch of many small
 #: graphs included.
 _SCAN_WORDS = 1 << 10
+#: Stacked rows with at most this share of their words nonzero are sparse:
+#: the row check lists their set bits, and the counter, in wide rows, forms
+#: candidates from their nonzero words.  Denser rows are checked by bit-block
+#: transposes and counted as whole rows.
+_SPARSE_SHARE = 0.25
+#: The shifts j = 32, 16, ..., 1 of the six delta swaps that transpose a
+#: 64 x 64 bit block, each with the mask of the bits c with c & j == 0.
+_SWAPS = tuple(
+    (np.uint64(j), np.uint64(sum(1 << c for c in range(64) if not c & j)))
+    for j in (32, 16, 8, 4, 2, 1)
+)
+#: The nonzero words that the row check listed of each sparse batch that a
+#: :func:`sample_batches` generator is handing on, by the id of its rows.
+_listed: dict[int, np.ndarray] = {}
 
 #: Largest graph the samplers and the edge-list reader accept: its bitsets
 #: take 128 MiB.
@@ -266,37 +288,121 @@ def bit_positions(words: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(octets, bitorder="little").view(bool))
 
 
-def _set_bits(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """Flat positions 64 * i + b of the set bits b of ``rows.ravel()[i]``,
-    ascending, in blocks of at most ``_SCAN_WORDS`` nonzero words."""
-    flat = rows.ravel()
-    if flat.size <= _SCAN_WORDS:  # one block: no need to find its nonzero words
-        yield bit_positions(flat)
-        return
-    nonzero = np.flatnonzero(flat != 0)
+def _set_bits(flat: np.ndarray, nonzero: np.ndarray) -> Iterator[np.ndarray]:
+    """Flat positions 64 * i + b of the set bits b of ``flat[i]``,
+    ascending, in blocks of at most ``_SCAN_WORDS`` of its nonzero words,
+    whose ascending positions are ``nonzero``."""
     for lo in range(0, len(nonzero), _SCAN_WORDS):
         word = nonzero[lo : lo + _SCAN_WORDS]
         bit = bit_positions(flat[word])
         yield word[bit >> 6] * 64 + (bit & 63)
 
 
-def _check_rows(rows: np.ndarray, n: int) -> None:
+def nonzero_words(rows: np.ndarray) -> np.ndarray | None:
+    """The ascending flat positions of the nonzero words of ``rows`` if at
+    most ``_SPARSE_SHARE`` of its words are nonzero, or else None: for a
+    batch that :func:`sample_batches` is handing on, those its check listed,
+    so a batch is scanned once."""
+    at = _listed.get(id(rows))
+    if at is None:
+        # flags of an eighth of the rows' bytes, listed faster than words
+        nonzero = rows.ravel() != 0
+        if np.count_nonzero(nonzero) > _SPARSE_SHARE * nonzero.size:
+            return None
+        at = np.flatnonzero(nonzero)
+    return at
+
+
+def _transpose_blocks(blocks: np.ndarray) -> None:
+    """Transpose in place the 64 x 64 bit blocks of a C-contiguous (64, k)
+    uint64 array whose column i holds block i, one word a row: bit c of word
+    r moves to bit r of word c (Warren, *Hacker's Delight*, §7-3).  Round j
+    swaps bit c + j of each word r with bit c of word r + j, for the r and
+    c without bit j, over runs of j * k words."""
+    for j, mask in _SWAPS:
+        pairs = blocks.reshape(64 // (2 * int(j)), 2, -1)
+        low, high = pairs[:, 0], pairs[:, 1]
+        swap = low >> j
+        swap ^= high
+        swap &= mask
+        high ^= swap
+        swap <<= j
+        low ^= swap
+
+
+def _symmetric(rows: np.ndarray, n: int) -> bool:
+    """Whether the bitset rows of graphs on n vertices, stacked n rows a
+    graph, are each symmetric, tested by bit-block transposes.
+
+    Padded with zero rows to 64w rows, a graph of w words a row is w x w
+    blocks of 64 x 64 bits, word J of rows 64I to 64I + 63 being block
+    (I, J); it is symmetric when each block, transposed, equals block
+    (J, I).  The graphs are taken ``run_length(n)`` at a time, a sampled
+    batch at once, or a graph larger than that in bands of block rows of
+    about ``_BLOCK_WORDS`` words."""
+    w = rows.shape[1]
+    graphs = rows.reshape(-1, n, w)
+    step, rows_per_band = run_length(n), w
+    if n * w > _BLOCK_WORDS:
+        rows_per_band = max(1, _BLOCK_WORDS // (64 * w))
+    return all(
+        _band_symmetric(graphs[g : g + step], n, lo, min(lo + rows_per_band, w))
+        for g in range(0, len(graphs), step)
+        for lo in range(0, w, rows_per_band)
+    )
+
+
+def _band_symmetric(graphs: np.ndarray, n: int, lo: int, hi: int) -> bool:
+    """Whether each block in block rows lo to hi - 1 of the (G, n, w)
+    stacked rows ``graphs``, transposed, equals its mirror block.
+
+    The blocks are laid out as one (64, G * (hi - lo) * w) array, so each
+    round of :func:`_transpose_blocks` runs over long contiguous runs."""
+    count, _, w = graphs.shape
+    k = hi - lo
+    band = np.zeros((count, 64 * k, w), dtype=np.uint64)
+    part = graphs[:, 64 * lo : 64 * hi]
+    band[:, : part.shape[1]] = part
+    mirror = band
+    if k < w:  # words lo to hi - 1 of every row: the blocks (J, I)
+        mirror = np.zeros((count, 64 * w, k), dtype=np.uint64)
+        mirror[:, :n] = graphs[:, :, lo:hi]
+    blocks = band.reshape(count, k, 64, w).transpose(2, 0, 1, 3).copy()
+    _transpose_blocks(blocks.reshape(64, -1))
+    # entry [r, g, I, J]: word r of block (I, J) transposed, and of (J, I)
+    mirror = mirror.reshape(count, w, 64, k).transpose(2, 0, 3, 1)
+    return np.array_equal(blocks, mirror)
+
+
+def _check_rows(rows: np.ndarray, n: int) -> np.ndarray | None:
     """InvalidParams unless the bitset rows of graphs on n vertices,
     stacked n rows a graph, are each symmetric, with a zero diagonal and
-    no bit past column n - 1.  Padding is read in the last word of each
-    row and the diagonal once a row.  Then one pass over the set bits reads
-    each one's mirror in its own graph: bit v of the row of vertex x, at
-    flat bit position ``at``, has it at ``at + (v - x) * (width - 1)``,
-    where ``width`` is the row's bits."""
+    no bit past column n - 1; the flat positions of the nonzero words that
+    the symmetry test listed, or None.
+
+    Padding is read in the last word of each row and the diagonal once a
+    row.  Symmetry is tested by one scan of the words for the nonzero ones
+    (:func:`nonzero_words`).  Where more than ``_SPARSE_SHARE`` of them are
+    nonzero, it is tested by bit-block transposes (:func:`_symmetric`).
+    Where fewer are, or to name a fault the transposes found, one pass over
+    the listed set bits reads each one's mirror in its own graph: bit v of
+    the row of vertex x, at flat bit position ``at``, has it at
+    ``at + (v - x) * (width - 1)``, where ``width`` is the row's bits.  Either
+    way the fault named is the first lone bit in flat order."""
     if n % 64 and (rows[:, -1] >> np.uint64(n % 64)).any():
         raise InvalidParams(f"adjacency has bits past column {n - 1}")
     vertex = np.tile(np.arange(n), len(rows) // n)
     loop = np.flatnonzero(rows[np.arange(len(rows)), vertex >> 6] & _BIT64[vertex & 63])
     if len(loop):
         raise InvalidParams(f"self-loop at {vertex[loop[0]]}")
+    listed = nonzero_words(rows)
+    if listed is None:
+        if _symmetric(rows, n):
+            return None
+        listed = np.flatnonzero(rows.ravel() != 0)
     width = 64 * rows.shape[1]
     flat = rows.ravel()
-    for at in _set_bits(rows):
+    for at in _set_bits(flat, listed):
         u = at // width
         v = at - u * width
         x = vertex[u]
@@ -305,6 +411,7 @@ def _check_rows(rows: np.ndarray, n: int) -> None:
         if len(lone):
             i = lone[0]
             raise InvalidParams(f"adjacency not symmetric at ({x[i]}, {v[i]})")
+    return listed
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,7 +473,8 @@ class SampledGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         width = 64 * self.adjacency.shape[1]
-        for at in _set_bits(self.adjacency):
+        flat = self.adjacency.ravel()
+        for at in _set_bits(flat, np.flatnonzero(flat != 0)):
             u, v = np.divmod(at, width)
             upper = u < v
             yield from zip(u[upper].tolist(), v[upper].tolist())
@@ -800,12 +908,26 @@ def sample_batches(
     state = rng.bit_generator.state
     seeds = iter(seeds)
     while batch := list(itertools.islice(seeds, run_length(n))):
-        yield _sample_batch(rng, state, layout, n, batch)
+        yield from _handed_on(*_sample_batch(rng, state, layout, n, batch))
 
 
-def _sample_batch(rng, state, layout, n: int, seeds: list[int]) -> np.ndarray:
+def _handed_on(rows: np.ndarray, listed: np.ndarray | None) -> Iterator[np.ndarray]:
+    """Yield ``rows``, known to :func:`nonzero_words` by the nonzero words
+    ``listed`` (if not None) until the consumer asks for the next batch: in
+    a frame of its own, so that the rows can go before the next batch is
+    drawn."""
+    if listed is not None:
+        _listed[id(rows)] = listed
+    try:
+        yield rows
+    finally:
+        _listed.pop(id(rows), None)
+
+
+def _sample_batch(rng, state, layout, n: int, seeds: list[int]):
     """The stacked rows of the graphs of ``seeds`` drawn by ``rng``,
-    re-keyed per seed by setting ``state``, checked once and read-only."""
+    re-keyed per seed by setting ``state``, checked once and read-only, and
+    the flat positions of their nonzero words if the check listed them."""
     if not all(0 <= seed <= _SEED_MASK for seed in seeds):
         raise InvalidParams("seed must be an unsigned 64-bit integer")
     batch = _Batch(n, seeds, layout)
@@ -815,9 +937,9 @@ def _sample_batch(rng, state, layout, n: int, seeds: list[int]) -> np.ndarray:
         batch.draw(rng)
     batch.flush()
     words = _words(batch.bits)
-    _check_rows(words, n)
+    listed = _check_rows(words, n)
     words.flags.writeable = False
-    return words
+    return words, listed
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:

@@ -59,7 +59,7 @@ def forced(path):
     and share of nonzero words."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_SPARSE_WIDTH", 0 if path == "words" else math.inf)
-        mp.setattr(counting, "_SPARSE_SHARE", 1.0)
+        mp.setattr(models, "_SPARSE_SHARE", 1.0)
         yield mp
 
 
@@ -425,17 +425,16 @@ def test_batch_equals_single_counts_and_oracle(
             if one_word_blocks:
                 # every block is cut after one candidate word, inside one
                 # search over all the graphs
-                mp.setattr(counting, "_BLOCK_ROWS", 1)
+                mp.setattr(models, "_BLOCK_WORDS", 1)
             batch = count_stacked(graphs, m)
             assert batch == [count_copies(g, m) for g in graphs], path
         assert batch == oracle, path
 
 
-@pytest.mark.parametrize("block_rows", [1, 64, counting._BLOCK_ROWS])
-def test_multi_word_batch_against_trace_formulas(monkeypatch, block_rows):
+@pytest.mark.parametrize("block_rows", [1, 64, 1024])
+def test_multi_word_batch_against_trace_formulas(block_rows):
     # 130 vertices take three words a row; the counts of a mixed batch,
     # counted by one search, must each equal their graph's closed-walk count
-    monkeypatch.setattr(counting, "_BLOCK_ROWS", block_rows)
     densities = (0.3, 0.0, 0.05, 0.6, 0.01)
     graphs = [sample_sbm(erdos_renyi(p), 130, seed=i) for i, p in enumerate(densities)]
     c4 = builtin_motif("cycle", 4)
@@ -457,12 +456,18 @@ def test_multi_word_batch_against_trace_formulas(monkeypatch, block_rows):
     some = [i for i, p in enumerate(densities) if p < below]
     c5 = builtin_motif("cycle", 5)
     assert pentagons[0] > 10**6 and pentagons[2] > 0
+    cases = [
+        (K3, graphs, triangles),
+        (c4, graphs, squares),
+        (c5, [graphs[i] for i in some], [pentagons[i] for i in some]),
+    ]
     for path in PATHS:
-        with forced(path):
-            assert count_stacked(graphs, K3) == triangles, path
-            assert count_stacked(graphs, c4) == squares, path
-            got = count_stacked([graphs[i] for i in some], c5)
-            assert got == [pentagons[i] for i in some], path
+        with forced(path) as mp:
+            for m, batch, expected in cases:
+                # blocks of block_rows children, each with at most three
+                # candidate words and v images
+                mp.setattr(models, "_BLOCK_WORDS", block_rows * (3 + m.vertex_count))
+                assert count_stacked(batch, m) == expected, (path, m)
 
 
 def closed_forms(g: SampledGraph) -> tuple[int, int, int]:

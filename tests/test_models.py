@@ -4,7 +4,9 @@ Frequency assertions use 3-standard-error bands around exact expectations;
 all randomness is seeded, so each check is deterministic once written.
 """
 
+import contextlib
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -361,6 +363,25 @@ def test_block_with_no_success_yields_no_chunk():
     assert 0 < sum(map(len, chunks)) < 400
 
 
+#: How the row check tests symmetry: ``_SPARSE_SHARE`` and, where set,
+#: ``_BLOCK_WORDS``.  Listing reads every set bit's mirror; a share below 0
+#: leaves no batch sparse, so every one is transposed, in bands of one block
+#: row of one graph where the block words are 1.
+CHECKS = {"listing": (1.0, None), "transposes": (-1.0, None), "bands": (-1.0, 1)}
+
+
+@contextlib.contextmanager
+def checked_by(check):
+    """Row checks that test symmetry by ``check`` whatever the rows' share
+    of nonzero words."""
+    share, block_words = CHECKS[check]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_SPARSE_SHARE", share)
+        if block_words is not None:
+            mp.setattr(models, "_BLOCK_WORDS", block_words)
+        yield
+
+
 def single(model, n, seed):
     sample = sample_sbm if isinstance(model, SbmParams) else sample_graphon
     return sample(model, n, seed)
@@ -430,7 +451,6 @@ class TestBatches:
         n = 70  # two words a row: columns 70..127 are padding
         graphs = [sample_sbm(erdos_renyi(0.3), n, seed) for seed in (1, 2, 3)]
         stacked = np.concatenate([g.adjacency for g in graphs])
-        models._check_rows(stacked, n)
         u, v = next(
             (u, v) for u, v in graphs[0].edges() if not graphs[2].has_edge(u, v)
         )
@@ -439,11 +459,72 @@ class TestBatches:
             ("self-loop at 5", (2 * n + 5, 5)),
             ("past column 69", (2 * n + 5, 100)),
         ]
-        for problem, (row, col) in faults:
-            bad = stacked.copy()
-            bad[row, col >> 6] |= np.uint64(1 << (col & 63))
-            with pytest.raises(InvalidParams, match=problem):
-                models._check_rows(bad, n)
+        for check in CHECKS:
+            with checked_by(check):
+                models._check_rows(stacked, n)
+                for problem, (row, col) in faults:
+                    bad = stacked.copy()
+                    bad[row, col >> 6] |= np.uint64(1 << (col & 63))
+                    with pytest.raises(InvalidParams, match=problem):
+                        models._check_rows(bad, n)
+
+    def test_sparse_batch_is_scanned_once(self):
+        # ER(2/n) at n = 4000 (3 % of its words nonzero): while a batch is
+        # handed on, nonzero_words gives the words its check listed, and
+        # they are let go with the batch
+        n = 4000
+        batches = models.sample_batches(erdos_renyi(2 / n), n, [3, 4])
+        rows = next(batches)
+        listed = models.nonzero_words(rows)
+        assert models.nonzero_words(rows) is listed
+        assert np.array_equal(listed, np.flatnonzero(rows))
+        next(batches)
+        again = models.nonzero_words(rows)
+        assert again is not listed and np.array_equal(again, listed)
+        assert list(batches) == [] and id(rows) not in models._listed
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 127, 128, 129, 200])
+    def test_checks_agree_on_every_block(self, n):
+        # one fault at a time in each 64 x 64 block of each graph of
+        # batches of 1 to 3 graphs, diagonal and last partial blocks
+        # included: every check names the one lone bit, and the transposes
+        # alone find it
+        rng = np.random.default_rng(n)
+        w = models.row_words(n)
+        for count in (1, 2, 3):
+            graphs = [
+                sample_sbm(erdos_renyi(p), n, seed=count).adjacency
+                for p in (0.5, 0.05, 0.9)[:count]
+            ]
+            stacked = np.concatenate(graphs)
+            assert models._symmetric(stacked, n)
+            faults = []
+            for g, block in itertools.product(range(count), range(w * w)):
+                lo = 64 * np.array(divmod(block, w))
+                x, v = map(int, rng.integers(lo, np.minimum(lo + 64, n)))
+                if x == v:
+                    v ^= 1
+                if v < n:
+                    set_now = not graphs[g][x, v >> 6] & models._BIT64[v & 63]
+                    lone = (x, v) if set_now else (v, x)
+                    faults.append(((g * n + x, v), f"not symmetric at {lone}"))
+            x = int(rng.integers(n))
+            faults.append((((count - 1) * n + x, x), f"self-loop at {x}"))
+            if n % 64:
+                faults.append(((count * n - 1, 64 * w - 1), "bits past column"))
+            for (row, col), problem in faults:
+                bad = stacked.copy()
+                bad[row, col >> 6] ^= models._BIT64[col & 63]
+                if "symmetric" in problem:
+                    assert not models._symmetric(bad, n)
+                for check in CHECKS:
+                    with checked_by(check):
+                        with pytest.raises(InvalidParams) as fault:
+                            models._check_rows(bad, n)
+                        assert problem in str(fault.value), check
+            for check in CHECKS:
+                with checked_by(check):
+                    models._check_rows(stacked, n)
 
 
 @pytest.mark.parametrize(
