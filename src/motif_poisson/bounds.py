@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -65,25 +66,23 @@ def _require_strictly_balanced(m: Motif) -> MotifStats:
 # ------------------------------------------------------------------ mu
 
 
-def _contract(
-    weights: np.ndarray,
-    mat: np.ndarray,
-    vertex_count: int,
-    edges: tuple[tuple[int, int], ...],
-) -> float:
-    """Sum over all class tuples c of
-    prod_u weights[c_u] * prod_{(u,w) in edges} mat[c_u, c_w], by vertex
-    elimination.
+@lru_cache(maxsize=None)
+def _plan(
+    vertex_count: int, edges: tuple[tuple[int, int], ...], q: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The steps of the vertex elimination that :func:`_contract` runs on
+    ``q`` classes, or TooManyTerms.
 
     The factors start as one weight vector per vertex and one matrix per
     edge.  Each step sums out the remaining vertex whose factors span the
-    fewest indices (ties to the lower vertex) in one einsum over just
-    those factors, which leaves one factor on the rest of their span.  The
-    order and the spans depend only on the graph, so every step is planned
-    and its Q^span summed terms checked against the budget before any
-    contraction runs.
+    fewest indices (ties to the lower vertex), which leaves one factor on
+    the rest of their span; it is recorded as the positions of the factors
+    it takes in the factor list and the indices of the factor it appends.
+    The order and the spans depend only on the graph, so the plan is made
+    once per (graph, q), and each step's q^span summed terms are checked
+    against the budget before any contraction runs.  An over-budget plan is
+    not cached and raises on every call.
     """
-    q = len(weights)
     scopes = [frozenset((u,)) for u in range(vertex_count)]
     scopes += [frozenset(e) for e in edges]
     steps = []
@@ -98,13 +97,26 @@ def _contract(
                 f"a contraction step sums {q}^{len(spans[u])} terms, over the "
                 f"{_MAX_TERMS} budget"
             )
-        used = [i for i, s in enumerate(scopes) if u in s]
+        used = tuple(i for i, s in enumerate(scopes) if u in s)
         rest = spans[u] - {u}
-        steps.append((used, sorted(rest)))
+        steps.append((used, tuple(sorted(rest))))
         scopes = [s for s in scopes if u not in s] + [rest]
-    factors = [(weights, [u]) for u in range(vertex_count)]
-    factors += [(mat, list(e)) for e in edges]
-    for used, out in steps:
+    return tuple(steps)
+
+
+def _contract(
+    weights: np.ndarray,
+    mat: np.ndarray,
+    vertex_count: int,
+    edges: tuple[tuple[int, int], ...],
+) -> float:
+    """Sum over all class tuples c of
+    prod_u weights[c_u] * prod_{(u,w) in edges} mat[c_u, c_w], by vertex
+    elimination: each step of the :func:`_plan` is one einsum over just the
+    factors it takes."""
+    factors = [(weights, (u,)) for u in range(vertex_count)]
+    factors += [(mat, e) for e in edges]
+    for used, out in _plan(vertex_count, edges, len(weights)):
         operands = [x for i in used for x in factors[i]]
         factors = [f for i, f in enumerate(factors) if i not in used]
         factors.append((np.einsum(*operands, out), out))

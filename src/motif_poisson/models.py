@@ -49,6 +49,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -330,26 +331,29 @@ def _transpose_blocks(blocks: np.ndarray) -> None:
         low ^= swap
 
 
-def _symmetric(rows: np.ndarray, n: int) -> bool:
-    """Whether the bitset rows of graphs on n vertices, stacked n rows a
-    graph, are each symmetric, tested by bit-block transposes.
+def _asymmetric_from(rows: np.ndarray, n: int) -> int | None:
+    """None if the bitset rows of graphs on n vertices, stacked n rows a
+    graph, are each symmetric, tested by bit-block transposes; else the
+    first stacked row of the first band whose blocks are not.
 
     Padded with zero rows to 64w rows, a graph of w words a row is w x w
     blocks of 64 x 64 bits, word J of rows 64I to 64I + 63 being block
     (I, J); it is symmetric when each block, transposed, equals block
     (J, I).  The graphs are taken ``run_length(n)`` at a time, a sampled
     batch at once, or a graph larger than that in bands of block rows of
-    about ``_BLOCK_WORDS`` words."""
+    about ``_BLOCK_WORDS`` words.  The bands before the one named are
+    symmetric, so no bit of theirs lacks its mirror."""
     w = rows.shape[1]
     graphs = rows.reshape(-1, n, w)
     step, rows_per_band = run_length(n), w
     if n * w > _BLOCK_WORDS:
         rows_per_band = max(1, _BLOCK_WORDS // (64 * w))
-    return all(
-        _band_symmetric(graphs[g : g + step], n, lo, min(lo + rows_per_band, w))
-        for g in range(0, len(graphs), step)
-        for lo in range(0, w, rows_per_band)
-    )
+    for g in range(0, len(graphs), step):
+        for lo in range(0, w, rows_per_band):
+            hi = min(lo + rows_per_band, w)
+            if not _band_symmetric(graphs[g : g + step], n, lo, hi):
+                return g * n + 64 * lo
+    return None
 
 
 def _band_symmetric(graphs: np.ndarray, n: int, lo: int, hi: int) -> bool:
@@ -374,6 +378,16 @@ def _band_symmetric(graphs: np.ndarray, n: int, lo: int, hi: int) -> bool:
     return np.array_equal(blocks, mirror)
 
 
+@lru_cache(maxsize=4)
+def _diagonal(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The word positions of the diagonal bits in the n rows of w words of
+    a graph on n vertices, and those bits, both read-only."""
+    x = np.arange(n)
+    at, bit = x * w + (x >> 6), _BIT64[x & 63]
+    at.flags.writeable = bit.flags.writeable = False
+    return at, bit
+
+
 def _check_rows(rows: np.ndarray, n: int) -> np.ndarray | None:
     """InvalidParams unless the bitset rows of graphs on n vertices,
     stacked n rows a graph, are each symmetric, with a zero diagonal and
@@ -381,31 +395,37 @@ def _check_rows(rows: np.ndarray, n: int) -> np.ndarray | None:
     the symmetry test listed, or None.
 
     Padding is read in the last word of each row and the diagonal once a
-    row.  Symmetry is tested by one scan of the words for the nonzero ones
+    row, at positions cached per graph size (:func:`_diagonal`).  Symmetry
+    is tested by one scan of the words for the nonzero ones
     (:func:`nonzero_words`).  Where more than ``_SPARSE_SHARE`` of them are
-    nonzero, it is tested by bit-block transposes (:func:`_symmetric`).
+    nonzero, it is tested by bit-block transposes (:func:`_asymmetric_from`).
     Where fewer are, or to name a fault the transposes found, one pass over
     the listed set bits reads each one's mirror in its own graph: bit v of
     the row of vertex x, at flat bit position ``at``, has it at
-    ``at + (v - x) * (width - 1)``, where ``width`` is the row's bits.  Either
-    way the fault named is the first lone bit in flat order."""
+    ``at + (v - x) * (width - 1)``, where ``width`` is the row's bits.  A
+    fault the transposes found is listed from the first row of the first
+    band they found asymmetric, where the first lone bit is or after it.
+    Either way the fault named is the first lone bit in flat order."""
     if n % 64 and (rows[:, -1] >> np.uint64(n % 64)).any():
         raise InvalidParams(f"adjacency has bits past column {n - 1}")
-    vertex = np.tile(np.arange(n), len(rows) // n)
-    loop = np.flatnonzero(rows[np.arange(len(rows)), vertex >> 6] & _BIT64[vertex & 63])
+    w = rows.shape[1]
+    flat = rows.ravel()
+    diagonal, bit = _diagonal(n, w)
+    loop = np.flatnonzero(flat.reshape(-1, n * w)[:, diagonal] & bit)
     if len(loop):
-        raise InvalidParams(f"self-loop at {vertex[loop[0]]}")
+        raise InvalidParams(f"self-loop at {loop[0] % n}")
     listed = nonzero_words(rows)
     if listed is None:
-        if _symmetric(rows, n):
+        start = _asymmetric_from(rows, n)
+        if start is None:
             return None
-        listed = np.flatnonzero(rows.ravel() != 0)
-    width = 64 * rows.shape[1]
-    flat = rows.ravel()
+        start *= w
+        listed = start + np.flatnonzero(flat[start:] != 0)
+    width = 64 * w
     for at in _set_bits(flat, listed):
         u = at // width
         v = at - u * width
-        x = vertex[u]
+        x = u % n
         mirror = at + (v - x) * (width - 1)
         lone = np.flatnonzero((flat[mirror >> 6] & _BIT64[mirror & 63]) == 0)
         if len(lone):

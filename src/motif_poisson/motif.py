@@ -2,9 +2,10 @@
 
 A motif is a small fixed graph whose copies are counted inside a large
 random graph.  All density-type invariants (density, alpha, gamma, the
-overlap exponents kappa) are computed in exact rational arithmetic: the
-strict inequalities that define strict balancedness involve ties at
-rational values, so floating point would make them untestable.
+overlap exponents kappa) are exact rationals: the strict inequalities that
+define strict balancedness involve ties at rational values, so floating
+point would make them untestable.  The subgraph minima are found by exact
+integer comparisons over vertex sets, each turned into a Fraction once.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .errors import (
     TooLarge,
 )
 
-#: Hard cap on motif size.  The invariant minima scan all 2^v vertex subsets
-#: and the automorphism count backtracks over vertex maps, so larger motifs
-#: are rejected rather than silently slow.
+#: Hard cap on motif size.  The invariant minima visit all 2^v vertex subsets
+#: (1,024 integer steps at the cap) and the automorphism count backtracks
+#: over vertex maps, so larger motifs are rejected rather than silently slow.
 MAX_VERTICES = 10
 
 Edge = tuple[int, int]
@@ -297,29 +298,47 @@ def _subgraph_minima_by_vertex_sets(
     isolated.  Proper spanning subgraphs additionally contribute to gamma;
     the best of those removes a single edge whose endpoints both have
     degree >= 2 (if every edge has a degree-1 endpoint, any removal isolates
-    a vertex and no proper spanning subgraph exists).  Each witness is the
-    first minimiser in vertex-mask order, the spanning candidate last.
+    a vertex and no proper spanning subgraph exists).
+
+    The vertex sets are visited as bitmasks in ascending order, each built
+    from the set ``rest`` without its lowest member i, seen before it: its
+    induced edges are ``rest``'s plus i's neighbours in ``rest``, and the
+    vertices with a neighbour in it are ``rest``'s plus i's neighbours.  A
+    set is a candidate when each member is among the latter.  Candidates
+    are compared as integers with the same order as the minima: gamma times
+    v, ``e * v_h - v * e_h``, and alpha times L = lcm(1, ..., v - 1),
+    ``(e - e_h) * (L // (v - v_h))``, whose divisor is in 1..v-2.  Each
+    witness is the first minimiser in vertex-mask order (the strict ``<``),
+    the spanning candidate last; each minimum becomes a Fraction once.
     """
     v, e = m.vertex_count, m.edge_count
     adj = m.neighbor_masks()
     deg = m.degrees
+    scale = math.lcm(*range(1, v))
+    unit = [scale // (v - k) for k in range(v)]  # L / (v - v_h) by v_h
 
-    alpha: Fraction | None = None
-    gamma: Fraction | None = None
+    top = (1 << v) - 1
+    edges = [0] * top  # induced edges of each vertex set
+    near = [0] * top  # vertices with a neighbour in it
+    alpha = gamma = math.inf
     alpha_mask = gamma_mask = 0
-    for mask in range(1, (1 << v) - 1):
-        members = [i for i in range(v) if (mask >> i) & 1]
-        if any(adj[i] & mask == 0 for i in members):
-            continue  # induced subgraph would isolate i
-        v_h = len(members)
-        e_h = sum((adj[i] & mask).bit_count() for i in members) // 2
-        g_cand = Fraction(e * v_h - v * e_h, v)
-        if gamma is None or g_cand < gamma:
+    for mask in range(1, top):
+        low = mask & -mask
+        rest = mask ^ low
+        i = low.bit_length() - 1
+        e_h = edges[mask] = edges[rest] + (adj[i] & rest).bit_count()
+        reach = near[mask] = near[rest] | adj[i]
+        if mask & ~reach:
+            continue  # induced subgraph would isolate a member
+        v_h = mask.bit_count()
+        g_cand = e * v_h - v * e_h
+        if g_cand < gamma:
             gamma, gamma_mask = g_cand, mask
-        a_cand = Fraction(e - e_h, v - v_h)
-        if alpha is None or a_cand < alpha:
+        a_cand = (e - e_h) * unit[v_h]
+        if a_cand < alpha:
             alpha, alpha_mask = a_cand, mask
-    assert alpha is not None and gamma is not None  # any edge is a candidate
+    # both are finite: any edge is a candidate
+    alpha, gamma = Fraction(alpha, scale), Fraction(gamma, v)
 
     def induced(mask: int) -> tuple[Edge, ...]:
         return tuple((a, b) for a, b in m.edges if (mask >> a) & (mask >> b) & 1)

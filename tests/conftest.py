@@ -17,6 +17,7 @@ from motif_poisson import (
     motif_from_edge_list,
     poisson_pmf,
 )
+from motif_poisson.motif import Edge
 
 
 def subgraph_minima_oracle(m: Motif) -> tuple[Fraction, Fraction]:
@@ -38,6 +39,57 @@ def subgraph_minima_oracle(m: Motif) -> tuple[Fraction, Fraction]:
                 if alpha is None or a_term < alpha:
                     alpha = a_term
     return alpha, gamma
+
+
+def subgraph_minima_reference(
+    m: Motif,
+) -> tuple[Fraction, tuple[Edge, ...], Fraction, tuple[Edge, ...]]:
+    """(alpha, its witness, gamma, its witness) by the vertex-set reduction
+    as first written: one pass over the vertex masks that builds each
+    candidate as a Fraction, kept to pin the integer recurrence of
+    ``motif._subgraph_minima_by_vertex_sets`` output for output.
+
+    A subgraph without isolated vertices is an edge subset together with
+    its endpoints.  Both minima are monotone in the subgraph's edge count at
+    fixed vertex count, so only the densest subgraph on each vertex set
+    matters: the induced subgraph, valid whenever it leaves no vertex
+    isolated.  Proper spanning subgraphs additionally contribute to gamma;
+    the best of those removes a single edge whose endpoints both have
+    degree >= 2 (if every edge has a degree-1 endpoint, any removal isolates
+    a vertex and no proper spanning subgraph exists).  Each witness is the
+    first minimiser in vertex-mask order, the spanning candidate last.
+    """
+    v, e = m.vertex_count, m.edge_count
+    adj = m.neighbor_masks()
+    deg = m.degrees
+
+    alpha: Fraction | None = None
+    gamma: Fraction | None = None
+    alpha_mask = gamma_mask = 0
+    for mask in range(1, (1 << v) - 1):
+        members = [i for i in range(v) if (mask >> i) & 1]
+        if any(adj[i] & mask == 0 for i in members):
+            continue  # induced subgraph would isolate i
+        v_h = len(members)
+        e_h = sum((adj[i] & mask).bit_count() for i in members) // 2
+        g_cand = Fraction(e * v_h - v * e_h, v)
+        if gamma is None or g_cand < gamma:
+            gamma, gamma_mask = g_cand, mask
+        a_cand = Fraction(e - e_h, v - v_h)
+        if alpha is None or a_cand < alpha:
+            alpha, alpha_mask = a_cand, mask
+    assert alpha is not None and gamma is not None  # any edge is a candidate
+
+    def induced(mask: int) -> tuple[Edge, ...]:
+        return tuple((a, b) for a, b in m.edges if (mask >> a) & (mask >> b) & 1)
+
+    gamma_witness = induced(gamma_mask)
+    removable = [(a, b) for a, b in m.edges if deg[a] >= 2 and deg[b] >= 2]
+    # the spanning graph minus one edge scores d*v - (e - 1) = 1
+    if removable and gamma > 1:
+        gamma = Fraction(1)
+        gamma_witness = tuple(x for x in m.edges if x != removable[0])
+    return alpha, induced(alpha_mask), gamma, gamma_witness
 
 
 def automorphisms_oracle(m: Motif) -> int:

@@ -88,24 +88,48 @@ class TestMuSbm:
         k9 = builtin_motif("complete", 9)
         m = motif_from_edge_list(list(k9.edges) + [(0, 9)])
         params = SbmParams(10, (0.1,) * 10, ((0.5,) * 10,) * 10)
-        with pytest.raises(TooManyTerms):
-            mu_sbm(params, m)
+        # a refused plan is not cached: the second call is refused too
+        for _ in range(2):
+            with pytest.raises(TooManyTerms):
+                mu_sbm(params, m)
+
+    @staticmethod
+    def _random_sbm(rng, q: int) -> SbmParams:
+        raw = np.triu(rng.random((q, q)))
+        pi = raw + np.triu(raw, 1).T
+        f = rng.random(q) + 0.05
+        f /= f.sum()
+        return SbmParams(q, tuple(f), tuple(map(tuple, pi)))
+
+    @staticmethod
+    def _direct_mu(params: SbmParams, m) -> float:
+        f, pi, q = params.proportions, params.edge_probs, params.class_count
+        return math.fsum(
+            math.prod(f[c] for c in cs)
+            * math.prod(pi[cs[a]][cs[b]] for a, b in m.edges)
+            for cs in itertools.product(range(q), repeat=m.vertex_count)
+        )
 
     def test_matches_sum_over_class_tuples(self, rng):
         for _ in range(50):
             m = random_motif(rng, v_max=6)
-            q = int(rng.integers(1, 4))
-            raw = np.triu(rng.random((q, q)))
-            pi = raw + np.triu(raw, 1).T
-            f = rng.random(q) + 0.05
-            f /= f.sum()
-            direct = math.fsum(
-                math.prod(f[c] for c in cs)
-                * math.prod(pi[cs[a], cs[b]] for a, b in m.edges)
-                for cs in itertools.product(range(q), repeat=m.vertex_count)
+            params = self._random_sbm(rng, int(rng.integers(1, 4)))
+            assert mu_sbm(params, m) == pytest.approx(
+                self._direct_mu(params, m), rel=1e-12
             )
-            params = SbmParams(q, tuple(f), tuple(map(tuple, pi)))
-            assert mu_sbm(params, m) == pytest.approx(direct, rel=1e-12)
+
+    def test_one_plan_serves_every_parameter_set(self, rng):
+        # the elimination is planned once per (motif, Q): two parameter
+        # sets of equal Q share it, and each gets its own direct sum
+        m = motif_from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+        first, second = (self._random_sbm(rng, 3) for _ in range(2))
+        bounds._plan.cache_clear()
+        for params in (first, second):
+            assert mu_sbm(params, m) == pytest.approx(
+                self._direct_mu(params, m), rel=1e-12
+            )
+        info = bounds._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_mu_ceiling(self, rng):
         # mu never exceeds (max edge probability)^e

@@ -497,7 +497,7 @@ class TestBatches:
                 for p in (0.5, 0.05, 0.9)[:count]
             ]
             stacked = np.concatenate(graphs)
-            assert models._symmetric(stacked, n)
+            assert models._asymmetric_from(stacked, n) is None
             faults = []
             for g, block in itertools.product(range(count), range(w * w)):
                 lo = 64 * np.array(divmod(block, w))
@@ -507,16 +507,19 @@ class TestBatches:
                 if v < n:
                     set_now = not graphs[g][x, v >> 6] & models._BIT64[v & 63]
                     lone = (x, v) if set_now else (v, x)
-                    faults.append(((g * n + x, v), f"not symmetric at {lone}"))
+                    problem = f"not symmetric at {lone}"
+                    faults.append(((g * n + x, v), problem, g * n + lone[0]))
             x = int(rng.integers(n))
-            faults.append((((count - 1) * n + x, x), f"self-loop at {x}"))
+            faults.append((((count - 1) * n + x, x), f"self-loop at {x}", None))
             if n % 64:
-                faults.append(((count * n - 1, 64 * w - 1), "bits past column"))
-            for (row, col), problem in faults:
+                faults.append(((count * n - 1, 64 * w - 1), "bits past column", None))
+            for (row, col), problem, lone_row in faults:
                 bad = stacked.copy()
                 bad[row, col >> 6] ^= models._BIT64[col & 63]
-                if "symmetric" in problem:
-                    assert not models._symmetric(bad, n)
+                if lone_row is not None:
+                    # the transposes find the band at or before the lone bit
+                    start = models._asymmetric_from(bad, n)
+                    assert start is not None and start <= lone_row
                 for check in CHECKS:
                     with checked_by(check):
                         with pytest.raises(InvalidParams) as fault:
@@ -525,6 +528,43 @@ class TestBatches:
             for check in CHECKS:
                 with checked_by(check):
                     models._check_rows(stacked, n)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_fault_in_late_band_listed_from_it(self, monkeypatch, count):
+        # bands of one block row of one graph: a mirror bit cleared in the
+        # last block row of the last graph is found in that band, and the
+        # listing starts there and names the lone bit as a listing of every
+        # set bit from row 0 does
+        n, w = 200, models.row_words(200)
+        stacked = np.concatenate(
+            [sample_sbm(erdos_renyi(0.5), n, seed).adjacency for seed in range(count)]
+        )
+        last = (count - 1) * n
+        u, v = next(
+            (u, v)
+            for u in range(192, n)
+            for v in range(u + 1, n)
+            if stacked[last + u, v >> 6] & models._BIT64[v & 63]
+        )
+        bad = stacked.copy()
+        bad[last + v, u >> 6] ^= models._BIT64[u & 63]
+        message = f"adjacency not symmetric at ({u}, {v})"
+        with checked_by("listing"), pytest.raises(InvalidParams) as fault:
+            models._check_rows(bad, n)
+        assert str(fault.value) == message
+        listings = []
+        set_bits = models._set_bits
+        monkeypatch.setattr(
+            models,
+            "_set_bits",
+            lambda flat, listed: listings.append(listed) or set_bits(flat, listed),
+        )
+        with checked_by("bands"):
+            assert models._asymmetric_from(bad, n) == last + 192
+            with pytest.raises(InvalidParams) as fault:
+                models._check_rows(bad, n)
+        assert str(fault.value) == message
+        assert listings[-1][0] >= (last + 192) * w
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Motif construction, invariants and exact statistics."""
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -30,11 +32,32 @@ from motif_poisson import (
     sample_sbm,
 )
 from motif_poisson.cli import main
-from motif_poisson.motif import _subgraph_minima_by_vertex_sets, stabiliser_orbits
+from motif_poisson.motif import (
+    BUILTIN_FAMILIES,
+    _subgraph_minima_by_vertex_sets,
+    stabiliser_orbits,
+    stats_to_dict,
+)
 
-from conftest import automorphisms_oracle, random_motif, subgraph_minima_oracle
+from conftest import (
+    automorphisms_oracle,
+    random_motif,
+    subgraph_minima_oracle,
+    subgraph_minima_reference,
+)
 
 F = Fraction
+
+
+def labelled_motifs(v_max: int):
+    """Every labelled motif on 3..v_max vertices: each edge subset of K_v
+    with at least two edges and no isolated vertex."""
+    for v in range(3, v_max + 1):
+        pairs = list(itertools.combinations(range(v), 2))
+        for r in range(2, len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                if len({x for e in edges for x in e}) == v:
+                    yield motif_from_edge_list(edges)
 
 
 class TestConstruction:
@@ -243,14 +266,8 @@ class TestAutomorphisms:
             assert automorphisms_oracle(m) == expected
 
     def test_every_labelled_motif_up_to_five_vertices(self):
-        for v in (3, 4, 5):
-            pairs = list(itertools.combinations(range(v), 2))
-            for r in range(2, len(pairs) + 1):
-                for edges in itertools.combinations(pairs, r):
-                    if len({x for e in edges for x in e}) < v:
-                        continue  # would leave a vertex isolated
-                    m = motif_from_edge_list(edges)
-                    assert automorphism_count(m) == automorphisms_oracle(m)
+        for m in labelled_motifs(5):
+            assert automorphism_count(m) == automorphisms_oracle(m)
 
     def test_two_disjoint_edges(self):
         m = motif_from_edge_list([(0, 1), (2, 3)])
@@ -374,6 +391,31 @@ class TestStats:
             m = random_motif(rng, v_max=6)
             alpha, _, gamma, _ = _subgraph_minima_by_vertex_sets(m)
             assert (alpha, gamma) == subgraph_minima_oracle(m)
+
+    def test_recurrence_matches_reference_on_every_small_motif(self):
+        for m in labelled_motifs(5):
+            assert _subgraph_minima_by_vertex_sets(m) == subgraph_minima_reference(m)
+
+    def test_recurrence_matches_reference_on_random_and_builtin_motifs(self, rng):
+        motifs = [random_motif(rng, v_max=10) for _ in range(200)]
+        motifs += [
+            builtin_motif(f, v) for f in BUILTIN_FAMILIES for v in range(3, 11)
+        ]
+        for m in motifs:
+            assert _subgraph_minima_by_vertex_sets(m) == subgraph_minima_reference(m)
+
+    def test_builtin_stats_pinned(self):
+        # the CLI's rationals and witnesses for every builtin, as rendered
+        # by the Fraction loop that the integer recurrence replaced
+        rendered = [
+            stats_to_dict(compute_stats(builtin_motif(f, v)))
+            for f in BUILTIN_FAMILIES
+            for v in range(3, 11)
+        ]
+        digest = hashlib.sha256(json.dumps(rendered, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "6f326894d3950cec7793c1020bb9ce952b380eb5258db4d261ddc2822e651d05"
+        )
 
     def test_witnesses_attain_minima(self, rng):
         motifs = [random_motif(rng, v_max=6) for _ in range(40)]
