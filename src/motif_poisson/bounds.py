@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -66,7 +65,6 @@ def _require_strictly_balanced(m: Motif) -> MotifStats:
 # ------------------------------------------------------------------ mu
 
 
-@lru_cache(maxsize=None)
 def _plan(
     vertex_count: int, edges: tuple[tuple[int, int], ...], q: int
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -78,10 +76,9 @@ def _plan(
     fewest indices (ties to the lower vertex), which leaves one factor on
     the rest of their span; it is recorded as the positions of the factors
     it takes in the factor list and the indices of the factor it appends.
-    The order and the spans depend only on the graph, so the plan is made
-    once per (graph, q), and each step's q^span summed terms are checked
-    against the budget before any contraction runs.  An over-budget plan is
-    not cached and raises on every call.
+    The order and the spans depend only on the graph, so the whole plan is
+    made, and each step's q^span summed terms checked against the budget,
+    before any contraction runs.
     """
     scopes = [frozenset((u,)) for u in range(vertex_count)]
     scopes += [frozenset(e) for e in edges]

@@ -315,7 +315,8 @@ def _subgraph_minima_by_vertex_sets(
     adj = m.neighbor_masks()
     deg = m.degrees
     scale = math.lcm(*range(1, v))
-    unit = [scale // (v - k) for k in range(v)]  # L / (v - v_h) by v_h
+    # L / (v - v_h) for each candidate size: a candidate has 2..v-1 members
+    unit = {k: scale // (v - k) for k in range(2, v)}
 
     top = (1 << v) - 1
     edges = [0] * top  # induced edges of each vertex set
