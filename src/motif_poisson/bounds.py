@@ -66,22 +66,20 @@ def _require_strictly_balanced(m: Motif) -> MotifStats:
 
 
 def _plan(
-    vertex_count: int, edges: tuple[tuple[int, int], ...], q: int
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The steps of the vertex elimination that :func:`_contract` runs on
-    ``q`` classes, or TooManyTerms.
+    vertex_count: int, edges: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The steps of a vertex elimination over the graph's vertices, each
+    the vertex it sums out and the sorted indices of the factor it leaves.
 
-    The factors start as one weight vector per vertex and one matrix per
-    edge.  Each step sums out the remaining vertex whose factors span the
-    fewest indices (ties to the lower vertex), which leaves one factor on
-    the rest of their span; it is recorded as the positions of the factors
-    it takes in the factor list and the indices of the factor it appends.
-    The order and the spans depend only on the graph, so the whole plan is
-    made, and each step's q^span summed terms checked against the budget,
-    before any contraction runs.
+    The factors start as one matrix per edge, and as many weight vectors as
+    a caller adds, which change no span.  Each step sums out the remaining
+    vertex whose factors span the fewest indices (ties to the lower
+    vertex), and takes every factor that holds it, which leaves one factor
+    on the rest of their span, or a scalar where that rest is empty.  The
+    order and the spans depend only on the graph, so a caller can check
+    what each step costs before any contraction runs.
     """
-    scopes = [frozenset((u,)) for u in range(vertex_count)]
-    scopes += [frozenset(e) for e in edges]
+    scopes = [frozenset(e) for e in edges]
     steps = []
     for _ in range(vertex_count):
         spans = {
@@ -89,14 +87,8 @@ def _plan(
             for u in frozenset().union(*scopes)
         }
         u = min(spans, key=lambda w: (len(spans[w]), w))
-        if q ** len(spans[u]) > _MAX_TERMS:
-            raise TooManyTerms(
-                f"a contraction step sums {q}^{len(spans[u])} terms, over the "
-                f"{_MAX_TERMS} budget"
-            )
-        used = tuple(i for i, s in enumerate(scopes) if u in s)
         rest = spans[u] - {u}
-        steps.append((used, tuple(sorted(rest))))
+        steps.append((u, tuple(sorted(rest))))
         scopes = [s for s in scopes if u not in s] + [rest]
     return tuple(steps)
 
@@ -110,12 +102,21 @@ def _contract(
     """Sum over all class tuples c of
     prod_u weights[c_u] * prod_{(u,w) in edges} mat[c_u, c_w], by vertex
     elimination: each step of the :func:`_plan` is one einsum over just the
-    factors it takes."""
+    factors that hold its vertex, and each step's q^span summed terms are
+    checked against the budget, or TooManyTerms raised, before any runs."""
+    q = len(weights)
+    steps = _plan(vertex_count, edges)
+    for _, out in steps:
+        if q ** (len(out) + 1) > _MAX_TERMS:
+            raise TooManyTerms(
+                f"a contraction step sums {q}^{len(out) + 1} terms, over the "
+                f"{_MAX_TERMS} budget"
+            )
     factors = [(weights, (u,)) for u in range(vertex_count)]
     factors += [(mat, e) for e in edges]
-    for used, out in _plan(vertex_count, edges, len(weights)):
-        operands = [x for i in used for x in factors[i]]
-        factors = [f for i, f in enumerate(factors) if i not in used]
+    for u, out in steps:
+        operands = [x for f in factors if u in f[1] for x in f]
+        factors = [f for f in factors if u not in f[1]]
         factors.append((np.einsum(*operands, out), out))
     # one scalar factor is left per connected component
     return math.prod(float(f) for f, _ in factors)

@@ -1,7 +1,20 @@
 """Exact motif counting.
 
-``_count_rows`` is the production counter.  It counts, in each of a stack
-of graphs of one size, the injective edge-preserving maps of the motif's
+``_count_rows`` is the production counter.  It counts the copies of a
+motif in each of a stack of graphs of one size by one of two paths, chosen
+per batch by planned cost from what the batch's rows show, never from
+where they came from:
+
+- the search below, whose cost is the expected number of frontier rows at
+  each position, in a random graph of the batch's own edge density,
+  weighed by the words each reads (:func:`_search_ns`);
+- homomorphism counts (:mod:`~motif_poisson.homs`), dense and batched,
+  whose cost is planned from n alone: densifying the matrices and the
+  elimination steps of each of the motif's quotients.  They are priced
+  only while their sum stays below the search's cost, and taken only where
+  they are exact and fit their byte budget.
+
+The search counts the injective edge-preserving maps of the motif's
 vertices under the symmetry-breaking conditions of Grochow & Kellis
 (RECOMB 2007), so each copy is found exactly once.
 
@@ -50,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GraphTooLargeForOracle
-from . import models
+from . import homs, models
 from .models import _BIT64, SampledGraph, bit_positions, pack_words
 from .motif import Motif, check_fits, compute_stats, stabiliser_orbits
 
@@ -69,6 +82,12 @@ ORACLE_MAX_WORK = 10**6
 #: 47 %; at 32 words 0.87-0.96 up to 22 % and 1.04-1.10 at 46 %.  At 16
 #: words or fewer they took 1.1-2.3 times as long at every share.
 _SPARSE_WIDTH = 32
+
+#: Planned cost of the search in nanoseconds, fitted on a 2-core x86-64 VM
+#: to timed searches of K3, C4, K4 and C5 in ER graphs: per frontier row,
+#: and per word that a frontier row reads.
+_NODE_NS = 60.0
+_WORD_NS = 3.0
 
 #: The word with bits b+1..63 set, at index b.
 _HIGH = np.array([(1 << 64) - (2 << b) for b in range(64)], dtype=np.uint64)
@@ -270,14 +289,61 @@ def _row_words(rows: np.ndarray) -> tuple[_Words | None, np.ndarray]:
     return None, np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _levels(m: Motif) -> tuple[tuple[int, int, int], ...]:
+    """For each position k of the search order, what the expected frontier
+    at it takes: the edges among the k positions before it, the product of
+    the subtree sizes of their floor forest (a map of k vertices keeps its
+    images in the forest's order with chance one over it), and the rows
+    that a frontier row reads to list the candidates for position k."""
+    back_edges, _, floor, _ = _search_plan(m)
+    levels = []
+    for k, backs in enumerate(back_edges):
+        size = [1] * k
+        for i in reversed(range(k)):
+            if floor[i] >= 0:
+                size[floor[i]] += size[i]
+        levels.append((sum(map(len, back_edges[:k])), math.prod(size), len(backs) + 1))
+    return tuple(levels)
+
+
+def _search_ns(m: Motif, n: int, graphs: int, w: int, words, degrees) -> float:
+    """Planned nanoseconds of the search over a batch: the expected
+    frontier rows at each position, in a random graph of the batch's own
+    edge density p (n(n-1)...(n-k+1) p^e over the forest's product per
+    graph, with k positions filled and e edges among them), each weighed by
+    the words it reads.  Rows listed by their nonzero words read as many as
+    a row holds on average, except at a restart, which reads whole rows."""
+    p = float(degrees.sum()) / (graphs * n * max(1, n - 1))
+    sparse = w if words is None else len(words.word) / len(degrees)
+    total, falling = 0.0, float(graphs)
+    for k, (edges, hook, reads) in enumerate(_levels(m)):
+        width = sparse if reads > 1 else w
+        total += falling * p**edges / hook * (_NODE_NS + _WORD_NS * width * reads)
+        falling *= n - k
+    return total
+
+
 def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
     """Copies of ``m`` in each of the ``graphs`` graphs whose bitset rows
-    are stacked in ``rows``, as an int64 array, by one search, with
+    are stacked in ``rows``, as an int64 array, by homomorphism counts
+    where their planned cost is below the search's, and by the search
+    otherwise."""
+    words, degrees = _row_words(rows)
+    limit = _search_ns(m, n, graphs, rows.shape[1], words, degrees)
+    run = homs.plan_within(m, n, graphs, limit)
+    if run is not None:
+        return homs.count_rows(rows, n, graphs, m, run)
+    return _search_rows(rows, n, graphs, m, words, degrees)
+
+
+def _search_rows(rows, n, graphs, m, words, degrees) -> np.ndarray:
+    """Copies of ``m`` in each of the stacked graphs, by one search, with
     candidates from each pivot row's nonzero words where
-    :func:`_row_words` lists them, and from whole rows elsewhere."""
+    :func:`_row_words` listed them as ``words``, and from whole rows
+    elsewhere."""
     back_edges, need_deg, floor, avoid = _search_plan(m)
     w = rows.shape[1]
-    words, degrees = _row_words(rows)
     wide = np.zeros((graphs, 64 * w), dtype=bool)
     masks = {}
     for d in set(need_deg):
@@ -302,7 +368,8 @@ def count_copies(g: SampledGraph, m: Motif) -> int:
     """Exact number of copies of ``m`` in ``g``: the injective maps of the
     motif's vertices into the graph that carry every motif edge onto a
     graph edge, one per automorphism class, so the maps number this count
-    times the automorphism count.  One search over a stack of one graph."""
+    times the automorphism count.  A stack of one graph for
+    :func:`_count_rows`."""
     check_fits(m, g.n)
     return int(_count_rows(g.adjacency, g.n, 1, m)[0])
 

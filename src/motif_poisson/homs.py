@@ -1,0 +1,338 @@
+"""Copy counts of dense batches from homomorphism counts.
+
+The injective edge-preserving maps of a motif F into a graph G follow from
+homomorphism counts by Möbius inversion over the partitions P of V(F)
+into independent sets (Lovász 1967; Curticapean, Dell & Marx, STOC 2017):
+
+    inj(F, G) = sum_P c_P hom(F/P, G),  c_P = prod_{B in P} (-1)^(|B|-1) (|B|-1)!
+
+A block holding an edge would make a loop, which has no homomorphism into
+a simple graph, so such partitions drop out.  The copies number
+inj / aut(F).  Each quotient F/P is kept once per labelled edge set, with
+the coefficients of the partitions that give it summed.
+
+hom(H, G) sums, over all maps of V(H) into V(G), the product of G's 0/1
+adjacency entries on H's edges.  It runs as the vertex elimination of
+:func:`~motif_poisson.bounds._plan` over a stack of dense adjacency
+matrices, one per graph: a step on two matrices is a batched ``@``, a step
+on one factor an axis sum, any other a plain einsum with a batch index,
+and the step that closes a connected component sums in int64.  The steps
+and their costs depend only on H and n, so they are planned once per
+motif, before any array is formed.
+
+Every value is a count, so float arithmetic is exact while every partial
+sum stays an integer a float holds exactly.  A factor summed over s motif
+vertices counts maps of s vertices and is at most n^s; a batch runs in
+float32 when every such bound is at most 2^24, in float64 when it is at most
+2^53, and not at all otherwise.  The closing sums run in int64, and the
+path is refused unless the inversion's terms, each at most |c_P| n^|P|,
+sum below 2^63.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections import Counter
+from functools import lru_cache
+from typing import Iterator, NamedTuple
+
+import numpy as np
+
+from .bounds import _plan
+from .models import row_words
+from .motif import Edge, Motif, compute_stats
+
+#: Bytes that the dense arrays of one sub-batch may take, the graphs'
+#: matrices and every live elimination factor together.  The CI steps at
+#: n >= 2000 keep a process under 150 MB of peak RSS, of which the
+#: interpreter with NumPy takes about 30 MB: this leaves room for C5 at
+#: n = 2000 (three 32 MB float64 matrices at once) and keeps K3 at n = 4000
+#: (two 64 MB float32 matrices) on the frontier.
+_DENSE_BYTES = 96 << 20
+
+#: Planned cost in nanoseconds, measured on a 2-core x86-64 VM (NumPy 2.4,
+#: OpenBLAS) by the fastest of 3-7 timed runs: one matrix entry densified
+#: from bitset rows (0.9 ns at n = 40-2000); one flop of a batched ``@``
+#: (0.025-0.05 ns on stacks of 40 x 40 to 100 x 100 matrices, 0.015-0.02
+#: ns at n = 1000); one term of an einsum or an axis sum, per operand
+#: (0.4-1.2 ns); and the Python and dispatch overhead of one step on a
+#: batch (at most 10-25 µs).  On that VM a product large enough for
+#: OpenBLAS's threads (n >= about 108) may also wait 15-50 ms for them;
+#: the weights leave that out.
+_DENSE_NS = 1.0
+_FLOP_NS = 0.04
+_TERM_NS = 0.8
+_STEP_NS = 10_000.0
+
+#: Relabellings tried in search of a quotient's canonical form: 6! covers
+#: every quotient of a motif of up to 7 vertices.
+_RELABELLINGS = 720
+
+_MATMUL, _SUM, _EINSUM, _TOTAL = range(4)
+
+
+class _Step(NamedTuple):
+    """One elimination step: its kind; the positions in the factor list of
+    the factors it takes and of the vectors over its vertex that scale the
+    first of those beforehand; that vertex's axis in the first factor; and
+    what its kind needs (the transposes of a ``@``, the index lists of an
+    einsum)."""
+
+    kind: int
+    used: tuple[int, ...]
+    scale: tuple[int, ...]
+    at: int
+    arg: object
+
+
+class _Quotient(NamedTuple):
+    """A quotient F/P with its summed coefficient, and its planned steps.
+
+    ``bound`` is the largest n-exponent of a factor held in floats,
+    ``cost`` the (nanoseconds per term, n-exponent) pairs of the planned
+    steps, and ``live`` the index counts of the factors alive, graph
+    matrices aside, at each step's peak."""
+
+    coef: int
+    vertex_count: int
+    edge_count: int
+    steps: tuple[_Step, ...]
+    bound: int
+    cost: tuple[tuple[float, int], ...]
+    live: tuple[tuple[int, ...], ...]
+
+
+def _partitions(m: Motif) -> Iterator[tuple[int, ...]]:
+    """The partitions of the motif's vertices into independent sets, each
+    as its vertices' block numbers, blocks numbered by their least vertex."""
+    v, adj = m.vertex_count, m.neighbor_masks()
+    blocks: list[int] = []
+    labels = [0] * v
+
+    def extend(u: int) -> Iterator[tuple[int, ...]]:
+        if u == v:
+            yield tuple(labels)
+            return
+        for b, mask in enumerate(blocks):
+            if not adj[u] & mask:
+                blocks[b], labels[u] = mask | 1 << u, b
+                yield from extend(u + 1)
+                blocks[b] = mask
+        blocks.append(1 << u)
+        labels[u] = len(blocks) - 1
+        yield from extend(u + 1)
+        blocks.pop()
+
+    return extend(0)
+
+
+def _schedule(coef: int, k: int, edges: tuple[Edge, ...]) -> _Quotient:
+    """The planned steps of hom(H, G) for the quotient H on ``k`` vertices,
+    following the order of :func:`~motif_poisson.bounds._plan`.  Each
+    factor is tracked by its indices and the exponent e of its bound n^e:
+    the graph's matrices have e = 0, and a step's output sums one vertex
+    more than all its inputs together."""
+    factors: list[tuple[tuple[int, ...], int]] = [(e, 0) for e in edges]
+    steps, cost, live, bound = [], [], [], 0
+    for u, out in _plan(k, edges):
+        took = [i for i, (idx, _) in enumerate(factors) if u in idx]
+        exp = 1 + sum(factors[i][1] for i in took)
+        held = [len(idx) for idx, e in factors if e]
+        # a vector held by a step is over its vertex: it scales the step's
+        # first larger factor, unless the step takes nothing larger
+        used = tuple(i for i in took if len(factors[i][0]) > 1) or tuple(took)
+        scale = tuple(i for i in took if i not in used)
+        taken = [factors[i] for i in used]
+        idxs = [idx for idx, _ in taken]
+        at = 1 + idxs[0].index(u)
+        factors = [f for i, f in enumerate(factors) if i not in took]
+        span = len(out) + 1
+        if scale:
+            held.append(len(idxs[0]))
+            cost.append((_TERM_NS * len(scale), len(idxs[0])))
+        if not out:
+            steps.append(_Step(_TOTAL, used, scale, at, None))
+            cost.append((_TERM_NS * len(used), span))
+            continue
+        if len(idxs) == 1:
+            step = _Step(_SUM, used, scale, at, None)
+            out = tuple(x for x in idxs[0] if x != u)
+            cost.append((_TERM_NS, span))
+        elif len(idxs) == 2 and all(len(i) == 2 for i in idxs) and span == 3:
+            # x[a, u] @ y[u, b], or y[b, u] @ x[u, a] where that transposes
+            # fewer operands held the other way; an unscaled graph matrix is
+            # symmetric and never transposed
+            (x, ex), (y, ey) = taken
+            fixed = (ex == 0 and not scale, ey == 0)
+            ab = (not fixed[0] and x[0] == u, not fixed[1] and y[1] == u)
+            ba = (not fixed[0] and x[1] == u, not fixed[1] and y[0] == u)
+            swap = sum(ba) < sum(ab)
+            step = _Step(_MATMUL, used, scale, at, (swap, *(ba if swap else ab)))
+            a, b = sum(x) - u, sum(y) - u
+            out = (b, a) if swap else (a, b)
+            cost.append((2 * _FLOP_NS, span))
+        else:
+            step = _Step(_EINSUM, used, scale, at, ([list(i) for i in idxs], list(out)))
+            cost.append((_TERM_NS * len(used), span))
+        steps.append(step)
+        live.append((*held, len(out)))
+        factors.append((out, exp))
+        bound = max(bound, exp)
+    return _Quotient(coef, k, len(edges), tuple(steps), bound, tuple(cost), tuple(live))
+
+
+@lru_cache(maxsize=None)
+def _own(m: Motif) -> _Quotient:
+    """The motif's own hom plan, the quotient by its finest partition."""
+    return _schedule(1, m.vertex_count, m.edges)
+
+
+def _canonical(k: int, edges: set[Edge]) -> tuple[Edge, ...]:
+    """The least sorted edge set of the graph over the relabellings that
+    number its vertices by descending degree, where those number at most
+    ``_RELABELLINGS``, so isomorphic graphs give the same one; else its
+    own sorted edges."""
+    deg = [0] * k
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    order = sorted(range(k), key=lambda x: -deg[x])
+    classes = [tuple(c) for _, c in itertools.groupby(order, key=lambda x: deg[x])]
+    if math.prod(math.factorial(len(c)) for c in classes) > _RELABELLINGS:
+        return tuple(sorted(edges))
+    best = None
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        new = {old: i for i, old in enumerate(itertools.chain(*perms))}
+        key = tuple(sorted(tuple(sorted((new[a], new[b]))) for a, b in edges))
+        best = key if best is None else min(best, key)
+    return best
+
+
+@lru_cache(maxsize=None)
+def _quotients(m: Motif) -> tuple[_Quotient, ...]:
+    """The motif's quotients with nonzero summed coefficient, isomorphic
+    ones merged as far as :func:`_canonical` finds them, the motif itself
+    first, then by fewer vertices."""
+    merged: Counter = Counter()
+    for labels in _partitions(m):
+        coef = math.prod(
+            (-1) ** (s - 1) * math.factorial(s - 1) for s in Counter(labels).values()
+        )
+        k = max(labels) + 1
+        edges = {tuple(sorted((labels[a], labels[b]))) for a, b in m.edges}
+        merged[k, _canonical(k, edges) if k < m.vertex_count else m.edges] += coef
+    keys = sorted((key for key, c in merged.items() if c), key=lambda kv: (-kv[0], kv[1]))
+    return tuple(_schedule(merged[key], *key) for key in keys)
+
+
+def _ns(q: _Quotient, n: int, graphs: int) -> float:
+    """Planned nanoseconds of hom(q, G) over a batch of ``graphs``."""
+    return graphs * sum(w * float(n) ** e for w, e in q.cost) + _STEP_NS * len(q.steps)
+
+
+class _Run(NamedTuple):
+    """How a batch of n-vertex graphs is counted: the quotients, the float
+    type their factors are held in, and the graphs densified at once."""
+
+    quotients: tuple[_Quotient, ...]
+    dtype: type
+    graphs: int
+
+
+@lru_cache(maxsize=64)
+def _run(m: Motif, n: int) -> _Run | None:
+    """The run of the motif on n-vertex graphs, or None where a factor
+    could pass what its float type holds exactly, the inversion's sum what
+    int64 holds, or one graph's arrays the byte budget."""
+    quotients = _quotients(m)
+    top = n ** max(q.bound for q in quotients)
+    if top > 2**53:
+        return None
+    if sum(abs(q.coef) * n**q.vertex_count for q in quotients) >= 2**63:
+        return None
+    dtype = np.float32 if top <= 2**24 else np.float64
+    size = np.dtype(dtype).itemsize
+    # the unpacked bytes beside the matrix they become, then each step
+    peak = n * 64 * row_words(n) + n * n * size
+    for q in quotients:
+        for held in q.live:
+            peak = max(peak, size * (n * n + sum(n**d for d in held)))
+    graphs = _DENSE_BYTES // peak
+    return _Run(quotients, dtype, graphs) if graphs else None
+
+
+def plan_within(m: Motif, n: int, graphs: int, limit: float) -> _Run | None:
+    """The run of the motif on a batch of ``graphs`` n-vertex graphs if its
+    planned cost, densifying included, is at most ``limit`` nanoseconds and
+    it is exact and within the byte budget, or else None.  The quotients
+    are listed only if the motif's own hom plan fits, and priced only until
+    their running sum passes the limit."""
+    spent = graphs * n * n * _DENSE_NS
+    if spent + _ns(_own(m), n, graphs) > limit:
+        return None
+    for q in _quotients(m):
+        spent += _ns(q, n, graphs)
+        if spent > limit:
+            return None
+    return _run(m, n)
+
+
+def _dense(rows: np.ndarray, n: int, dtype: type) -> np.ndarray:
+    """The 0/1 adjacency matrices of the graphs whose bitset rows are
+    stacked n rows a graph, as a (graphs, n, n) array."""
+    octets = rows.astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")
+    return bits[:, :n].astype(dtype).reshape(-1, n, n)
+
+
+def _product(x: np.ndarray, y: np.ndarray, swap: bool, tx: bool, ty: bool) -> np.ndarray:
+    """The batched ``@`` of a planned step, in its own frame, so that its
+    operands go when the step's caller lets them go."""
+    x, y = (x.mT if tx else x), (y.mT if ty else y)
+    return y @ x if swap else x @ y
+
+
+def _hom(a: np.ndarray, q: _Quotient) -> np.ndarray:
+    """hom(q, G) for each matrix G of the stack ``a``, as int64."""
+    factors = [a] * q.edge_count
+    hom = np.ones(len(a), dtype=np.int64)
+    for kind, used, scale, at, arg in q.steps:
+        xs = [factors[i] for i in used]
+        if scale:
+            shape = [1] * xs[0].ndim
+            shape[0], shape[at] = len(a), len(a[0])
+            xs[0] = xs[0] * factors[scale[0]].reshape(shape)
+            for i in scale[1:]:
+                xs[0] *= factors[i].reshape(shape)
+        factors = [x for i, x in enumerate(factors) if i not in used and i not in scale]
+        if kind == _TOTAL:
+            terms = xs[0].astype(np.int64)
+            for i in range(1, len(xs)):
+                terms *= xs[i].astype(np.int64)
+            hom *= terms.sum(axis=1)
+            continue
+        if kind == _MATMUL:
+            out = _product(*xs, *arg)
+        elif kind == _SUM:
+            out = xs[0].sum(axis=at)
+        else:
+            idxs, res = arg
+            operands = [z for x, idx in zip(xs, idxs) for z in (x, [..., *idx])]
+            out = np.einsum(*operands, [..., *res])
+        factors.append(out)
+    return hom
+
+
+def count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif, run: _Run) -> np.ndarray:
+    """Copies of ``m`` in each of the ``graphs`` graphs whose bitset rows
+    are stacked in ``rows``, as an int64 array: the inversion's sum over
+    the quotients of ``run``, on ``run.graphs`` dense matrices at a time."""
+    total = np.zeros(graphs, dtype=np.int64)
+    for lo in range(0, graphs, run.graphs):
+        hi = min(graphs, lo + run.graphs)
+        a = _dense(rows[lo * n : hi * n], n, run.dtype)
+        for q in run.quotients:
+            total[lo:hi] += q.coef * _hom(a, q)
+        del a  # before the next sub-batch's matrices are formed
+    return total // compute_stats(m).automorphism_count

@@ -453,6 +453,8 @@ class SampledGraph:
         if isinstance(self.n, bool) or not hasattr(self.n, "__index__"):
             raise InvalidParams(f"graph vertex count {self.n!r} is not an integer")
         n = operator.index(self.n)  # NumPy ints too, stored as int
+        if n < 1:
+            raise InvalidParams("graph has no vertices")
         rows = self.adjacency
         shape = (n, row_words(n))
         if not (
@@ -537,14 +539,18 @@ def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
     ``n`` extends the vertex universe beyond the highest label seen, which
     unlike motifs is legal for sampled graphs (isolated vertices allowed).
     """
-    pairs = parse_edge_lines(text, InvalidParams)
-    top = max((max(e) for e in pairs), default=-1)
-    size = max(top + 1, n or 0)
+    labels = itertools.chain.from_iterable(parse_edge_lines(text, InvalidParams))
+    try:
+        ends = np.fromiter(labels, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise InvalidParams(
+            f"graph has more than 2^63 vertices; cap is {MAX_GRAPH_VERTICES}"
+        ) from None
+    size = max(int(ends.max(initial=-1)) + 1, n or 0)
     if size <= 0:
         raise InvalidParams("graph has no vertices")
     check_graph_size(size)
     bits = _empty_rows(size)
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     _set_edges(bits, ends[:, 0], ends[:, 1], size)
     return SampledGraph(size, _words(bits))
 

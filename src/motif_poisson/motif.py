@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -183,21 +183,27 @@ def motif_from_string(spec: str) -> Motif:
     return builtin_motif(_SPEC_ALIASES[name], int(size))
 
 
-def parse_edge_lines(text: str, error: type[Exception] = ValueError) -> list[Edge]:
+def parse_edge_lines(text: str, error: type[Exception] = ValueError) -> Iterator[Edge]:
     """The ``u v`` pairs of edge-list text, one per line, with ``#``
-    comments and blank lines skipped; any other line raises ``error``."""
-    pairs = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or not all(x.isdecimal() for x in parts):
-            raise error(
-                f"bad edge line: {line!r}; expected two non-negative integers"
-            )
-        pairs.append((int(parts[0]), int(parts[1])))
-    return pairs
+    comments and blank lines skipped; any other line raises ``error``.
+    The pairs are yielded as the lines are read, so a large graph's text is
+    never held as a list of lines or of pairs."""
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        # splitlines' other separators, within one line
+        for line in text[start:end].splitlines():
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2 or not all(x.isdecimal() for x in parts):
+                raise error(
+                    f"bad edge line: {line!r}; expected two non-negative integers"
+                )
+            yield int(parts[0]), int(parts[1])
+        start = end + 1
 
 
 def motif_from_text(text: str) -> Motif:

@@ -4,8 +4,9 @@ reference.
 Every replicate r draws its graph from an independent generator keyed by
 (seed, r), so the ensemble is reproducible replicate-by-replicate.
 Replicates are sampled in index order, in the calling thread, in batches
-of one counter run, and each batch's stacked rows are counted by one
-search before the next batch is drawn.
+of one counter run, and each batch's stacked rows are counted at once
+(:func:`~motif_poisson.counting._count_rows`) before the next batch is
+drawn.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     integer of at least 1; it is accepted for compatibility and changes
     neither the result nor how the work runs.  Replicates are drawn with
     their (seed, r) keys by :func:`~motif_poisson.models.sample_batches`,
-    and each batch's stacked rows are counted by one search and tallied
+    and each batch's stacked rows are counted at once and tallied
     before the next batch is drawn, so only one batch's rows are kept and
     how the graphs are batched changes nothing in the summary.
     """

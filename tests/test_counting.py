@@ -35,7 +35,7 @@ from motif_poisson import (
     SimulationPlan,
     bound_scaled,
 )
-from motif_poisson import counting, models
+from motif_poisson import counting, homs, models
 from motif_poisson.cli import main
 from motif_poisson.models import pack_words
 from motif_poisson.motif import BUILTIN_FAMILIES
@@ -48,18 +48,25 @@ K3 = builtin_motif("complete", 3)
 FOUR_CYCLE = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
-#: The two ways the counter forms candidates: whole rows, or the nonzero
+#: The two ways the search forms candidates: whole rows, or the nonzero
 #: words of each pivot row.
-PATHS = ["rows", "words"]
+SEARCH = ["rows", "words"]
+#: Every way the counter counts: the search's two, and the homomorphism
+#: counts.
+PATHS = [*SEARCH, "hom"]
 
 
 @contextlib.contextmanager
 def forced(path):
-    """Counting that forms candidates by ``path`` whatever the rows' width
-    and share of nonzero words."""
+    """Counting by ``path`` whatever the planned costs, and for the search
+    whatever the rows' width and share of nonzero words."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_SPARSE_WIDTH", 0 if path == "words" else math.inf)
-        mp.setattr(models, "_SPARSE_SHARE", 1.0)
+        if path == "hom":
+            mp.setattr(homs, "plan_within", lambda m, n, graphs, limit: homs._run(m, n))
+        else:
+            mp.setattr(homs, "plan_within", lambda m, n, graphs, limit: None)
+            mp.setattr(counting, "_SPARSE_WIDTH", 0 if path == "words" else math.inf)
+            mp.setattr(models, "_SPARSE_SHARE", 1.0)
         yield mp
 
 
@@ -281,7 +288,23 @@ class TestErrors:
             count_copies_bruteforce(graph_from_edges(15, []), K3)
 
 
+#: Criterion 3's oracle tests run through the search and the homomorphism
+#: counts alike.
+COUNTERS = ["rows", "hom"]
+
+
+@pytest.fixture
+def by_path(request):
+    """Counting by the ``PATH`` of the test's class."""
+    with forced(request.cls.PATH):
+        yield
+
+
+@pytest.mark.usefixtures("by_path")
 class TestOracleEquivalence:
+    #: the path that counts; a subclass runs the same tests through the other
+    PATH = "rows"
+
     def test_random_instances(self, rng):
         for i in range(40):
             m = random_motif(rng, v_max=5)
@@ -321,6 +344,11 @@ class TestOracleEquivalence:
             assert maps == count_copies(g, m) * automorphism_count(m)
 
 
+class TestOracleEquivalenceByHoms(TestOracleEquivalence):
+    PATH = "hom"
+
+
+@pytest.mark.usefixtures("by_path")
 class TestStructuredMotifs:
     # shapes that stress the search order: hubs, pendants, mixed components
     CASES = {
@@ -331,6 +359,8 @@ class TestStructuredMotifs:
         "paw_and_tail": [(0, 1), (1, 2), (2, 3), (1, 3)],
     }
 
+    PATH = "rows"
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_oracle_agreement(self, name):
         m = motif_from_edge_list(self.CASES[name])
@@ -338,6 +368,10 @@ class TestStructuredMotifs:
         for i in range(8):
             g = sample_sbm(erdos_renyi(0.55), 10, substream_seed(7000 + tag, i))
             assert count_copies(g, m) == count_copies_bruteforce(g, m)
+
+
+class TestStructuredMotifsByHoms(TestStructuredMotifs):
+    PATH = "hom"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -351,7 +385,10 @@ def test_counter_equals_oracle_property(seed, n):
     g = sample_sbm(erdos_renyi(0.5), n, seed)
     if g.n < m.vertex_count:
         return
-    assert count_copies(g, m) == count_copies_bruteforce(g, m)
+    oracle = count_copies_bruteforce(g, m)
+    for path in COUNTERS:
+        with forced(path):
+            assert count_copies(g, m) == oracle, path
 
 
 class TestSymmetryBreaking:
@@ -394,7 +431,10 @@ def test_symmetry_broken_counter_equals_oracle_property(edges, n, p, seed):
     if n < m.vertex_count:
         return
     g = sample_sbm(erdos_renyi(p), n, seed)
-    assert count_copies(g, m) == count_copies_bruteforce(g, m)
+    oracle = count_copies_bruteforce(g, m)
+    for path in COUNTERS:
+        with forced(path):
+            assert count_copies(g, m) == oracle, path
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -541,7 +581,7 @@ def test_multi_word_floors_survive_relabelling(motif, rng):
     for _ in range(5):
         perm = rng.permutation(g.n)
         relabelled = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        for path in PATHS:
+        for path in SEARCH:
             with forced(path):
                 assert count_copies(relabelled, m) == reference, path
 

@@ -1,0 +1,255 @@
+"""Copy counts from homomorphism counts: the quotient list, the batched
+elimination against the search and the oracle, its byte budget, and the
+path the planned costs choose."""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motif_poisson import (
+    GraphonSpec,
+    GraphTooLargeForOracle,
+    SbmParams,
+    builtin_motif,
+    count_copies_bruteforce,
+    erdos_renyi,
+    motif_from_edge_list,
+    motif_from_string,
+    sample_sbm,
+    substream_seed,
+)
+from motif_poisson import counting, homs, models
+from motif_poisson.motif import BUILTIN_FAMILIES
+
+
+def falling(n: int, k: int) -> int:
+    return math.prod(range(n - k + 1, n + 1))
+
+
+def chromatic(family: str, v: int, n: int) -> int:
+    """The chromatic polynomial of a builtin motif at n: a complete graph
+    n(n-1)...(n-v+1), one less edge adds the colourings that give its two
+    ends one colour, a tree n(n-1)^(v-1), a cycle (n-1)^v + (-1)^v (n-1)."""
+    if family == "complete":
+        return falling(n, v)
+    if family == "almost_complete":
+        return falling(n, v) + falling(n, v - 1)
+    if family == "tree_path":
+        return n * (n - 1) ** (v - 1)
+    return (n - 1) ** v + (-1) ** v * (n - 1)
+
+
+@pytest.mark.parametrize("family", BUILTIN_FAMILIES)
+@pytest.mark.parametrize("v", range(3, 8))
+def test_partitions_count_the_proper_colourings(family, v):
+    # a proper colouring with n colours is a partition into independent
+    # sets, its colour classes, with distinct colours on the blocks
+    m = builtin_motif(family, v)
+    sizes = [max(labels) + 1 for labels in homs._partitions(m)]
+    for n in (0, 1, 2, 3, 5, 8, 13):
+        assert sum(falling(n, k) for k in sizes) == chromatic(family, v, n), n
+
+
+def test_partitions_are_into_independent_sets():
+    for family, v in itertools.product(BUILTIN_FAMILIES, range(3, 8)):
+        m = builtin_motif(family, v)
+        listed = list(homs._partitions(m))
+        assert len(set(listed)) == len(listed)
+        for labels in listed:
+            assert all(labels[a] != labels[b] for a, b in m.edges)
+            # blocks numbered by their least vertex
+            assert [labels.index(b) for b in range(max(labels) + 1)] == sorted(
+                labels.index(b) for b in range(max(labels) + 1)
+            )
+
+
+@pytest.mark.parametrize(
+    "motif, partitions",
+    [*((f"complete:{v}", 1) for v in range(3, 11)), ("almost_complete:10", 2), ("cycle:5", 11)],
+)
+def test_partition_counts(motif, partitions):
+    assert sum(1 for _ in homs._partitions(motif_from_string(motif))) == partitions
+
+
+def test_isomorphic_quotients_are_merged():
+    # C5's eleven partitions give C5 itself, five triangles with a pendant
+    # (one pair merged) and five triangles (two pairs merged)
+    quotients = homs._quotients(motif_from_string("cycle:5"))
+    assert [(q.vertex_count, q.coef) for q in quotients] == [(5, 1), (4, -5), (3, 5)]
+
+
+def stack(graphs) -> np.ndarray:
+    return np.concatenate([g.adjacency for g in graphs])
+
+
+def both_paths(graphs, m) -> tuple[list[int], list[int]]:
+    """The copies in each graph of one size by the search and by the
+    homomorphism counts, each over the stacked rows."""
+    rows, n = stack(graphs), graphs[0].n
+    words, degrees = counting._row_words(rows)
+    search = counting._search_rows(rows, n, len(graphs), m, words, degrees)
+    run = homs._run(m, n)
+    return search.tolist(), homs.count_rows(rows, n, len(graphs), m, run).tolist()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    edges=st.sets(
+        st.sampled_from(list(itertools.combinations(range(6), 2))),
+        min_size=2,
+        max_size=15,
+    ),
+    size=st.floats(min_value=0.0, max_value=1.0),
+    p=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+    graphs=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_search_equals_homs_and_oracle_property(edges, size, p, graphs, seed):
+    # six labels, so disconnected motifs are drawn too; n runs up to 40,
+    # less where either path would take long: the homomorphism counts by
+    # their planned cost, the search by its expected frontier
+    m = motif_from_edge_list(sorted(edges))
+    v = m.vertex_count
+
+    def quick(n: int) -> bool:
+        levels = enumerate(counting._levels(m))
+        frontier = sum(falling(n, k) * p**e / hook for k, (e, hook, _) in levels)
+        planned = sum(homs._ns(q, n, 1) for q in homs._quotients(m))
+        return frontier < 10**5 and planned < 10**7
+
+    top = max([v] + [n for n in range(v, 41) if quick(n)])
+    n = v + round(size * (top - v))
+    batch = [sample_sbm(erdos_renyi(p), n, substream_seed(seed, i)) for i in range(graphs)]
+    search, hom = both_paths(batch, m)
+    assert search == hom
+    try:
+        oracle = [count_copies_bruteforce(g, m) for g in batch]
+    except GraphTooLargeForOracle:
+        return
+    assert search == oracle
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5)],
+        [(0, 1), (1, 2), (1, 4), (2, 3), (3, 4), (3, 5)],
+        [(0, 1), (0, 3), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)],
+    ],
+)
+def test_products_keep_their_orientation(edges):
+    # these eliminations multiply factors that are not symmetric, so a
+    # product whose indices were recorded the other way round, or an
+    # operand transposed where it should not be, would give other counts
+    m = motif_from_edge_list(edges)
+    batch = [sample_sbm(erdos_renyi(0.4), 10, seed=s) for s in range(3)]
+    search, hom = both_paths(batch, m)
+    assert search == hom == [count_copies_bruteforce(g, m) for g in batch]
+
+
+def test_sparse_batches_list_no_quotients(monkeypatch):
+    # in ER(1.5/60), as in the ensemble plans, C10's own elimination
+    # already costs more than the search, so its 17,722 partitions are
+    # never listed
+    def listed(m):
+        raise AssertionError("quotients listed")
+
+    monkeypatch.setattr(homs, "_quotients", listed)
+    m = motif_from_string("cycle:10")
+    rows = next(models.sample_batches(erdos_renyi(1.5 / 60), 60, range(20)))
+    counting._count_rows(rows, 60, 20, m)
+
+
+@pytest.mark.parametrize("motif", ["cycle:5", "tree_path:4", "almost_complete:4"])
+def test_hom_batch_keeps_to_the_byte_budget(motif, monkeypatch):
+    # a budget of 256 KiB holds the dense arrays of a few 60-vertex graphs
+    # at a time, so the batch is counted in several sub-batches
+    m, n, budget = motif_from_string(motif), 60, 2**18
+    batch = [sample_sbm(erdos_renyi(0.2), n, seed=s) for s in range(40)]
+    rows = stack(batch)
+    monkeypatch.setattr(homs, "_DENSE_BYTES", budget)
+    homs._run.cache_clear()
+    try:
+        run = homs._run(m, n)
+        assert 1 < run.graphs < len(batch) // 3
+        homs.count_rows(rows[: n * run.graphs], n, run.graphs, m, run)  # warm-up
+        tracemalloc.start()
+        try:
+            got = homs.count_rows(rows, n, len(batch), m, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        homs._run.cache_clear()
+    # beyond the budget, which covers the arrays, NumPy's iterators buffer
+    # up to 8192 elements an operand, four operands at most here
+    assert peak <= budget + 4 * 8192 * 4 + 2**12
+    words, degrees = counting._row_words(rows)
+    assert got.tolist() == counting._search_rows(rows, n, len(batch), m, words, degrees).tolist()
+
+
+def test_exactness_and_budget_limit_the_run():
+    c5, k3 = motif_from_string("cycle:5"), motif_from_string("complete:3")
+    # factors up to n^4: float32 holds them at n = 40, float64 at n = 2000
+    assert homs._run(c5, 40).dtype is np.float32
+    assert homs._run(c5, 2000).dtype is np.float64
+    # a 7-vertex path's vectors count walks of up to 6 vertices, at most
+    # n^6, which passes 2^53 between n = 450 and 460; its homomorphisms,
+    # at most n^7, stay below 2^63 there
+    p7 = builtin_motif("tree_path", 7)
+    assert homs._run(p7, 450).dtype is np.float64
+    assert homs._run(p7, 460) is None
+    # two 64 MB float32 matrices for K3 at n = 4000 pass the byte budget
+    assert homs._run(k3, 2000) is not None
+    assert homs._run(k3, 4000) is None
+
+
+def chosen(model, n: int, motif: str, graphs: int) -> str:
+    """The path that a sampled batch of the plan takes."""
+    m = motif_from_string(motif)
+    rows = next(models.sample_batches(model, n, range(1, graphs + 1)))
+    graphs = len(rows) // n
+    words, degrees = counting._row_words(rows)
+    limit = counting._search_ns(m, n, graphs, rows.shape[1], words, degrees)
+    return "hom" if homs.plan_within(m, n, graphs, limit) else "search"
+
+
+def piecewise(low: float, high: float) -> GraphonSpec:
+    return GraphonSpec(
+        family="piecewise_constant",
+        breakpoints=(0.0, 0.5, 1.0),
+        values=((high, low), (low, high)),
+    )
+
+
+@pytest.mark.parametrize(
+    "model, n, motif, graphs, path",
+    [
+        # the ensemble plans: sparse, a few copies a graph
+        (
+            SbmParams(2, (0.5, 0.5), ((0.0277, 0.01385), (0.01385, 0.0277))),
+            100,
+            "complete:3",
+            1000,
+            "search",
+        ),
+        (piecewise(0.005, 0.02), 120, "complete:3", 1000, "search"),
+        (erdos_renyi(1.5 / 60), 60, "cycle:4", 1000, "search"),
+        # the dense counts: K4's elimination sums n^4 terms a graph, C5's
+        # takes three small products
+        (erdos_renyi(0.3), 60, "complete:4", 50, "search"),
+        (erdos_renyi(0.12), 40, "cycle:5", 50, "hom"),
+        # the large-n plans: one triangle or so a graph
+        (erdos_renyi(2 / 4000), 4000, "complete:3", 1, "search"),
+        (piecewise(1 / 4000, 3 / 4000), 4000, "complete:3", 1, "search"),
+        # dense, but its matrices pass the byte budget
+        (erdos_renyi(0.5), 4000, "complete:3", 1, "search"),
+    ],
+)
+def test_chosen_path(model, n, motif, graphs, path):
+    assert chosen(model, n, motif, graphs) == path

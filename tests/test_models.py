@@ -928,6 +928,14 @@ class TestSampledGraph:
         with pytest.raises(InvalidParams, match=problem):
             SampledGraph(3, adjacency)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices(self, n):
+        # refused before the rows are read, as the edge-list reader does
+        with pytest.raises(InvalidParams, match="graph has no vertices"):
+            SampledGraph(n, np.zeros((0, 0), np.uint64))
+        with pytest.raises(InvalidParams, match="graph has no vertices"):
+            graph_from_edge_text("", n)
+
     def test_vertex_count_is_an_integer(self):
         assert SampledGraph(np.int64(3), rows(0, 0, 0)).n == 3
         for n in (3.0, True, "3"):
@@ -990,11 +998,25 @@ class TestEdgeText:
 
     @pytest.mark.parametrize(
         "text, n",
-        [("0 1\n", MAX_GRAPH_VERTICES + 1), (f"0 {MAX_GRAPH_VERTICES}\n", None)],
+        [
+            ("0 1\n", MAX_GRAPH_VERTICES + 1),
+            (f"0 {MAX_GRAPH_VERTICES}\n", None),
+            # past what an int64 holds
+            (f"0 1\n2 {2**63}\n", None),
+        ],
     )
     def test_vertex_cap(self, text, n):
         with pytest.raises(InvalidParams, match="cap"):
             graph_from_edge_text(text, n=n)
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1e", "\x85", "\u2028"])
+    def test_every_line_separator(self, sep):
+        # the lines are read one at a time, split where str.splitlines splits
+        text = sep.join(["# a 4-cycle", "0 1", "", "1 2  # comment", "2 3", "3 0", ""])
+        g = graph_from_edge_text(text)
+        assert sorted(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        with pytest.raises(InvalidParams, match="bad edge line: '1 x'"):
+            graph_from_edge_text(sep.join(["0 1", "1 x", "2 3"]))
 
 
 class TestVertexCap:
