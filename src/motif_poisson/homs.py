@@ -69,6 +69,13 @@ _STEP_NS = 10_000.0
 #: every quotient of a motif of up to 7 vertices.
 _RELABELLINGS = 720
 
+#: Planned nanoseconds of listing a motif's quotients, per partition and
+#: relabelling that :func:`_canonical` may try (at most 720, or (v - 1)!
+#: below 7 vertices): listing them took 225-255 ns per such relabelling for
+#: cycle:8, cycle:10 and tree_path:10 (3.2-3.7 s for the latter two) on the
+#: VM above, which tries about 30 of the 720 a partition.
+_RELABEL_NS = 250.0
+
 _MATMUL, _SUM, _EINSUM, _TOTAL = range(4)
 
 
@@ -209,11 +216,25 @@ def _canonical(k: int, edges: set[Edge]) -> tuple[Edge, ...]:
     return best
 
 
+#: The quotients of each motif that :func:`_quotients` has listed.
+_listed_quotients: dict[Motif, tuple[_Quotient, ...]] = {}
+
+
 @lru_cache(maxsize=None)
+def _listing_ns(m: Motif) -> float:
+    """Planned nanoseconds of listing the motif's quotients: each partition
+    but the finest canonicalised by as many relabellings as it may try."""
+    partitions = sum(1 for _ in _partitions(m)) - 1
+    tries = min(_RELABELLINGS, math.factorial(m.vertex_count - 1))
+    return partitions * tries * _RELABEL_NS
+
+
 def _quotients(m: Motif) -> tuple[_Quotient, ...]:
     """The motif's quotients with nonzero summed coefficient, isomorphic
     ones merged as far as :func:`_canonical` finds them, the motif itself
-    first, then by fewer vertices."""
+    first, then by fewer vertices; listed once per motif."""
+    if m in _listed_quotients:
+        return _listed_quotients[m]
     merged: Counter = Counter()
     for labels in _partitions(m):
         coef = math.prod(
@@ -223,7 +244,8 @@ def _quotients(m: Motif) -> tuple[_Quotient, ...]:
         edges = {tuple(sorted((labels[a], labels[b]))) for a, b in m.edges}
         merged[k, _canonical(k, edges) if k < m.vertex_count else m.edges] += coef
     keys = sorted((key for key, c in merged.items() if c), key=lambda kv: (-kv[0], kv[1]))
-    return tuple(_schedule(merged[key], *key) for key in keys)
+    _listed_quotients[m] = tuple(_schedule(merged[key], *key) for key in keys)
+    return _listed_quotients[m]
 
 
 def _ns(q: _Quotient, n: int, graphs: int) -> float:
@@ -266,12 +288,15 @@ def plan_within(m: Motif, n: int, graphs: int, limit: float) -> _Run | None:
     """The run of the motif on a batch of ``graphs`` n-vertex graphs if its
     planned cost, densifying included, is at most ``limit`` nanoseconds and
     it is exact and within the byte budget, or else None.  The quotients
-    are listed only if the motif's own hom plan fits, and priced only until
-    their running sum passes the limit."""
-    spent = graphs * n * n * _DENSE_NS
-    if spent + _ns(_own(m), n, graphs) > limit:
+    are listed only if the motif's own hom plan fits with the listing's
+    planned cost added, until they are listed, and priced only until their
+    running sum passes the limit."""
+    spent = graphs * n * n * _DENSE_NS + _ns(_own(m), n, graphs)
+    if spent <= limit and m not in _listed_quotients:
+        spent += _listing_ns(m)
+    if spent > limit:
         return None
-    for q in _quotients(m):
+    for q in _quotients(m)[1:]:
         spent += _ns(q, n, graphs)
         if spent > limit:
             return None

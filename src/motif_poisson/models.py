@@ -29,12 +29,15 @@ each one's mirror.  While the batch is handed on, the counter takes the
 words its check listed (:func:`nonzero_words`) instead of a second scan.
 
 Below p = 1/3 NumPy draws a geometric gap as one standard exponential E,
-``ceil(-E / log1p(-p))``.  So in a batch of several graphs a sparse graph,
-with no coin in [1/3, 1) and no thinning, draws the gaps of all its blocks
-in one ``standard_exponential`` call, and the batch turns every graph's
-exponentials into gaps and positions at once; a lone graph has no draws
-to batch and takes its blocks one by one.  The stream, and with it every
-graph of ``SAMPLER_VERSION`` 3, is the same as by geometric draws.
+``ceil(-E / log1p(-p))``.  So in a batch of several graphs of a sparse
+model, with no coin in [1/3, 1) and no thinning, a graph makes three
+stream calls: the re-keying, its n latents and K standard exponentials,
+K a bound on its blocks' first chunks of gaps whatever its class sizes
+(:func:`_gap_bound`).  The batch then finds every graph's labels, class
+sizes, blocks, gaps, positions, vertex pairs and edges at once, as arrays;
+a lone graph has no draws to batch and takes its blocks one by one.  The
+stream, and with it every graph of ``SAMPLER_VERSION`` 3, is the same as
+by geometric draws.
 
 Each graph is drawn from the counter-based Philox generator keyed directly
 by its seed, so a sampled graph is a pure function of ``(params, n, seed)``
@@ -562,8 +565,10 @@ def check_graph_size(n: int) -> None:
         raise InvalidParams(f"graph has {n} vertices; cap is {MAX_GRAPH_VERTICES}")
 
 
-def substream_seed(seed: int, index: int) -> int:
-    """Derive an independent 64-bit sub-seed for replicate ``index``.
+def substream_seed(seed: int, index):
+    """Derive an independent 64-bit sub-seed for replicate ``index``, or a
+    uint64 array of them for a uint64 array of indices, whose arithmetic
+    wraps at 2^64 as the masks do.
 
     SplitMix64-style mixing: distinct (seed, index) pairs land on distinct
     Philox keys, making every replicate reproducible on its own no matter
@@ -581,12 +586,35 @@ def substream_seed(seed: int, index: int) -> int:
 _EXPONENTIAL_BELOW = 1 / 3
 
 
-def _first_chunk(p: float, total: int) -> int:
+def _first_chunk(p, total):
     """Gaps drawn per chunk of a block of ``total`` ``p``-coins, a function
-    of ``(p, total)`` alone: the expected count of successes with room to
-    spare, so a sparse block takes one chunk."""
+    of ``(p, total)`` alone, elementwise over arrays: the expected count of
+    successes with room to spare, so a sparse block takes one chunk."""
     mean = p * total
-    return int(min(_CHUNK, mean + 4.0 * math.sqrt(mean) + 16.0))
+    return np.minimum(_CHUNK, mean + 4.0 * np.sqrt(mean) + 16.0).astype(np.int64)
+
+
+def _gap_bound(probs: list[float], n: int) -> int | None:
+    """K, the exponentials that hold the first chunks of all the blocks of
+    an n-vertex graph whose class pairs have the coins ``probs``, whatever
+    its class sizes; None where a coin lies in [``_EXPONENTIAL_BELOW``, 1)
+    or K reaches ``_CHUNK``.
+
+    The P blocks with 0 < p < 1 hold at most C(n, 2) pairs, so with p*
+    their largest coin their means m = p * total sum to at most
+    M = p* C(n, 2), and the sum of their square roots is at most sqrt(P M)
+    (Cauchy-Schwarz): their first chunks sum to at most
+    M + 4 sqrt(P M) + 16 P.  Below 2^18, float rounding moves both sides by
+    far less than 1, which the added 1 covers; where P = 1, K is the first
+    chunk of C(n, 2) p*-coins, and each rounded step is monotone."""
+    sparse = [p for p in probs if p < 1.0]
+    if any(p >= _EXPONENTIAL_BELOW for p in sparse):
+        return None
+    if not sparse:
+        return 0
+    count, mean = len(sparse), max(sparse) * (n * (n - 1) // 2)
+    bound = int(mean + 4.0 * math.sqrt(count * mean) + 16.0 * count) + (count > 1)
+    return bound if bound < _CHUNK else None
 
 
 def _positions(gaps: np.ndarray, total, lengths=None) -> np.ndarray:
@@ -618,7 +646,7 @@ def _skip_positions(
     The gaps between successes are geometric (Batagelj & Brandes 2005), so
     the draws are proportional to the successes, not to ``total``.  Below
     ``_EXPONENTIAL_BELOW`` each gap is one standard exponential of the
-    stream, so :class:`_Batch` draws the first chunks of a sparse graph's
+    stream, so :class:`_Sampler` draws the first chunks of a sparse graph's
     blocks as one call of exponentials instead, and the stream is the same.
     """
     if p <= 0.0 or total == 0:
@@ -652,15 +680,15 @@ def _row_start(i: np.ndarray, m) -> np.ndarray:
 def _diagonal_pairs(k: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) with i < j < m at row-major index ``k`` of the strict upper
     triangle of an m x m matrix, the order of ``np.triu_indices(m, 1)``;
-    ``m`` is one size or one per element of ``k``.
+    ``m`` is one size or one per element of ``k``, at most 2^15.
 
-    The row is the floor of the smaller root of ``_row_start(i, m) = k``,
-    then moved by one either way where the exact integer row starts say the
-    float root landed in a neighbouring row."""
+    The row is the floor of the smaller root (b - sqrt(D)) / 2 of
+    ``_row_start(i, m) = k``, with b = 2m - 1 and D = b^2 - 8k, and the
+    float root floors exactly: D < 2^32, so float64 holds it and its
+    ``sqrt`` is exact where D is a square, and otherwise within 2^-37 of a
+    root that lies more than 1 / (2 sqrt(D) + 1) > 2^-18 from any integer."""
     b = 2 * m - 1
     i = (b - np.sqrt(b * b - 8 * k)).astype(np.int64) >> 1
-    i += _row_start(i + 1, m) <= k
-    i -= _row_start(i, m) > k
     return i, k - _row_start(i, m) + i + 1
 
 
@@ -668,114 +696,150 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _per_element(values: list, lengths: list[int]):
+def _per_element(values, lengths):
     """``values[c]`` for each element of chunk c: a scalar where every
     chunk has the same value."""
-    if values.count(values[0]) == len(values):
+    values = np.asarray(values)
+    if (values == values[0]).all():
         return values[0]
     return np.repeat(values, lengths)
 
 
-class _Batch:
-    """The graphs of one batch of seeds while they are drawn: their byte
-    rows stacked in n-row bands, one per graph, and what is drawn but not
-    yet set as edges.
+def _at(values, index):
+    """``values[index]``, or ``values`` itself where it is one value."""
+    return values[index] if np.ndim(values) else values
 
-    A graph's vertex pairs are blocks ``(p, total, rows, cols, width,
-    diagonal)``: ``total`` ``p``-coins, the offsets of the block's row and
-    column vertices in ``members``, the length of its rows (its column
-    count, or its vertex count on the diagonal) and whether it is a
-    diagonal block, whose positions map to pairs by another formula.
 
-    In a batch of several graphs of a model with no thinning and all its
-    coins below 1 below ``_EXPONENTIAL_BELOW``, a graph whose blocks' first
-    chunks take fewer than ``_CHUNK`` gaps draws them all in one call of
-    standard exponentials, held as a run ``(exponentials, graph, blocks,
-    first-chunk sizes)``.  The flush turns all the runs it holds into
-    positions in one pass.  A graph one of whose blocks needs more than its
-    first chunk, a rare event, is drawn again the other way from its seed.
-    The other way draws each block's chunks of positions from
+class _Sampler:
+    """The sampler of one model's graphs on n vertices, batch by batch:
+    what the model's blocks are, found once, and, while a batch is drawn
+    (:meth:`sample`), its graphs' latents, their byte rows stacked in n-row
+    bands, one per graph, and the chunks of positions drawn but not yet set
+    as edges.
+
+    A graph's vertex pairs are blocks, one per class pair a <= b with
+    p > 0, in that order: ``total`` ``p``-coins, the offsets of the block's
+    row and column vertices in ``members``, the length of its rows (its
+    column count, or its vertex count on the diagonal) and whether it is
+    diagonal, whose positions map to pairs by another formula.
+    :meth:`_blocks` finds them for a range of graphs at once, as one
+    (graphs, pairs) array each.
+
+    Where the model has a gap bound K (:func:`_gap_bound`), each graph of
+    a batch of several makes three stream calls: the re-keying, its n
+    latents and K standard exponentials, the first of which are its blocks'
+    first chunks of gaps in order.  :meth:`_draw_runs` draws ⌊``_CHUNK``/K⌋
+    graphs at a time so, and turns their runs into gaps, positions, vertex
+    pairs and edges as arrays.  A graph one of whose blocks needs more than
+    its first chunk, a rare event, is drawn again block by block from its
+    seed.
+
+    Block by block, for a lone graph, a thinned graphon or a coin in
+    [1/3, 1), each block draws its chunks of positions from
     :func:`_skip_positions` and, if thinned, one uniform per position, held
-    as ``(k, rows, cols, width, thin)``.  ``held`` is the off-diagonal
-    chunks, the diagonal chunks and the runs, in that order.
+    as ``(k, rows, cols, width, thin)`` with the other off-diagonal or
+    diagonal chunks in ``held`` until ``_CHUNK`` positions are set at once.
+    A p = 1 block takes every position this way on either path, and draws
+    nothing.
     """
 
-    def __init__(self, n: int, seeds: list[int], layout):
-        self.n, self.seeds = n, seeds
-        self.thresholds, self.probs, self.keep = layout
-        graphs, q = len(seeds), len(self.probs)
-        self.bits = _empty_rows(n, graphs)
-        #: the latents, kept where thinning reads them
-        self.latents = np.empty((graphs, n)) if self.keep else None
-        #: the class pairs a <= b in order, with their coins, where p > 0
-        self.pairs = [
-            (a, b, self.probs[a][b])
-            for a in range(q)
-            for b in range(a, q)
-            if self.probs[a][b] > 0.0
-        ]
-        # a lone graph has no draws to batch: it is drawn block by block
-        self.one_call = (
-            graphs > 1
-            and self.keep is None
-            and all(p < _EXPONENTIAL_BELOW or p == 1.0 for _, _, p in self.pairs)
-        )
-        #: with more than one class, the vertices' labels, and the batch's
-        #: vertices by graph, then class, then index, set for the first
-        #: ``ordered`` graphs; with one class, vertex i itself at index i
-        self.labels = self.members = None
-        if q > 1:
-            self.labels = np.empty(graphs * n, np.intp)
-            self.members = np.empty(graphs * n, np.intp)
-        self.drawn = self.ordered = self.count = 0
-        self.held = ([], [], [])
+    def __init__(self, model: SbmParams | GraphonSpec, n: int):
+        self.n = n
+        self.thresholds, probs, self.keep = _layout(model)
+        self.q = len(probs)
+        pairs = itertools.combinations_with_replacement(range(self.q), 2)
+        pairs = [(a, b) for a, b in pairs if probs[a][b] > 0.0]
+        self.probs = [probs[a][b] for a, b in pairs]
+        self.a, self.b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        self.diagonal = self.a == self.b
+        self.coins = np.array(self.probs)
+        self.sparse = self.coins < 1.0
+        #: -log1p(-p) of each class pair with p < 1, by libm as NumPy's
+        #: geometric takes it
+        self.rates = np.array([-math.log1p(-p) if p < 1.0 else 0.0 for p in self.probs])
+        self.gaps = None if self.keep else _gap_bound(self.probs, n)
+        self.rng = np.random.Generator(np.random.Philox(key=0))
+        # what re-keying leaves of this state is that of Philox(key=seed):
+        # zero counter, empty buffer
+        self.state = self.rng.bit_generator.state
 
-    def draw(self, rng: np.random.Generator) -> None:
-        """Draw the next graph: its latents, then for each class pair
-        a <= b in order the coins of its block, as one run of
-        exponentials or as chunks of positions."""
-        g, n = self.drawn, self.n
-        if self.latents is None:
-            latent = rng.random(n)
+    def sample(self, seeds: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
+        """The stacked rows of the graphs of ``seeds``, drawn and set as
+        edges, checked once and read-only, and the flat positions of their
+        nonzero words if the check listed them."""
+        if not all(0 <= seed <= _SEED_MASK for seed in seeds):
+            raise InvalidParams("seed must be an unsigned 64-bit integer")
+        n, graphs = self.n, len(seeds)
+        self.seeds, self.bits = seeds, _empty_rows(n, graphs)
+        self.latents = np.empty((graphs, n))
+        #: with more than one class, the batch's vertices by graph, then
+        #: class, then index; with one class, vertex i itself at index i
+        self.members = np.empty(graphs * n, np.intp) if self.q > 1 else None
+        self.held, self.count = ([], []), 0
+        # a lone graph has no draws to batch, and is drawn block by block
+        gaps = self.gaps if graphs > 1 else None
+        if gaps is None:
+            for g in range(graphs):
+                rng = self._keyed(g)
+                self._draw_blocks(rng, self._blocks(g, g + 1), 0)
         else:
-            latent = rng.random(out=self.latents[g])
-        sizes = [n]
-        if self.labels is not None:
-            labels = self.labels[g * n : (g + 1) * n]
-            labels[:] = self.thresholds.searchsorted(latent, side="right")
-            sizes = np.bincount(labels, minlength=len(self.probs)).tolist()
-        self.drawn += 1
-        starts = list(itertools.accumulate(sizes, initial=g * n))
-        blocks = []
-        for a, b, p in self.pairs:
-            width = sizes[b]
-            total = width * (width - 1) // 2 if a == b else sizes[a] * width
-            if total:
-                blocks.append((p, total, starts[a], starts[b], width, a == b))
-        if self.one_call:
-            sparse = [block for block in blocks if block[0] < 1.0]
-            lengths = [_first_chunk(p, total) for p, total, *_ in sparse]
-            # a first chunk cut to _CHUNK gaps seldom reaches its total
-            if (gaps := sum(lengths)) < _CHUNK:
-                # the p = 1 blocks draw nothing from the stream
-                self._draw_blocks(rng, [b for b in blocks if b[0] == 1.0])
-                if gaps:
-                    run = rng.standard_exponential(gaps)
-                    self._hold(2, gaps, (run, g, sparse, lengths))
-                return
-        self._draw_blocks(rng, blocks)
+            step = _CHUNK // gaps if gaps else graphs
+            for lo in range(0, graphs, step):
+                self._draw_runs(lo, min(lo + step, graphs))
+        self.flush()
+        words = _words(self.bits)
+        # the next batch is drawn without this one's arrays
+        self.bits = self.latents = self.members = None
+        listed = _check_rows(words, n)
+        words.flags.writeable = False
+        return words, listed
 
-    def _draw_blocks(self, rng: np.random.Generator, blocks) -> None:
-        """Hold the chunks of positions of each block in order, drawn by
-        ``rng``, each followed, if thinned, by its uniforms."""
-        for p, total, rows, cols, width, diagonal in blocks:
+    def _keyed(self, g: int) -> np.random.Generator:
+        """The generator re-keyed by graph g's seed, past the n latents
+        that it has drawn into ``latents[g]``."""
+        self.state["state"]["key"][0] = self.seeds[g]
+        rng = self.rng
+        rng.bit_generator.state = self.state
+        rng.random(out=self.latents[g])
+        return rng
+
+    def _blocks(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        """(total, rows, cols, width) of the blocks of graphs lo to hi - 1,
+        each a (hi - lo, pairs) array, after their vertices are put in
+        ``members`` by their latents."""
+        n = self.n
+        sizes = np.full((hi - lo, 1), n)
+        if self.members is not None:
+            # a vertex's class counts the thresholds at or below its latent;
+            # keys of at most 16 bits sort stably by radix
+            small = np.min_scalar_type((hi - lo) * self.q)
+            key = np.repeat(np.arange(0, (hi - lo) * self.q, self.q, dtype=small), n)
+            latents = self.latents[lo:hi].ravel()
+            for t in self.thresholds.tolist():
+                key += latents >= t
+            sizes = np.bincount(key, minlength=(hi - lo) * self.q).reshape(-1, self.q)
+            self.members[lo * n : hi * n] = key.argsort(kind="stable") + lo * n
+        first = sizes.cumsum(axis=1) - sizes + n * np.arange(lo, hi)[:, None]
+        width = sizes[:, self.b]
+        total = np.where(self.diagonal, width * (width - 1) // 2, sizes[:, self.a] * width)
+        return total, first[:, self.a], first[:, self.b], width
+
+    def _draw_blocks(self, rng, blocks, i: int, dense: bool = False) -> None:
+        """Hold the chunks of positions of the blocks in row i of
+        ``blocks``, in order, drawn by ``rng``, each followed, if thinned,
+        by its uniforms; with ``dense``, of the p = 1 blocks alone."""
+        for p, diagonal, total, rows, cols, width in zip(
+            self.probs, self.diagonal.tolist(), *(x[i].tolist() for x in blocks)
+        ):
+            if dense and p < 1.0:
+                continue
             for k in _skip_positions(rng, p, total):
                 thin = rng.random(len(k)) if self.keep else None
                 self._hold(int(diagonal), len(k), (k, rows, cols, width, thin))
 
     def _hold(self, kind: int, count: int, item) -> None:
-        """Hold ``item``, of ``count`` positions or exponentials, with those
-        of its kind, first setting all those held if the count would pass
+        """Hold ``item``, a chunk of ``count`` positions, with those of its
+        kind, first setting all those held if the count would pass
         ``_CHUNK``, and then if it reaches it."""
         if self.count + count > _CHUNK:
             self.flush()
@@ -786,19 +850,10 @@ class _Batch:
 
     def flush(self) -> None:
         """Map every held position to its vertex pair in one pass per kind
-        of block, thin the pairs, and set the edges left in one scatter per
-        direction; then draw again the graphs whose runs fell short."""
-        (off_chunks, diagonal_chunks, runs), self.held = self.held, ([], [], [])
-        self.count = 0
-        if self.members is not None and self.ordered < self.drawn:
-            n, lo, hi = self.n, self.ordered, self.drawn
-            key = self.labels[lo * n : hi * n].reshape(hi - lo, n)
-            key = key + len(self.probs) * np.arange(lo, hi)[:, None]
-            self.members[lo * n : hi * n] = key.ravel().argsort(kind="stable")
-            self.members[lo * n : hi * n] += lo * n
-            self.ordered = hi
+        of block, thin the pairs, and set the edges left."""
+        held, self.held, self.count = self.held, ([], []), 0
         ends = []
-        for chunks, diagonal in ((diagonal_chunks, True), (off_chunks, False)):
+        for chunks, diagonal in zip(held, (False, True)):
             if chunks:
                 lengths = [len(c[0]) for c in chunks]
                 k = _joined([c[0] for c in chunks])
@@ -807,66 +862,57 @@ class _Batch:
                 )
                 thin = _joined([c[4] for c in chunks]) if self.keep else None
                 ends.append(self._pairs(k, rows, cols, width, thin, diagonal))
-        again = self._run_positions(runs, ends) if runs else []
-        if ends:
-            u, v = (_joined(list(side)) for side in zip(*ends))
-            del ends
-            _set_edges(self.bits, u, v, self.n)
-        for g, blocks in again:
-            self._redraw(g, blocks)
-        if again:
-            self.flush()
+        self._set(ends)
 
-    def _redraw(self, g: int, blocks) -> None:
-        """Draw graph g's ``blocks`` again from its own seed, chunk by
-        chunk: past its latents, its stream is theirs."""
-        rng = np.random.Generator(np.random.Philox(key=self.seeds[g]))
-        rng.random(self.n)
-        self._draw_blocks(rng, blocks)
-
-    def _run_positions(self, runs, ends: list) -> list[tuple[int, list]]:
-        """Append to ``ends`` the vertex pairs at the positions of the held
-        runs, and return ``(graph, blocks)`` of each graph with a block
-        whose first chunk ended short of its total: none of its positions
-        is kept.
+    def _draw_runs(self, lo: int, hi: int) -> None:
+        """Draw graphs lo to hi - 1 as runs of ``gaps`` exponentials, one
+        row each, set the edges at the positions they give, and draw again
+        block by block each graph with a block whose first chunk ended
+        short of its total: none of its positions is kept.
 
         The exponential E of a block of p-coins is the gap
         ``ceil(E / -log1p(-p))``, as NumPy's geometric computes it."""
-        run, block, lengths = zip(
-            *(
-                (r, block, length)
-                for r, (_, _, blocks, counts) in enumerate(runs)
-                for block, length in zip(blocks, counts)
-            )
-        )
-        p, total, rows, cols, width, diagonal = zip(*block)
-        gaps = _joined([r[0] for r in runs])
-        gaps /= _per_element([-math.log1p(-x) for x in p], lengths)
-        np.ceil(gaps, out=gaps)
-        # float, as the gaps are: NumPy compares mixed types more slowly
-        cap = _per_element([float(t) for t in total], lengths)
-        pos = _positions(gaps, cap, lengths)
-        keep = pos < cap
-        last = np.cumsum(lengths) - 1
-        short = pos[last] < total
-        again = []
-        if short.any():
-            redrawn = sorted({run[i] for i in np.flatnonzero(short)})
-            keep &= np.repeat([r not in redrawn for r in run], lengths)
-            again = [(runs[r][1], runs[r][2]) for r in redrawn]
-        # a block's positions ascend, so those kept come first in it
-        kept = np.add.reduceat(keep, last + 1 - lengths, dtype=np.intp)
-        k = pos[keep].astype(np.int64)
-        del gaps, pos, keep
-        on, rows, cols, width = (
-            _per_element(x, kept) for x in (diagonal, rows, cols, width)
-        )
-        sides = [(on, True), (~on, False)] if np.ndim(on) else [(slice(None), on)]
-        for at, d in sides:
-            if len(part := k[at]):
-                pairs = (part, _at(rows, at), None if d else _at(cols, at))
-                ends.append(self._pairs(*pairs, _at(width, at), None, d))
-        return again
+        runs = np.empty((hi - lo, self.gaps))
+        for g, run in enumerate(runs, lo):
+            self._keyed(g).standard_exponential(out=run)
+        blocks = self._blocks(lo, hi)
+        total, pairs = blocks[0], len(self.probs)
+        lengths = np.where(self.sparse & (total > 0), _first_chunk(self.coins, total), 0)
+        # each graph's first chunks lead its run, block after block
+        gaps = runs[np.arange(self.gaps) < lengths.sum(axis=1)[:, None]]
+        del runs
+        drew = np.flatnonzero(lengths)  # the blocks with gaps, graph-major
+        lengths = lengths.ravel()[drew]
+        short = []
+        if len(drew):
+            gaps /= _per_element(self.rates[drew % pairs], lengths)
+            np.ceil(gaps, out=gaps)
+            # float, as the gaps are: NumPy compares mixed types more slowly
+            cap = _per_element(total.ravel()[drew].astype(float), lengths)
+            pos = _positions(gaps, cap, lengths)
+            keep = pos < cap
+            last = np.cumsum(lengths) - 1
+            short = sorted(set((drew[keep[last]] // pairs).tolist()))
+            if short:
+                keep &= np.repeat(~np.isin(drew // pairs, short), lengths)
+            # a block's positions ascend, so those kept come first in it
+            kept = np.add.reduceat(keep, last + 1 - lengths, dtype=np.intp)
+            k = pos[keep].astype(np.int64)
+            del gaps, pos, keep, cap
+            on = _per_element(self.diagonal[drew % pairs], kept)
+            rows, cols, width = (_per_element(x.ravel()[drew], kept) for x in blocks[1:])
+            sides = [(on, True), (~on, False)] if np.ndim(on) else [(slice(None), on)]
+            ends = [
+                self._pairs(k[at], *(_at(x, at) for x in (rows, cols, width)), None, d)
+                for at, d in sides
+            ]
+            del k, rows, cols, width, sides
+            self._set(ends)
+        for i in range(hi - lo) if not self.sparse.all() else short:
+            if i in short:
+                self._draw_blocks(self._keyed(lo + i), blocks, i)
+            else:
+                self._draw_blocks(None, blocks, i, dense=True)
 
     def _pairs(self, k, rows, cols, width, thin, diagonal: bool):
         """The batch's vertex pairs (u, v) at positions ``k`` of blocks
@@ -884,11 +930,13 @@ class _Batch:
             u, v = u[hit], v[hit]
         return u, v
 
-
-def _at(values, index: np.ndarray):
-    """``values[index]``, or ``values`` itself where it is one value."""
-    return values[index] if np.ndim(values) else values
-
+    def _set(self, ends: list) -> None:
+        """Set the vertex pairs of ``ends``, a list of (u, v) arrays, as
+        edges, in one scatter per direction."""
+        if ends:
+            u, v = (_joined(list(side)) for side in zip(*ends))
+            ends.clear()
+            _set_edges(self.bits, u, v, self.n)
 
 
 def _layout(model: SbmParams | GraphonSpec):
@@ -927,14 +975,9 @@ def sample_batches(
     if n < 2:
         raise InvalidParams("n must be >= 2")
     check_graph_size(n)
-    layout = _layout(model)
-    rng = np.random.Generator(np.random.Philox(key=0))
-    # what re-keying leaves of this state is that of Philox(key=seed):
-    # zero counter, empty buffer
-    state = rng.bit_generator.state
-    seeds = iter(seeds)
+    sampler, seeds = _Sampler(model, n), iter(seeds)
     while batch := list(itertools.islice(seeds, run_length(n))):
-        yield from _handed_on(*_sample_batch(rng, state, layout, n, batch))
+        yield from _handed_on(*sampler.sample(batch))
 
 
 def _handed_on(rows: np.ndarray, listed: np.ndarray | None) -> Iterator[np.ndarray]:
@@ -948,24 +991,6 @@ def _handed_on(rows: np.ndarray, listed: np.ndarray | None) -> Iterator[np.ndarr
         yield rows
     finally:
         _listed.pop(id(rows), None)
-
-
-def _sample_batch(rng, state, layout, n: int, seeds: list[int]):
-    """The stacked rows of the graphs of ``seeds`` drawn by ``rng``,
-    re-keyed per seed by setting ``state``, checked once and read-only, and
-    the flat positions of their nonzero words if the check listed them."""
-    if not all(0 <= seed <= _SEED_MASK for seed in seeds):
-        raise InvalidParams("seed must be an unsigned 64-bit integer")
-    batch = _Batch(n, seeds, layout)
-    for seed in seeds:
-        state["state"]["key"][0] = seed
-        rng.bit_generator.state = state
-        batch.draw(rng)
-    batch.flush()
-    words = _words(batch.bits)
-    listed = _check_rows(words, n)
-    words.flags.writeable = False
-    return words, listed
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:

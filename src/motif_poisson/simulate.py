@@ -36,6 +36,7 @@ from .poisson import poisson_pmf, tv_distance_empirical
 
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0x0B005EED  # offset separating bootstrap from replicate seeds
+_SEED_BLOCK = 1024  # replicate seeds derived at once, as one array
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,13 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
         lam = lambda_value(plan.motif, plan.n, mu(plan.model, plan.motif))
 
     r_total, n = plan.replicates, plan.n
-    seeds = (substream_seed(plan.seed, r) for r in range(r_total))
+    seeds = (
+        seed
+        for lo in range(0, r_total, _SEED_BLOCK)
+        for seed in substream_seed(
+            plan.seed, np.arange(lo, min(lo + _SEED_BLOCK, r_total), dtype=np.uint64)
+        ).tolist()
+    )
     tally = Counter()
     for rows in models.sample_batches(plan.model, n, seeds):
         tally.update(counting._count_rows(rows, n, len(rows) // n, plan.motif).tolist())

@@ -4,6 +4,7 @@ path the planned costs choose."""
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,24 @@ def test_sparse_batches_list_no_quotients(monkeypatch):
     m = motif_from_string("cycle:10")
     rows = next(models.sample_batches(erdos_renyi(1.5 / 60), 60, range(20)))
     counting._count_rows(rows, 60, 20, m)
+
+
+def test_quotient_listing_is_priced(monkeypatch):
+    # C10 in ER(0.5) at n = 12: its own elimination (0.1 ms) is planned far
+    # below the search (16 ms), but listing its 17,722 partitions takes
+    # seconds; priced, it keeps the batch on the search, counted as the
+    # quotients counted it
+    m, n, graphs = motif_from_string("cycle:10"), 12, 3
+    monkeypatch.setattr(homs, "_listed_quotients", {})
+    rows = next(models.sample_batches(erdos_renyi(0.5), n, range(1, graphs + 1)))
+    own = graphs * n * n * homs._DENSE_NS + homs._ns(homs._own(m), n, graphs)
+    start = time.perf_counter()
+    assert homs.plan_within(m, n, graphs, own + homs._listing_ns(m) / 2) is None
+    counts = counting._count_rows(rows, n, graphs, m)
+    assert time.perf_counter() - start < 0.5
+    assert counts.tolist() == [13371, 2513, 7859] and not homs._listed_quotients
+    assert homs.plan_within(m, n, graphs, own) is None
+    assert homs._listing_ns(m) == 17721 * 720 * homs._RELABEL_NS
 
 
 @pytest.mark.parametrize("motif", ["cycle:5", "tree_path:4", "almost_complete:4"])

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ class TestDeterminism:
     def test_substream_seeds_distinct(self):
         seen = {substream_seed(42, i) for i in range(10_000)}
         assert len(seen) == 10_000
+
+    def test_substream_seeds_of_arrays(self):
+        # the array form wraps at 2^64 as the masks of the integer form do
+        rng = np.random.default_rng(11)
+        index = rng.integers(0, 2**64, 200, dtype=np.uint64)
+        index[:4] = [0, 1, 2**63, 2**64 - 1]
+        seeds = rng.integers(0, 2**64, 20, dtype=np.uint64).tolist()
+        for seed in [0, 1, 2**63, 2**64 - 2, 2**64 - 1, *seeds]:
+            expected = [substream_seed(seed, r) for r in index.tolist()]
+            assert substream_seed(seed, index).tolist() == expected
 
     def test_seed_independence_edge_correlation(self):
         # paired replicate streams from two master seeds: the (0,1) edge
@@ -597,64 +608,136 @@ class TestOneCall:
     def assert_per_block(model, n, seeds):
         """Assert that the graphs of ``seeds``, batched and single, equal
         those drawn block by block, and that the single ones, with no draws
-        to batch, are; return the graphs of the runs of each flush of the
-        batch and the graphs it drew again."""
+        to batch, are; return the graphs of each call of ``_draw_runs``
+        of the batch and the graphs it drew again."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(models, "_EXPONENTIAL_BELOW", 0.0)
             reference = [single(model, n, seed) for seed in seeds]
-        runs, redrawn = [], []
-        run_positions, redraw = models._Batch._run_positions, models._Batch._redraw
+        runs, keyed = [], []
+        draw_runs, key = models._Sampler._draw_runs, models._Sampler._keyed
 
-        def spy_runs(batch, held, *lists):
-            runs.append([run[1] for run in held])
-            return run_positions(batch, held, *lists)
+        def spy_runs(batch, lo, hi):
+            runs.append(list(range(lo, hi)))
+            draw_runs(batch, lo, hi)
 
-        def spy_redraw(batch, g, sizes):
-            redrawn.append(g)
-            redraw(batch, g, sizes)
+        def spy_keyed(batch, g):
+            keyed.append(g)
+            return key(batch, g)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(models._Batch, "_run_positions", spy_runs)
-            patch.setattr(models._Batch, "_redraw", spy_redraw)
+            patch.setattr(models._Sampler, "_draw_runs", spy_runs)
+            patch.setattr(models._Sampler, "_keyed", spy_keyed)
             assert [single(model, n, seed) for seed in seeds] == reference
-            assert not runs and not redrawn
+            assert not runs
+            keyed.clear()
             assert batched(model, n, seeds) == reference
+        redrawn = sorted(g for g, count in Counter(keyed).items() if count > 1)
         return runs, redrawn
 
     def test_short_first_chunk_draws_the_graph_again(self, monkeypatch):
         # first chunks one standard deviation past the mean: some blocks
         # need a second chunk, so their graphs are drawn again
         def first_chunk(p, total):
-            return int(p * total + math.sqrt(p * total)) + 1
+            return (p * total + np.sqrt(p * total)).astype(np.int64) + 1
 
         monkeypatch.setattr(models, "_first_chunk", first_chunk)
         seeds = [substream_seed(3, r) for r in range(20)]
         runs, redrawn = self.assert_per_block(PIN_MODELS["sbm2_sparse"], 60, seeds)
         assert runs == [list(range(20))]
-        assert 0 < len(redrawn) < 20 and redrawn == sorted(set(redrawn))
+        assert 0 < len(redrawn) < 20
 
-    def test_batch_mixes_runs_and_chunks(self, monkeypatch):
-        # with 130-gap chunks, some graphs' first chunks fit and others not
-        monkeypatch.setattr(models, "_CHUNK", 130)
+    def test_runs_drawn_in_sub_batches(self, monkeypatch):
+        # with room for three graphs' runs in _CHUNK, the runs are drawn
+        # three graphs at a time
+        model, n = PIN_MODELS["sbm2_sparse"], 30
+        gaps = models._gap_bound([0.3, 0.02, 0.1], n)
+        monkeypatch.setattr(models, "_CHUNK", 3 * gaps + 2)
         seeds = [substream_seed(3, r) for r in range(20)]
-        runs, redrawn = self.assert_per_block(PIN_MODELS["sbm2_sparse"], 30, seeds)
-        assert 0 < sum(map(len, runs)) < 20 and not redrawn
+        runs, redrawn = self.assert_per_block(model, n, seeds)
+        assert runs == [list(range(lo, min(lo + 3, 20))) for lo in range(0, 20, 3)]
+        assert not redrawn
 
     def test_runs_flush_across_chunks(self, monkeypatch):
         # runs of several graphs and the chunks of their p = 1 blocks held
-        # together, and flushed every 200 gaps or positions
+        # together, and flushed every 200 positions
         monkeypatch.setattr(models, "_CHUNK", 200)
         seeds = [substream_seed(3, r) for r in range(20)]
         runs, redrawn = self.assert_per_block(PIN_MODELS["sbm_mixed"], 12, seeds)
         assert len(runs) > 1 and max(map(len, runs)) > 1 and not redrawn
 
     def test_first_chunk_cut_to_chunk_is_drawn_by_blocks(self, monkeypatch):
-        # ER(0.3) at n = 20 wants 103-gap first chunks, cut to 64: a cut
-        # chunk seldom reaches its total, so no graph is drawn as a run
+        # ER(0.3) at n = 20 wants 103-gap first chunks, cut to 64: its gap
+        # bound passes _CHUNK, so every graph is drawn block by block
         monkeypatch.setattr(models, "_CHUNK", 64)
         seeds = [substream_seed(3, r) for r in range(20)]
         runs, redrawn = self.assert_per_block(erdos_renyi(0.3), 20, seeds)
         assert not runs and not redrawn
+
+    def test_first_chunk_of_arrays_is_elementwise(self):
+        # one definition for scalars and arrays, with the float steps of
+        # int(min(_CHUNK, mean + 4 sqrt(mean) + 16))
+        rng = np.random.default_rng(27)
+        p = np.exp(rng.uniform(math.log(1e-12), 0.0, 2000))
+        total = rng.integers(0, MAX_GRAPH_VERTICES**2 // 2, 2000)
+        total[:20] = np.arange(20)
+        chunks = models._first_chunk(p, total).tolist()
+        for x, t, chunk in zip(p.tolist(), total.tolist(), chunks):
+            mean = x * t
+            expected = int(min(models._CHUNK, mean + 4.0 * math.sqrt(mean) + 16.0))
+            assert models._first_chunk(x, t) == expected == chunk
+
+    @staticmethod
+    def first_chunks(probs, sizes) -> int:
+        """The first chunks of the blocks of a graph with these class sizes,
+        summed over the class pairs with 0 < p < 1."""
+        q, chunks = len(sizes), 0
+        for a, b in itertools.combinations_with_replacement(range(q), 2):
+            p = probs[a][b]
+            total = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            if 0 < p < 1 and total:
+                chunks += int(models._first_chunk(p, total))
+        return chunks
+
+    def test_gap_bound_holds_every_composition(self):
+        # every split of n <= 12 vertices into Q <= 3 classes, empty ones
+        # included, under coins equal (where Cauchy-Schwarz is tightest),
+        # mixed with 0 and 1, and at random below 1/3
+        rng = np.random.default_rng(5)
+        for q in (1, 2, 3):
+            grids = [np.full((q, q), x) for x in (0.3, 0.05, 1e-6)]
+            mixed = rng.choice([0.0, 1.0, 0.2, 0.01], (q, q))
+            grids += [mixed, np.maximum(rng.uniform(0, 1 / 3, (q, q)), 1e-9)]
+            for grid in grids:
+                probs = np.triu(grid) + np.triu(grid, 1).T
+                coins = [probs[a][b] for a in range(q) for b in range(a, q)]
+                for n in range(2, 13):
+                    bound = models._gap_bound([x for x in coins if x > 0], n)
+                    for cut in itertools.combinations(range(n + q - 1), q - 1):
+                        bars = (-1, *cut, n + q - 1)
+                        sizes = [hi - lo - 1 for lo, hi in zip(bars, bars[1:])]
+                        assert self.first_chunks(probs, sizes) <= bound
+                    if q == 1 and 0 < grid[0, 0] < 1:
+                        full = models._first_chunk(grid[0, 0], n * (n - 1) // 2)
+                        assert bound == full
+
+    def test_gap_bound_holds_at_random(self):
+        # Q <= 6 at 13 <= n <= 2^15, the bound checked where it is below
+        # _CHUNK (2,281 of the 3,000)
+        rng = np.random.default_rng(6)
+        checked = 0
+        for _ in range(3000):
+            q = int(rng.integers(1, 7))
+            n = int(np.exp(rng.uniform(math.log(13), math.log(MAX_GRAPH_VERTICES))))
+            grid = np.exp(rng.uniform(math.log(1e-9), math.log(1 / 3), (q, q)))
+            grid[rng.random((q, q)) < 0.2] = 0.0
+            probs = np.triu(grid) + np.triu(grid, 1).T
+            coins = [probs[a][b] for a in range(q) for b in range(a, q)]
+            bound = models._gap_bound([x for x in coins if x > 0], n)
+            if bound is not None:
+                sizes = rng.multinomial(n, rng.dirichlet(np.ones(q)))
+                assert self.first_chunks(probs, sizes.tolist()) <= bound
+                checked += 1
+        assert checked == 2281
 
 
 class TestSampling:
@@ -815,6 +898,31 @@ class TestSkipSampler:
         for k, col in ((first, rows + 1), (last, np.full(m - 1, m - 1))):
             i, j = _diagonal_pairs(k, m)
             assert np.array_equal(i, rows) and np.array_equal(j, col)
+
+    def test_pair_index_row_boundaries_up_to_the_cap(self):
+        # every row start, its two neighbours and every row end, for every
+        # m <= 2000 and every m within 64 of the vertex cap: the float root
+        # lands in the right row with no correction
+        def check(m, rows):
+            start = models._row_start(rows, m)
+            end = models._row_start(rows + 1, m) - 1
+            k = np.stack([start, start + 1, end, end - 1])
+            m = np.broadcast_to(m, k.shape)
+            inside = (k >= 0) & (k < m * (m - 1) // 2)
+            k, m = k[inside], m[inside]
+            i, j = _diagonal_pairs(k, m)
+            assert np.all(models._row_start(i, m) <= k)
+            assert np.all(k < models._row_start(i + 1, m))
+            assert np.array_equal(j, k - models._row_start(i, m) + i + 1)
+            assert np.all((i < j) & (j < m))
+
+        for lo in range(2, 2001, 100):
+            sizes = np.arange(lo, min(lo + 100, 2001))
+            first = np.cumsum(sizes - 1) - (sizes - 1)
+            m = np.repeat(sizes, sizes - 1)
+            check(m, np.arange(len(m)) - np.repeat(first, sizes - 1))
+        for m in range(MAX_GRAPH_VERTICES - 64, MAX_GRAPH_VERTICES + 1):
+            check(m, np.arange(m - 1))
 
     def test_identity_block_matrix_gives_two_cliques(self):
         params = SbmParams(2, (0.5, 0.5), ((1, 0), (0, 1)))

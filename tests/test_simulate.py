@@ -29,7 +29,7 @@ from motif_poisson import (
     substream_seed,
     tv_standard_error,
 )
-from motif_poisson import counting, models
+from motif_poisson import counting, models, simulate
 from motif_poisson.models import row_words
 
 from conftest import poisson_tail
@@ -144,6 +144,23 @@ class TestDeterminism:
         searches.clear()
         assert json.dumps(run(plan).to_dict()) == batched
         assert searches == [1] * plan.replicates
+
+    def test_replicate_seeds_derived_in_blocks(self, monkeypatch):
+        # seeds derived 7 at a time as uint64 arrays are those of
+        # substream_seed one replicate at a time, as Python ints
+        seen, sample_batches = [], models.sample_batches
+
+        def spy(model, n, seeds):
+            seeds = list(seeds)
+            seen.extend(seeds)
+            return sample_batches(model, n, seeds)
+
+        monkeypatch.setattr(models, "sample_batches", spy)
+        monkeypatch.setattr(simulate, "_SEED_BLOCK", 7)
+        plan = er_plan(replicates=30, seed=(1 << 64) - 2)
+        run(plan)
+        assert seen == [substream_seed(plan.seed, r) for r in range(30)]
+        assert {type(seed) for seed in seen} == {int}
 
     def test_run_leaves_no_garbage(self):
         # runs are counted without reference cycles, so no graph of a
