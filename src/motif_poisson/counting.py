@@ -18,20 +18,20 @@ The search counts the injective edge-preserving maps of the motif's
 vertices under the symmetry-breaking conditions of Grochow & Kellis
 (RECOMB 2007), so each copy is found exactly once.
 
-One search counts B graphs over NumPy arrays.  Their bitset rows come
-stacked in one (B*n, w) uint64 array, w = ⌈n/64⌉, as the sampler hands on
-each batch (:func:`~motif_poisson.models.sample_batches`), and a frontier
-row holds a graph id and the images of the positions filled so far.  A
-block of frontier rows becomes the nonzero words of its candidate rows for
-the next position: the graph's mask of vertices of high enough degree,
-ANDed with the rows of the back neighbours' images and with the row of
-the bits above its floor's image, with the images it could repeat
-cleared.  Each batch forms them in one of two ways (:func:`_row_words`):
+One search counts the B graphs of a :class:`~motif_poisson.bitrows.Batch`
+over NumPy arrays, their bitset rows stacked in one (B*n, w) uint64 array,
+w = ⌈n/64⌉.  A frontier row holds a graph id and the images of the
+positions filled so far.  A block of frontier rows becomes the nonzero
+words of its candidate rows for the next position: the graph's mask of
+vertices of high enough degree, ANDed with the rows of the back
+neighbours' images and with the row of the bits above its floor's image,
+with the images it could repeat cleared.  Each batch forms them in one of
+two ways (:func:`_row_words`):
 
 - as whole rows, the floor's row one gather from a window over 64 strips
   of 2w - 1 words, cached per w;
-- in wide rows with few nonzero words, listed once per batch by the scan
-  that chose the batch's row check, from the nonzero words of the
+- in wide rows with few nonzero words, those the batch carries from the
+  scan that chose its row check, from the nonzero words of the
   position's pivot row, the row of its first back neighbour's image, from
   the floor image's word on, ANDed with the same words of the other rows.
   The work then grows with the edges, not with n·w (Chiba & Nishizeki,
@@ -42,7 +42,7 @@ Only the candidates' nonzero words are expanded into the next level's
 rows.  The last position is never expanded: its words' popcounts are
 added to their graphs' counts.  The search recurses over the motif's
 positions, expanding as many children at a time as fit, with their images
-and candidate words, in ``models._BLOCK_WORDS`` words, so its memory stays
+and candidate words, in ``bitrows.BLOCK_WORDS`` words, so its memory stays
 fixed however wide it goes.  ``count_copies`` is a stack of one graph.
 
 ``count_copies_bruteforce`` sums the copy indicators over every
@@ -63,8 +63,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GraphTooLargeForOracle
-from . import homs, models
-from .models import _BIT64, SampledGraph, bit_positions, pack_words
+from . import bitrows, homs
+from .bitrows import BIT64, HIGH, ONES, Batch, above, bit_positions, pack_words
+from .models import SampledGraph
 from .motif import Motif, check_fits, compute_stats, stabiliser_orbits
 
 #: The brute-force oracle lists the v! vertex permutations once, then tests
@@ -75,7 +76,7 @@ ORACLE_MAX_VERTICES = 14
 ORACLE_MAX_WORK = 10**6
 
 #: A batch whose rows take at least ``_SPARSE_WIDTH`` words, at most
-#: ``models._SPARSE_SHARE`` of them nonzero, forms candidates from the
+#: ``bitrows.SPARSE_SHARE`` of them nonzero, forms candidates from the
 #: nonzero words of each pivot row (:func:`_candidates`).  Timed on ER graphs
 #: against whole rows, K3 and C4 alike, the pivot words took 0.6 of the time
 #: at 63 words a row (n = 4000) up to 12 % nonzero, 0.85 at 27 % and 1.0 at
@@ -88,22 +89,6 @@ _SPARSE_WIDTH = 32
 #: and per word that a frontier row reads.
 _NODE_NS = 60.0
 _WORD_NS = 3.0
-
-#: The word with bits b+1..63 set, at index b.
-_HIGH = np.array([(1 << 64) - (2 << b) for b in range(64)], dtype=np.uint64)
-_ONES = ~np.uint64(0)
-
-
-@lru_cache(maxsize=4)
-def _above(w: int) -> np.ndarray:
-    """The rows of w words above each vertex, as a read-only (64, w, w)
-    window over 64 strips: strip b is w - 1 zero words, the word with bits
-    b+1..63 set, and w - 1 all-ones words, so entry
-    ``[x & 63, w - 1 - (x >> 6)]`` has exactly bits x+1..64w-1 set."""
-    strips = np.zeros((64, 2 * w - 1), dtype=np.uint64)
-    strips[:, w - 1] = _HIGH
-    strips[:, w:] = _ONES
-    return np.lib.stride_tricks.sliding_window_view(strips, w, axis=1)
 
 
 class _Words(NamedTuple):
@@ -199,7 +184,7 @@ def _candidates(rows, n, masks, words, step, gid, img):
     neighbours takes only the nonzero words of its pivot row, that of its
     first back neighbour's image, and ANDs the same words of the rest into
     each.  Otherwise it forms whole rows, the floor gathered from
-    :func:`_above`, and lists their nonzero words."""
+    :func:`~motif_poisson.bitrows.above`, and lists their nonzero words."""
     backs, deg, floor, avoid = step
     w = rows.shape[1]
     if words is None or not backs:
@@ -211,10 +196,10 @@ def _candidates(rows, n, masks, words, step, gid, img):
             at = np.arange(len(gid))
             for q in avoid:
                 x = img[:, q]
-                cand[at, x >> 6] &= ~_BIT64[x & 63]
+                cand[at, x >> 6] &= ~BIT64[x & 63]
         if floor >= 0:
             x = img[:, floor]
-            cand &= _above(w)[x & 63, w - 1 - (x >> 6)]
+            cand &= above(w)[x & 63, w - 1 - (x >> 6)]
         at = np.flatnonzero(cand != 0)
         parent = at // w
         return parent, at - parent * w, cand.ravel()[at]
@@ -235,14 +220,14 @@ def _candidates(rows, n, masks, words, step, gid, img):
     at, word = words.at[at], words.word[at]
     j = at - first[parent]
     if floor >= 0:
-        word &= np.where(j == (x >> 6)[parent], _HIGH[x & 63][parent], _ONES)
+        word &= np.where(j == (x >> 6)[parent], HIGH[x & 63][parent], ONES)
     if deg:
         word &= masks[deg].ravel()[(gid * w)[parent] + j]
     for q in backs[1:]:
         word &= flat[at + ((base + img[:, q] - pivot) * w)[parent]]
     for q in avoid:
         x = img[:, q]
-        word &= np.where(j == (x >> 6)[parent], ~_BIT64[x & 63][parent], _ONES)
+        word &= np.where(j == (x >> 6)[parent], ~BIT64[x & 63][parent], ONES)
     keep = word != 0
     return parent[keep], j[keep], word[keep]
 
@@ -273,14 +258,14 @@ def _search(rows, n, masks, words, steps, cap, total, gid, img) -> None:
         lo = hi
 
 
-def _row_words(rows: np.ndarray) -> tuple[_Words | None, np.ndarray]:
-    """The degrees of the stacked rows, and their nonzero words when the
-    rows take at least ``_SPARSE_WIDTH`` words and
-    :func:`~motif_poisson.models.nonzero_words` lists them, or else None.
-    Sparse rows' degrees come from those words, with no temporary as large
-    as the rows."""
+def _row_words(batch: Batch) -> tuple[_Words | None, np.ndarray]:
+    """The degrees of the batch's rows, and their nonzero words when the
+    rows take at least ``_SPARSE_WIDTH`` words and the batch lists them, or
+    else None.  Sparse rows' degrees come from those words, with no
+    temporary as large as the rows."""
+    rows, at = batch.rows, batch.words
     flat, w = rows.ravel(), rows.shape[1]
-    if w >= _SPARSE_WIDTH and (at := models.nonzero_words(rows)) is not None:
+    if w >= _SPARSE_WIDTH and at is not None:
         row, word = at // w, flat[at]
         start = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=len(rows)), out=start[1:])
@@ -324,12 +309,12 @@ def _search_ns(m: Motif, n: int, graphs: int, w: int, words, degrees) -> float:
     return total
 
 
-def _count_rows(rows: np.ndarray, n: int, graphs: int, m: Motif) -> np.ndarray:
-    """Copies of ``m`` in each of the ``graphs`` graphs whose bitset rows
-    are stacked in ``rows``, as an int64 array, by homomorphism counts
-    where their planned cost is below the search's, and by the search
-    otherwise."""
-    words, degrees = _row_words(rows)
+def _count_rows(batch: Batch, m: Motif) -> np.ndarray:
+    """Copies of ``m`` in each graph of the batch, as an int64 array, by
+    homomorphism counts where their planned cost is below the search's,
+    and by the search otherwise."""
+    rows, n, graphs, _ = batch
+    words, degrees = _row_words(batch)
     limit = _search_ns(m, n, graphs, rows.shape[1], words, degrees)
     run = homs.plan_within(m, n, graphs, limit)
     if run is not None:
@@ -357,7 +342,7 @@ def _search_rows(rows, n, graphs, m, words, degrees) -> np.ndarray:
         widest = max(1, int(np.diff(words.start).max()))
     # a block's children, each with at most v images and widest candidate
     # words, fit in one budget of words
-    cap = max(1, models._BLOCK_WORDS // (widest + len(steps)))
+    cap = max(1, bitrows.BLOCK_WORDS // (widest + len(steps)))
     total = np.zeros(graphs, dtype=np.int64)
     gid, img = np.arange(graphs), np.empty((graphs, 0), dtype=np.int64)
     _search(rows, n, masks, words, steps, cap, total, gid, img)
@@ -368,10 +353,10 @@ def count_copies(g: SampledGraph, m: Motif) -> int:
     """Exact number of copies of ``m`` in ``g``: the injective maps of the
     motif's vertices into the graph that carry every motif edge onto a
     graph edge, one per automorphism class, so the maps number this count
-    times the automorphism count.  A stack of one graph for
+    times the automorphism count.  A batch of one graph for
     :func:`_count_rows`."""
     check_fits(m, g.n)
-    return int(_count_rows(g.adjacency, g.n, 1, m)[0])
+    return int(_count_rows(Batch.scanned(g.adjacency, g.n), m)[0])
 
 
 def _slot_bits(v: int) -> list[list[int]]:

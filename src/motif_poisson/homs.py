@@ -39,8 +39,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .bitrows import row_words
 from .bounds import _plan
-from .models import row_words
 from .motif import Edge, Motif, compute_stats
 
 #: Bytes that the dense arrays of one sub-batch may take, the graphs'

@@ -6,38 +6,23 @@ set by the two latents.  One sampler core, :func:`sample_batches`, draws
 every model.  It groups the vertices into blocks whose pairs are one coin,
 and skips from one success to the next by geometric gaps, so a graph with
 m edges takes O(n + m) work beside its n^2/8 bytes of bitset rows.  A
-graph keeps those rows as an (n, ⌈n/64⌉) uint64 array, the form the
-counter reads; the latents are not kept.
+graph keeps those rows (:mod:`~motif_poisson.bitrows`) as an
+(n, ⌈n/64⌉) uint64 array, the form the counter reads; the latents are not
+kept.
 Block models use their classes; piecewise-constant graphons the blocks of
 the latents; smooth graphons one block at the surface maximum h*, each
 candidate pair then kept with probability h(U_i, U_j)/h*.
 
-The graphs are drawn in batches of one counter run (:func:`run_length`).
-Per graph only the random draws run; a batch re-keys one Philox generator
-per seed, maps its drawn positions to vertex pairs and sets them as edges
-in one pass per ``_CHUNK`` positions, so memory stays bounded for dense
-graphs too, and checks its stacked rows once.  The batch is handed on as
-those stacked rows, the form the counter reads.  ``sample_sbm`` and
-``sample_graphon`` are batches of one.
+The graphs are drawn in batches of one counter run (:func:`sample_batches`),
+each handed on as a :class:`~motif_poisson.bitrows.Batch`, its rows with the
+nonzero words its check listed; ``sample_sbm`` and ``sample_graphon`` are
+batches of one.
 
-The check (:func:`_check_rows`) reads the padding and the diagonal, then
-scans the words once for the nonzero ones.  A batch with more than a
-quarter (``_SPARSE_SHARE``) of its words nonzero is tested for symmetry by
-64 x 64 bit-block transposes over the whole batch, or over bands of block
-rows of one large graph; a sparser batch lists its set bits and reads
-each one's mirror.  While the batch is handed on, the counter takes the
-words its check listed (:func:`nonzero_words`) instead of a second scan.
-
-Below p = 1/3 NumPy draws a geometric gap as one standard exponential E,
-``ceil(-E / log1p(-p))``.  So in a batch of several graphs of a sparse
-model, with no coin in [1/3, 1) and no thinning, a graph makes three
-stream calls: the re-keying, its n latents and K standard exponentials,
-K a bound on its blocks' first chunks of gaps whatever its class sizes
-(:func:`_gap_bound`).  The batch then finds every graph's labels, class
-sizes, blocks, gaps, positions, vertex pairs and edges at once, as arrays;
-a lone graph has no draws to batch and takes its blocks one by one.  The
-stream, and with it every graph of ``SAMPLER_VERSION`` 3, is the same as
-by geometric draws.
+Below p = 1/3 NumPy draws a geometric gap as one standard exponential, so
+a batch of several graphs of a sparse model draws each graph's gaps as one
+run of exponentials and turns them into edges at once, as arrays
+(:class:`_Sampler`).  The stream, and with it every graph of
+``SAMPLER_VERSION`` 3, is the same as by geometric draws.
 
 Each graph is drawn from the counter-based Philox generator keyed directly
 by its seed, so a sampled graph is a pure function of ``(params, n, seed)``
@@ -52,11 +37,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import bitrows
+from .bitrows import BIT64, Batch, check_rows, empty_rows, set_bits, set_edges, words_of
 from .errors import (
     InvalidParams,
     WrongFamily,
@@ -73,32 +59,6 @@ _SEED_MASK = (1 << 64) - 1
 #: Candidate pairs drawn per chunk, and the most a batch holds before it
 #: sets them as edges: bounds the int64 buffers of a dense graph.
 _CHUNK = 1 << 18
-#: uint64 words of bitset rows that one batch of graphs takes (unless one
-#: graph alone takes more), as do one band of the row check's transposes
-#: and the candidates and images of one block of the counting search.
-_BLOCK_WORDS = 16384
-#: The byte with only bit b set, at index b.
-_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
-#: The uint64 word with only bit b set, at index b.
-_BIT64 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-#: Nonzero words unpacked at once when set bits are listed: keeps each
-#: index array to 0.5 MiB however dense the rows, a batch of many small
-#: graphs included.
-_SCAN_WORDS = 1 << 10
-#: Stacked rows with at most this share of their words nonzero are sparse:
-#: the row check lists their set bits, and the counter, in wide rows, forms
-#: candidates from their nonzero words.  Denser rows are checked by bit-block
-#: transposes and counted as whole rows.
-_SPARSE_SHARE = 0.25
-#: The shifts j = 32, 16, ..., 1 of the six delta swaps that transpose a
-#: 64 x 64 bit block, each with the mask of the bits c with c & j == 0.
-_SWAPS = tuple(
-    (np.uint64(j), np.uint64(sum(1 << c for c in range(64) if not c & j)))
-    for j in (32, 16, 8, 4, 2, 1)
-)
-#: The nonzero words that the row check listed of each sparse batch that a
-#: :func:`sample_batches` generator is handing on, by the id of its rows.
-_listed: dict[int, np.ndarray] = {}
 
 #: Largest graph the samplers and the edge-list reader accept: its bitsets
 #: take 128 MiB.
@@ -273,170 +233,6 @@ def graphon_to_sbm(spec: GraphonSpec) -> SbmParams:
     return SbmParams(len(f), f, spec.values)
 
 
-def row_words(n: int) -> int:
-    """uint64 words in one bitset row of an n-vertex graph."""
-    return -(-n // 64)
-
-
-def run_length(n: int) -> int:
-    """Graphs of n vertices whose stacked bitset rows fit in
-    ``_BLOCK_WORDS`` words, one at least: a batch of the sampler and a run
-    of the counter."""
-    return max(1, _BLOCK_WORDS // (n * row_words(n)))
-
-
-def bit_positions(words: np.ndarray) -> np.ndarray:
-    """Flat positions 64 * i + b of the set bits b of ``words.ravel()[i]``,
-    ascending."""
-    octets = words.astype("<u8", copy=False).view(np.uint8)
-    return np.flatnonzero(np.unpackbits(octets, bitorder="little").view(bool))
-
-
-def _set_bits(flat: np.ndarray, nonzero: np.ndarray) -> Iterator[np.ndarray]:
-    """Flat positions 64 * i + b of the set bits b of ``flat[i]``,
-    ascending, in blocks of at most ``_SCAN_WORDS`` of its nonzero words,
-    whose ascending positions are ``nonzero``."""
-    for lo in range(0, len(nonzero), _SCAN_WORDS):
-        word = nonzero[lo : lo + _SCAN_WORDS]
-        bit = bit_positions(flat[word])
-        yield word[bit >> 6] * 64 + (bit & 63)
-
-
-def nonzero_words(rows: np.ndarray) -> np.ndarray | None:
-    """The ascending flat positions of the nonzero words of ``rows`` if at
-    most ``_SPARSE_SHARE`` of its words are nonzero, or else None: for a
-    batch that :func:`sample_batches` is handing on, those its check listed,
-    so a batch is scanned once."""
-    at = _listed.get(id(rows))
-    if at is None:
-        # flags of an eighth of the rows' bytes, listed faster than words
-        nonzero = rows.ravel() != 0
-        if np.count_nonzero(nonzero) > _SPARSE_SHARE * nonzero.size:
-            return None
-        at = np.flatnonzero(nonzero)
-    return at
-
-
-def _transpose_blocks(blocks: np.ndarray) -> None:
-    """Transpose in place the 64 x 64 bit blocks of a C-contiguous (64, k)
-    uint64 array whose column i holds block i, one word a row: bit c of word
-    r moves to bit r of word c (Warren, *Hacker's Delight*, §7-3).  Round j
-    swaps bit c + j of each word r with bit c of word r + j, for the r and
-    c without bit j, over runs of j * k words."""
-    for j, mask in _SWAPS:
-        pairs = blocks.reshape(64 // (2 * int(j)), 2, -1)
-        low, high = pairs[:, 0], pairs[:, 1]
-        swap = low >> j
-        swap ^= high
-        swap &= mask
-        high ^= swap
-        swap <<= j
-        low ^= swap
-
-
-def _asymmetric_from(rows: np.ndarray, n: int) -> int | None:
-    """None if the bitset rows of graphs on n vertices, stacked n rows a
-    graph, are each symmetric, tested by bit-block transposes; else the
-    first stacked row of the first band whose blocks are not.
-
-    Padded with zero rows to 64w rows, a graph of w words a row is w x w
-    blocks of 64 x 64 bits, word J of rows 64I to 64I + 63 being block
-    (I, J); it is symmetric when each block, transposed, equals block
-    (J, I).  The graphs are taken ``run_length(n)`` at a time, a sampled
-    batch at once, or a graph larger than that in bands of block rows of
-    about ``_BLOCK_WORDS`` words.  The bands before the one named are
-    symmetric, so no bit of theirs lacks its mirror."""
-    w = rows.shape[1]
-    graphs = rows.reshape(-1, n, w)
-    step, rows_per_band = run_length(n), w
-    if n * w > _BLOCK_WORDS:
-        rows_per_band = max(1, _BLOCK_WORDS // (64 * w))
-    for g in range(0, len(graphs), step):
-        for lo in range(0, w, rows_per_band):
-            hi = min(lo + rows_per_band, w)
-            if not _band_symmetric(graphs[g : g + step], n, lo, hi):
-                return g * n + 64 * lo
-    return None
-
-
-def _band_symmetric(graphs: np.ndarray, n: int, lo: int, hi: int) -> bool:
-    """Whether each block in block rows lo to hi - 1 of the (G, n, w)
-    stacked rows ``graphs``, transposed, equals its mirror block.
-
-    The blocks are laid out as one (64, G * (hi - lo) * w) array, so each
-    round of :func:`_transpose_blocks` runs over long contiguous runs."""
-    count, _, w = graphs.shape
-    k = hi - lo
-    band = np.zeros((count, 64 * k, w), dtype=np.uint64)
-    part = graphs[:, 64 * lo : 64 * hi]
-    band[:, : part.shape[1]] = part
-    mirror = band
-    if k < w:  # words lo to hi - 1 of every row: the blocks (J, I)
-        mirror = np.zeros((count, 64 * w, k), dtype=np.uint64)
-        mirror[:, :n] = graphs[:, :, lo:hi]
-    blocks = band.reshape(count, k, 64, w).transpose(2, 0, 1, 3).copy()
-    _transpose_blocks(blocks.reshape(64, -1))
-    # entry [r, g, I, J]: word r of block (I, J) transposed, and of (J, I)
-    mirror = mirror.reshape(count, w, 64, k).transpose(2, 0, 3, 1)
-    return np.array_equal(blocks, mirror)
-
-
-@lru_cache(maxsize=4)
-def _diagonal(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The word positions of the diagonal bits in the n rows of w words of
-    a graph on n vertices, and those bits, both read-only."""
-    x = np.arange(n)
-    at, bit = x * w + (x >> 6), _BIT64[x & 63]
-    at.flags.writeable = bit.flags.writeable = False
-    return at, bit
-
-
-def _check_rows(rows: np.ndarray, n: int) -> np.ndarray | None:
-    """InvalidParams unless the bitset rows of graphs on n vertices,
-    stacked n rows a graph, are each symmetric, with a zero diagonal and
-    no bit past column n - 1; the flat positions of the nonzero words that
-    the symmetry test listed, or None.
-
-    Padding is read in the last word of each row and the diagonal once a
-    row, at positions cached per graph size (:func:`_diagonal`).  Symmetry
-    is tested by one scan of the words for the nonzero ones
-    (:func:`nonzero_words`).  Where more than ``_SPARSE_SHARE`` of them are
-    nonzero, it is tested by bit-block transposes (:func:`_asymmetric_from`).
-    Where fewer are, or to name a fault the transposes found, one pass over
-    the listed set bits reads each one's mirror in its own graph: bit v of
-    the row of vertex x, at flat bit position ``at``, has it at
-    ``at + (v - x) * (width - 1)``, where ``width`` is the row's bits.  A
-    fault the transposes found is listed from the first row of the first
-    band they found asymmetric, where the first lone bit is or after it.
-    Either way the fault named is the first lone bit in flat order."""
-    if n % 64 and (rows[:, -1] >> np.uint64(n % 64)).any():
-        raise InvalidParams(f"adjacency has bits past column {n - 1}")
-    w = rows.shape[1]
-    flat = rows.ravel()
-    diagonal, bit = _diagonal(n, w)
-    loop = np.flatnonzero(flat.reshape(-1, n * w)[:, diagonal] & bit)
-    if len(loop):
-        raise InvalidParams(f"self-loop at {loop[0] % n}")
-    listed = nonzero_words(rows)
-    if listed is None:
-        start = _asymmetric_from(rows, n)
-        if start is None:
-            return None
-        start *= w
-        listed = start + np.flatnonzero(flat[start:] != 0)
-    width = 64 * w
-    for at in _set_bits(flat, listed):
-        u = at // width
-        v = at - u * width
-        x = u % n
-        mirror = at + (v - x) * (width - 1)
-        lone = np.flatnonzero((flat[mirror >> 6] & _BIT64[mirror & 63]) == 0)
-        if len(lone):
-            i = lone[0]
-            raise InvalidParams(f"adjacency not symmetric at ({x[i]}, {v[i]})")
-    return listed
-
-
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
     """One realisation: a simple undirected graph on ``n`` vertices.
@@ -459,27 +255,18 @@ class SampledGraph:
         if n < 1:
             raise InvalidParams("graph has no vertices")
         rows = self.adjacency
-        shape = (n, row_words(n))
+        shape = (n, bitrows.row_words(n))
         if not (
             isinstance(rows, np.ndarray)
             and rows.dtype == np.uint64
             and rows.shape == shape
         ):
             raise InvalidParams(f"adjacency must be a uint64 array of shape {shape}")
-        _check_rows(rows, n)
+        check_rows(rows, n)
         view = rows.view()
         view.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", view)
-
-    @classmethod
-    def _checked(cls, n: int, rows: np.ndarray) -> "SampledGraph":
-        """The graph of read-only rows that :func:`_check_rows` has passed,
-        kept as they are: for the sampler, which checks a batch at once."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "adjacency", rows)
-        return graph
 
     def __eq__(self, other):
         if not isinstance(other, SampledGraph):
@@ -490,7 +277,7 @@ class SampledGraph:
         for x in (u, v):
             if not 0 <= x < self.n:
                 raise InvalidParams(f"vertex {x} is outside 0..{self.n - 1}")
-        return bool(self.adjacency[u, v >> 6] & _BIT64[v & 63])
+        return bool(self.adjacency[u, v >> 6] & BIT64[v & 63])
 
     @property
     def edge_count(self) -> int:
@@ -499,41 +286,13 @@ class SampledGraph:
     def edges(self) -> Iterator[tuple[int, int]]:
         width = 64 * self.adjacency.shape[1]
         flat = self.adjacency.ravel()
-        for at in _set_bits(flat, np.flatnonzero(flat != 0)):
+        for at in set_bits(flat, np.flatnonzero(flat != 0)):
             u, v = np.divmod(at, width)
             upper = u < v
             yield from zip(u[upper].tolist(), v[upper].tolist())
 
     def to_edge_text(self) -> str:
         return "".join(f"{u} {v}\n" for u, v in self.edges())
-
-
-def _empty_rows(n: int, graphs: int = 1) -> np.ndarray:
-    """Zero bitset rows of ``graphs`` n-vertex graphs, stacked, as bytes
-    padded to whole uint64 words."""
-    return np.zeros((graphs * n, 8 * row_words(n)), dtype=np.uint8)
-
-
-def _set_edges(bits: np.ndarray, u: np.ndarray, v: np.ndarray, n: int) -> None:
-    """Set the pairs {u[i], v[i]} in both rows of the byte rows ``bits``
-    of graphs stacked n rows a graph: vertex u is row u, column u % n."""
-    for row, col in ((u, v), (v, u)):
-        col = col % n
-        bit = _BIT[col & 7]
-        col >>= 3
-        np.bitwise_or.at(bits, (row, col), bit)
-
-
-def _words(octets: np.ndarray) -> np.ndarray:
-    """The uint64 rows of byte rows whose length is a multiple of 8, little
-    endian, without a copy on a little-endian machine."""
-    return octets.view("<u8").astype(np.uint64, copy=False)
-
-
-def pack_words(bits: np.ndarray) -> np.ndarray:
-    """uint64 words of 0/1 values along the last axis, whose length must be
-    a multiple of 64: value b of each run of 64 becomes bit b."""
-    return _words(np.packbits(bits, axis=-1, bitorder="little"))
 
 
 def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
@@ -553,9 +312,9 @@ def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
     if size <= 0:
         raise InvalidParams("graph has no vertices")
     check_graph_size(size)
-    bits = _empty_rows(size)
-    _set_edges(bits, ends[:, 0], ends[:, 1], size)
-    return SampledGraph(size, _words(bits))
+    bits = empty_rows(size)
+    set_edges(bits, ends[:, 0], ends[:, 1], size)
+    return SampledGraph(size, words_of(bits))
 
 
 def check_graph_size(n: int) -> None:
@@ -763,14 +522,13 @@ class _Sampler:
         # zero counter, empty buffer
         self.state = self.rng.bit_generator.state
 
-    def sample(self, seeds: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
-        """The stacked rows of the graphs of ``seeds``, drawn and set as
-        edges, checked once and read-only, and the flat positions of their
-        nonzero words if the check listed them."""
+    def sample(self, seeds: list[int]) -> Batch:
+        """The batch of the graphs of ``seeds``, drawn and set as edges,
+        its rows checked once and read-only."""
         if not all(0 <= seed <= _SEED_MASK for seed in seeds):
             raise InvalidParams("seed must be an unsigned 64-bit integer")
         n, graphs = self.n, len(seeds)
-        self.seeds, self.bits = seeds, _empty_rows(n, graphs)
+        self.seeds, self.bits = seeds, empty_rows(n, graphs)
         self.latents = np.empty((graphs, n))
         #: with more than one class, the batch's vertices by graph, then
         #: class, then index; with one class, vertex i itself at index i
@@ -787,12 +545,12 @@ class _Sampler:
             for lo in range(0, graphs, step):
                 self._draw_runs(lo, min(lo + step, graphs))
         self.flush()
-        words = _words(self.bits)
+        rows = words_of(self.bits)
         # the next batch is drawn without this one's arrays
         self.bits = self.latents = self.members = None
-        listed = _check_rows(words, n)
-        words.flags.writeable = False
-        return words, listed
+        words = check_rows(rows, n)
+        rows.flags.writeable = False
+        return Batch(rows, n, graphs, words)
 
     def _keyed(self, g: int) -> np.random.Generator:
         """The generator re-keyed by graph g's seed, past the n latents
@@ -936,7 +694,7 @@ class _Sampler:
         if ends:
             u, v = (_joined(list(side)) for side in zip(*ends))
             ends.clear()
-            _set_edges(self.bits, u, v, self.n)
+            set_edges(self.bits, u, v, self.n)
 
 
 def _layout(model: SbmParams | GraphonSpec):
@@ -958,10 +716,11 @@ def _layout(model: SbmParams | GraphonSpec):
 
 def sample_batches(
     model: SbmParams | GraphonSpec, n: int, seeds: Iterable[int]
-) -> Iterator[np.ndarray]:
+) -> Iterator[Batch]:
     """One graph of ``model`` on ``n`` vertices per seed, in order, in
-    batches: each batch is the read-only, checked bitset rows of its graphs
-    stacked n rows a graph, a (B * n, ⌈n/64⌉) uint64 array.
+    batches: each a :class:`~motif_poisson.bitrows.Batch` of the read-only,
+    checked bitset rows of its graphs stacked n rows a graph, a
+    (B * n, ⌈n/64⌉) uint64 array, and the nonzero words its check listed.
 
     Graph by graph, in the stream keyed by its seed: n latent uniforms,
     then each class pair's coins from :func:`_skip_positions` and, for a
@@ -976,21 +735,8 @@ def sample_batches(
         raise InvalidParams("n must be >= 2")
     check_graph_size(n)
     sampler, seeds = _Sampler(model, n), iter(seeds)
-    while batch := list(itertools.islice(seeds, run_length(n))):
-        yield from _handed_on(*sampler.sample(batch))
-
-
-def _handed_on(rows: np.ndarray, listed: np.ndarray | None) -> Iterator[np.ndarray]:
-    """Yield ``rows``, known to :func:`nonzero_words` by the nonzero words
-    ``listed`` (if not None) until the consumer asks for the next batch: in
-    a frame of its own, so that the rows can go before the next batch is
-    drawn."""
-    if listed is not None:
-        _listed[id(rows)] = listed
-    try:
-        yield rows
-    finally:
-        _listed.pop(id(rows), None)
+    while batch := list(itertools.islice(seeds, bitrows.run_length(n))):
+        yield sampler.sample(batch)
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
@@ -1000,8 +746,7 @@ def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
     Class labels first (n inverse-CDF draws), then the block coins, so the
     output is fully determined by the seed.
     """
-    (rows,) = sample_batches(params, n, [seed])
-    return SampledGraph._checked(n, rows)
+    return _sampled(params, n, seed)
 
 
 def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
@@ -1012,5 +757,14 @@ def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
     A piecewise-constant surface is a block model on the blocks of the
     latents.  A smooth one is one block at h*, thinned to h(U_i, U_j)/h*.
     """
-    (rows,) = sample_batches(spec, n, [seed])
-    return SampledGraph._checked(n, rows)
+    return _sampled(spec, n, seed)
+
+
+def _sampled(model: SbmParams | GraphonSpec, n: int, seed: int) -> SampledGraph:
+    """The graph of ``seed``, a batch of one, its read-only rows kept as the
+    sampler checked them."""
+    (batch,) = sample_batches(model, n, [seed])
+    graph = object.__new__(SampledGraph)
+    object.__setattr__(graph, "n", n)
+    object.__setattr__(graph, "adjacency", batch.rows)
+    return graph

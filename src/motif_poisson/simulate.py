@@ -4,9 +4,9 @@ reference.
 Every replicate r draws its graph from an independent generator keyed by
 (seed, r), so the ensemble is reproducible replicate-by-replicate.
 Replicates are sampled in index order, in the calling thread, in batches
-of one counter run, and each batch's stacked rows are counted at once
-(:func:`~motif_poisson.counting._count_rows`) before the next batch is
-drawn.
+of one counter run, and each :class:`~motif_poisson.bitrows.Batch` that
+:func:`~motif_poisson.models.sample_batches` yields is counted at once
+(:func:`~motif_poisson.counting._count_rows`) before the next is drawn.
 """
 
 from __future__ import annotations
@@ -138,10 +138,8 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     only when the motif is not strictly balanced.  ``threads`` must be an
     integer of at least 1; it is accepted for compatibility and changes
     neither the result nor how the work runs.  Replicates are drawn with
-    their (seed, r) keys by :func:`~motif_poisson.models.sample_batches`,
-    and each batch's stacked rows are counted at once and tallied
-    before the next batch is drawn, so only one batch's rows are kept and
-    how the graphs are batched changes nothing in the summary.
+    their (seed, r) keys and only one batch's rows are kept, so how the
+    graphs are batched changes nothing in the summary.
     """
     if json_int(threads, "threads") < 1:
         raise InvalidParams("threads must be >= 1")
@@ -163,9 +161,9 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
         ).tolist()
     )
     tally = Counter()
-    for rows in models.sample_batches(plan.model, n, seeds):
-        tally.update(counting._count_rows(rows, n, len(rows) // n, plan.motif).tolist())
-        del rows  # the next batch is drawn without this one
+    for batch in models.sample_batches(plan.model, n, seeds):
+        tally.update(counting._count_rows(batch, plan.motif).tolist())
+        del batch  # the next batch is drawn without this one
     histogram = {w: c / r_total for w, c in sorted(tally.items())}
 
     # exact sums, correctly rounded once, as math.fsum over every replicate

@@ -35,9 +35,9 @@ from motif_poisson import (
     SimulationPlan,
     bound_scaled,
 )
-from motif_poisson import counting, homs, models
+from motif_poisson import bitrows, counting, homs, models
 from motif_poisson.cli import main
-from motif_poisson.models import pack_words
+from motif_poisson.bitrows import Batch, pack_words
 from motif_poisson.motif import BUILTIN_FAMILIES
 
 from conftest import complete_graph, graph_from_edges, random_motif
@@ -66,7 +66,7 @@ def forced(path):
         else:
             mp.setattr(homs, "plan_within", lambda m, n, graphs, limit: None)
             mp.setattr(counting, "_SPARSE_WIDTH", 0 if path == "words" else math.inf)
-            mp.setattr(models, "_SPARSE_SHARE", 1.0)
+            mp.setattr(bitrows, "SPARSE_SHARE", 1.0)
         yield mp
 
 
@@ -74,7 +74,7 @@ def count_stacked(graphs, m) -> list[int]:
     """Copies of ``m`` in each of ``graphs``, of one size, by one search
     over their stacked rows, as the sampler hands on a batch."""
     rows = np.concatenate([g.adjacency for g in graphs])
-    return counting._count_rows(rows, graphs[0].n, len(graphs), m).tolist()
+    return counting._count_rows(Batch.scanned(rows, graphs[0].n), m).tolist()
 
 
 class TestWorkedExample:
@@ -209,7 +209,7 @@ def test_sparse_counting_memory_grows_with_the_edges(motif):
     # as the rows is built; the flags of the nonzero words take an eighth
     g = sample_sbm(erdos_renyi(2 / 10**4), 10**4, seed=4)
     m = motif_from_string(motif)
-    assert counting._row_words(g.adjacency)[0] is not None
+    assert counting._row_words(Batch.scanned(g.adjacency, g.n))[0] is not None
     count_copies(graph_from_edges(4, [(0, 1)]), m)  # caches the search plan
     tracemalloc.start()
     try:
@@ -465,7 +465,7 @@ def test_batch_equals_single_counts_and_oracle(
             if one_word_blocks:
                 # every block is cut after one candidate word, inside one
                 # search over all the graphs
-                mp.setattr(models, "_BLOCK_WORDS", 1)
+                mp.setattr(bitrows, "BLOCK_WORDS", 1)
             batch = count_stacked(graphs, m)
             assert batch == [count_copies(g, m) for g in graphs], path
         assert batch == oracle, path
@@ -506,7 +506,7 @@ def test_multi_word_batch_against_trace_formulas(block_rows):
             for m, batch, expected in cases:
                 # blocks of block_rows children, each with at most three
                 # candidate words and v images
-                mp.setattr(models, "_BLOCK_WORDS", block_rows * (3 + m.vertex_count))
+                mp.setattr(bitrows, "BLOCK_WORDS", block_rows * (3 + m.vertex_count))
                 assert count_stacked(batch, m) == expected, (path, m)
 
 
@@ -543,9 +543,10 @@ def test_path_follows_the_batch_shape():
     n = 4000
     (sparse,) = models.sample_batches(erdos_renyi(2 / n), n, [3])
     words, degrees = counting._row_words(sparse)
-    assert words is not None and np.count_nonzero(sparse) < sparse.size / 16
-    assert np.array_equal(degrees, np.bitwise_count(sparse).sum(axis=1))
-    assert np.array_equal(words.word, sparse.ravel()[words.at])
+    rows = sparse.rows
+    assert words is not None and np.count_nonzero(rows) < rows.size / 16
+    assert np.array_equal(degrees, np.bitwise_count(rows).sum(axis=1))
+    assert np.array_equal(words.word, rows.ravel()[words.at])
     for model, n in ((erdos_renyi(1.5 / 60), 60), (erdos_renyi(0.3), 60)):
         batch = next(models.sample_batches(model, n, range(1, 51)))
         assert counting._row_words(batch)[0] is None
@@ -556,7 +557,7 @@ def test_path_follows_the_batch_shape():
 
 @pytest.mark.parametrize("w", [1, 2, 3, 63, 512])
 def test_above_window_sets_exactly_the_bits_above(w):
-    window = counting._above(w)
+    window = bitrows.above(w)
     assert window.shape == (64, w, w)
     last = 64 * w - 1
     for x in range(64 * w) if w <= 3 else [0, 1, 63, 64, 65, last - 64, last - 1, last]:

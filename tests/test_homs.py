@@ -25,6 +25,7 @@ from motif_poisson import (
     substream_seed,
 )
 from motif_poisson import counting, homs, models
+from motif_poisson.bitrows import Batch
 from motif_poisson.motif import BUILTIN_FAMILIES
 
 
@@ -92,7 +93,7 @@ def both_paths(graphs, m) -> tuple[list[int], list[int]]:
     """The copies in each graph of one size by the search and by the
     homomorphism counts, each over the stacked rows."""
     rows, n = stack(graphs), graphs[0].n
-    words, degrees = counting._row_words(rows)
+    words, degrees = counting._row_words(Batch.scanned(rows, n))
     search = counting._search_rows(rows, n, len(graphs), m, words, degrees)
     run = homs._run(m, n)
     return search.tolist(), homs.count_rows(rows, n, len(graphs), m, run).tolist()
@@ -162,8 +163,8 @@ def test_sparse_batches_list_no_quotients(monkeypatch):
 
     monkeypatch.setattr(homs, "_quotients", listed)
     m = motif_from_string("cycle:10")
-    rows = next(models.sample_batches(erdos_renyi(1.5 / 60), 60, range(20)))
-    counting._count_rows(rows, 60, 20, m)
+    batch = next(models.sample_batches(erdos_renyi(1.5 / 60), 60, range(20)))
+    counting._count_rows(batch, m)
 
 
 def test_quotient_listing_is_priced(monkeypatch):
@@ -173,11 +174,11 @@ def test_quotient_listing_is_priced(monkeypatch):
     # quotients counted it
     m, n, graphs = motif_from_string("cycle:10"), 12, 3
     monkeypatch.setattr(homs, "_listed_quotients", {})
-    rows = next(models.sample_batches(erdos_renyi(0.5), n, range(1, graphs + 1)))
+    batch = next(models.sample_batches(erdos_renyi(0.5), n, range(1, graphs + 1)))
     own = graphs * n * n * homs._DENSE_NS + homs._ns(homs._own(m), n, graphs)
     start = time.perf_counter()
     assert homs.plan_within(m, n, graphs, own + homs._listing_ns(m) / 2) is None
-    counts = counting._count_rows(rows, n, graphs, m)
+    counts = counting._count_rows(batch, m)
     assert time.perf_counter() - start < 0.5
     assert counts.tolist() == [13371, 2513, 7859] and not homs._listed_quotients
     assert homs.plan_within(m, n, graphs, own) is None
@@ -208,7 +209,7 @@ def test_hom_batch_keeps_to_the_byte_budget(motif, monkeypatch):
     # beyond the budget, which covers the arrays, NumPy's iterators buffer
     # up to 8192 elements an operand, four operands at most here
     assert peak <= budget + 4 * 8192 * 4 + 2**12
-    words, degrees = counting._row_words(rows)
+    words, degrees = counting._row_words(Batch.scanned(rows, n))
     assert got.tolist() == counting._search_rows(rows, n, len(batch), m, words, degrees).tolist()
 
 
@@ -231,10 +232,10 @@ def test_exactness_and_budget_limit_the_run():
 def chosen(model, n: int, motif: str, graphs: int) -> str:
     """The path that a sampled batch of the plan takes."""
     m = motif_from_string(motif)
-    rows = next(models.sample_batches(model, n, range(1, graphs + 1)))
-    graphs = len(rows) // n
-    words, degrees = counting._row_words(rows)
-    limit = counting._search_ns(m, n, graphs, rows.shape[1], words, degrees)
+    batch = next(models.sample_batches(model, n, range(1, graphs + 1)))
+    graphs, w = batch.graphs, batch.rows.shape[1]
+    words, degrees = counting._row_words(batch)
+    limit = counting._search_ns(m, n, graphs, w, words, degrees)
     return "hom" if homs.plan_within(m, n, graphs, limit) else "search"
 
 

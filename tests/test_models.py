@@ -21,6 +21,7 @@ from motif_poisson import (
     SampledGraph,
     SbmParams,
     WrongFamily,
+    builtin_motif,
     erdos_renyi,
     graph_from_edge_text,
     graphon_to_sbm,
@@ -29,10 +30,12 @@ from motif_poisson import (
     sample_sbm,
     substream_seed,
 )
-from motif_poisson import models
+from motif_poisson import bitrows, counting, models, simulate
 from motif_poisson.models import _diagonal_pairs
 
 from conftest import replayed_labels, replayed_latents
+
+K3 = builtin_motif("complete", 3)
 
 
 def three_se(p: float, trials: int) -> float:
@@ -345,7 +348,7 @@ def test_sampled_graphs_pinned(name, n, monkeypatch):
         latents = (replayed_labels(model, n, seed), None)
     else:
         latents = (None, tuple(replayed_latents(n, seed).tolist()))
-    monkeypatch.setattr(models, "run_length", lambda n: 2)
+    monkeypatch.setattr(bitrows, "run_length", lambda n: 2)
     for g in (single(model, n, seed), batched(model, n, [seed, seed + 1])[0]):
         text = g.to_edge_text() + "".join(map(repr, latents))
         digest = hashlib.sha256(text.encode()).hexdigest()
@@ -359,7 +362,7 @@ def test_small_block_edge_frequency_is_p(p, n):
     # drawn alone block by block, and in one batch as one run of
     # exponentials per graph
     model, seeds = erdos_renyi(p), [substream_seed(n, r) for r in range(4000)]
-    assert models.run_length(n) >= len(seeds)
+    assert bitrows.run_length(n) >= len(seeds)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     se = math.sqrt(p * (1 - p) / len(seeds))
     for graphs in ((single(model, n, s) for s in seeds), batched(model, n, seeds)):
@@ -374,8 +377,8 @@ def test_block_with_no_success_yields_no_chunk():
     assert 0 < sum(map(len, chunks)) < 400
 
 
-#: How the row check tests symmetry: ``_SPARSE_SHARE`` and, where set,
-#: ``_BLOCK_WORDS``.  Listing reads every set bit's mirror; a share below 0
+#: How the row check tests symmetry: ``SPARSE_SHARE`` and, where set,
+#: ``BLOCK_WORDS``.  Listing reads every set bit's mirror; a share below 0
 #: leaves no batch sparse, so every one is transposed, in bands of one block
 #: row of one graph where the block words are 1.
 CHECKS = {"listing": (1.0, None), "transposes": (-1.0, None), "bands": (-1.0, 1)}
@@ -387,9 +390,9 @@ def checked_by(check):
     of nonzero words."""
     share, block_words = CHECKS[check]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(models, "_SPARSE_SHARE", share)
+        mp.setattr(bitrows, "SPARSE_SHARE", share)
         if block_words is not None:
-            mp.setattr(models, "_BLOCK_WORDS", block_words)
+            mp.setattr(bitrows, "BLOCK_WORDS", block_words)
         yield
 
 
@@ -402,9 +405,9 @@ def batched(model, n, seeds):
     """The graphs of ``sample_batches``, cut n rows at a time from each
     batch's stacked rows."""
     return [
-        SampledGraph(n, rows[lo : lo + n])
-        for rows in models.sample_batches(model, n, seeds)
-        for lo in range(0, len(rows), n)
+        SampledGraph(n, batch.rows[lo : lo + n])
+        for batch in models.sample_batches(model, n, seeds)
+        for lo in range(0, len(batch.rows), n)
     ]
 
 
@@ -417,12 +420,12 @@ class TestBatches:
     def test_batch_equals_single(self, name, n):
         # the first graphs and those on either side of the first batch
         # boundary (batches of 8192, 5461, 273 and 12 graphs)
-        model, size = PIN_MODELS[name], models.run_length(n)
+        model, size = PIN_MODELS[name], bitrows.run_length(n)
         seeds = [substream_seed(n, r) for r in range(size + 3)]
-        batches = list(models.sample_batches(model, n, seeds))
+        batches = [batch.rows for batch in models.sample_batches(model, n, seeds)]
         assert [rows.shape for rows in batches] == [
-            (size * n, models.row_words(n)),
-            (3 * n, models.row_words(n)),
+            (size * n, bitrows.row_words(n)),
+            (3 * n, bitrows.row_words(n)),
         ]
         assert not any(rows.flags.writeable for rows in batches)
         for r in sorted({0, 1, 2, *range(size - 3, size + 3)}):
@@ -436,7 +439,7 @@ class TestBatches:
         seeds = [substream_seed(7, r) for r in range(9)]
         reference = batched(model, n, seeds)
         for length in (1, 2, 7):
-            monkeypatch.setattr(models, "run_length", lambda n, length=length: length)
+            monkeypatch.setattr(bitrows, "run_length", lambda n, length=length: length)
             assert batched(model, n, seeds) == reference
         assert reference == [single(model, n, seed) for seed in seeds]
 
@@ -472,27 +475,68 @@ class TestBatches:
         ]
         for check in CHECKS:
             with checked_by(check):
-                models._check_rows(stacked, n)
+                bitrows.check_rows(stacked, n)
                 for problem, (row, col) in faults:
                     bad = stacked.copy()
                     bad[row, col >> 6] |= np.uint64(1 << (col & 63))
                     with pytest.raises(InvalidParams, match=problem):
-                        models._check_rows(bad, n)
+                        bitrows.check_rows(bad, n)
 
-    def test_sparse_batch_is_scanned_once(self):
-        # ER(2/n) at n = 4000 (3 % of its words nonzero): while a batch is
-        # handed on, nonzero_words gives the words its check listed, and
-        # they are let go with the batch
+    @pytest.mark.parametrize("p", [0.5, "2/n"])
+    def test_each_batch_scanned_once(self, monkeypatch, p):
+        # two batches of one graph at n = 2048: the row check's one scan for
+        # nonzero words is the only one, whether it lists them (ER(2/n),
+        # under 2 % of its words nonzero) or finds them too many (ER(0.5))
+        n = 2048
+        p = 2 / n if p == "2/n" else p
+        assert bitrows.run_length(n) == 1
+        scans, scan = [], bitrows.nonzero_words
+
+        def spy(rows):
+            scans.append(rows.shape)
+            return scan(rows)
+
+        monkeypatch.setattr(bitrows, "nonzero_words", spy)
+        plan = simulate.SimulationPlan(erdos_renyi(p), K3, n=n, replicates=2, seed=5)
+        simulate.run(plan)
+        assert scans == [(n, bitrows.row_words(n))] * 2
+
+    @pytest.mark.parametrize(
+        "p,n,graphs,listed",
+        [
+            ("2/n", 4000, 1, True),
+            (0.02, 4000, 1, False),
+            (0.5, 2048, 1, False),
+            (1.5 / 60, 60, 20, False),
+            (0.002, 60, 20, True),
+        ],
+    )
+    def test_batch_words_are_its_own(self, p, n, graphs, listed):
+        # sparse wide, dense wide (by share and by density) and small-n
+        # batches carry exactly what a fresh scan of their rows gives
+        model = erdos_renyi(2 / n if p == "2/n" else p)
+        batch = next(models.sample_batches(model, n, range(1, graphs + 1)))
+        assert batch.n == n and batch.graphs == graphs
+        assert batch.graphs * batch.n == len(batch.rows)
+        fresh = bitrows.nonzero_words(batch.rows)
+        if fresh is None:
+            assert batch.words is None
+        else:
+            assert np.array_equal(batch.words, fresh)
+        assert (batch.words is not None) == listed
+
+    def test_copy_of_a_sparse_batch_counts_alike(self):
+        # the copy's words come from its own scan, not from the batch it
+        # was copied from
         n = 4000
-        batches = models.sample_batches(erdos_renyi(2 / n), n, [3, 4])
-        rows = next(batches)
-        listed = models.nonzero_words(rows)
-        assert models.nonzero_words(rows) is listed
-        assert np.array_equal(listed, np.flatnonzero(rows))
-        next(batches)
-        again = models.nonzero_words(rows)
-        assert again is not listed and np.array_equal(again, listed)
-        assert list(batches) == [] and id(rows) not in models._listed
+        batch = next(models.sample_batches(erdos_renyi(3 / n), n, [3]))
+        assert batch.words is not None
+        copy = bitrows.Batch.scanned(batch.rows.copy(), n)
+        assert copy.words is not batch.words
+        for motif in (K3, builtin_motif("cycle", 4)):
+            counts = counting._count_rows(batch, motif).tolist()
+            assert counting._count_rows(copy, motif).tolist() == counts
+            assert counts[0] > 0, motif
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 127, 128, 129, 200])
     def test_checks_agree_on_every_block(self, n):
@@ -501,14 +545,14 @@ class TestBatches:
         # included: every check names the one lone bit, and the transposes
         # alone find it
         rng = np.random.default_rng(n)
-        w = models.row_words(n)
+        w = bitrows.row_words(n)
         for count in (1, 2, 3):
             graphs = [
                 sample_sbm(erdos_renyi(p), n, seed=count).adjacency
                 for p in (0.5, 0.05, 0.9)[:count]
             ]
             stacked = np.concatenate(graphs)
-            assert models._asymmetric_from(stacked, n) is None
+            assert bitrows._asymmetric_from(stacked, n) is None
             faults = []
             for g, block in itertools.product(range(count), range(w * w)):
                 lo = 64 * np.array(divmod(block, w))
@@ -516,7 +560,7 @@ class TestBatches:
                 if x == v:
                     v ^= 1
                 if v < n:
-                    set_now = not graphs[g][x, v >> 6] & models._BIT64[v & 63]
+                    set_now = not graphs[g][x, v >> 6] & bitrows.BIT64[v & 63]
                     lone = (x, v) if set_now else (v, x)
                     problem = f"not symmetric at {lone}"
                     faults.append(((g * n + x, v), problem, g * n + lone[0]))
@@ -526,19 +570,19 @@ class TestBatches:
                 faults.append(((count * n - 1, 64 * w - 1), "bits past column", None))
             for (row, col), problem, lone_row in faults:
                 bad = stacked.copy()
-                bad[row, col >> 6] ^= models._BIT64[col & 63]
+                bad[row, col >> 6] ^= bitrows.BIT64[col & 63]
                 if lone_row is not None:
                     # the transposes find the band at or before the lone bit
-                    start = models._asymmetric_from(bad, n)
+                    start = bitrows._asymmetric_from(bad, n)
                     assert start is not None and start <= lone_row
                 for check in CHECKS:
                     with checked_by(check):
                         with pytest.raises(InvalidParams) as fault:
-                            models._check_rows(bad, n)
+                            bitrows.check_rows(bad, n)
                         assert problem in str(fault.value), check
             for check in CHECKS:
                 with checked_by(check):
-                    models._check_rows(stacked, n)
+                    bitrows.check_rows(stacked, n)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_fault_in_late_band_listed_from_it(self, monkeypatch, count):
@@ -546,7 +590,7 @@ class TestBatches:
         # last block row of the last graph is found in that band, and the
         # listing starts there and names the lone bit as a listing of every
         # set bit from row 0 does
-        n, w = 200, models.row_words(200)
+        n, w = 200, bitrows.row_words(200)
         stacked = np.concatenate(
             [sample_sbm(erdos_renyi(0.5), n, seed).adjacency for seed in range(count)]
         )
@@ -555,25 +599,25 @@ class TestBatches:
             (u, v)
             for u in range(192, n)
             for v in range(u + 1, n)
-            if stacked[last + u, v >> 6] & models._BIT64[v & 63]
+            if stacked[last + u, v >> 6] & bitrows.BIT64[v & 63]
         )
         bad = stacked.copy()
-        bad[last + v, u >> 6] ^= models._BIT64[u & 63]
+        bad[last + v, u >> 6] ^= bitrows.BIT64[u & 63]
         message = f"adjacency not symmetric at ({u}, {v})"
         with checked_by("listing"), pytest.raises(InvalidParams) as fault:
-            models._check_rows(bad, n)
+            bitrows.check_rows(bad, n)
         assert str(fault.value) == message
         listings = []
-        set_bits = models._set_bits
+        set_bits = bitrows.set_bits
         monkeypatch.setattr(
-            models,
-            "_set_bits",
+            bitrows,
+            "set_bits",
             lambda flat, listed: listings.append(listed) or set_bits(flat, listed),
         )
         with checked_by("bands"):
-            assert models._asymmetric_from(bad, n) == last + 192
+            assert bitrows._asymmetric_from(bad, n) == last + 192
             with pytest.raises(InvalidParams) as fault:
-                models._check_rows(bad, n)
+                bitrows.check_rows(bad, n)
         assert str(fault.value) == message
         assert listings[-1][0] >= (last + 192) * w
 
@@ -1054,7 +1098,7 @@ class TestSampledGraph:
         # 7 words a row, and more nonzero words than one scan block
         n = 400
         g = sample_sbm(erdos_renyi(0.9), n, seed=2)
-        assert np.count_nonzero(g.adjacency) > models._SCAN_WORDS
+        assert np.count_nonzero(g.adjacency) > bitrows._SCAN_WORDS
         for u, v in ((0, 399), (399, 0), (398, 64)):
             bad = g.adjacency.copy()
             bad[u, v >> 6] ^= np.uint64(1 << (v & 63))

@@ -29,8 +29,8 @@ from motif_poisson import (
     substream_seed,
     tv_standard_error,
 )
-from motif_poisson import counting, models, simulate
-from motif_poisson.models import row_words
+from motif_poisson import bitrows, counting, models, simulate
+from motif_poisson.bitrows import row_words
 
 from conftest import poisson_tail
 
@@ -58,9 +58,9 @@ class TestDeterminism:
     def test_threads_start_no_thread(self, monkeypatch):
         seen, count_rows = [], counting._count_rows
 
-        def spy(rows, n, graphs, motif):
-            seen.append((graphs, threading.active_count()))
-            return count_rows(rows, n, graphs, motif)
+        def spy(batch, motif):
+            seen.append((batch.graphs, threading.active_count()))
+            return count_rows(batch, motif)
 
         monkeypatch.setattr(counting, "_count_rows", spy)
         before = threading.active_count()
@@ -80,18 +80,18 @@ class TestDeterminism:
         # batch of one; each batch reaches the search as the sampler's own
         # checked, read-only array, not a copy, and is counted before the
         # next batch is drawn
-        monkeypatch.setattr(models, "_BLOCK_WORDS", 2 * 40)
+        monkeypatch.setattr(bitrows, "BLOCK_WORDS", 2 * 40)
         events = []
         sample_batches, count_rows = models.sample_batches, counting._count_rows
 
         def batches(*args):
-            for rows in sample_batches(*args):
-                events.append(("drawn", rows))
-                yield rows
+            for batch in sample_batches(*args):
+                events.append(("drawn", batch.rows))
+                yield batch
 
-        def spy(rows, n, graphs, motif):
-            events.append(("counted", rows))
-            return count_rows(rows, n, graphs, motif)
+        def spy(batch, motif):
+            events.append(("counted", batch.rows))
+            return count_rows(batch, motif)
 
         monkeypatch.setattr(models, "sample_batches", batches)
         monkeypatch.setattr(counting, "_count_rows", spy)
@@ -133,14 +133,14 @@ class TestDeterminism:
         # own batch and its own search, cut after every candidate word
         searches, count_rows = [], counting._count_rows
 
-        def spy(rows, n, graphs, motif):
-            searches.append(graphs)
-            return count_rows(rows, n, graphs, motif)
+        def spy(batch, motif):
+            searches.append(batch.graphs)
+            return count_rows(batch, motif)
 
         monkeypatch.setattr(counting, "_count_rows", spy)
         batched = json.dumps(run(plan).to_dict())
         assert searches == [plan.replicates]
-        monkeypatch.setattr(models, "_BLOCK_WORDS", 1)
+        monkeypatch.setattr(bitrows, "BLOCK_WORDS", 1)
         searches.clear()
         assert json.dumps(run(plan).to_dict()) == batched
         assert searches == [1] * plan.replicates
@@ -192,7 +192,7 @@ class TestDeterminism:
                 tracemalloc.stop()
 
         for n in (2000, 100):
-            batch = models.run_length(n)
+            batch = bitrows.run_length(n)
             peak(n, batch)  # warm-up: caches the search plan and the bound
             rows = batch * n * row_words(n) * 8
             assert peak(n, 4 * batch) - peak(n, batch) <= rows // 4, n
@@ -305,8 +305,8 @@ class TestSummaryInvariants:
         # from the histogram must still equal fsum over the replicate list
         counts = [2**53 + 2, 1, 2**53, 7, 3]
         drawn = iter(counts)
-        def fake_count(rows, n, graphs, motif):
-            return np.array([next(drawn) for _ in range(graphs)])
+        def fake_count(batch, motif):
+            return np.array([next(drawn) for _ in range(batch.graphs)])
 
         monkeypatch.setattr(counting, "_count_rows", fake_count)
         summary = run(er_plan(replicates=len(counts)))
