@@ -55,11 +55,6 @@ class Batch(NamedTuple):
     graphs: int
     words: np.ndarray | None
 
-    @classmethod
-    def scanned(cls, rows: np.ndarray, n: int) -> "Batch":
-        """The batch of the stacked rows, its words found by one scan."""
-        return cls(rows, n, len(rows) // n, nonzero_words(rows))
-
 
 def row_words(n: int) -> int:
     """uint64 words in one bitset row of an n-vertex graph."""
@@ -101,6 +96,14 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
     return words_of(np.packbits(bits, axis=-1, bitorder="little"))
 
 
+def unpack_words(words: np.ndarray) -> np.ndarray:
+    """The bits of uint64 words along the last axis as 0/1 uint8 values,
+    64 a word, bit b of word i at index 64 * i + b: the inverse of
+    :func:`pack_words`."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=-1, bitorder="little")
+
+
 @lru_cache(maxsize=4)
 def above(w: int) -> np.ndarray:
     """The rows of w words above each vertex, as a read-only (64, w, w)
@@ -116,8 +119,7 @@ def above(w: int) -> np.ndarray:
 def bit_positions(words: np.ndarray) -> np.ndarray:
     """Flat positions 64 * i + b of the set bits b of ``words.ravel()[i]``,
     ascending."""
-    octets = words.astype("<u8", copy=False).view(np.uint8)
-    return np.flatnonzero(np.unpackbits(octets, bitorder="little").view(bool))
+    return np.flatnonzero(unpack_words(words).view(bool))
 
 
 def set_bits(flat: np.ndarray, nonzero: np.ndarray) -> Iterator[np.ndarray]:

@@ -32,7 +32,7 @@ from .errors import (
     InvalidParams,
     NotStrictlyBalanced,
     TooManyTerms,
-    json_int,
+    integer,
     known_keys,
     probability,
     real,
@@ -150,6 +150,7 @@ def mu_graphon(spec: GraphonSpec, m: Motif) -> float:
 def lambda_value(m: Motif, n: int, mu: float) -> float:
     """Expected copy count: positions times copies per position times the
     single-copy occurrence probability."""
+    n = integer(n, "n")
     check_fits(m, n)
     return _binom_float(n, m.vertex_count) * compute_stats(m).rho * mu
 
@@ -320,7 +321,7 @@ class NuTable:
     def __post_init__(self):
         norm = {}
         for (k, v, s), val in self.entries.items():
-            key = (_exponent(k), json_int(v, "nu-table v"), json_int(s, "nu-table s"))
+            key = (_exponent(k), integer(v, "nu-table v"), integer(s, "nu-table s"))
             norm[key] = probability(val, "nu value")
         object.__setattr__(self, "entries", norm)
 
@@ -381,6 +382,7 @@ def bound_nu(m: Motif, n: int, g: int, mu: float, nu: NuTable) -> BoundReport:
     the general dependent model leaves it model-specific.
     """
     _require_strictly_balanced(m)
+    g = integer(g, "dependence width g")
     if g < 1:
         raise InvalidParams("dependence width g must be >= 1")
     return _assemble("nu", m, n, probability(mu, "mu"), nu.lookup, g)
@@ -433,6 +435,7 @@ def bound_scaled(m: Motif, n: int, c: float, C: float) -> ScaledBoundReport:
     c, C = real(c, "c"), real(C, "C")
     if not 0 < c <= C:
         raise InvalidParams("need 0 < c <= C")
+    n = integer(n, "n")
     check_fits(m, n)
     v, e = m.vertex_count, m.edge_count
     d = float(stats.density)

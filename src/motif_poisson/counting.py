@@ -354,9 +354,9 @@ def count_copies(g: SampledGraph, m: Motif) -> int:
     motif's vertices into the graph that carry every motif edge onto a
     graph edge, one per automorphism class, so the maps number this count
     times the automorphism count.  A batch of one graph for
-    :func:`_count_rows`."""
+    :func:`_count_rows`, with the nonzero words the graph's check listed."""
     check_fits(m, g.n)
-    return int(_count_rows(Batch.scanned(g.adjacency, g.n), m)[0])
+    return int(_count_rows(Batch(g.adjacency, g.n, 1, g.words), m)[0])
 
 
 def _slot_bits(v: int) -> list[list[int]]:

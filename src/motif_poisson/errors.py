@@ -3,10 +3,12 @@
 Every error the library raises derives from :class:`MotifPoissonError` so
 callers can catch broadly; the leaf classes mirror the distinct failure
 conditions of the public operations.  Every value from outside is read by
-:func:`json_int`, :func:`real`, :func:`probability`, :func:`sequence` or
+:func:`integer`, :func:`real`, :func:`probability`, :func:`sequence` or
 :func:`known_keys`, which raise :class:`InvalidParams`, also a
 ``ValueError``.
 """
+
+import operator
 
 
 class MotifPoissonError(Exception):
@@ -51,11 +53,13 @@ class InvalidParams(MotifPoissonError, ValueError):
     """A value from outside fails validation."""
 
 
-def json_int(x, what: str) -> int:
-    """``x`` if it is an int; bools, floats and strings are refused."""
-    if type(x) is not int:
-        raise InvalidParams(f"{what} must be an integer, got {type(x).__name__}")
-    return x
+def integer(x, what: str, error: type[Exception] = InvalidParams) -> int:
+    """``x`` as an int if it is an integer, NumPy ints too (as
+    ``operator.index`` reads them); bools, floats and strings are refused
+    with ``error``."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise error(f"{what} must be an integer, got {type(x).__name__}")
+    return operator.index(x)
 
 
 def real(x, what: str) -> float:

@@ -14,11 +14,11 @@ the coefficients of the partitions that give it summed.
 hom(H, G) sums, over all maps of V(H) into V(G), the product of G's 0/1
 adjacency entries on H's edges.  It runs as the vertex elimination of
 :func:`~motif_poisson.bounds._plan` over a stack of dense adjacency
-matrices, one per graph: a step on two matrices is a batched ``@``, a step
-on one factor an axis sum, any other a plain einsum with a batch index,
-and the step that closes a connected component sums in int64.  The steps
-and their costs depend only on H and n, so they are planned once per
-motif, before any array is formed.
+matrices, one per graph: a step on two matrices is a batched ``@``, any
+other a plain einsum with a batch index, and the step that closes a
+connected component sums in int64.  The steps and their costs depend only
+on H and n, so they are planned once per motif, before any array is
+formed.
 
 Every value is a count, so float arithmetic is exact while every partial
 sum stays an integer a float holds exactly.  A factor summed over s motif
@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bitrows import row_words
+from .bitrows import row_words, unpack_words
 from .bounds import _plan
 from .motif import Edge, Motif, compute_stats
 
@@ -55,11 +55,10 @@ _DENSE_BYTES = 96 << 20
 #: OpenBLAS) by the fastest of 3-7 timed runs: one matrix entry densified
 #: from bitset rows (0.9 ns at n = 40-2000); one flop of a batched ``@``
 #: (0.025-0.05 ns on stacks of 40 x 40 to 100 x 100 matrices, 0.015-0.02
-#: ns at n = 1000); one term of an einsum or an axis sum, per operand
-#: (0.4-1.2 ns); and the Python and dispatch overhead of one step on a
-#: batch (at most 10-25 µs).  On that VM a product large enough for
-#: OpenBLAS's threads (n >= about 108) may also wait 15-50 ms for them;
-#: the weights leave that out.
+#: ns at n = 1000); one term of an einsum, per operand (0.4-1.2 ns); and
+#: the Python and dispatch overhead of one step on a batch (at most 10-25
+#: µs).  On that VM a product large enough for OpenBLAS's threads (n >=
+#: about 108) may also wait 15-50 ms for them; the weights leave that out.
 _DENSE_NS = 1.0
 _FLOP_NS = 0.04
 _TERM_NS = 0.8
@@ -76,7 +75,7 @@ _RELABELLINGS = 720
 #: VM above, which tries about 30 of the 720 a partition.
 _RELABEL_NS = 250.0
 
-_MATMUL, _SUM, _EINSUM, _TOTAL = range(4)
+_MATMUL, _EINSUM, _TOTAL = range(3)
 
 
 class _Step(NamedTuple):
@@ -162,11 +161,7 @@ def _schedule(coef: int, k: int, edges: tuple[Edge, ...]) -> _Quotient:
             steps.append(_Step(_TOTAL, used, scale, at, None))
             cost.append((_TERM_NS * len(used), span))
             continue
-        if len(idxs) == 1:
-            step = _Step(_SUM, used, scale, at, None)
-            out = tuple(x for x in idxs[0] if x != u)
-            cost.append((_TERM_NS, span))
-        elif len(idxs) == 2 and all(len(i) == 2 for i in idxs) and span == 3:
+        if len(idxs) == 2 and all(len(i) == 2 for i in idxs) and span == 3:
             # x[a, u] @ y[u, b], or y[b, u] @ x[u, a] where that transposes
             # fewer operands held the other way; an unscaled graph matrix is
             # symmetric and never transposed
@@ -306,9 +301,7 @@ def plan_within(m: Motif, n: int, graphs: int, limit: float) -> _Run | None:
 def _dense(rows: np.ndarray, n: int, dtype: type) -> np.ndarray:
     """The 0/1 adjacency matrices of the graphs whose bitset rows are
     stacked n rows a graph, as a (graphs, n, n) array."""
-    octets = rows.astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(octets, axis=1, bitorder="little")
-    return bits[:, :n].astype(dtype).reshape(-1, n, n)
+    return unpack_words(rows)[:, :n].astype(dtype).reshape(-1, n, n)
 
 
 def _product(x: np.ndarray, y: np.ndarray, swap: bool, tx: bool, ty: bool) -> np.ndarray:
@@ -339,8 +332,6 @@ def _hom(a: np.ndarray, q: _Quotient) -> np.ndarray:
             continue
         if kind == _MATMUL:
             out = _product(*xs, *arg)
-        elif kind == _SUM:
-            out = xs[0].sum(axis=at)
         else:
             idxs, res = arg
             operands = [z for x, idx in zip(xs, idxs) for z in (x, [..., *idx])]

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -46,7 +45,7 @@ from .bitrows import BIT64, Batch, check_rows, empty_rows, set_bits, set_edges, 
 from .errors import (
     InvalidParams,
     WrongFamily,
-    json_int,
+    integer,
     known_keys,
     probability,
     real,
@@ -97,7 +96,7 @@ class SbmParams:
     edge_probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        q = json_int(self.class_count, "SBM class count 'Q'")
+        q = integer(self.class_count, "SBM class count 'Q'")
         if q < 1:
             raise InvalidParams("class_count must be >= 1")
         f = sequence(self.proportions, "proportions")
@@ -112,6 +111,7 @@ class SbmParams:
         pi = _check_probability_matrix(self.edge_probs, "edge_probs")
         if len(pi) != q:
             raise InvalidParams("edge_probs must be class_count x class_count")
+        object.__setattr__(self, "class_count", q)
         object.__setattr__(self, "proportions", f)
         object.__setattr__(self, "edge_probs", pi)
 
@@ -241,17 +241,17 @@ class SampledGraph:
     array in which bit ``v % 64`` of word ``v // 64`` of row ``u`` is set
     when {u, v} is an edge.  The constructor checks it: the rows must be
     symmetric, with a zero diagonal and no bit past column n - 1, or
-    InvalidParams is raised.  The graph keeps a
-    read-only view of the array.
+    InvalidParams is raised.  The graph keeps a read-only view of the
+    array, and in ``words`` the nonzero words its check listed, as a
+    :class:`~motif_poisson.bitrows.Batch` holds them, for the counter.
     """
 
     n: int
     adjacency: np.ndarray
+    words: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not hasattr(self.n, "__index__"):
-            raise InvalidParams(f"graph vertex count {self.n!r} is not an integer")
-        n = operator.index(self.n)  # NumPy ints too, stored as int
+        n = integer(self.n, "graph vertex count")
         if n < 1:
             raise InvalidParams("graph has no vertices")
         rows = self.adjacency
@@ -262,11 +262,12 @@ class SampledGraph:
             and rows.shape == shape
         ):
             raise InvalidParams(f"adjacency must be a uint64 array of shape {shape}")
-        check_rows(rows, n)
+        words = check_rows(rows, n)
         view = rows.view()
         view.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", view)
+        object.__setattr__(self, "words", words)
 
     def __eq__(self, other):
         if not isinstance(other, SampledGraph):
@@ -731,6 +732,7 @@ def sample_batches(
     positions, and one check of its rows.  This generator keeps no batch
     once it has handed it on.
     """
+    n = integer(n, "n")
     if n < 2:
         raise InvalidParams("n must be >= 2")
     check_graph_size(n)
@@ -761,10 +763,11 @@ def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
 
 
 def _sampled(model: SbmParams | GraphonSpec, n: int, seed: int) -> SampledGraph:
-    """The graph of ``seed``, a batch of one, its read-only rows kept as the
-    sampler checked them."""
-    (batch,) = sample_batches(model, n, [seed])
+    """The graph of ``seed``, a batch of one, its read-only rows and their
+    listed words kept as the sampler checked them."""
+    (batch,) = sample_batches(model, n, [integer(seed, "seed")])
     graph = object.__new__(SampledGraph)
-    object.__setattr__(graph, "n", n)
+    object.__setattr__(graph, "n", batch.n)
     object.__setattr__(graph, "adjacency", batch.rows)
+    object.__setattr__(graph, "words", batch.words)
     return graph

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +26,7 @@ from .errors import (
     SelfLoop,
     SingleEdge,
     TooLarge,
+    integer,
 )
 
 #: Hard cap on motif size.  The invariant minima visit all 2^v vertex subsets
@@ -39,21 +39,13 @@ Edge = tuple[int, int]
 BUILTIN_FAMILIES = ("tree_path", "cycle", "almost_complete", "complete")
 
 
-def _label(x, what: str = "vertex") -> int:
-    """``x`` if it is an int (NumPy ints too); bools, floats and strings
-    are refused."""
-    if isinstance(x, bool) or not hasattr(x, "__index__"):
-        raise InvalidMotifError(f"{what} {x!r} is not an integer")
-    return operator.index(x)
-
-
 def _pair(e) -> Edge:
     """``e`` as a pair of vertex labels."""
     try:
         u, w = e
     except (TypeError, ValueError):
         raise InvalidMotifError(f"not a vertex pair: {e!r}") from None
-    return _label(u), _label(w)
+    return integer(u, "vertex", InvalidMotifError), integer(w, "vertex", InvalidMotifError)
 
 
 def _canonical_edges(pairs: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -75,7 +67,7 @@ class Motif:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        v = _label(self.vertex_count, "vertex count")
+        v = integer(self.vertex_count, "vertex count", InvalidMotifError)
         if v > MAX_VERTICES:
             raise TooLarge(f"motif has {v} vertices; cap is {MAX_VERTICES}")
         edges = _canonical_edges(_pair(e) for e in self.edges)

@@ -29,7 +29,7 @@ from .bounds import (
     mu_sbm,
 )
 from . import counting, models
-from .errors import InvalidParams, NotStrictlyBalanced, json_int
+from .errors import InvalidMotifError, InvalidParams, NotStrictlyBalanced, integer
 from .models import _SEED_MASK, GraphonSpec, SbmParams, check_graph_size, substream_seed
 from .motif import Motif, check_fits
 from .poisson import poisson_pmf, tv_distance_empirical
@@ -51,8 +51,12 @@ class SimulationPlan:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.model, (SbmParams, GraphonSpec)):
+            raise InvalidParams("simulate model must be SbmParams or GraphonSpec")
+        if not isinstance(self.motif, Motif):
+            raise InvalidMotifError("simulate motif must be a Motif")
         for key in ("n", "replicates", "seed"):
-            json_int(getattr(self, key), f"simulate {key}")
+            object.__setattr__(self, key, integer(getattr(self, key), f"simulate {key}"))
         if self.replicates < 1:
             raise InvalidParams("replicates must be >= 1")
         if not 0 <= self.seed <= _SEED_MASK:
@@ -141,7 +145,7 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     their (seed, r) keys and only one batch's rows are kept, so how the
     graphs are batched changes nothing in the summary.
     """
-    if json_int(threads, "threads") < 1:
+    if integer(threads, "threads") < 1:
         raise InvalidParams("threads must be >= 1")
     start = time.perf_counter()
     mu, bound = _model_functions(plan.model)

@@ -17,6 +17,8 @@ from motif_poisson import (
     motif_from_edge_list,
     poisson_pmf,
 )
+from motif_poisson import bitrows
+from motif_poisson.bitrows import Batch
 from motif_poisson.motif import Edge
 
 
@@ -122,6 +124,12 @@ def graph_from_edges(n: int, edges) -> SampledGraph:
 
 def complete_graph(n: int) -> SampledGraph:
     return graph_from_edges(n, itertools.combinations(range(n), 2))
+
+
+def scanned(rows: np.ndarray, n: int) -> Batch:
+    """The batch of rows of n-vertex graphs stacked n rows a graph, its
+    nonzero words found by a fresh scan."""
+    return Batch(rows, n, len(rows) // n, bitrows.nonzero_words(rows))
 
 
 def replayed_latents(n: int, seed: int) -> np.ndarray:

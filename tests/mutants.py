@@ -111,6 +111,13 @@ CAUGHT = (
         ("tests/test_models.py::TestSkipSampler::test_pair_index_row_boundaries_up_to_the_cap",),
     ),
     Mutant(
+        "bits unpacked from the high end of each byte",
+        "bitrows.py",
+        'return np.unpackbits(octets, axis=-1, bitorder="little")',
+        'return np.unpackbits(octets, axis=-1, bitorder="big")',
+        ("tests/test_homs.py::test_counts_exact_on_both_sides_of_the_float32_bound",),
+    ),
+    Mutant(
         "Möbius coefficient with its sign flipped",
         "homs.py",
         "(-1) ** (s - 1) * math.factorial(s - 1)",

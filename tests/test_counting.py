@@ -37,10 +37,10 @@ from motif_poisson import (
 )
 from motif_poisson import bitrows, counting, homs, models
 from motif_poisson.cli import main
-from motif_poisson.bitrows import Batch, pack_words
+from motif_poisson.bitrows import pack_words, unpack_words
 from motif_poisson.motif import BUILTIN_FAMILIES
 
-from conftest import complete_graph, graph_from_edges, random_motif
+from conftest import complete_graph, graph_from_edges, random_motif, scanned
 
 P3 = builtin_motif("tree_path", 3)
 K3 = builtin_motif("complete", 3)
@@ -67,6 +67,9 @@ def forced(path):
             mp.setattr(homs, "plan_within", lambda m, n, graphs, limit: None)
             mp.setattr(counting, "_SPARSE_WIDTH", 0 if path == "words" else math.inf)
             mp.setattr(bitrows, "SPARSE_SHARE", 1.0)
+            # a graph made before this keeps the words its own check listed
+            listed = counting._row_words
+            mp.setattr(counting, "_row_words", lambda b: listed(scanned(b.rows, b.n)))
         yield mp
 
 
@@ -74,7 +77,7 @@ def count_stacked(graphs, m) -> list[int]:
     """Copies of ``m`` in each of ``graphs``, of one size, by one search
     over their stacked rows, as the sampler hands on a batch."""
     rows = np.concatenate([g.adjacency for g in graphs])
-    return counting._count_rows(Batch.scanned(rows, graphs[0].n), m).tolist()
+    return counting._count_rows(scanned(rows, graphs[0].n), m).tolist()
 
 
 class TestWorkedExample:
@@ -128,9 +131,7 @@ class TestClosedForms:
 
 def adjacency_matrix(g: SampledGraph) -> np.ndarray:
     """The 0/1 int64 adjacency matrix of ``g``, unpacked from its bitsets."""
-    packed = g.adjacency.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(packed, axis=1, bitorder="little")
-    return bits[:, : g.n].astype(np.int64)
+    return unpack_words(g.adjacency)[:, : g.n].astype(np.int64)
 
 
 class TestDenseTraceFormulas:
@@ -202,6 +203,29 @@ def test_counting_memory_is_the_rows_plus_a_fixed_budget():
     assert got == tr3 / 6
 
 
+@pytest.mark.parametrize("source", ["edge text", "sampler"])
+def test_rows_scanned_once_from_graph_to_count(monkeypatch, source):
+    # the graph keeps the nonzero words that its check listed, outside its
+    # repr and equality, and the counter reads them
+    n = 10**4
+    scans, scan = [], bitrows.nonzero_words
+
+    def spy(rows):
+        scans.append(rows.shape)
+        return scan(rows)
+
+    monkeypatch.setattr(bitrows, "nonzero_words", spy)
+    if source == "sampler":
+        g = sample_sbm(erdos_renyi(3 / n), n, seed=2)
+    else:
+        g = graph_from_edges(n, zip(range(n - 1), range(1, n)))
+        assert count_copies(g, motif_from_string("tree_path:3")) == n - 2
+    count_copies(g, motif_from_string("complete:3"))
+    assert scans == [(n, bitrows.row_words(n))]
+    assert g.words is not None and "words" not in repr(g)
+    assert g == SampledGraph(n, g.adjacency.copy())
+
+
 @pytest.mark.parametrize("motif", ["complete:3", "cycle:4"])
 def test_sparse_counting_memory_grows_with_the_edges(motif):
     # 10^4 vertices take 157 words a row, about 1 % of them nonzero in
@@ -209,7 +233,7 @@ def test_sparse_counting_memory_grows_with_the_edges(motif):
     # as the rows is built; the flags of the nonzero words take an eighth
     g = sample_sbm(erdos_renyi(2 / 10**4), 10**4, seed=4)
     m = motif_from_string(motif)
-    assert counting._row_words(Batch.scanned(g.adjacency, g.n))[0] is not None
+    assert counting._row_words(scanned(g.adjacency, g.n))[0] is not None
     count_copies(graph_from_edges(4, [(0, 1)]), m)  # caches the search plan
     tracemalloc.start()
     try:

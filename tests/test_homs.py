@@ -25,8 +25,9 @@ from motif_poisson import (
     substream_seed,
 )
 from motif_poisson import counting, homs, models
-from motif_poisson.bitrows import Batch
 from motif_poisson.motif import BUILTIN_FAMILIES
+
+from conftest import scanned
 
 
 def falling(n: int, k: int) -> int:
@@ -93,7 +94,7 @@ def both_paths(graphs, m) -> tuple[list[int], list[int]]:
     """The copies in each graph of one size by the search and by the
     homomorphism counts, each over the stacked rows."""
     rows, n = stack(graphs), graphs[0].n
-    words, degrees = counting._row_words(Batch.scanned(rows, n))
+    words, degrees = counting._row_words(scanned(rows, n))
     search = counting._search_rows(rows, n, len(graphs), m, words, degrees)
     run = homs._run(m, n)
     return search.tolist(), homs.count_rows(rows, n, len(graphs), m, run).tolist()
@@ -209,8 +210,24 @@ def test_hom_batch_keeps_to_the_byte_budget(motif, monkeypatch):
     # beyond the budget, which covers the arrays, NumPy's iterators buffer
     # up to 8192 elements an operand, four operands at most here
     assert peak <= budget + 4 * 8192 * 4 + 2**12
-    words, degrees = counting._row_words(Batch.scanned(rows, n))
+    words, degrees = counting._row_words(scanned(rows, n))
     assert got.tolist() == counting._search_rows(rows, n, len(batch), m, words, degrees).tolist()
+
+
+@pytest.mark.parametrize("motif, singles", [("tree_path:5", 14), ("almost_complete:5", 0)])
+@pytest.mark.parametrize("n, dtype", [(64, np.float32), (65, np.float64)])
+def test_counts_exact_on_both_sides_of_the_float32_bound(motif, singles, n, dtype):
+    # factors up to n^4: float32 holds them up to n = 64, where n^4 = 2^24;
+    # in a dense batch the partial sums of each step, the einsums on one
+    # factor among them, come near that bound and stay exact in any order
+    m = motif_from_string(motif)
+    run = homs._run(m, n)
+    assert run.dtype is dtype and max(q.bound for q in run.quotients) == 4
+    steps = [s for q in run.quotients for s in q.steps if s.kind == homs._EINSUM]
+    assert sum(len(s.used) == 1 for s in steps) == singles
+    batch = [sample_sbm(erdos_renyi(0.9), n, seed=s) for s in range(2)]
+    search, hom = both_paths(batch, m)
+    assert search == hom
 
 
 def test_exactness_and_budget_limit_the_run():

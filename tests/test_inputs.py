@@ -8,16 +8,27 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motif_poisson import (
     MAX_GRAPH_VERTICES,
     GraphonSpec,
+    InvalidParams,
     MotifPoissonError,
     NuTable,
     SbmParams,
+    SimulationPlan,
+    bound_nu,
+    bound_sbm,
+    bound_scaled,
+    erdos_renyi,
+    lambda_value,
     motif_from_string,
+    sample_graphon,
+    sample_sbm,
 )
 from motif_poisson.cli import main
 
@@ -320,3 +331,57 @@ nu_tables = st.dictionaries(
 def test_from_dict_inverts_to_dict(x):
     """``from_dict(to_dict(x)) == x``, through JSON text."""
     assert type(x).from_dict(json.loads(json.dumps(x.to_dict()))) == x
+
+
+K3 = motif_from_string("complete:3")
+#: Each integer argument of a library entry point, as the call with ``x``
+#: in its place, and a valid value of it.
+INTEGER_ARGUMENTS = {
+    "sample_sbm n": (lambda x: sample_sbm(erdos_renyi(0.3), x, 7), 10),
+    "sample_sbm seed": (lambda x: sample_sbm(erdos_renyi(0.3), 10, x), 1),
+    "sample_graphon n": (
+        lambda x: sample_graphon(GraphonSpec("product", 0.9), x, 7),
+        10,
+    ),
+    "sample_graphon seed": (
+        lambda x: sample_graphon(GraphonSpec("product", 0.9), 10, x),
+        1,
+    ),
+    "bound_sbm n": (lambda x: bound_sbm(erdos_renyi(0.01), K3, x).to_dict(), 100),
+    "lambda_value n": (lambda x: lambda_value(K3, x, 0.001), 100),
+    "bound_scaled n": (lambda x: bound_scaled(K3, x, 0.5, 2.0).to_dict(), 100),
+    "bound_nu g": (
+        lambda x: bound_nu(K3, 100, x, 1e-6, NuTable.from_power(0.01, K3)).to_dict(),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+@pytest.mark.parametrize("how", ["half", "float", "bool", "str"])
+def test_integer_arguments_refuse_other_types(name, how):
+    # a float, a bool or a string is never read as the integer near it
+    call, good = INTEGER_ARGUMENTS[name]
+    bad = {"half": good + 0.5, "float": float(good), "bool": True, "str": str(good)}
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        call(bad[how])
+
+
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
+def test_integer_arguments_take_numpy_ints(name, kind):
+    call, good = INTEGER_ARGUMENTS[name]
+    assert call(kind(good)) == call(good)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint16])
+def test_numpy_ints_stored_as_int(kind):
+    for g in (
+        sample_sbm(erdos_renyi(0.3), kind(10), kind(7)),
+        sample_graphon(GraphonSpec("product", 0.9), kind(10), kind(7)),
+    ):
+        assert type(g.n) is int and g.n == 10
+    assert type(bound_scaled(K3, kind(100), 0.5, 2.0).n) is int
+    assert type(SbmParams(kind(1), (1.0,), ((0.1,),)).class_count) is int
+    plan = SimulationPlan(erdos_renyi(0.1), K3, kind(10), kind(2), kind(3))
+    assert all(type(x) is int for x in (plan.n, plan.replicates, plan.seed))

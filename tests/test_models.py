@@ -33,7 +33,7 @@ from motif_poisson import (
 from motif_poisson import bitrows, counting, models, simulate
 from motif_poisson.models import _diagonal_pairs
 
-from conftest import replayed_labels, replayed_latents
+from conftest import replayed_labels, replayed_latents, scanned
 
 K3 = builtin_motif("complete", 3)
 
@@ -531,7 +531,7 @@ class TestBatches:
         n = 4000
         batch = next(models.sample_batches(erdos_renyi(3 / n), n, [3]))
         assert batch.words is not None
-        copy = bitrows.Batch.scanned(batch.rows.copy(), n)
+        copy = scanned(batch.rows.copy(), n)
         assert copy.words is not batch.words
         for motif in (K3, builtin_motif("cycle", 4)):
             counts = counting._count_rows(batch, motif).tolist()
@@ -1091,7 +1091,7 @@ class TestSampledGraph:
     def test_vertex_count_is_an_integer(self):
         assert SampledGraph(np.int64(3), rows(0, 0, 0)).n == 3
         for n in (3.0, True, "3"):
-            with pytest.raises(InvalidParams, match="not an integer"):
+            with pytest.raises(InvalidParams, match="must be an integer"):
                 SampledGraph(n, rows(0, 0, 0))
 
     def test_checks_reach_every_word(self):

@@ -14,6 +14,7 @@ import pytest
 from motif_poisson import (
     MAX_GRAPH_VERTICES,
     GraphonSpec,
+    InvalidMotifError,
     InvalidParams,
     SbmParams,
     SimulationPlan,
@@ -449,6 +450,17 @@ class TestPlanValidation:
         fields[field] = value
         with pytest.raises(InvalidParams, match=f"simulate {field} must be an integer"):
             SimulationPlan(**fields)
+
+    def test_model_of_another_type_rejected(self):
+        model = {"Q": 1, "f": [1.0], "pi": [[0.1]]}
+        with pytest.raises(InvalidParams, match="must be SbmParams or GraphonSpec"):
+            SimulationPlan(model=model, motif=K3, n=10, replicates=10, seed=1)
+
+    def test_motif_of_another_type_rejected(self):
+        with pytest.raises(InvalidMotifError, match="must be a Motif"):
+            SimulationPlan(
+                model=erdos_renyi(0.1), motif="complete:3", n=10, replicates=10, seed=1
+            )
 
     def test_seed_bounds_accepted(self):
         for seed in (0, (1 << 64) - 1):
