@@ -7,12 +7,16 @@ at the triples :meth:`NuTable.required_triples` lists, times a
 dependence-width factor.  The block-model, independent-edge and graphon
 variants are this bound with the power table ``x ** k`` of their
 worst-case edge probability (pi*, nu_max, h*) and widths 1, 1 and 2.
-All variants require a strictly balanced motif.
+All variants require a strictly balanced motif, and all take one
+prefactor, ``1 - exp(-lambda)``, which is at most ``min(1, lambda)`` for
+every lambda >= 0.
 
-The occurrence probability mu is exact in both models: a sum over class
-tuples of the weight and edge-probability products, evaluated by summing
-out one motif vertex at a time, with Gauss-Legendre nodes standing in for
-the classes of a smooth graphon.
+The occurrence probability mu is exact in both models: the homomorphism
+density of the motif in the class graph, a sum over class tuples of the
+weight and edge-probability products, with Gauss-Legendre nodes standing
+in for the classes of a smooth graphon.  It is summed out one motif vertex
+at a time by :func:`~motif_poisson.homs._contract`, on the one elimination
+plan that the homomorphism counts of :mod:`~motif_poisson.homs` also run.
 
 Large combinatorial factors are evaluated in floating point via product
 forms; the relative error budget of the assembled bounds is ~1e-12.
@@ -21,7 +25,7 @@ forms; the relative error budget of the assembled bounds is ~1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -31,17 +35,15 @@ from .errors import (
     IncompleteNuTable,
     InvalidParams,
     NotStrictlyBalanced,
-    TooManyTerms,
     integer,
     known_keys,
     probability,
     real,
     sequence,
 )
+from .homs import _contract
 from .models import GraphonSpec, SbmParams, graphon_to_sbm, h_star
 from .motif import Motif, MotifStats, check_fits, compute_stats
-
-_MAX_TERMS = 10**8
 
 
 def _binom_float(n: int, k: int) -> float:
@@ -63,63 +65,6 @@ def _require_strictly_balanced(m: Motif) -> MotifStats:
 
 
 # ------------------------------------------------------------------ mu
-
-
-def _plan(
-    vertex_count: int, edges: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The steps of a vertex elimination over the graph's vertices, each
-    the vertex it sums out and the sorted indices of the factor it leaves.
-
-    The factors start as one matrix per edge, and as many weight vectors as
-    a caller adds, which change no span.  Each step sums out the remaining
-    vertex whose factors span the fewest indices (ties to the lower
-    vertex), and takes every factor that holds it, which leaves one factor
-    on the rest of their span, or a scalar where that rest is empty.  The
-    order and the spans depend only on the graph, so a caller can check
-    what each step costs before any contraction runs.
-    """
-    scopes = [frozenset(e) for e in edges]
-    steps = []
-    for _ in range(vertex_count):
-        spans = {
-            u: frozenset().union(*(s for s in scopes if u in s))
-            for u in frozenset().union(*scopes)
-        }
-        u = min(spans, key=lambda w: (len(spans[w]), w))
-        rest = spans[u] - {u}
-        steps.append((u, tuple(sorted(rest))))
-        scopes = [s for s in scopes if u not in s] + [rest]
-    return tuple(steps)
-
-
-def _contract(
-    weights: np.ndarray,
-    mat: np.ndarray,
-    vertex_count: int,
-    edges: tuple[tuple[int, int], ...],
-) -> float:
-    """Sum over all class tuples c of
-    prod_u weights[c_u] * prod_{(u,w) in edges} mat[c_u, c_w], by vertex
-    elimination: each step of the :func:`_plan` is one einsum over just the
-    factors that hold its vertex, and each step's q^span summed terms are
-    checked against the budget, or TooManyTerms raised, before any runs."""
-    q = len(weights)
-    steps = _plan(vertex_count, edges)
-    for _, out in steps:
-        if q ** (len(out) + 1) > _MAX_TERMS:
-            raise TooManyTerms(
-                f"a contraction step sums {q}^{len(out) + 1} terms, over the "
-                f"{_MAX_TERMS} budget"
-            )
-    factors = [(weights, (u,)) for u in range(vertex_count)]
-    factors += [(mat, e) for e in edges]
-    for u, out in steps:
-        operands = [x for f in factors if u in f[1] for x in f]
-        factors = [f for f in factors if u not in f[1]]
-        factors.append((np.einsum(*operands, out), out))
-    # one scalar factor is left per connected component
-    return math.prod(float(f) for f, _ in factors)
 
 
 def mu_sbm(params: SbmParams, m: Motif) -> float:
@@ -164,8 +109,10 @@ class BoundReport:
 
     ``bound`` equals ``prefactor * rho * dependence_factor *
     (pair_term + same_position_term + sum of overlap_terms)`` exactly as
-    assembled.  ``prefactor_used`` records which of the two valid
-    prefactors (``1 - exp(-lambda)`` or ``min(1, lambda)``) was smaller.
+    assembled.  The prefactor is always ``1 - exp(-lambda)``, never more
+    than the other valid one, ``min(1, lambda)``; ``prefactor_used`` names
+    it.  ``mu`` is evaluated on the elimination plan of
+    :func:`~motif_poisson.homs._plan`.
     """
 
     variant: str
@@ -206,14 +153,6 @@ class BoundReport:
         }
 
 
-def _prefactor(lam: float) -> tuple[float, str]:
-    one_minus_exp = -math.expm1(-lam)
-    capped = min(1.0, lam)
-    if capped < one_minus_exp:
-        return capped, "min(1,lambda)"
-    return one_minus_exp, "1-exp(-lambda)"
-
-
 def _finite(report, where: str):
     """``report``, or InvalidParams if one of its numbers is infinite or NaN,
     which JSON cannot hold.  The overlap terms sum into ``bound``, so its
@@ -245,13 +184,13 @@ def _assemble(
         bracket = math.fsum([pair, same_prob, *overlaps.values()])
     except OverflowError:
         raise InvalidParams(f"bound overflows at {where}") from None
-    prefactor, label = _prefactor(lam)
+    prefactor = -math.expm1(-lam)
     report = BoundReport(
         variant=variant,
         mu=mu,
         lam=lam,
         prefactor=prefactor,
-        prefactor_used=label,
+        prefactor_used="1-exp(-lambda)",
         rho=rho,
         dependence_factor=gf,
         pair_term=pair,
@@ -416,17 +355,7 @@ class ScaledBoundReport:
     bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "variant": "scaled",
-            "C": self.C,
-            "c": self.c,
-            "n": self.n,
-            "lambda_lower": self.lambda_lower,
-            "lambda_upper": self.lambda_upper,
-            "A": self.A,
-            "B": self.B,
-            "bound": self.bound,
-        }
+        return {"variant": "scaled", **asdict(self)}
 
 
 def bound_scaled(m: Motif, n: int, c: float, C: float) -> ScaledBoundReport:

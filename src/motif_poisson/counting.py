@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GraphTooLargeForOracle
+from .errors import GraphTooLargeForOracle, InvalidParams, integer
 from . import bitrows, homs
 from .bitrows import BIT64, HIGH, ONES, Batch, above, bit_positions, pack_words
 from .models import SampledGraph
@@ -403,9 +403,13 @@ def copy_indicators(
 ) -> list[int]:
     """Indicator per distinct copy of ``m`` on the vertex tuple ``alpha``
     (slot i on vertex ``alpha[i]``), in the order of :func:`_copy_masks`:
-    1 iff every edge of that copy is in ``g``."""
+    1 iff every edge of that copy is in ``g``.  ``alpha`` holds v(G)
+    distinct vertices of ``g``, or InvalidParams is raised."""
+    alpha = tuple(integer(x, "vertex") for x in alpha)
     if len(alpha) != m.vertex_count:
-        raise ValueError("alpha must have exactly v(G) vertices")
+        raise InvalidParams("alpha must have exactly v(G) vertices")
+    if len(set(alpha)) != len(alpha):
+        raise InvalidParams(f"alpha must have distinct vertices, got {alpha}")
     have = _present(g, alpha, _slot_bits(len(alpha)))
     return [int(mask & have == mask) for mask in _copy_masks(m)]
 

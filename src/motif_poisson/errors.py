@@ -3,11 +3,12 @@
 Every error the library raises derives from :class:`MotifPoissonError` so
 callers can catch broadly; the leaf classes mirror the distinct failure
 conditions of the public operations.  Every value from outside is read by
-:func:`integer`, :func:`real`, :func:`probability`, :func:`sequence` or
-:func:`known_keys`, which raise :class:`InvalidParams`, also a
-``ValueError``.
+:func:`integer`, :func:`real`, :func:`probability`, :func:`rate`,
+:func:`sequence` or :func:`known_keys`, which raise
+:class:`InvalidParams`, also a ``ValueError``.
 """
 
+import math
 import operator
 
 
@@ -78,6 +79,13 @@ def probability(x, what: str) -> float:
     if not 0.0 <= p <= 1.0:
         raise InvalidParams(f"{what}={p!r} not in [0, 1]")
     return p
+
+
+def rate(x, what: str) -> float:
+    """``x`` if it is finite and at least 0; NaN is refused."""
+    if not 0.0 <= x < math.inf:
+        raise InvalidParams(f"{what}={x!r} must be finite and >= 0")
+    return x
 
 
 def sequence(x, what: str) -> list | tuple:

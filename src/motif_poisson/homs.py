@@ -1,6 +1,18 @@
-"""Copy counts of dense batches from homomorphism counts.
+"""Vertex elimination: the occurrence probability mu, and copy counts of
+dense batches from homomorphism counts.
 
-The injective edge-preserving maps of a motif F into a graph G follow from
+Both sum, over every map of a graph H's vertices into a set of indices,
+a product with one factor per edge of H, and both do it by the one
+vertex elimination that :func:`_plan` lays out: each step sums out one
+vertex over the live factors that hold it, named by their positions.
+
+mu is the homomorphism density of the motif F in the class graph of the
+model (Lovász & Szegedy 2006): the indices are the classes, each vertex
+weighs its class by its share and each edge takes the matrix of edge
+probabilities.  :func:`_contract` runs the plan in plain einsums and
+refuses it, before any step runs, if a step would sum over ``_MAX_TERMS``.
+
+The injective edge-preserving maps of F into a graph G follow from
 homomorphism counts by Möbius inversion over the partitions P of V(F)
 into independent sets (Lovász 1967; Curticapean, Dell & Marx, STOC 2017):
 
@@ -12,13 +24,12 @@ inj / aut(F).  Each quotient F/P is kept once per labelled edge set, with
 the coefficients of the partitions that give it summed.
 
 hom(H, G) sums, over all maps of V(H) into V(G), the product of G's 0/1
-adjacency entries on H's edges.  It runs as the vertex elimination of
-:func:`~motif_poisson.bounds._plan` over a stack of dense adjacency
-matrices, one per graph: a step on two matrices is a batched ``@``, any
-other a plain einsum with a batch index, and the step that closes a
-connected component sums in int64.  The steps and their costs depend only
-on H and n, so they are planned once per motif, before any array is
-formed.
+adjacency entries on H's edges.  It runs the same plan over a stack of
+dense adjacency matrices, one per graph: a step on two matrices is a
+batched ``@``, any other a plain einsum with a batch index, and the step
+that closes a connected component sums in int64.  The steps and their
+costs depend only on H and n, so they are planned once per motif, before
+any array is formed.
 
 Every value is a count, so float arithmetic is exact while every partial
 sum stays an integer a float holds exactly.  A factor summed over s motif
@@ -40,8 +51,11 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bitrows import row_words, unpack_words
-from .bounds import _plan
+from .errors import TooManyTerms
 from .motif import Edge, Motif, compute_stats
+
+#: Terms that one step of mu's contraction may sum.
+_MAX_TERMS = 10**8
 
 #: Bytes that the dense arrays of one sub-batch may take, the graphs'
 #: matrices and every live elimination factor together.  The CI steps at
@@ -76,6 +90,65 @@ _RELABELLINGS = 720
 _RELABEL_NS = 250.0
 
 _MATMUL, _EINSUM, _TOTAL = range(3)
+
+
+def _plan(
+    vertex_count: int, edges: tuple[Edge, ...]
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The steps of a vertex elimination over the graph's vertices, each
+    the vertex it sums out, the positions of the live factors it takes and
+    the sorted indices of the factor it leaves.
+
+    The live factors start as one matrix per edge, in edge order.  Each
+    step sums out the remaining vertex whose factors span the fewest
+    indices (ties to the lower vertex) and takes every factor that holds
+    it.  That leaves one factor on the rest of their span, appended to the
+    live ones, or a scalar where that rest is empty, which is not live.
+    The order and the spans depend only on the graph, so a caller can check
+    what each step costs before any contraction runs.
+    """
+    scopes = [frozenset(e) for e in edges]
+    steps = []
+    for _ in range(vertex_count):
+        spans = {
+            u: frozenset().union(*(s for s in scopes if u in s))
+            for u in frozenset().union(*scopes)
+        }
+        u = min(spans, key=lambda w: (len(spans[w]), w))
+        rest = spans[u] - {u}
+        took = tuple(i for i, s in enumerate(scopes) if u in s)
+        steps.append((u, took, tuple(sorted(rest))))
+        scopes = [s for s in scopes if u not in s] + ([rest] if rest else [])
+    return tuple(steps)
+
+
+def _contract(
+    weights: np.ndarray, mat: np.ndarray, vertex_count: int, edges: tuple[Edge, ...]
+) -> float:
+    """Sum over all class tuples c of
+    prod_u weights[c_u] * prod_{(u,w) in edges} mat[c_u, c_w], by the steps
+    of :func:`_plan`: each one einsum of the vertex's weights and the
+    factors it takes, and each step's q^span summed terms checked against
+    the budget, or TooManyTerms raised, before any runs.  One scalar is
+    left per connected component; they multiply in step order."""
+    q = len(weights)
+    steps = _plan(vertex_count, edges)
+    for _, _, out in steps:
+        if q ** (len(out) + 1) > _MAX_TERMS:
+            raise TooManyTerms(
+                f"a contraction step sums {q}^{len(out) + 1} terms, over the "
+                f"{_MAX_TERMS} budget"
+            )
+    factors, scalars = [(mat, e) for e in edges], []
+    for u, took, out in steps:
+        operands = [weights, (u,), *(x for i in took for x in factors[i])]
+        factors = [f for i, f in enumerate(factors) if i not in took]
+        value = np.einsum(*operands, out)
+        if out:
+            factors.append((value, out))
+        else:
+            scalars.append(float(value))
+    return math.prod(scalars)
 
 
 class _Step(NamedTuple):
@@ -135,19 +208,17 @@ def _partitions(m: Motif) -> Iterator[tuple[int, ...]]:
 
 def _schedule(coef: int, k: int, edges: tuple[Edge, ...]) -> _Quotient:
     """The planned steps of hom(H, G) for the quotient H on ``k`` vertices,
-    following the order of :func:`~motif_poisson.bounds._plan`.  Each
-    factor is tracked by its indices and the exponent e of its bound n^e:
-    the graph's matrices have e = 0, and a step's output sums one vertex
-    more than all its inputs together."""
+    following :func:`_plan`.  Each factor is tracked by its indices and the
+    exponent e of its bound n^e: the graph's matrices have e = 0, and a
+    step's output sums one vertex more than all its inputs together."""
     factors: list[tuple[tuple[int, ...], int]] = [(e, 0) for e in edges]
     steps, cost, live, bound = [], [], [], 0
-    for u, out in _plan(k, edges):
-        took = [i for i, (idx, _) in enumerate(factors) if u in idx]
+    for u, took, out in _plan(k, edges):
         exp = 1 + sum(factors[i][1] for i in took)
         held = [len(idx) for idx, e in factors if e]
         # a vector held by a step is over its vertex: it scales the step's
         # first larger factor, unless the step takes nothing larger
-        used = tuple(i for i in took if len(factors[i][0]) > 1) or tuple(took)
+        used = tuple(i for i in took if len(factors[i][0]) > 1) or took
         scale = tuple(i for i in took if i not in used)
         taken = [factors[i] for i in used]
         idxs = [idx for idx, _ in taken]

@@ -275,6 +275,7 @@ class SampledGraph:
         return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = integer(u, "vertex"), integer(v, "vertex")
         for x in (u, v):
             if not 0 <= x < self.n:
                 raise InvalidParams(f"vertex {x} is outside 0..{self.n - 1}")
@@ -309,7 +310,8 @@ def graph_from_edge_text(text: str, n: int | None = None) -> SampledGraph:
         raise InvalidParams(
             f"graph has more than 2^63 vertices; cap is {MAX_GRAPH_VERTICES}"
         ) from None
-    size = max(int(ends.max(initial=-1)) + 1, n or 0)
+    n = 0 if n is None else integer(n, "n")
+    size = max(int(ends.max(initial=-1)) + 1, n)
     if size <= 0:
         raise InvalidParams("graph has no vertices")
     check_graph_size(size)
@@ -526,6 +528,7 @@ class _Sampler:
     def sample(self, seeds: list[int]) -> Batch:
         """The batch of the graphs of ``seeds``, drawn and set as edges,
         its rows checked once and read-only."""
+        seeds = [integer(seed, "seed") for seed in seeds]
         if not all(0 <= seed <= _SEED_MASK for seed in seeds):
             raise InvalidParams("seed must be an unsigned 64-bit integer")
         n, graphs = self.n, len(seeds)

@@ -138,6 +138,7 @@ def builtin_motif(family: str, v: int) -> Motif:
         raise ValueError(
             f"unknown family {family!r}; expected one of {BUILTIN_FAMILIES}"
         )
+    v = integer(v, "motif size", InvalidMotifError)
     if v < 3:
         raise ValueError("builtin motifs require v >= 3")
     if v > MAX_VERTICES:
@@ -164,14 +165,18 @@ _SPEC_ALIASES = {
 
 
 def motif_from_string(spec: str) -> Motif:
-    """Parse a ``family:v`` builtin reference, e.g. ``"cycle:5"``."""
+    """Parse a ``family:v`` builtin reference, e.g. ``"cycle:5"``.  A size
+    other than ASCII digits raises InvalidMotifError, as ``int`` would also
+    read ``1_0`` and ``+5``."""
     name, _, size = spec.partition(":")
-    name = name.strip().lower()
+    name, size = name.strip().lower(), size.strip()
     if name not in _SPEC_ALIASES or not size:
         raise ValueError(
             f"bad motif spec {spec!r}; expected family:v with family in "
             f"{sorted(set(_SPEC_ALIASES))}"
         )
+    if not (size.isascii() and size.isdigit()):
+        raise InvalidMotifError(f"motif size must be ASCII digits, got {size!r}")
     return builtin_motif(_SPEC_ALIASES[name], int(size))
 
 

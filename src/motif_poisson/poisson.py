@@ -6,16 +6,16 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .errors import UnnormalizedHistogram
+from .errors import UnnormalizedHistogram, rate
 
 _HIST_TOL = 1e-9
 
 
 def poisson_pmf(lam: float, k: int) -> float:
     """P(X = k) for X ~ Poisson(lam), evaluated in log space so large
-    means and far-tail k stay finite."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    means and far-tail k stay finite.  ``lam`` must be finite and at
+    least 0, or InvalidParams is raised."""
+    rate(lam, "lam")
     if k < 0:
         raise ValueError("k must be >= 0")
     if lam == 0.0:
@@ -31,6 +31,7 @@ def tv_distance_empirical(hist: Mapping[int, float], lam: float) -> float:
     ``sum_k max(hist[k] - pmf(k), 0)``, and only the observed counts ``k``
     can contribute to that sum.
     """
+    rate(lam, "lam")
     total = math.fsum(hist.values())
     if abs(total - 1.0) > _HIST_TOL:
         raise UnnormalizedHistogram(f"frequencies sum to {total!r}, not 1")

@@ -29,7 +29,7 @@ from .bounds import (
     mu_sbm,
 )
 from . import counting, models
-from .errors import InvalidMotifError, InvalidParams, NotStrictlyBalanced, integer
+from .errors import InvalidMotifError, InvalidParams, NotStrictlyBalanced, integer, rate
 from .models import _SEED_MASK, GraphonSpec, SbmParams, check_graph_size, substream_seed
 from .motif import Motif, check_fits
 from .poisson import poisson_pmf, tv_distance_empirical
@@ -120,6 +120,7 @@ def tv_standard_error(
     evaluated there once and all resamples are scored in one array step by
     the positive-part sum of :func:`tv_distance_empirical`.
     """
+    rate(lam, "lam")
     if replicates < 2:
         return 0.0
     keys = sorted(histogram)

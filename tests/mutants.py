@@ -1,5 +1,5 @@
-"""Kernel mutants: small faults in the bit-level and sampling kernels that
-the tests they name must catch.
+"""Kernel mutants: small faults in the bit-level, sampling and
+elimination kernels that the tests they name must catch.
 
 Run as ``python tests/mutants.py``.  Each mutant is a file of
 ``src/motif_poisson``, an exact text that occurs there once, its
@@ -123,6 +123,34 @@ CAUGHT = (
         "(-1) ** (s - 1) * math.factorial(s - 1)",
         "(-1) ** s * math.factorial(s - 1)",
         ("tests/test_homs.py::test_products_keep_their_orientation",),
+    ),
+    Mutant(
+        "_plan appends the empty rest after each component",
+        "homs.py",
+        "+ ([rest] if rest else [])",
+        "+ [rest]",
+        ("tests/test_homs.py::test_inversion_sum_alone_refuses_two_triangles",),
+    ),
+    Mutant(
+        "_contract passes the weight vector after the taken factors",
+        "homs.py",
+        "operands = [weights, (u,), *(x for i in took for x in factors[i])]",
+        "operands = [*(x for i in took for x in factors[i]), weights, (u,)]",
+        ("tests/test_bounds.py::TestMuSbm::test_mu_bits_pinned",),
+    ),
+    Mutant(
+        "inversion sum refused only from 2^64",
+        "homs.py",
+        "for q in quotients) >= 2**63:",
+        "for q in quotients) >= 2**64:",
+        ("tests/test_homs.py::test_inversion_sum_alone_refuses_two_triangles",),
+    ),
+    Mutant(
+        "relabelling search refused at exactly its cap",
+        "homs.py",
+        "for c in classes) > _RELABELLINGS:",
+        "for c in classes) >= _RELABELLINGS:",
+        ("tests/test_homs.py::test_quotients_beyond_the_relabelling_cap_count_alike",),
     ),
 )
 

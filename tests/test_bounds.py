@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motif_poisson import (
     GraphonSpec,
@@ -29,11 +31,13 @@ from motif_poisson import (
     graphon_to_sbm,
     lambda_value,
     motif_from_edge_list,
+    motif_from_string,
     mu_graphon,
     mu_sbm,
     poisson_pmf,
     rate_exponent,
     tv_distance_empirical,
+    tv_standard_error,
 )
 from motif_poisson import bounds
 
@@ -50,6 +54,64 @@ def single_block(p: float) -> GraphonSpec:
     return GraphonSpec(
         family="piecewise_constant", breakpoints=(0.0, 1.0), values=((p,),)
     )
+
+
+PINNED_MODELS = {
+    "sbm2": SbmParams(2, (0.3, 0.7), ((0.5, 0.1), (0.1, 0.2))),
+    "sbm3": SbmParams(
+        3, (0.2, 0.3, 0.5), ((0.9, 0.5, 0.2), (0.5, 0.7, 0.3), (0.2, 0.3, 0.4))
+    ),
+    "product": GraphonSpec("product", 0.8),
+    "affine_mean": GraphonSpec("affine_mean", 0.3),
+    "piecewise": GraphonSpec(
+        "piecewise_constant",
+        breakpoints=(0.0, 0.5, 1.0),
+        values=((0.02, 0.005), (0.005, 0.02)),
+    ),
+}
+#: ``float.hex`` of mu_sbm or mu_graphon of each model and builtin motif
+PINNED_MU = {
+    "sbm2": {
+        "tree_path:4": "0x1.af4adbc664d3ap-8",
+        "cycle:5": "0x1.1525e14dfeb49p-12",
+        "almost_complete:6": "0x1.8281a140b3fbbp-25",
+        "complete:7": "0x1.cb212d05690f7p-34",
+        "cycle:10": "0x1.1753c95c99faep-24",
+        "complete:10": "0x1.8c469f1d8675cp-63",
+    },
+    "sbm3": {
+        "tree_path:4": "0x1.fc95e83431600p-5",
+        "cycle:5": "0x1.587d1dc5b541dp-7",
+        "almost_complete:6": "0x1.95b99b31f33eap-15",
+        "complete:7": "0x1.3d8c0fd164031p-19",
+        "cycle:10": "0x1.cc74f58995e98p-14",
+        "complete:10": "0x1.0a63459db8bb0p-30",
+    },
+    "product": {
+        "tree_path:4": "0x1.d208a5a912e31p-7",
+        "cycle:5": "0x1.617ec8bff60dbp-10",
+        "almost_complete:6": "0x1.6c6150309e82ep-20",
+        "complete:7": "0x1.80d0ef7ade8b3p-27",
+        "cycle:10": "0x1.e81ee46b9ef47p-20",
+        "complete:10": "0x1.39dae6f76d883p-48",
+    },
+    "affine_mean": {
+        "tree_path:4": "0x1.020c49ba5e354p-8",
+        "cycle:5": "0x1.ce4649906cca2p-14",
+        "almost_complete:6": "0x1.d3087efc56fb2p-35",
+        "complete:7": "0x1.16518bac4e90ep-50",
+        "cycle:10": "0x1.a1614ac6ee538p-27",
+        "complete:10": "0x1.da403cb1c7a0ap-103",
+    },
+    "piecewise": {
+        "tree_path:4": "0x1.0624dd2f1a9fcp-19",
+        "cycle:5": "0x1.69a2e109fe584p-32",
+        "almost_complete:6": "0x1.00addb770c1d9p-84",
+        "complete:7": "0x1.656dfa3b3133fp-125",
+        "cycle:10": "0x1.ba76c7806f724p-64",
+        "complete:10": "0x1.04c0245182773p-263",
+    },
+}
 
 
 class TestMuSbm:
@@ -92,6 +154,17 @@ class TestMuSbm:
         for _ in range(2):
             with pytest.raises(TooManyTerms):
                 mu_sbm(params, m)
+
+    @pytest.mark.parametrize("model", sorted(PINNED_MU))
+    def test_mu_bits_pinned(self, model):
+        # the elimination's einsum calls and the order in which its
+        # components' scalars multiply fix every bit of mu
+        f = mu_sbm if isinstance(PINNED_MODELS[model], SbmParams) else mu_graphon
+        got = {
+            spec: f(PINNED_MODELS[model], motif_from_string(spec)).hex()
+            for spec in PINNED_MU[model]
+        }
+        assert got == PINNED_MU[model]
 
     @staticmethod
     def _random_sbm(rng, q: int) -> SbmParams:
@@ -249,6 +322,20 @@ class TestBoundSbm:
             report = bound_sbm(erdos_renyi(p), K3, 80)
             assert report.prefactor <= min(1.0, report.lam) + 1e-15
             assert report.prefactor <= 1.0
+            assert report.prefactor_used == "1-exp(-lambda)"
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.floats(min_value=0.0, max_value=1e300) | st.just(math.inf))
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1e-16)
+    @example(1.0)
+    @example(745.2)
+    @example(1e300)
+    def test_one_minus_exp_is_the_smaller_prefactor(self, lam):
+        # 1 - e^-lam <= min(1, lam) for every lam >= 0, in floats too, so
+        # the bound takes 1 - e^-lam alone
+        assert -math.expm1(-lam) <= min(1.0, lam)
 
     def test_report_reassembles_from_own_terms(self, rng):
         # bound = prefactor * rho * factor * (pair + same + sum of overlaps)
@@ -555,6 +642,19 @@ class TestPoissonUtilities:
     def test_normalisation(self):
         total = math.fsum(poisson_pmf(5.0, k) for k in range(201))
         assert abs(total - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_rate_must_be_finite_and_not_negative(self, lam):
+        # NaN passed a lam < 0 check, and NaN or inf gave NaN back
+        hist = {0: 0.5, 1: 0.5}
+        for call in (
+            lambda: poisson_pmf(lam, 1),
+            lambda: tv_distance_empirical(hist, lam),
+            lambda: tv_standard_error(hist, 100, lam, seed=7),
+            lambda: tv_standard_error(hist, 1, lam, seed=7),
+        ):
+            with pytest.raises(InvalidParams, match="must be finite and >= 0"):
+                call()
 
 
 class TestTvDistance:

@@ -2,10 +2,13 @@
 elimination against the search and the oracle, its byte budget, and the
 path the planned costs choose."""
 
+import ast
 import itertools
 import math
 import time
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +87,67 @@ def test_isomorphic_quotients_are_merged():
     # (one pair merged) and five triangles (two pairs merged)
     quotients = homs._quotients(motif_from_string("cycle:5"))
     assert [(q.vertex_count, q.coef) for q in quotients] == [(5, 1), (4, -5), (3, 5)]
+
+
+def test_quotients_beyond_the_relabelling_cap_count_alike(monkeypatch):
+    # one quotient of the 8-vertex path has more degree-class relabellings
+    # than _canonical tries, so it is kept by its own sorted edges, unmerged;
+    # the counts are the search's all the same
+    m = motif_from_string("tree_path:8")
+    calls = {"canonical": 0, "product": 0}
+    canonical, product = homs._canonical, itertools.product
+
+    def counted(name, f):
+        def spy(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return spy
+
+    spied = types.SimpleNamespace(**vars(itertools))
+    spied.product = counted("product", product)
+    monkeypatch.setattr(homs, "itertools", spied)
+    monkeypatch.setattr(homs, "_canonical", counted("canonical", canonical))
+    monkeypatch.setattr(homs, "_listed_quotients", {})
+    homs._run.cache_clear()
+    try:
+        batch = [sample_sbm(erdos_renyi(0.6), 11, seed=s) for s in range(3)]
+        search, hom = both_paths(batch, m)
+    finally:
+        homs._run.cache_clear()
+    # every relabelling search but one ran
+    assert calls["canonical"] - calls["product"] == 1
+    assert search == hom and min(search) > 0
+
+
+def test_inversion_sum_alone_refuses_two_triangles():
+    # at n = 1500 the floats hold every factor (n^4 <= 2^53) and no factor
+    # spans more than two indices, so the dense arrays of a graph take
+    # 2.25 times those at n = 1000, where three graphs fit the budget; but
+    # the motif's own term, n^6, passes 2^63
+    m = motif_from_edge_list([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    run = homs._run(m, 1000)
+    assert run is not None and run.dtype is np.float64 and run.graphs >= 3
+    quotients = run.quotients
+    assert 1500 ** max(q.bound for q in quotients) <= 2**53
+    assert max(d for q in quotients for held in q.live for d in held) <= 2
+    assert sum(abs(q.coef) * 1000**q.vertex_count for q in quotients) < 2**63
+    assert sum(abs(q.coef) * 1500**q.vertex_count for q in quotients) >= 2**63
+    assert homs._run(m, 1500) is None
+
+
+def test_homs_imports_no_model_bound_or_counting_module():
+    # the elimination serves mu and the counter alike, so it depends on
+    # neither, nor on what samples or runs them
+    tree = ast.parse(Path(homs.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {"." * node.level + (node.module or a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    for name in ("bounds", "models", "counting", "simulate"):
+        assert not {f".{name}", f"motif_poisson.{name}"} & imported, name
 
 
 def stack(graphs) -> np.ndarray:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from motif_poisson import (
     MAX_GRAPH_VERTICES,
     GraphonSpec,
+    InvalidMotifError,
     InvalidParams,
     MotifPoissonError,
     NuTable,
@@ -24,13 +25,17 @@ from motif_poisson import (
     bound_nu,
     bound_sbm,
     bound_scaled,
+    builtin_motif,
+    copy_indicators,
     erdos_renyi,
+    graph_from_edge_text,
     lambda_value,
     motif_from_string,
     sample_graphon,
     sample_sbm,
 )
 from motif_poisson.cli import main
+from motif_poisson.models import sample_batches
 
 HUGE = [10**k for k in (19, 120, 154, 155, 200, 308, 309, 310, 400)]
 #: Graph sizes that are refused before anything is sampled.
@@ -334,6 +339,7 @@ def test_from_dict_inverts_to_dict(x):
 
 
 K3 = motif_from_string("complete:3")
+G10 = sample_sbm(erdos_renyi(0.5), 10, 1)
 #: Each integer argument of a library entry point, as the call with ``x``
 #: in its place, and a valid value of it.
 INTEGER_ARGUMENTS = {
@@ -354,6 +360,14 @@ INTEGER_ARGUMENTS = {
         lambda x: bound_nu(K3, 100, x, 1e-6, NuTable.from_power(0.01, K3)).to_dict(),
         2,
     ),
+    "graph_from_edge_text n": (lambda x: graph_from_edge_text("0 1\n", x), 5),
+    "has_edge u": (lambda x: G10.has_edge(x, 1), 0),
+    "has_edge v": (lambda x: G10.has_edge(0, x), 1),
+    "copy_indicators vertex": (lambda x: copy_indicators(G10, K3, (0, 1, x)), 2),
+    "sample_batches seed": (
+        lambda x: next(sample_batches(erdos_renyi(0.3), 20, [x])).rows.tobytes(),
+        1,
+    ),
 }
 
 
@@ -365,6 +379,26 @@ def test_integer_arguments_refuse_other_types(name, how):
     bad = {"half": good + 0.5, "float": float(good), "bool": True, "str": str(good)}
     with pytest.raises(InvalidParams, match="must be an integer"):
         call(bad[how])
+
+
+@pytest.mark.parametrize("how", ["half", "float", "bool", "str"])
+def test_motif_size_refuses_other_types(how):
+    # a motif size is refused as Motif refuses a vertex count
+    bad = {"half": 3.5, "float": 3.0, "bool": True, "str": "3"}[how]
+    with pytest.raises(InvalidMotifError, match="must be an integer"):
+        builtin_motif("cycle", bad)
+
+
+@pytest.mark.parametrize("size", ["1_0", "+5", "5.0", "0x5", "\u0665", "-4"])
+def test_motif_spec_size_is_ascii_digits(size):
+    # int() would read 1_0 as 10, +5 as 5 and an Arabic-Indic five as 5
+    with pytest.raises(InvalidMotifError, match="ASCII digits"):
+        motif_from_string(f"cycle:{size}")
+
+
+def test_copy_position_needs_distinct_vertices():
+    with pytest.raises(InvalidParams, match="distinct"):
+        copy_indicators(G10, K3, (0, 0, 1))
 
 
 @pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
