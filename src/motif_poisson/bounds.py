@@ -110,8 +110,8 @@ class BoundReport:
     ``bound`` equals ``prefactor * rho * dependence_factor *
     (pair_term + same_position_term + sum of overlap_terms)`` exactly as
     assembled.  The prefactor is always ``1 - exp(-lambda)``, never more
-    than the other valid one, ``min(1, lambda)``; ``prefactor_used`` names
-    it.  ``mu`` is evaluated on the elimination plan of
+    than the other valid one, ``min(1, lambda)``; ``to_dict`` names it as
+    ``prefactor_used``.  ``mu`` is evaluated on the elimination plan of
     :func:`~motif_poisson.homs._plan`.
     """
 
@@ -119,7 +119,6 @@ class BoundReport:
     mu: float
     lam: float
     prefactor: float
-    prefactor_used: str
     rho: int
     dependence_factor: float
     pair_term: float
@@ -138,7 +137,7 @@ class BoundReport:
             "mu": self.mu,
             "lambda": self.lam,
             "prefactor": self.prefactor,
-            "prefactor_used": self.prefactor_used,
+            "prefactor_used": "1-exp(-lambda)",
             "rho": self.rho,
             "dependence_factor": self.dependence_factor,
             "per_term": {
@@ -190,7 +189,6 @@ def _assemble(
         mu=mu,
         lam=lam,
         prefactor=prefactor,
-        prefactor_used="1-exp(-lambda)",
         rho=rho,
         dependence_factor=gf,
         pair_term=pair,

@@ -768,7 +768,7 @@ def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
 def _sampled(model: SbmParams | GraphonSpec, n: int, seed: int) -> SampledGraph:
     """The graph of ``seed``, a batch of one, its read-only rows and their
     listed words kept as the sampler checked them."""
-    (batch,) = sample_batches(model, n, [integer(seed, "seed")])
+    (batch,) = sample_batches(model, n, [seed])
     graph = object.__new__(SampledGraph)
     object.__setattr__(graph, "n", batch.n)
     object.__setattr__(graph, "adjacency", batch.rows)

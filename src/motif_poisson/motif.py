@@ -166,17 +166,15 @@ _SPEC_ALIASES = {
 
 def motif_from_string(spec: str) -> Motif:
     """Parse a ``family:v`` builtin reference, e.g. ``"cycle:5"``.  A size
-    other than ASCII digits raises InvalidMotifError, as ``int`` would also
-    read ``1_0`` and ``+5``."""
+    other than ASCII digits is a bad spec, as ``int`` would also read
+    ``1_0`` and ``+5``."""
     name, _, size = spec.partition(":")
     name, size = name.strip().lower(), size.strip()
-    if name not in _SPEC_ALIASES or not size:
+    if name not in _SPEC_ALIASES or not (size.isascii() and size.isdigit()):
         raise ValueError(
             f"bad motif spec {spec!r}; expected family:v with family in "
-            f"{sorted(set(_SPEC_ALIASES))}"
+            f"{sorted(set(_SPEC_ALIASES))} and v in ASCII digits"
         )
-    if not (size.isascii() and size.isdigit()):
-        raise InvalidMotifError(f"motif size must be ASCII digits, got {size!r}")
     return builtin_motif(_SPEC_ALIASES[name], int(size))
 
 

@@ -322,7 +322,7 @@ class TestBoundSbm:
             report = bound_sbm(erdos_renyi(p), K3, 80)
             assert report.prefactor <= min(1.0, report.lam) + 1e-15
             assert report.prefactor <= 1.0
-            assert report.prefactor_used == "1-exp(-lambda)"
+            assert report.to_dict()["prefactor_used"] == "1-exp(-lambda)"
 
     @settings(derandomize=True, max_examples=300)
     @given(st.floats(min_value=0.0, max_value=1e300) | st.just(math.inf))
