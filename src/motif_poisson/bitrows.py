@@ -4,8 +4,11 @@ A graph on n vertices is n rows of w = ⌈n/64⌉ uint64 words, bit v % 64 of
 word v // 64 of row u set when {u, v} is an edge; graphs of one size are
 stacked n rows a graph.  This module holds the kernels of that one format,
 its one word budget and its row check (:func:`check_rows`), and no model or
-motif types.  A :class:`Batch` carries stacked rows with the nonzero words
-that the check's one scan listed, so the counter does not scan them again.
+motif types.  Every listing of set bits or nonzero words goes through one
+kernel, :func:`_ones`, which unpacks only the nonzero bytes of what it
+lists (or all of them, where more than half are nonzero).  A
+:class:`Batch` carries stacked rows with the nonzero words that the
+check's one scan listed, so the counter does not scan them again.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ BIT64 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 #: The word with bits b+1..63 set, at index b.
 HIGH = np.array([(1 << 64) - (2 << b) for b in range(64)], dtype=np.uint64)
 ONES = ~np.uint64(0)
-#: Nonzero words unpacked at once when set bits are listed: keeps each
-#: index array to 0.5 MiB however dense the rows, a batch of many small
-#: graphs included.
-_SCAN_WORDS = 1 << 10
+#: Set bits listed at once by :func:`set_bits`: keeps each index array to
+#: 0.5 MiB however dense the rows, a batch of many small graphs included.
+_LISTED_BITS = 1 << 16
+#: Bytes with more than this share nonzero are unpacked whole when their
+#: set bits are listed: listing the nonzero bytes first would cost more
+#: than it saves.
+_DENSE_BYTES = 0.5
 #: The shifts j = 32, 16, ..., 1 of the six delta swaps that transpose a
 #: 64 x 64 bit block, each with the mask of the bits c with c & j == 0.
 _SWAPS = tuple(
@@ -90,18 +96,48 @@ def words_of(octets: np.ndarray) -> np.ndarray:
     return octets.view("<u8").astype(np.uint64, copy=False)
 
 
+def _octets(words: np.ndarray) -> np.ndarray:
+    """The bytes of uint64 words along the last axis, little endian: byte k
+    of word i, at index 8 * i + k, holds its bits 8k to 8k + 7."""
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Bytes of 0/1 values along the last axis, zero-padded to a multiple
+    of 8: value b of each run of 8 becomes bit b."""
+    return np.packbits(bits, axis=-1, bitorder="little")
+
+
+def _unpack(octets: np.ndarray) -> np.ndarray:
+    """The bits of bytes along the last axis as 0/1 uint8 values, bit b of
+    byte i at index 8 * i + b: the inverse of :func:`_pack`."""
+    return np.unpackbits(octets, axis=-1, bitorder="little")
+
+
 def pack_words(bits: np.ndarray) -> np.ndarray:
     """uint64 words of 0/1 values along the last axis, whose length must be
     a multiple of 64: value b of each run of 64 becomes bit b."""
-    return words_of(np.packbits(bits, axis=-1, bitorder="little"))
+    return words_of(_pack(bits))
 
 
 def unpack_words(words: np.ndarray) -> np.ndarray:
     """The bits of uint64 words along the last axis as 0/1 uint8 values,
     64 a word, bit b of word i at index 64 * i + b: the inverse of
     :func:`pack_words`."""
-    octets = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(octets, axis=-1, bitorder="little")
+    return _unpack(_octets(words))
+
+
+def _ones(octets: np.ndarray) -> np.ndarray:
+    """Positions 8 * i + b of the set bits b of the bytes ``octets[i]``,
+    ascending, from the unpacked bits of its nonzero bytes alone, or of all
+    of them where more than ``_DENSE_BYTES`` are nonzero."""
+    # int(): a NumPy int compared with a float costs about a microsecond,
+    # a fifth of listing a few words
+    if int(np.count_nonzero(octets)) > _DENSE_BYTES * octets.size:
+        return np.flatnonzero(_unpack(octets).view(bool))
+    byte = np.flatnonzero(octets != 0)
+    bit = np.flatnonzero(_unpack(octets[byte]).view(bool))
+    return byte[bit >> 3] * 8 + (bit & 7)
 
 
 @lru_cache(maxsize=4)
@@ -119,27 +155,41 @@ def above(w: int) -> np.ndarray:
 def bit_positions(words: np.ndarray) -> np.ndarray:
     """Flat positions 64 * i + b of the set bits b of ``words.ravel()[i]``,
     ascending."""
-    return np.flatnonzero(unpack_words(words).view(bool))
+    return _ones(_octets(words.ravel()))
+
+
+def word_positions(words: np.ndarray) -> np.ndarray:
+    """Flat positions i of the nonzero words ``words.ravel()[i]``,
+    ascending, listed from one flag a word packed into bits."""
+    return _ones(_pack(words.ravel() != 0))
 
 
 def set_bits(flat: np.ndarray, nonzero: np.ndarray) -> Iterator[np.ndarray]:
     """Flat positions 64 * i + b of the set bits b of ``flat[i]``,
-    ascending, in blocks of at most ``_SCAN_WORDS`` of its nonzero words,
-    whose ascending positions are ``nonzero``."""
-    for lo in range(0, len(nonzero), _SCAN_WORDS):
-        word = nonzero[lo : lo + _SCAN_WORDS]
-        bit = bit_positions(flat[word])
-        yield word[bit >> 6] * 64 + (bit & 63)
+    ascending, in blocks of at most ``_LISTED_BITS`` of them, from its
+    nonzero words, whose ascending positions are ``nonzero``."""
+    # every word listed holds a set bit, so no block spans more words
+    for lo in range(0, len(nonzero), _LISTED_BITS):
+        word = nonzero[lo : lo + _LISTED_BITS]
+        words = flat[word]
+        ones = np.bitwise_count(words).cumsum()
+        start = 0
+        while start < len(word):
+            done = int(ones[start - 1]) if start else 0
+            end = int(ones.searchsorted(done + _LISTED_BITS, "right"))
+            bit = bit_positions(words[start:end])
+            yield word[start:end][bit >> 6] * 64 + (bit & 63)
+            start = end
 
 
 def nonzero_words(rows: np.ndarray) -> np.ndarray | None:
     """The ascending flat positions of the nonzero words of ``rows`` if at
     most ``SPARSE_SHARE`` of its words are nonzero, or else None."""
-    # flags of an eighth of the rows' bytes, listed faster than words
     nonzero = rows.ravel() != 0
     if np.count_nonzero(nonzero) > SPARSE_SHARE * nonzero.size:
         return None
-    return np.flatnonzero(nonzero)
+    # packed eight flags a byte, so the listing scans an eighth as many
+    return _ones(_pack(nonzero))
 
 
 def _transpose_blocks(blocks: np.ndarray) -> None:
@@ -247,7 +297,7 @@ def check_rows(rows: np.ndarray, n: int) -> np.ndarray | None:
         if start is None:
             return None
         start *= w
-        listed = start + np.flatnonzero(flat[start:] != 0)
+        listed = start + word_positions(flat[start:])
     width = 64 * w
     for at in set_bits(flat, listed):
         u = at // width

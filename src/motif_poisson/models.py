@@ -288,7 +288,7 @@ class SampledGraph:
     def edges(self) -> Iterator[tuple[int, int]]:
         width = 64 * self.adjacency.shape[1]
         flat = self.adjacency.ravel()
-        for at in set_bits(flat, np.flatnonzero(flat != 0)):
+        for at in set_bits(flat, bitrows.word_positions(flat)):
             u, v = np.divmod(at, width)
             upper = u < v
             yield from zip(u[upper].tolist(), v[upper].tolist())

@@ -167,7 +167,10 @@ _SPEC_ALIASES = {
 def motif_from_string(spec: str) -> Motif:
     """Parse a ``family:v`` builtin reference, e.g. ``"cycle:5"``.  A size
     other than ASCII digits is a bad spec, as ``int`` would also read
-    ``1_0`` and ``+5``."""
+    ``1_0`` and ``+5``.  A spec that is not a string raises
+    InvalidMotifError."""
+    if not isinstance(spec, str):
+        raise InvalidMotifError(f"motif spec must be a string, got {type(spec).__name__}")
     name, _, size = spec.partition(":")
     name, size = name.strip().lower(), size.strip()
     if name not in _SPEC_ALIASES or not (size.isascii() and size.isdigit()):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .errors import UnnormalizedHistogram, rate
+from .errors import UnnormalizedHistogram, integer, rate
 
 _HIST_TOL = 1e-9
 
@@ -14,8 +14,9 @@ _HIST_TOL = 1e-9
 def poisson_pmf(lam: float, k: int) -> float:
     """P(X = k) for X ~ Poisson(lam), evaluated in log space so large
     means and far-tail k stay finite.  ``lam`` must be finite and at
-    least 0, or InvalidParams is raised."""
+    least 0, and ``k`` an integer, or InvalidParams is raised."""
     rate(lam, "lam")
+    k = integer(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     if lam == 0.0:

@@ -121,6 +121,7 @@ def tv_standard_error(
     the positive-part sum of :func:`tv_distance_empirical`.
     """
     rate(lam, "lam")
+    replicates, seed = integer(replicates, "replicates"), integer(seed, "seed")
     if replicates < 2:
         return 0.0
     keys = sorted(histogram)

@@ -118,6 +118,27 @@ CAUGHT = (
         ("tests/test_homs.py::test_counts_exact_on_both_sides_of_the_float32_bound",),
     ),
     Mutant(
+        "listed bytes read as 7 bits apart",
+        "bitrows.py",
+        "return byte[bit >> 3] * 8 + (bit & 7)",
+        "return byte[bit >> 3] * 7 + (bit & 7)",
+        ("tests/test_bitrows.py::test_listings_match_full_unpacking",),
+    ),
+    Mutant(
+        "bytes holding bit 0 alone left out of the listing",
+        "bitrows.py",
+        "byte = np.flatnonzero(octets != 0)",
+        "byte = np.flatnonzero(octets > 1)",
+        ("tests/test_bitrows.py::test_listings_match_full_unpacking",),
+    ),
+    Mutant(
+        "set bits listed twice the budget at once",
+        "bitrows.py",
+        'end = int(ones.searchsorted(done + _LISTED_BITS, "right"))',
+        'end = int(ones.searchsorted(done + 2 * _LISTED_BITS, "right"))',
+        ("tests/test_bitrows.py::test_listings_match_full_unpacking",),
+    ),
+    Mutant(
         "Möbius coefficient with its sign flipped",
         "homs.py",
         "(-1) ** (s - 1) * math.factorial(s - 1)",

@@ -31,8 +31,10 @@ from motif_poisson import (
     graph_from_edge_text,
     lambda_value,
     motif_from_string,
+    poisson_pmf,
     sample_graphon,
     sample_sbm,
+    tv_standard_error,
 )
 from motif_poisson.cli import main
 from motif_poisson.models import sample_batches
@@ -368,6 +370,15 @@ INTEGER_ARGUMENTS = {
         lambda x: next(sample_batches(erdos_renyi(0.3), 20, [x])).rows.tobytes(),
         1,
     ),
+    "tv_standard_error replicates": (
+        lambda x: tv_standard_error({0: 0.5, 1: 0.5}, x, 1.0, 7),
+        10,
+    ),
+    "tv_standard_error seed": (
+        lambda x: tv_standard_error({0: 0.5, 1: 0.5}, 10, 1.0, x),
+        7,
+    ),
+    "poisson_pmf k": (lambda x: poisson_pmf(1.0, x), 2),
 }
 
 
@@ -395,6 +406,12 @@ def test_motif_spec_size_is_ascii_digits(size):
     with pytest.raises(ValueError, match="ASCII digits") as caught:
         motif_from_string(f"cycle:{size}")
     assert type(caught.value) is ValueError
+
+
+@pytest.mark.parametrize("spec", [5, None, b"cycle:5", ("cycle", 5)])
+def test_motif_spec_must_be_a_string(spec):
+    with pytest.raises(InvalidMotifError, match="must be a string"):
+        motif_from_string(spec)
 
 
 def test_copy_position_needs_distinct_vertices():

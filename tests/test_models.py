@@ -1095,15 +1095,20 @@ class TestSampledGraph:
                 SampledGraph(n, rows(0, 0, 0))
 
     def test_checks_reach_every_word(self):
-        # 7 words a row, and more nonzero words than one scan block
+        # 7 words a row, and more set bits than two listing blocks: the
+        # listing reads them in three, from row 0 whether it checks the
+        # whole graph or names a fault the transposes found in its one band
         n = 400
         g = sample_sbm(erdos_renyi(0.9), n, seed=2)
-        assert np.count_nonzero(g.adjacency) > bitrows._SCAN_WORDS
-        for u, v in ((0, 399), (399, 0), (398, 64)):
-            bad = g.adjacency.copy()
-            bad[u, v >> 6] ^= np.uint64(1 << (v & 63))
-            with pytest.raises(InvalidParams, match="not symmetric"):
-                SampledGraph(n, bad)
+        assert np.bitwise_count(g.adjacency).sum() > 2 * bitrows._LISTED_BITS
+        for check in ("listing", "transposes"):
+            with checked_by(check):
+                assert SampledGraph(n, g.adjacency.copy()) == g
+                for u, v in ((0, 399), (399, 0), (398, 64)):
+                    bad = g.adjacency.copy()
+                    bad[u, v >> 6] ^= np.uint64(1 << (v & 63))
+                    with pytest.raises(InvalidParams, match="not symmetric"):
+                        SampledGraph(n, bad)
         loop = g.adjacency.copy()
         loop[399, 6] |= np.uint64(1 << 15)
         with pytest.raises(InvalidParams, match="self-loop at 399"):
