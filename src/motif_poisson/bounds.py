@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .homs import _contract
 from .models import GraphonSpec, SbmParams, graphon_to_sbm, h_star
-from .motif import Motif, MotifStats, check_fits, compute_stats
+from .motif import Motif, MotifStats, check_fits, compute_stats, motif_arg
 
 
 def _binom_float(n: int, k: int) -> float:
@@ -70,10 +71,12 @@ def _require_strictly_balanced(m: Motif) -> MotifStats:
 def mu_sbm(params: SbmParams, m: Motif) -> float:
     """Occurrence probability of one fixed copy of the motif under the
     block model: the exact average of the edge-probability product over all
-    class assignments of the motif's vertices."""
+    class assignments of the motif's vertices, at most 1 (proportions may
+    sum to 1 + 1e-12, and lift it above 1 where every probability is 1)."""
+    m = motif_arg(m)
     weights = np.asarray(params.proportions)
     mat = np.asarray(params.edge_probs)
-    return _contract(weights, mat, m.vertex_count, m.edges)
+    return min(1.0, _contract(weights, mat, m.vertex_count, m.edges))
 
 
 def mu_graphon(spec: GraphonSpec, m: Motif) -> float:
@@ -84,18 +87,29 @@ def mu_graphon(spec: GraphonSpec, m: Motif) -> float:
     integrand has degree deg(u) in x_u, and Gauss-Legendre quadrature with
     ceil((max degree + 1) / 2) nodes on [0, 1] integrates it exactly.
     """
+    m = motif_arg(m)
     if spec.family == "piecewise_constant":
         return mu_sbm(graphon_to_sbm(spec), m)
-    nodes, weights = np.polynomial.legendre.leggauss((max(m.degrees) + 2) // 2)
-    x = (nodes + 1.0) / 2.0
+    x, weights = _legendre((max(m.degrees) + 2) // 2)
     mat = spec.evaluate(x[:, None], x[None, :])
-    return _contract(weights / 2.0, mat, m.vertex_count, m.edges)
+    return _contract(weights, mat, m.vertex_count, m.edges)
+
+
+@lru_cache(maxsize=None)
+def _legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` Gauss-Legendre nodes on [0, 1] and their weights, both
+    read-only, as every later call gets them."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    x, w = (nodes + 1.0) / 2.0, weights / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def lambda_value(m: Motif, n: int, mu: float) -> float:
     """Expected copy count: positions times copies per position times the
-    single-copy occurrence probability."""
+    single-copy occurrence probability ``mu``, which must lie in [0, 1]."""
     n = integer(n, "n")
+    mu = probability(mu, "mu")
     check_fits(m, n)
     return _binom_float(n, m.vertex_count) * compute_stats(m).rho * mu
 

@@ -236,8 +236,9 @@ def _search(rows, n, masks, words, steps, cap, total, gid, img) -> None:
     """Add to ``total`` the copies that extend the frontier rows
     ``(gid, img)``, which fill the first k positions: at the last position
     the popcounts of their candidate words; elsewhere the search on each
-    run of candidate words whose popcounts sum to at most ``cap`` (one word
-    at least), expanded into frontier rows of position k + 1."""
+    run of at most ``cap`` of their set bits, expanded into frontier rows
+    of position k + 1.  The bits are listed once per window of candidate
+    words, and the runs cut from the listing."""
     k = img.shape[1]
     parent, j, word = _candidates(rows, n, masks, words, steps[k], gid, img)
     if k == len(steps) - 1:
@@ -246,15 +247,18 @@ def _search(rows, n, masks, words, steps, cap, total, gid, img) -> None:
     size = np.bitwise_count(word).cumsum()
     lo = 0
     while lo < len(word):
+        # a window of words whose listed bits take at most one block's words
         done = int(size[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(size.searchsorted(done + cap, "right")))
-        bit = bit_positions(word[lo:hi])
-        src = lo + (bit >> 6)
-        up = parent[src]
-        child = np.empty((len(bit), k + 1), dtype=np.int64)
-        child[:, :k] = img[up]
-        child[:, k] = j[src] * 64 + (bit & 63)
-        _search(rows, n, masks, words, steps, cap, total, gid[up], child)
+        hi = max(lo + 1, int(size.searchsorted(done + bitrows.BLOCK_WORDS, "right")))
+        listed = bit_positions(word[lo:hi])
+        for at in range(0, len(listed), cap):
+            bit = listed[at : at + cap]
+            src = lo + (bit >> 6)
+            up = parent[src]
+            child = np.empty((len(bit), k + 1), dtype=np.int64)
+            child[:, :k] = img[up]
+            child[:, k] = j[src] * 64 + (bit & 63)
+            _search(rows, n, masks, words, steps, cap, total, gid[up], child)
         lo = hi
 
 

@@ -209,15 +209,33 @@ def motif_from_text(text: str) -> Motif:
     return motif_from_edge_list(parse_edge_lines(text))
 
 
+def motif_arg(m) -> Motif:
+    """``m`` if it is a :class:`Motif`, or else InvalidMotifError."""
+    if not isinstance(m, Motif):
+        raise InvalidMotifError(f"motif must be a Motif, got {type(m).__name__}")
+    return m
+
+
 def stabiliser_orbits(m: Motif) -> tuple[int, ...]:
     """The orbits of the stabiliser chain of ``m``, as vertex bitmasks.
 
     Entry ``k`` is the orbit of vertex ``k`` under the pointwise stabiliser
     of ``0..k-1``: the set of ``w`` for which some automorphism fixes
-    ``0..k-1`` and maps ``k`` to ``w``.  Each membership test is a
-    backtracking search for one such automorphism that keeps degrees, edges
-    and non-edges and stops at the first hit, so the cost grows with the
-    number of orbit candidates rather than the group order.
+    ``0..k-1`` and maps ``k`` to ``w``.  See :func:`_stabiliser_chain`."""
+    return _stabiliser_chain(motif_arg(m))[0]
+
+
+def _stabiliser_chain(m: Motif) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The stabiliser-chain orbits of ``m``, and the automorphisms found on
+    the way, in the order found, each as the images of ``0..v-1``.
+
+    The orbits are taken for k from v - 1 down to 0, so every automorphism
+    found so far fixes ``0..k-1``.  Orbit k is first closed under all of
+    them; then each ``w`` it has not reached is tested by a backtracking
+    search for an automorphism that fixes ``0..k-1`` and maps ``k`` to
+    ``w``, keeping degrees, edges and non-edges and stopping at the first
+    hit.  A hit is kept and the orbit closed again, so no search is for a
+    vertex that the automorphisms found before it already map ``k`` to.
     """
     v = m.vertex_count
     adj = m.neighbor_masks()
@@ -247,14 +265,28 @@ def stabiliser_orbits(m: Motif) -> tuple[int, ...]:
                     return True
         return False
 
-    orbits = []
-    for k in range(v):
+    def close(orbit: int) -> int:
+        # the orbit's images under every kept automorphism, until none is new
+        todo = [w for w in range(v) if orbit >> w & 1]
+        while todo:
+            w = todo.pop()
+            for g in kept:
+                if not orbit >> g[w] & 1:
+                    orbit |= 1 << g[w]
+                    todo.append(g[w])
+        return orbit
+
+    kept: list[tuple[int, ...]] = []
+    orbits = [0] * v
+    for k in reversed(range(v)):
         fixed = (1 << k) - 1  # image[i] == i for every i < k
-        orbits.append(
-            sum(1 << w for w in range(k, v) if extends(k, fixed, 1 << w))
-        )
-        image[k] = k
-    return tuple(orbits)
+        orbit = close(1 << k)
+        for w in range(k + 1, v):
+            if not orbit >> w & 1 and extends(k, fixed, 1 << w):
+                kept.append(tuple(image))
+                orbit = close(orbit)
+        orbits[k] = orbit
+    return tuple(orbits), tuple(kept)
 
 
 def automorphism_count(m: Motif) -> int:
@@ -357,15 +389,21 @@ def _subgraph_minima_by_vertex_sets(
     return alpha, induced(alpha_mask), gamma, gamma_witness
 
 
-@lru_cache(maxsize=None)
 def compute_stats(m: Motif) -> MotifStats:
-    """All exact invariants of a motif.
+    """All exact invariants of a motif, cached per motif (``cache_clear``
+    empties the cache).
 
     The subgraph minima and their witnesses come from one exhaustive pass
     over vertex subsets, the automorphism count from orbit-stabiliser
     (``automorphism_count``).  ``kappa`` covers every overlap ``s`` in
-    ``2..v-1``.
+    ``2..v-1``.  Anything but a Motif raises InvalidMotifError, unhashable
+    values too.
     """
+    return _stats(motif_arg(m))
+
+
+@lru_cache(maxsize=None)
+def _stats(m: Motif) -> MotifStats:
     v, e = m.vertex_count, m.edge_count
     d = Fraction(e, v)
     alpha, alpha_witness, gamma, gamma_witness = _subgraph_minima_by_vertex_sets(m)
@@ -389,10 +427,13 @@ def compute_stats(m: Motif) -> MotifStats:
     )
 
 
+compute_stats.cache_clear = _stats.cache_clear
+
+
 def check_fits(m: Motif, n: int) -> None:
     """MotifLargerThanGraph unless a graph on ``n`` vertices has room for
     ``m``."""
-    if n < m.vertex_count:
+    if n < motif_arg(m).vertex_count:
         raise MotifLargerThanGraph(
             f"n={n} smaller than motif ({m.vertex_count} vertices)"
         )

@@ -155,9 +155,30 @@ CAUGHT = (
     Mutant(
         "_contract passes the weight vector after the taken factors",
         "homs.py",
-        "operands = [weights, (u,), *(x for i in took for x in factors[i])]",
-        "operands = [*(x for i in took for x in factors[i]), weights, (u,)]",
+        "np.einsum(weights, (u,), *(x for f in taken for x in f), out)",
+        "np.einsum(*(x for f in taken for x in f), weights, (u,), out)",
         ("tests/test_bounds.py::TestMuSbm::test_mu_bits_pinned",),
+    ),
+    Mutant(
+        "wide step summed over its last axis",
+        "homs.py",
+        "for row in terms:",
+        "for row in np.moveaxis(terms, -1, 0):",
+        ("tests/test_homs.py::test_contract_keeps_the_bits_of_one_einsum_a_step",),
+    ),
+    Mutant(
+        "wide step's runs one entry short",
+        "homs.py",
+        "slice(lo, lo + run))[:lead]",
+        "slice(lo, lo + run - 1))[:lead]",
+        ("tests/test_homs.py::test_contract_keeps_the_bits_of_one_einsum_a_step",),
+    ),
+    Mutant(
+        "orbit closed without the first kept automorphism",
+        "motif.py",
+        "for g in kept:",
+        "for g in kept[1:]:",
+        ("tests/test_motif.py::TestStabiliserOrbits::test_each_search_is_for_a_vertex_not_yet_reached",),
     ),
     Mutant(
         "inversion sum refused only from 2^64",

@@ -150,7 +150,8 @@ class TestMuSbm:
         k9 = builtin_motif("complete", 9)
         m = motif_from_edge_list(list(k9.edges) + [(0, 9)])
         params = SbmParams(10, (0.1,) * 10, ((0.5,) * 10,) * 10)
-        # the plan is remade on each call: the second call is refused too
+        # the plan is cached, and checked on each call: the second call is
+        # refused too
         for _ in range(2):
             with pytest.raises(TooManyTerms):
                 mu_sbm(params, m)
@@ -165,6 +166,14 @@ class TestMuSbm:
             for spec in PINNED_MU[model]
         }
         assert got == PINNED_MU[model]
+
+    def test_mu_at_most_one(self):
+        # proportions may sum to 1 + 1e-12; with every probability 1 the
+        # sum of the weights' products would pass 1, which no bound reads
+        params = SbmParams(2, (0.5, 0.5 + 1e-13), ((1.0, 1.0), (1.0, 1.0)))
+        assert sum(params.proportions) > 1.0
+        assert mu_sbm(params, K3) == 1.0
+        assert bound_sbm(params, K3, 10).lam == 120.0
 
     @staticmethod
     def _random_sbm(rng, q: int) -> SbmParams:

@@ -1,6 +1,7 @@
 """Copy counts from homomorphism counts: the quotient list, the batched
 elimination against the search and the oracle, its byte budget, and the
-path the planned costs choose."""
+path the planned costs choose; and mu's contraction, bit for bit against
+one einsum a step, with its slices' memory."""
 
 import ast
 import itertools
@@ -27,7 +28,7 @@ from motif_poisson import (
     sample_sbm,
     substream_seed,
 )
-from motif_poisson import counting, homs, models
+from motif_poisson import bounds, counting, homs, models
 from motif_poisson.motif import BUILTIN_FAMILIES
 
 from conftest import scanned
@@ -354,3 +355,84 @@ def piecewise(low: float, high: float) -> GraphonSpec:
 )
 def test_chosen_path(model, n, motif, graphs, path):
     assert chosen(model, n, motif, graphs) == path
+
+
+def contract_by_einsums(weights, mat, vertex_count, edges) -> float:
+    """mu's contraction as one einsum a step on :func:`homs._plan`, the
+    reference whose bits ``homs._contract`` keeps."""
+    factors, scalars = [(mat, e) for e in edges], []
+    for u, took, out in homs._plan(vertex_count, edges):
+        operands = [weights, (u,), *(x for i in took for x in factors[i])]
+        factors = [f for i, f in enumerate(factors) if i not in took]
+        value = np.einsum(*operands, out)
+        if out:
+            factors.append((value, out))
+        else:
+            scalars.append(float(value))
+    return math.prod(scalars)
+
+
+@st.composite
+def class_graphs(draw):
+    """Class weights and a symmetric matrix over them: a block model's
+    proportions and edge probabilities, Q in 1..6, or a smooth graphon at
+    its 1..5 Gauss-Legendre nodes and weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 6))
+        f = rng.random(q) + 0.05
+        raw = np.triu(rng.random((q, q)))
+        return f / f.sum(), raw + np.triu(raw, 1).T
+    x, weights = bounds._legendre(draw(st.integers(1, 5)))
+    spec = GraphonSpec(draw(st.sampled_from(["product", "affine_mean"])), rng.uniform(0.1, 1.0))
+    return weights, spec.evaluate(x[:, None], x[None, :])
+
+
+@st.composite
+def small_motifs(draw):
+    """Motifs of up to 7 vertices: each pair of K_v an edge with a drawn
+    chance, renumbered densely, or a path where fewer than two are."""
+    v = draw(st.integers(3, 7))
+    share = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [p for p in itertools.combinations(range(v), 2) if rng.random() < share]
+    return motif_from_edge_list(pairs if len(pairs) > 1 else [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "wide_terms, slice_terms",
+    [
+        (homs._WIDE_TERMS, homs._SLICE_TERMS),
+        # every step on three factors or more broadcast, whole or in slices
+        # that cut runs across 1-3 leading output axes
+        (0, homs._SLICE_TERMS),
+        (0, 1000),
+    ],
+    ids=["as_set", "broadcast", "sliced"],
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(m=small_motifs(), graph=class_graphs())
+def test_contract_keeps_the_bits_of_one_einsum_a_step(wide_terms, slice_terms, m, graph):
+    weights, mat = graph
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homs, "_WIDE_TERMS", wide_terms)
+        patch.setattr(homs, "_SLICE_TERMS", slice_terms)
+        got = homs._contract(weights, mat, m.vertex_count, m.edges)
+    assert got.hex() == contract_by_einsums(weights, mat, m.vertex_count, m.edges).hex()
+
+
+def test_wide_step_temporaries_keep_to_the_slice_budget(monkeypatch):
+    # K6's first step on 10 classes sums 10^6 terms into 10^5 values; its
+    # products, formed 2^12 terms (32 KiB) at a time, keep the peak within
+    # a few slices of the output, where all of them at once take 8 MB
+    monkeypatch.setattr(homs, "_SLICE_TERMS", 1 << 12)
+    q, out = 10, (1, 2, 3, 4, 5)
+    weights, mat = np.full(q, 0.1), np.full((q, q), 0.5)
+    tracemalloc.start()
+    try:
+        value = homs._wide(weights, 0, [(mat, (0, w)) for w in out], out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(value, 0.5**5)
+    assert peak < value.nbytes + 8 * 8 * (1 << 12), peak

@@ -23,14 +23,18 @@ from motif_poisson import (
     SbmParams,
     SimulationPlan,
     bound_nu,
+    bound_graphon,
     bound_sbm,
     bound_scaled,
     builtin_motif,
+    compute_stats,
     copy_indicators,
     erdos_renyi,
     graph_from_edge_text,
     lambda_value,
     motif_from_string,
+    mu_graphon,
+    mu_sbm,
     poisson_pmf,
     sample_graphon,
     sample_sbm,
@@ -38,6 +42,7 @@ from motif_poisson import (
 )
 from motif_poisson.cli import main
 from motif_poisson.models import sample_batches
+from motif_poisson.motif import stabiliser_orbits
 
 HUGE = [10**k for k in (19, 120, 154, 155, 200, 308, 309, 310, 400)]
 #: Graph sizes that are refused before anything is sampled.
@@ -412,6 +417,33 @@ def test_motif_spec_size_is_ascii_digits(size):
 def test_motif_spec_must_be_a_string(spec):
     with pytest.raises(InvalidMotifError, match="must be a string"):
         motif_from_string(spec)
+
+
+@pytest.mark.parametrize("mu", [-1.0, 2.0, 1.0000000000000002, math.nan, math.inf, "0.5", None])
+def test_lambda_value_reads_mu_as_a_probability(mu):
+    with pytest.raises(InvalidParams, match="mu"):
+        lambda_value(K3, 10, mu)
+
+
+#: Each library entry point that takes a motif, as the call with ``x`` in
+#: its place.
+MOTIF_ARGUMENTS = {
+    "compute_stats": compute_stats,
+    "stabiliser_orbits": stabiliser_orbits,
+    "mu_sbm": lambda x: mu_sbm(erdos_renyi(0.1), x),
+    "mu_graphon": lambda x: mu_graphon(GraphonSpec("product", 0.9), x),
+    "bound_sbm": lambda x: bound_sbm(erdos_renyi(0.1), x, 100),
+    "bound_graphon": lambda x: bound_graphon(GraphonSpec("product", 0.9), x, 100),
+    "lambda_value": lambda x: lambda_value(x, 100, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(MOTIF_ARGUMENTS))
+@pytest.mark.parametrize("x", ["complete:3", 3, None, ((0, 1), (1, 2)), [(0, 1), (1, 2)]])
+def test_motif_arguments_refuse_other_types(name, x):
+    # a spec string or an edge list is not read as the motif it names
+    with pytest.raises(InvalidMotifError, match="must be a Motif"):
+        MOTIF_ARGUMENTS[name](x)
 
 
 def test_copy_position_needs_distinct_vertices():

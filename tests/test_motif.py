@@ -34,6 +34,7 @@ from motif_poisson import (
 from motif_poisson.cli import main
 from motif_poisson.motif import (
     BUILTIN_FAMILIES,
+    _stabiliser_chain,
     _subgraph_minima_by_vertex_sets,
     stabiliser_orbits,
     stats_to_dict,
@@ -287,23 +288,46 @@ class TestAutomorphisms:
             )
 
 
+def is_automorphism(m, p) -> bool:
+    es = set(m.edges)
+    return all(tuple(sorted((p[a], p[b]))) in es for a, b in m.edges)
+
+
 class TestStabiliserOrbits:
+    @staticmethod
+    def motifs(rng):
+        """Random motifs and every builtin, all of up to 7 vertices."""
+        drawn = [random_motif(rng, v_max=7) for _ in range(40)]
+        return drawn + [builtin_motif(f, v) for f in BUILTIN_FAMILIES for v in range(3, 8)]
+
     def test_orbits_match_permutation_enumeration(self, rng):
-        for _ in range(40):
-            m = random_motif(rng, v_max=6)
-            v, es = m.vertex_count, set(m.edges)
-            auts = [
-                p
-                for p in itertools.permutations(range(v))
-                if all(tuple(sorted((p[a], p[b]))) in es for a, b in m.edges)
-            ]
+        for m in self.motifs(rng):
+            v = m.vertex_count
+            auts = [p for p in itertools.permutations(range(v)) if is_automorphism(m, p)]
             expected = tuple(
                 sum(1 << w for w in {p[k] for p in auts if p[:k] == tuple(range(k))})
                 for k in range(v)
             )
             orbits = stabiliser_orbits(m)
             assert orbits == expected
-            assert math.prod(o.bit_count() for o in orbits) == automorphisms_oracle(m)
+            assert math.prod(o.bit_count() for o in orbits) == len(auts)
+
+    def test_each_search_is_for_a_vertex_not_yet_reached(self, rng):
+        # an automorphism is kept only where a search found it, and a search
+        # runs only for a w that the ones kept before it do not map k to:
+        # each kept one moves k, its first moved vertex, out of their orbit
+        for m in self.motifs(rng):
+            _, kept = _stabiliser_chain(m)
+            for i, g in enumerate(kept):
+                assert is_automorphism(m, g)
+                k = next(x for x in range(m.vertex_count) if g[x] != x)
+                reached, todo = {k}, [k]
+                while todo:
+                    x = todo.pop()
+                    new = {h[x] for h in kept[:i]} - reached
+                    reached |= new
+                    todo.extend(new)
+                assert g[k] not in reached, (m, i)
 
 
 class TestStats:
