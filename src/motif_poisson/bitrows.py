@@ -3,12 +3,16 @@
 A graph on n vertices is n rows of w = ⌈n/64⌉ uint64 words, bit v % 64 of
 word v // 64 of row u set when {u, v} is an edge; graphs of one size are
 stacked n rows a graph.  This module holds the kernels of that one format,
-its one word budget and its row check (:func:`check_rows`), and no model or
-motif types.  Every listing of set bits or nonzero words goes through one
-kernel, :func:`_ones`, which unpacks only the nonzero bytes of what it
-lists (or all of them, where more than half are nonzero).  A
-:class:`Batch` carries stacked rows with the nonzero words that the
-check's one scan listed, so the counter does not scan them again.
+its one word budget (``BLOCK_WORDS``) and its row check
+(:func:`check_rows`), and no model or motif types.  Every listing of set
+bits or nonzero words goes through one kernel, :func:`_ones`, which
+unpacks only the nonzero bytes of what it lists (or all of them, where
+more than half are nonzero).  Set bits too many to list at once, those of
+the row check, of ``SampledGraph.edges`` and of the counter's candidate
+words, are listed in windows of at most ``BLOCK_WORDS`` of them
+(:func:`windows`).  A :class:`Batch` carries stacked rows with the nonzero
+words that the check's one scan listed, so the counter does not scan them
+again.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import numpy as np
 from .errors import InvalidParams
 
 #: uint64 words of bitset rows that one batch of graphs takes (unless one
-#: graph alone takes more), as do one band of the row check's transposes
-#: and the candidates and images of one block of the counting search.
+#: graph alone takes more), as do one band of the row check's transposes,
+#: the set bits of one window (:func:`windows`) and the candidates and
+#: images of one block of the counting search.
 BLOCK_WORDS = 16384
 #: Stacked rows with at most this share of their words nonzero are sparse:
 #: the row check lists their set bits, and the counter, in wide rows, forms
@@ -36,13 +41,10 @@ BIT64 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 #: The word with bits b+1..63 set, at index b.
 HIGH = np.array([(1 << 64) - (2 << b) for b in range(64)], dtype=np.uint64)
 ONES = ~np.uint64(0)
-#: Set bits listed at once by :func:`set_bits`: keeps each index array to
-#: 0.5 MiB however dense the rows, a batch of many small graphs included.
-_LISTED_BITS = 1 << 16
 #: Bytes with more than this share nonzero are unpacked whole when their
 #: set bits are listed: listing the nonzero bytes first would cost more
 #: than it saves.
-_DENSE_BYTES = 0.5
+_DENSE_SHARE = 0.5
 #: The shifts j = 32, 16, ..., 1 of the six delta swaps that transpose a
 #: 64 x 64 bit block, each with the mask of the bits c with c & j == 0.
 _SWAPS = tuple(
@@ -130,10 +132,10 @@ def unpack_words(words: np.ndarray) -> np.ndarray:
 def _ones(octets: np.ndarray) -> np.ndarray:
     """Positions 8 * i + b of the set bits b of the bytes ``octets[i]``,
     ascending, from the unpacked bits of its nonzero bytes alone, or of all
-    of them where more than ``_DENSE_BYTES`` are nonzero."""
+    of them where more than ``_DENSE_SHARE`` are nonzero."""
     # int(): a NumPy int compared with a float costs about a microsecond,
     # a fifth of listing a few words
-    if int(np.count_nonzero(octets)) > _DENSE_BYTES * octets.size:
+    if int(np.count_nonzero(octets)) > _DENSE_SHARE * octets.size:
         return np.flatnonzero(_unpack(octets).view(bool))
     byte = np.flatnonzero(octets != 0)
     bit = np.flatnonzero(_unpack(octets[byte]).view(bool))
@@ -164,22 +166,29 @@ def word_positions(words: np.ndarray) -> np.ndarray:
     return _ones(_pack(words.ravel() != 0))
 
 
+def windows(words: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(lo, positions)`` for consecutive runs ``words[lo:hi]`` that cover
+    the 1-d array ``words``, each holding at most ``BLOCK_WORDS`` set bits
+    or one word alone: the positions 64 * (i - lo) + b of the set bits b of
+    ``words[i]``, ascending, so no listing outgrows one block's words."""
+    # int64: a uint64 cumsum is copied whole by each searchsorted of an int
+    ones = np.bitwise_count(words).cumsum(dtype=np.int64)
+    lo = 0
+    while lo < len(words):
+        done = int(ones[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(ones.searchsorted(done + BLOCK_WORDS, "right")))
+        yield lo, bit_positions(words[lo:hi])
+        lo = hi
+
+
 def set_bits(flat: np.ndarray, nonzero: np.ndarray) -> Iterator[np.ndarray]:
     """Flat positions 64 * i + b of the set bits b of ``flat[i]``,
-    ascending, in blocks of at most ``_LISTED_BITS`` of them, from its
-    nonzero words, whose ascending positions are ``nonzero``."""
-    # every word listed holds a set bit, so no block spans more words
-    for lo in range(0, len(nonzero), _LISTED_BITS):
-        word = nonzero[lo : lo + _LISTED_BITS]
-        words = flat[word]
-        ones = np.bitwise_count(words).cumsum()
-        start = 0
-        while start < len(word):
-            done = int(ones[start - 1]) if start else 0
-            end = int(ones.searchsorted(done + _LISTED_BITS, "right"))
-            bit = bit_positions(words[start:end])
-            yield word[start:end][bit >> 6] * 64 + (bit & 63)
-            start = end
+    ascending, from its nonzero words, whose ascending positions are
+    ``nonzero``, in the windows of :func:`windows`: at most
+    ``BLOCK_WORDS`` of them at once.  The words are gathered whole, one
+    for each of the positions the caller already holds."""
+    for lo, bit in windows(flat[nonzero]):
+        yield nonzero[lo:][bit >> 6] * 64 + (bit & 63)
 
 
 def nonzero_words(rows: np.ndarray) -> np.ndarray | None:

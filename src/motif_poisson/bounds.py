@@ -36,6 +36,7 @@ from .errors import (
     IncompleteNuTable,
     InvalidParams,
     NotStrictlyBalanced,
+    instance,
     integer,
     known_keys,
     probability,
@@ -74,7 +75,7 @@ def mu_sbm(params: SbmParams, m: Motif) -> float:
     class assignments of the motif's vertices, at most 1 (proportions may
     sum to 1 + 1e-12, and lift it above 1 where every probability is 1)."""
     m = motif_arg(m)
-    weights = np.asarray(params.proportions)
+    weights = np.asarray(instance(params, "model", SbmParams).proportions)
     mat = np.asarray(params.edge_probs)
     return min(1.0, _contract(weights, mat, m.vertex_count, m.edges))
 
@@ -88,7 +89,7 @@ def mu_graphon(spec: GraphonSpec, m: Motif) -> float:
     ceil((max degree + 1) / 2) nodes on [0, 1] integrates it exactly.
     """
     m = motif_arg(m)
-    if spec.family == "piecewise_constant":
+    if instance(spec, "graphon", GraphonSpec).family == "piecewise_constant":
         return mu_sbm(graphon_to_sbm(spec), m)
     x, weights = _legendre((max(m.degrees) + 2) // 2)
     mat = spec.evaluate(x[:, None], x[None, :])

@@ -62,11 +62,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GraphTooLargeForOracle, InvalidParams, integer
+from .errors import GraphTooLargeForOracle, InvalidParams, instance, integer
 from . import bitrows, homs
-from .bitrows import BIT64, HIGH, ONES, Batch, above, bit_positions, pack_words
+from .bitrows import BIT64, HIGH, ONES, Batch, above, pack_words
 from .models import SampledGraph
-from .motif import Motif, check_fits, compute_stats, stabiliser_orbits
+from .motif import Motif, check_fits, compute_stats, motif_arg, stabiliser_orbits
 
 #: The brute-force oracle lists the v! vertex permutations once, then tests
 #: all copies per position at all C(n, v) positions.  That blows up
@@ -238,19 +238,14 @@ def _search(rows, n, masks, words, steps, cap, total, gid, img) -> None:
     the popcounts of their candidate words; elsewhere the search on each
     run of at most ``cap`` of their set bits, expanded into frontier rows
     of position k + 1.  The bits are listed once per window of candidate
-    words, and the runs cut from the listing."""
+    words (:func:`~motif_poisson.bitrows.windows`), and the runs cut from
+    the listing."""
     k = img.shape[1]
     parent, j, word = _candidates(rows, n, masks, words, steps[k], gid, img)
     if k == len(steps) - 1:
         np.add.at(total, gid[parent], np.bitwise_count(word).astype(np.int64))
         return
-    size = np.bitwise_count(word).cumsum()
-    lo = 0
-    while lo < len(word):
-        # a window of words whose listed bits take at most one block's words
-        done = int(size[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(size.searchsorted(done + bitrows.BLOCK_WORDS, "right")))
-        listed = bit_positions(word[lo:hi])
+    for lo, listed in bitrows.windows(word):
         for at in range(0, len(listed), cap):
             bit = listed[at : at + cap]
             src = lo + (bit >> 6)
@@ -259,7 +254,6 @@ def _search(rows, n, masks, words, steps, cap, total, gid, img) -> None:
             child[:, :k] = img[up]
             child[:, k] = j[src] * 64 + (bit & 63)
             _search(rows, n, masks, words, steps, cap, total, gid[up], child)
-        lo = hi
 
 
 def _row_words(batch: Batch) -> tuple[_Words | None, np.ndarray]:
@@ -359,7 +353,7 @@ def count_copies(g: SampledGraph, m: Motif) -> int:
     graph edge, one per automorphism class, so the maps number this count
     times the automorphism count.  A batch of one graph for
     :func:`_count_rows`, with the nonzero words the graph's check listed."""
-    check_fits(m, g.n)
+    check_fits(m, instance(g, "graph", SampledGraph).n)
     return int(_count_rows(Batch(g.adjacency, g.n, 1, g.words), m)[0])
 
 
@@ -409,8 +403,9 @@ def copy_indicators(
     (slot i on vertex ``alpha[i]``), in the order of :func:`_copy_masks`:
     1 iff every edge of that copy is in ``g``.  ``alpha`` holds v(G)
     distinct vertices of ``g``, or InvalidParams is raised."""
+    instance(g, "graph", SampledGraph)
     alpha = tuple(integer(x, "vertex") for x in alpha)
-    if len(alpha) != m.vertex_count:
+    if len(alpha) != motif_arg(m).vertex_count:
         raise InvalidParams("alpha must have exactly v(G) vertices")
     if len(set(alpha)) != len(alpha):
         raise InvalidParams(f"alpha must have distinct vertices, got {alpha}")
@@ -421,8 +416,8 @@ def copy_indicators(
 def count_copies_bruteforce(g: SampledGraph, m: Motif) -> int:
     """Oracle counter: sum the copy indicators over every vertex-set
     position, literally as the count is defined."""
+    check_fits(m, instance(g, "graph", SampledGraph).n)
     v = m.vertex_count
-    check_fits(m, g.n)
     if g.n > ORACLE_MAX_VERTICES:
         raise GraphTooLargeForOracle(
             f"oracle capped at {ORACLE_MAX_VERTICES} vertices, got {g.n}"

@@ -4,7 +4,7 @@ Every error the library raises derives from :class:`MotifPoissonError` so
 callers can catch broadly; the leaf classes mirror the distinct failure
 conditions of the public operations.  Every value from outside is read by
 :func:`integer`, :func:`real`, :func:`probability`, :func:`rate`,
-:func:`sequence` or :func:`known_keys`, which raise
+:func:`sequence`, :func:`known_keys` or :func:`instance`, which raise
 :class:`InvalidParams`, also a ``ValueError``.
 """
 
@@ -82,10 +82,11 @@ def probability(x, what: str) -> float:
 
 
 def rate(x, what: str) -> float:
-    """``x`` if it is finite and at least 0; NaN is refused."""
-    if not 0.0 <= x < math.inf:
-        raise InvalidParams(f"{what}={x!r} must be finite and >= 0")
-    return x
+    """``real(x)`` if it is finite and at least 0; NaN is refused."""
+    r = real(x, what)
+    if not 0.0 <= r < math.inf:
+        raise InvalidParams(f"{what}={r!r} must be finite and >= 0")
+    return r
 
 
 def sequence(x, what: str) -> list | tuple:
@@ -105,6 +106,16 @@ def known_keys(x, allowed: tuple[str, ...], what: str) -> dict:
             raise InvalidParams(
                 f"{what} has unknown key {key!r}; expected {', '.join(allowed)}"
             )
+    return x
+
+
+def instance(x, what: str, *kinds: type):
+    """``x`` if it is an instance of one of ``kinds``, or else
+    InvalidParams naming the type it is: a model or a graph of the wrong
+    type is refused before any of its attributes is read."""
+    if not isinstance(x, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InvalidParams(f"{what} must be {names}, got {type(x).__name__}")
     return x
 
 

@@ -45,6 +45,7 @@ from .bitrows import BIT64, Batch, check_rows, empty_rows, set_bits, set_edges, 
 from .errors import (
     InvalidParams,
     WrongFamily,
+    instance,
     integer,
     known_keys,
     probability,
@@ -217,7 +218,7 @@ class GraphonSpec:
 
 def h_star(spec: GraphonSpec) -> float:
     """Exact maximum of the graphon surface."""
-    if spec.family in ("product", "affine_mean"):
+    if instance(spec, "graphon", GraphonSpec).family in ("product", "affine_mean"):
         return spec.scale  # attained at (1, 1)
     return max(max(row) for row in spec.values)
 
@@ -225,7 +226,7 @@ def h_star(spec: GraphonSpec) -> float:
 def graphon_to_sbm(spec: GraphonSpec) -> SbmParams:
     """The block model equivalent to a piecewise-constant graphon: class
     proportions are the breakpoint interval lengths."""
-    if spec.family != "piecewise_constant":
+    if instance(spec, "graphon", GraphonSpec).family != "piecewise_constant":
         raise WrongFamily(
             f"graphon_to_sbm requires piecewise_constant, got {spec.family}"
         )
@@ -735,6 +736,7 @@ def sample_batches(
     positions, and one check of its rows.  This generator keeps no batch
     once it has handed it on.
     """
+    instance(model, "model", SbmParams, GraphonSpec)
     n = integer(n, "n")
     if n < 2:
         raise InvalidParams("n must be >= 2")
@@ -751,7 +753,7 @@ def sample_sbm(params: SbmParams, n: int, seed: int) -> SampledGraph:
     Class labels first (n inverse-CDF draws), then the block coins, so the
     output is fully determined by the seed.
     """
-    return _sampled(params, n, seed)
+    return _sampled(instance(params, "model", SbmParams), n, seed)
 
 
 def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
@@ -762,7 +764,7 @@ def sample_graphon(spec: GraphonSpec, n: int, seed: int) -> SampledGraph:
     A piecewise-constant surface is a block model on the blocks of the
     latents.  A smooth one is one block at h*, thinned to h(U_i, U_j)/h*.
     """
-    return _sampled(spec, n, seed)
+    return _sampled(instance(spec, "graphon", GraphonSpec), n, seed)
 
 
 def _sampled(model: SbmParams | GraphonSpec, n: int, seed: int) -> SampledGraph:

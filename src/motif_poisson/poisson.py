@@ -15,7 +15,7 @@ def poisson_pmf(lam: float, k: int) -> float:
     """P(X = k) for X ~ Poisson(lam), evaluated in log space so large
     means and far-tail k stay finite.  ``lam`` must be finite and at
     least 0, and ``k`` an integer, or InvalidParams is raised."""
-    rate(lam, "lam")
+    lam = rate(lam, "lam")
     k = integer(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -32,7 +32,7 @@ def tv_distance_empirical(hist: Mapping[int, float], lam: float) -> float:
     ``sum_k max(hist[k] - pmf(k), 0)``, and only the observed counts ``k``
     can contribute to that sum.
     """
-    rate(lam, "lam")
+    lam = rate(lam, "lam")
     total = math.fsum(hist.values())
     if abs(total - 1.0) > _HIST_TOL:
         raise UnnormalizedHistogram(f"frequencies sum to {total!r}, not 1")

@@ -29,9 +29,9 @@ from .bounds import (
     mu_sbm,
 )
 from . import counting, models
-from .errors import InvalidMotifError, InvalidParams, NotStrictlyBalanced, integer, rate
+from .errors import InvalidParams, NotStrictlyBalanced, instance, integer, rate
 from .models import _SEED_MASK, GraphonSpec, SbmParams, check_graph_size, substream_seed
-from .motif import Motif, check_fits
+from .motif import Motif, check_fits, motif_arg
 from .poisson import poisson_pmf, tv_distance_empirical
 
 _BOOTSTRAP_RESAMPLES = 200
@@ -51,10 +51,8 @@ class SimulationPlan:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.model, (SbmParams, GraphonSpec)):
-            raise InvalidParams("simulate model must be SbmParams or GraphonSpec")
-        if not isinstance(self.motif, Motif):
-            raise InvalidMotifError("simulate motif must be a Motif")
+        instance(self.model, "simulate model", SbmParams, GraphonSpec)
+        motif_arg(self.motif)
         for key in ("n", "replicates", "seed"):
             object.__setattr__(self, key, integer(getattr(self, key), f"simulate {key}"))
         if self.replicates < 1:
@@ -102,14 +100,6 @@ class SimulationSummary:
         return out
 
 
-def _model_functions(model):
-    """The mu evaluator and bound of the model's family, read from this
-    module's names at call time, so rebinding one of them takes effect."""
-    if isinstance(model, SbmParams):
-        return mu_sbm, bound_sbm
-    return mu_graphon, bound_graphon
-
-
 def tv_standard_error(
     histogram: Mapping[int, float], replicates: int, lam: float, seed: int
 ) -> float:
@@ -120,7 +110,7 @@ def tv_standard_error(
     evaluated there once and all resamples are scored in one array step by
     the positive-part sum of :func:`tv_distance_empirical`.
     """
-    rate(lam, "lam")
+    lam = rate(lam, "lam")
     replicates, seed = integer(replicates, "replicates"), integer(seed, "seed")
     if replicates < 2:
         return 0.0
@@ -150,7 +140,8 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
     if integer(threads, "threads") < 1:
         raise InvalidParams("threads must be >= 1")
     start = time.perf_counter()
-    mu, bound = _model_functions(plan.model)
+    sbm = isinstance(plan.model, SbmParams)
+    mu, bound = (mu_sbm, bound_sbm) if sbm else (mu_graphon, bound_graphon)
     try:
         report = bound(plan.model, plan.motif, plan.n)
         lam = report.lam

@@ -134,9 +134,16 @@ CAUGHT = (
     Mutant(
         "set bits listed twice the budget at once",
         "bitrows.py",
-        'end = int(ones.searchsorted(done + _LISTED_BITS, "right"))',
-        'end = int(ones.searchsorted(done + 2 * _LISTED_BITS, "right"))',
+        'hi = max(lo + 1, int(ones.searchsorted(done + BLOCK_WORDS, "right")))',
+        'hi = max(lo + 1, int(ones.searchsorted(done + 2 * BLOCK_WORDS, "right")))',
         ("tests/test_bitrows.py::test_listings_match_full_unpacking",),
+    ),
+    Mutant(
+        "each window's last word left out of its listing",
+        "bitrows.py",
+        "yield lo, bit_positions(words[lo:hi])",
+        "yield lo, bit_positions(words[lo : hi - 1])",
+        ("tests/test_bitrows.py::test_windows_cover_the_words_in_bounded_runs",),
     ),
     Mutant(
         "Möbius coefficient with its sign flipped",

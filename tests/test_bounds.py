@@ -665,6 +665,20 @@ class TestPoissonUtilities:
             with pytest.raises(InvalidParams, match="must be finite and >= 0"):
                 call()
 
+    @pytest.mark.parametrize("lam", [True, False, "1.5", "1", None, np.float32(1.0)])
+    def test_rate_must_be_a_number(self, lam):
+        # True read as 1 and a string raised a bare TypeError; a float32 is
+        # refused as everywhere a real number is read
+        hist = {0: 0.5, 1: 0.5}
+        for call in (
+            lambda: poisson_pmf(lam, 1),
+            lambda: tv_distance_empirical({0: 1.0}, lam),
+            lambda: tv_standard_error(hist, 10, lam, seed=3),
+            lambda: tv_standard_error(hist, 1, lam, seed=3),
+        ):
+            with pytest.raises(InvalidParams, match="lam must be a number"):
+                call()
+
 
 class TestTvDistance:
     def test_exact_pmf_is_zero(self):

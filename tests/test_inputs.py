@@ -20,6 +20,7 @@ from motif_poisson import (
     InvalidParams,
     MotifPoissonError,
     NuTable,
+    SampledGraph,
     SbmParams,
     SimulationPlan,
     bound_nu,
@@ -29,8 +30,12 @@ from motif_poisson import (
     builtin_motif,
     compute_stats,
     copy_indicators,
+    count_copies,
+    count_copies_bruteforce,
     erdos_renyi,
     graph_from_edge_text,
+    graphon_to_sbm,
+    h_star,
     lambda_value,
     motif_from_string,
     mu_graphon,
@@ -435,6 +440,9 @@ MOTIF_ARGUMENTS = {
     "bound_sbm": lambda x: bound_sbm(erdos_renyi(0.1), x, 100),
     "bound_graphon": lambda x: bound_graphon(GraphonSpec("product", 0.9), x, 100),
     "lambda_value": lambda x: lambda_value(x, 100, 0.1),
+    "count_copies": lambda x: count_copies(G10, x),
+    "count_copies_bruteforce": lambda x: count_copies_bruteforce(G10, x),
+    "copy_indicators": lambda x: copy_indicators(G10, x, (0, 1, 2)),
 }
 
 
@@ -444,6 +452,50 @@ def test_motif_arguments_refuse_other_types(name, x):
     # a spec string or an edge list is not read as the motif it names
     with pytest.raises(InvalidMotifError, match="must be a Motif"):
         MOTIF_ARGUMENTS[name](x)
+
+
+#: Each library entry point that takes a model or a graph, as the call with
+#: ``x`` in its place, and the types it takes there.
+TYPED_ARGUMENTS = {
+    "mu_sbm": (lambda x: mu_sbm(x, K3), SbmParams),
+    "bound_sbm": (lambda x: bound_sbm(x, K3, 100), SbmParams),
+    "sample_sbm": (lambda x: sample_sbm(x, 10, 1), SbmParams),
+    "mu_graphon": (lambda x: mu_graphon(x, K3), GraphonSpec),
+    "bound_graphon": (lambda x: bound_graphon(x, K3, 100), GraphonSpec),
+    "h_star": (h_star, GraphonSpec),
+    "graphon_to_sbm": (graphon_to_sbm, GraphonSpec),
+    "sample_graphon": (lambda x: sample_graphon(x, 10, 1), GraphonSpec),
+    "sample_batches": (lambda x: list(sample_batches(x, 10, [1])), (SbmParams, GraphonSpec)),
+    "count_copies": (lambda x: count_copies(x, K3), SampledGraph),
+    "count_copies_bruteforce": (lambda x: count_copies_bruteforce(x, K3), SampledGraph),
+    "copy_indicators": (lambda x: copy_indicators(x, K3, (0, 1, 2)), SampledGraph),
+}
+#: A model as its JSON object, other plain values, and each of the types
+#: the entry points above take.
+TYPED_VALUES = [
+    {"Q": 1, "f": [1.0], "pi": [[0.1]]},
+    None,
+    "complete:3",
+    erdos_renyi(0.1),
+    GraphonSpec("product", 0.5),
+    G10,
+]
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [
+        (name, x)
+        for name, (_, kinds) in TYPED_ARGUMENTS.items()
+        for x in TYPED_VALUES
+        if not isinstance(x, kinds)
+    ],
+)
+def test_model_and_graph_arguments_refuse_other_types(name, x):
+    # a block model is not sampled as a graphon, nor a dict read as a model
+    call, _ = TYPED_ARGUMENTS[name]
+    with pytest.raises(InvalidParams, match=f"must be .*, got {type(x).__name__}$"):
+        call(x)
 
 
 def test_copy_position_needs_distinct_vertices():

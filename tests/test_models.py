@@ -1095,12 +1095,12 @@ class TestSampledGraph:
                 SampledGraph(n, rows(0, 0, 0))
 
     def test_checks_reach_every_word(self):
-        # 7 words a row, and more set bits than two listing blocks: the
-        # listing reads them in three, from row 0 whether it checks the
+        # 7 words a row, and more set bits than two listing windows: the
+        # listing reads them in several, from row 0 whether it checks the
         # whole graph or names a fault the transposes found in its one band
         n = 400
         g = sample_sbm(erdos_renyi(0.9), n, seed=2)
-        assert np.bitwise_count(g.adjacency).sum() > 2 * bitrows._LISTED_BITS
+        assert np.bitwise_count(g.adjacency).sum() > 2 * bitrows.BLOCK_WORDS
         for check in ("listing", "transposes"):
             with checked_by(check):
                 assert SampledGraph(n, g.adjacency.copy()) == g
