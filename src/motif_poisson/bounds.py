@@ -272,7 +272,10 @@ class NuTable:
 
     def __post_init__(self):
         norm = {}
-        for (k, v, s), val in self.entries.items():
+        for key, val in instance(self.entries, "nu-table entries", Mapping).items():
+            if len(instance(key, "nu-table key", tuple)) != 3:
+                raise InvalidParams(f"nu-table key {key!r} is not a (k, v, s) triple")
+            k, v, s = key
             key = (_exponent(k), integer(v, "nu-table v"), integer(s, "nu-table s"))
             norm[key] = probability(val, "nu value")
         object.__setattr__(self, "entries", norm)
@@ -337,6 +340,7 @@ def bound_nu(m: Motif, n: int, g: int, mu: float, nu: NuTable) -> BoundReport:
     g = integer(g, "dependence width g")
     if g < 1:
         raise InvalidParams("dependence width g must be >= 1")
+    nu = instance(nu, "nu table", NuTable)
     return _assemble("nu", m, n, probability(mu, "mu"), nu.lookup, g)
 
 

@@ -3,9 +3,9 @@
 Every error the library raises derives from :class:`MotifPoissonError` so
 callers can catch broadly; the leaf classes mirror the distinct failure
 conditions of the public operations.  Every value from outside is read by
-:func:`integer`, :func:`real`, :func:`probability`, :func:`rate`,
-:func:`sequence`, :func:`known_keys` or :func:`instance`, which raise
-:class:`InvalidParams`, also a ``ValueError``.
+:func:`integer`, :func:`seed_of`, :func:`real`, :func:`probability`,
+:func:`rate`, :func:`sequence`, :func:`known_keys` or :func:`instance`,
+which raise :class:`InvalidParams`, also a ``ValueError``.
 """
 
 import math
@@ -63,6 +63,14 @@ def integer(x, what: str, error: type[Exception] = InvalidParams) -> int:
     return operator.index(x)
 
 
+def seed_of(x, what: str = "seed") -> int:
+    """``integer(x)`` if it is an unsigned 64-bit integer."""
+    seed = integer(x, what)
+    if not 0 <= seed < 1 << 64:
+        raise InvalidParams(f"{what} must be an unsigned 64-bit integer")
+    return seed
+
+
 def real(x, what: str) -> float:
     """``x`` as a float if it is an int or a float (np.float64 too)."""
     if type(x) is not int and not isinstance(x, float):
@@ -109,13 +117,13 @@ def known_keys(x, allowed: tuple[str, ...], what: str) -> dict:
     return x
 
 
-def instance(x, what: str, *kinds: type):
-    """``x`` if it is an instance of one of ``kinds``, or else
-    InvalidParams naming the type it is: a model or a graph of the wrong
-    type is refused before any of its attributes is read."""
+def instance(x, what: str, *kinds: type, error: type[Exception] = InvalidParams):
+    """``x`` if it is an instance of one of ``kinds``, or else ``error``
+    naming the type it is: a model or a graph of the wrong type is refused
+    before any of its attributes is read."""
     if not isinstance(x, kinds):
         names = " or ".join(k.__name__ for k in kinds)
-        raise InvalidParams(f"{what} must be {names}, got {type(x).__name__}")
+        raise error(f"{what} must be {names}, got {type(x).__name__}")
     return x
 
 
@@ -149,5 +157,5 @@ class IncompleteNuTable(MotifPoissonError):
     """A conditional-probability table is missing a required entry."""
 
 
-class UnnormalizedHistogram(MotifPoissonError):
+class UnnormalizedHistogram(InvalidParams):
     pass

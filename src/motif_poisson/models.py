@@ -16,19 +16,17 @@ candidate pair then kept with probability h(U_i, U_j)/h*.
 The graphs are drawn in batches of one counter run (:func:`sample_batches`),
 each handed on as a :class:`~motif_poisson.bitrows.Batch`, its rows with the
 nonzero words its check listed; ``sample_sbm`` and ``sample_graphon`` are
-batches of one.
+batches of one.  One pass draws every batch (:class:`_Sampler`).
 
-Below p = 1/3 NumPy draws a geometric gap as one standard exponential, so
-a batch of several graphs of a sparse model draws each graph's gaps as one
-run of exponentials and turns them into edges at once, as arrays
-(:class:`_Sampler`).  The stream, and with it every graph of
-``SAMPLER_VERSION`` 3, is the same as by geometric draws.
-
-Each graph is drawn from the counter-based Philox generator keyed directly
-by its seed, so a sampled graph is a pure function of ``(params, n, seed)``
-regardless of how it is batched or how surrounding work is scheduled.
-Replicate ensembles derive one independent key per replicate index via
-:func:`substream_seed`.
+The graph of seed s is drawn from counter-based Philox streams keyed
+(s, t), stream 4 of ``SAMPLER_VERSION``.  Key (s, 0) holds its n latents,
+then the first chunks of gaps of its blocks with p < 1 as standard
+exponentials, each gap of p-coins ⌈E / -log1p(-p)⌉ of one exponential E,
+and for a smooth graphon one thinning uniform per gap.  A block that its
+first chunk leaves unfinished goes on in key (s, 1 + b), b its index among
+the class pairs with p > 0.  So a sampled graph is a pure function of
+``(params, n, seed)`` however it is batched.  Replicate ensembles derive
+one independent seed per replicate index via :func:`substream_seed`.
 """
 
 from __future__ import annotations
@@ -50,14 +48,15 @@ from .errors import (
     known_keys,
     probability,
     real,
+    seed_of,
     sequence,
 )
 from .motif import parse_edge_lines
 
 _PROPORTION_TOL = 1e-12
 _SEED_MASK = (1 << 64) - 1
-#: Candidate pairs drawn per chunk, and the most a batch holds before it
-#: sets them as edges: bounds the int64 buffers of a dense graph.
+#: Most gaps drawn in one chunk of a block, and by one first pass of a
+#: batch's graphs: bounds the buffers of a dense graph.
 _CHUNK = 1 << 18
 
 #: Largest graph the samplers and the edge-list reader accept: its bitsets
@@ -66,7 +65,7 @@ MAX_GRAPH_VERTICES = 2**15
 
 #: Version of the random stream behind sampled graphs, stamped into every
 #: manifest: a given seed gives other graphs under another version.
-SAMPLER_VERSION = 3
+SAMPLER_VERSION = 4
 
 GRAPHON_FAMILIES = ("product", "piecewise_constant", "affine_mean")
 
@@ -184,9 +183,9 @@ class GraphonSpec:
                 raise InvalidParams("piecewise_constant graphon takes no scale 'c'")
 
     def evaluate(self, x, y):
-        """Vectorised h(x, y); symmetric by construction in every family."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        """Vectorised h(x, y); symmetric by construction in every family.
+        ``x`` and ``y`` are reals, or arrays of them."""
+        x, y = (_reals(z, "graphon argument") for z in (x, y))
         if self.family == "product":
             return self.scale * x * y
         if self.family == "affine_mean":
@@ -214,6 +213,15 @@ class GraphonSpec:
         keys = ("family", "c", "breakpoints", "values")
         known_keys(data, keys, "graphon")
         return cls(*(data.get(k) for k in keys))
+
+
+def _reals(x, what: str) -> np.ndarray:
+    """``x`` as a float array if it is a real number or an array of them,
+    or else InvalidParams."""
+    x = np.asarray(instance(x, what, np.ndarray, np.number, float, int))
+    if x.dtype.kind not in "iuf":
+        raise InvalidParams(f"{what} must be real, got {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 def h_star(spec: GraphonSpec) -> float:
@@ -335,18 +343,16 @@ def substream_seed(seed: int, index):
 
     SplitMix64-style mixing: distinct (seed, index) pairs land on distinct
     Philox keys, making every replicate reproducible on its own no matter
-    how replicates are partitioned across workers.
+    how replicates are partitioned across workers.  The seed, and an
+    integer index, are unsigned 64-bit integers.
     """
+    seed = seed_of(seed)
+    if not (isinstance(index, np.ndarray) and index.dtype == np.uint64):
+        index = seed_of(index, "replicate index")
     z = (seed ^ (index * 0x9E3779B97F4A7C15)) & _SEED_MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _SEED_MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _SEED_MASK
     return (z ^ (z >> 31)) & _SEED_MASK
-
-
-#: Below this p, NumPy's ``Generator.geometric(p)`` turns one standard
-#: exponential E of the stream into ``ceil(-E / log1p(-p))``, with libm's
-#: ``log1p``; from it on, it searches with other draws.
-_EXPONENTIAL_BELOW = 1 / 3
 
 
 def _first_chunk(p, total):
@@ -358,10 +364,10 @@ def _first_chunk(p, total):
 
 
 def _gap_bound(probs: list[float], n: int) -> int | None:
-    """K, the exponentials that hold the first chunks of all the blocks of
-    an n-vertex graph whose class pairs have the coins ``probs``, whatever
-    its class sizes; None where a coin lies in [``_EXPONENTIAL_BELOW``, 1)
-    or K reaches ``_CHUNK``.
+    """K, the standard exponentials that hold the first chunks of all the
+    blocks of an n-vertex graph whose class pairs have the coins ``probs``,
+    whatever its class sizes: 0 where no coin lies below 1, and None where
+    K reaches ``_CHUNK``, so that no block has a first chunk.
 
     The P blocks with 0 < p < 1 hold at most C(n, 2) pairs, so with p*
     their largest coin their means m = p * total sum to at most
@@ -371,8 +377,6 @@ def _gap_bound(probs: list[float], n: int) -> int | None:
     far less than 1, which the added 1 covers; where P = 1, K is the first
     chunk of C(n, 2) p*-coins, and each rounded step is monotone."""
     sparse = [p for p in probs if p < 1.0]
-    if any(p >= _EXPONENTIAL_BELOW for p in sparse):
-        return None
     if not sparse:
         return 0
     count, mean = len(sparse), max(sparse) * (n * (n - 1) // 2)
@@ -382,14 +386,14 @@ def _gap_bound(probs: list[float], n: int) -> int | None:
 
 def _positions(gaps: np.ndarray, total, lengths=None) -> np.ndarray:
     """Positions, from 0, of the successes after the gaps ``gaps`` among
-    ``total`` coins, one size or one per gap: ``gaps``, integers or floats
-    of integer value, overwritten.  With ``lengths``, the gaps are runs of
-    that many, one block each, and each block's positions start from 0.
+    ``total`` coins, one size or one per gap: ``gaps``, floats of integer
+    value, overwritten.  With ``lengths``, the gaps are runs of that many,
+    one block each, and each block's positions start from 0.
 
     Each gap is capped at ``total + 1``, which keeps the sums exact at tiny
-    p, within int64 and within the integers of float64 (``_CHUNK`` gaps of
-    at most 2^29 + 1), and still puts a gap that passes the block past its
-    last position, so a block with no success gets none."""
+    p, within the integers of float64 (``_CHUNK`` gaps of at most
+    2^29 + 1), and still puts a gap that passes the block past its last
+    position, so a block with no success gets none."""
     np.minimum(gaps, total + 1, out=gaps)
     np.cumsum(gaps, out=gaps)
     if lengths is None or len(lengths) == 1:
@@ -401,33 +405,33 @@ def _positions(gaps: np.ndarray, total, lengths=None) -> np.ndarray:
 
 
 def _skip_positions(
-    rng: np.random.Generator, p: float, total: int
+    rng: np.random.Generator, p: float, total: int, last: int = -1
 ) -> Iterator[np.ndarray]:
-    """Ascending positions of the successes among ``total`` independent
-    ``p``-coins, in chunks of ``_first_chunk(p, total)`` gaps.
+    """Ascending positions past ``last`` of the successes among ``total``
+    independent ``p``-coins: a block's continuation, in chunks of
+    ``_first_chunk(p, total)`` gaps drawn by ``rng``.
 
     The gaps between successes are geometric (Batagelj & Brandes 2005), so
-    the draws are proportional to the successes, not to ``total``.  Below
-    ``_EXPONENTIAL_BELOW`` each gap is one standard exponential of the
-    stream, so :class:`_Sampler` draws the first chunks of a sparse graph's
-    blocks as one call of exponentials instead, and the stream is the same.
+    the draws are proportional to the successes, not to ``total``.  Each
+    gap is ⌈E / -log1p(-p)⌉ of one standard exponential E, as the first
+    pass of :class:`_Sampler` takes them.  Where p = 1 every position is a
+    success, taken ``_CHUNK`` at a time with no draw.
     """
-    if p <= 0.0 or total == 0:
-        return
     if p >= 1.0:
-        for start in range(0, total, _CHUNK):
+        for start in range(last + 1, total, _CHUNK):
             yield np.arange(start, min(start + _CHUNK, total))
         return
-    size, last = _first_chunk(p, total), -1
+    size, rate = _first_chunk(p, total), -math.log1p(-p)
     while True:
-        pos = _positions(rng.geometric(p, size), total)
-        if last >= 0:
-            pos += last + 1
+        pos = rng.standard_exponential(size)
+        pos /= rate
+        pos = _positions(np.ceil(pos, out=pos), total)
+        pos += last + 1
         if pos[-1] >= total:
-            if cut := pos.searchsorted(total):
-                yield pos[:cut]
+            if cut := int(pos.searchsorted(total)):
+                yield pos[:cut].astype(np.int64)
             return
-        yield pos
+        yield pos.astype(np.int64)
         last = int(pos[-1])
 
 
@@ -461,24 +465,25 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
 
 def _per_element(values, lengths):
     """``values[c]`` for each element of chunk c: a scalar where every
-    chunk has the same value."""
+    chunk has the same value, and so where there is one chunk, whose
+    ``lengths`` are then not read."""
     values = np.asarray(values)
-    if (values == values[0]).all():
+    if len(values) == 1 or (values == values[0]).all():
         return values[0]
     return np.repeat(values, lengths)
 
 
 def _at(values, index):
-    """``values[index]``, or ``values`` itself where it is one value."""
+    """``values[index]``, or ``values`` itself where it is one value or
+    None."""
     return values[index] if np.ndim(values) else values
 
 
 class _Sampler:
     """The sampler of one model's graphs on n vertices, batch by batch:
     what the model's blocks are, found once, and, while a batch is drawn
-    (:meth:`sample`), its graphs' latents, their byte rows stacked in n-row
-    bands, one per graph, and the chunks of positions drawn but not yet set
-    as edges.
+    (:meth:`sample`), its graphs' latents and their byte rows stacked in
+    n-row bands, one per graph.
 
     A graph's vertex pairs are blocks, one per class pair a <= b with
     p > 0, in that order: ``total`` ``p``-coins, the offsets of the block's
@@ -488,22 +493,16 @@ class _Sampler:
     :meth:`_blocks` finds them for a range of graphs at once, as one
     (graphs, pairs) array each.
 
-    Where the model has a gap bound K (:func:`_gap_bound`), each graph of
-    a batch of several makes three stream calls: the re-keying, its n
-    latents and K standard exponentials, the first of which are its blocks'
-    first chunks of gaps in order.  :meth:`_draw_runs` draws ⌊``_CHUNK``/K⌋
-    graphs at a time so, and turns their runs into gaps, positions, vertex
-    pairs and edges as arrays.  A graph one of whose blocks needs more than
-    its first chunk, a rare event, is drawn again block by block from its
-    seed.
-
-    Block by block, for a lone graph, a thinned graphon or a coin in
-    [1/3, 1), each block draws its chunks of positions from
-    :func:`_skip_positions` and, if thinned, one uniform per position, held
-    as ``(k, rows, cols, width, thin)`` with the other off-diagonal or
-    diagonal chunks in ``held`` until ``_CHUNK`` positions are set at once.
-    A p = 1 block takes every position this way on either path, and draws
-    nothing.
+    Every graph is drawn by one pass, ⌊``_CHUNK``/K⌋ graphs at a time for
+    the gap bound K (:func:`_gap_bound`), all at once where K is 0 or
+    None (:meth:`_draw`).  Re-keyed to (seed, 0), each graph draws its n
+    latents, K standard exponentials, the first of which are its blocks'
+    first chunks of gaps in order, and for a thinned graphon K uniforms,
+    uniform i thinning the pair of gap i.  The runs become gaps,
+    positions, vertex pairs and edges as arrays.  Each block b that its
+    first chunk did not finish, or that had none (p = 1, or K None), goes
+    on in the stream keyed (seed, 1 + b), a chunk at a time
+    (:meth:`_continue`).
     """
 
     def __init__(self, model: SbmParams | GraphonSpec, n: int):
@@ -517,39 +516,28 @@ class _Sampler:
         self.diagonal = self.a == self.b
         self.coins = np.array(self.probs)
         self.sparse = self.coins < 1.0
-        #: -log1p(-p) of each class pair with p < 1, by libm as NumPy's
-        #: geometric takes it
+        #: -log1p(-p) of each class pair with p < 1, by libm
         self.rates = np.array([-math.log1p(-p) if p < 1.0 else 0.0 for p in self.probs])
-        self.gaps = None if self.keep else _gap_bound(self.probs, n)
+        self.gaps = _gap_bound(self.probs, n)
         self.rng = np.random.Generator(np.random.Philox(key=0))
         # what re-keying leaves of this state is that of Philox(key=seed):
         # zero counter, empty buffer
         self.state = self.rng.bit_generator.state
+        self.key = self.state["state"]["key"]
 
     def sample(self, seeds: list[int]) -> Batch:
         """The batch of the graphs of ``seeds``, drawn and set as edges,
         its rows checked once and read-only."""
-        seeds = [integer(seed, "seed") for seed in seeds]
-        if not all(0 <= seed <= _SEED_MASK for seed in seeds):
-            raise InvalidParams("seed must be an unsigned 64-bit integer")
+        seeds = [seed_of(seed) for seed in seeds]
         n, graphs = self.n, len(seeds)
         self.seeds, self.bits = seeds, empty_rows(n, graphs)
         self.latents = np.empty((graphs, n))
         #: with more than one class, the batch's vertices by graph, then
         #: class, then index; with one class, vertex i itself at index i
         self.members = np.empty(graphs * n, np.intp) if self.q > 1 else None
-        self.held, self.count = ([], []), 0
-        # a lone graph has no draws to batch, and is drawn block by block
-        gaps = self.gaps if graphs > 1 else None
-        if gaps is None:
-            for g in range(graphs):
-                rng = self._keyed(g)
-                self._draw_blocks(rng, self._blocks(g, g + 1), 0)
-        else:
-            step = _CHUNK // gaps if gaps else graphs
-            for lo in range(0, graphs, step):
-                self._draw_runs(lo, min(lo + step, graphs))
-        self.flush()
+        step = _CHUNK // self.gaps if self.gaps else graphs
+        for lo in range(0, graphs, step):
+            self._draw(lo, min(lo + step, graphs))
         rows = words_of(self.bits)
         # the next batch is drawn without this one's arrays
         self.bits = self.latents = self.members = None
@@ -557,14 +545,17 @@ class _Sampler:
         rows.flags.writeable = False
         return Batch(rows, n, graphs, words)
 
-    def _keyed(self, g: int) -> np.random.Generator:
-        """The generator re-keyed by graph g's seed, past the n latents
-        that it has drawn into ``latents[g]``."""
-        self.state["state"]["key"][0] = self.seeds[g]
-        rng = self.rng
-        rng.bit_generator.state = self.state
-        rng.random(out=self.latents[g])
-        return rng
+    def _keyed(self, seed: int, stream: int = 0) -> np.random.Generator:
+        """The generator at the first draw of the Philox stream keyed
+        (seed, stream).  Key word 1 is written for a continuation alone,
+        and put back to 0 for the next first pass."""
+        self.key[0] = seed
+        if stream:
+            self.key[1] = stream
+        self.rng.bit_generator.state = self.state
+        if stream:
+            self.key[1] = 0
+        return self.rng
 
     def _blocks(self, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         """(total, rows, cols, width) of the blocks of graphs lo to hi - 1,
@@ -587,95 +578,72 @@ class _Sampler:
         total = np.where(self.diagonal, width * (width - 1) // 2, sizes[:, self.a] * width)
         return total, first[:, self.a], first[:, self.b], width
 
-    def _draw_blocks(self, rng, blocks, i: int, dense: bool = False) -> None:
-        """Hold the chunks of positions of the blocks in row i of
-        ``blocks``, in order, drawn by ``rng``, each followed, if thinned,
-        by its uniforms; with ``dense``, of the p = 1 blocks alone."""
-        for p, diagonal, total, rows, cols, width in zip(
-            self.probs, self.diagonal.tolist(), *(x[i].tolist() for x in blocks)
-        ):
-            if dense and p < 1.0:
-                continue
-            for k in _skip_positions(rng, p, total):
-                thin = rng.random(len(k)) if self.keep else None
-                self._hold(int(diagonal), len(k), (k, rows, cols, width, thin))
-
-    def _hold(self, kind: int, count: int, item) -> None:
-        """Hold ``item``, a chunk of ``count`` positions, with those of its
-        kind, first setting all those held if the count would pass
-        ``_CHUNK``, and then if it reaches it."""
-        if self.count + count > _CHUNK:
-            self.flush()
-        self.held[kind].append(item)
-        self.count += count
-        if self.count >= _CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Map every held position to its vertex pair in one pass per kind
-        of block, thin the pairs, and set the edges left."""
-        held, self.held, self.count = self.held, ([], []), 0
-        ends = []
-        for chunks, diagonal in zip(held, (False, True)):
-            if chunks:
-                lengths = [len(c[0]) for c in chunks]
-                k = _joined([c[0] for c in chunks])
-                rows, cols, width = (
-                    _per_element([c[i] for c in chunks], lengths) for i in (1, 2, 3)
-                )
-                thin = _joined([c[4] for c in chunks]) if self.keep else None
-                ends.append(self._pairs(k, rows, cols, width, thin, diagonal))
-        self._set(ends)
-
-    def _draw_runs(self, lo: int, hi: int) -> None:
-        """Draw graphs lo to hi - 1 as runs of ``gaps`` exponentials, one
-        row each, set the edges at the positions they give, and draw again
-        block by block each graph with a block whose first chunk ended
-        short of its total: none of its positions is kept.
+    def _draw(self, lo: int, hi: int) -> None:
+        """Draw graphs lo to hi - 1: their first passes, each a run of
+        exponentials and, if thinned, of uniforms, set as edges at the
+        positions they give; then each block that they did not finish.
 
         The exponential E of a block of p-coins is the gap
-        ``ceil(E / -log1p(-p))``, as NumPy's geometric computes it."""
-        runs = np.empty((hi - lo, self.gaps))
-        for g, run in enumerate(runs, lo):
-            self._keyed(g).standard_exponential(out=run)
+        ``ceil(E / -log1p(-p))``."""
+        size = self.gaps or 0
+        runs = np.empty((hi - lo, size))
+        thins = np.empty((hi - lo, size)) if self.keep else None
+        for g in range(lo, hi):
+            rng = self._keyed(self.seeds[g])
+            rng.random(out=self.latents[g])
+            rng.standard_exponential(out=runs[g - lo])
+            if self.keep:
+                rng.random(out=thins[g - lo])
         blocks = self._blocks(lo, hi)
         total, pairs = blocks[0], len(self.probs)
-        lengths = np.where(self.sparse & (total > 0), _first_chunk(self.coins, total), 0)
+        first = self.sparse & (total > 0) & (self.gaps is not None)
+        lengths = np.where(first, _first_chunk(self.coins, total), 0)
         # each graph's first chunks lead its run, block after block
-        gaps = runs[np.arange(self.gaps) < lengths.sum(axis=1)[:, None]]
+        lead = np.arange(size) < lengths.sum(axis=1)[:, None]
+        gaps = runs[lead]
         del runs
+        # each block with coins goes on past its first chunk's last position
+        todo, last = total > 0, np.full(total.shape, -1)
         drew = np.flatnonzero(lengths)  # the blocks with gaps, graph-major
-        lengths = lengths.ravel()[drew]
-        short = []
         if len(drew):
+            lengths = lengths.ravel()[drew]
             gaps /= _per_element(self.rates[drew % pairs], lengths)
             np.ceil(gaps, out=gaps)
             # float, as the gaps are: NumPy compares mixed types more slowly
             cap = _per_element(total.ravel()[drew].astype(float), lengths)
             pos = _positions(gaps, cap, lengths)
             keep = pos < cap
-            last = np.cumsum(lengths) - 1
-            short = sorted(set((drew[keep[last]] // pairs).tolist()))
-            if short:
-                keep &= np.repeat(~np.isin(drew // pairs, short), lengths)
-            # a block's positions ascend, so those kept come first in it
-            kept = np.add.reduceat(keep, last + 1 - lengths, dtype=np.intp)
+            end = np.cumsum(lengths) - 1
+            # unless that chunk passed the block's end
+            todo.flat[drew], last.flat[drew] = keep[end], pos[end]
+            kept = None
+            if len(drew) > 1:  # a block's positions ascend: those kept lead it
+                kept = np.add.reduceat(keep, end + 1 - lengths, dtype=np.intp)
             k = pos[keep].astype(np.int64)
-            del gaps, pos, keep, cap
+            thin = thins[lead][keep] if self.keep else None
+            del gaps, pos, keep, cap, thins
             on = _per_element(self.diagonal[drew % pairs], kept)
             rows, cols, width = (_per_element(x.ravel()[drew], kept) for x in blocks[1:])
             sides = [(on, True), (~on, False)] if np.ndim(on) else [(slice(None), on)]
             ends = [
-                self._pairs(k[at], *(_at(x, at) for x in (rows, cols, width)), None, d)
+                self._pairs(k[at], *(_at(x, at) for x in (rows, cols, width, thin)), d)
                 for at, d in sides
             ]
-            del k, rows, cols, width, sides
+            del k, rows, cols, width, thin, sides
             self._set(ends)
-        for i in range(hi - lo) if not self.sparse.all() else short:
-            if i in short:
-                self._draw_blocks(self._keyed(lo + i), blocks, i)
-            else:
-                self._draw_blocks(None, blocks, i, dense=True)
+        for i, b in np.argwhere(todo).tolist():
+            self._continue(lo + i, b, [int(x[i, b]) for x in blocks], int(last[i, b]))
+
+    def _continue(self, g: int, b: int, block: list[int], last: int) -> None:
+        """Set the edges of block b of graph g, ``block`` its (total, rows,
+        cols, width), past position ``last``, chunk by chunk as the stream
+        keyed (seed, 1 + b) gives them, each chunk followed, if thinned, by
+        one uniform per position."""
+        total, rows, cols, width = block
+        rng = self._keyed(self.seeds[g], 1 + b)
+        for k in _skip_positions(rng, self.probs[b], total, last):
+            thin = rng.random(len(k)) if self.keep else None
+            self._set([self._pairs(k, rows, cols, width, thin, self.diagonal[b])])
 
     def _pairs(self, k, rows, cols, width, thin, diagonal: bool):
         """The batch's vertex pairs (u, v) at positions ``k`` of blocks
@@ -727,14 +695,13 @@ def sample_batches(
     checked bitset rows of its graphs stacked n rows a graph, a
     (B * n, ⌈n/64⌉) uint64 array, and the nonzero words its check listed.
 
-    Graph by graph, in the stream keyed by its seed: n latent uniforms,
-    then each class pair's coins from :func:`_skip_positions` and, for a
-    smooth graphon, the thinning uniforms of each chunk.  The seeds are
-    taken in batches of ``run_length(n)``, the graphs one counter run
-    holds, and a batch shares one Philox generator, re-keyed per seed, one
-    mapping of positions to pairs and one edge scatter per ``_CHUNK``
-    positions, and one check of its rows.  This generator keeps no batch
-    once it has handed it on.
+    Each graph is drawn from the Philox streams keyed by its seed, as
+    :class:`_Sampler` lays them out.  The seeds are taken in batches of
+    ``run_length(n)``, the graphs one counter run holds, and a batch shares
+    one Philox generator, re-keyed per stream, one mapping of positions to
+    pairs and one edge scatter per first pass of at most ``_CHUNK`` gaps
+    and per continued chunk, and one check of its rows.  This generator
+    keeps no batch once it has handed it on.
     """
     instance(model, "model", SbmParams, GraphonSpec)
     n = integer(n, "n")

@@ -26,6 +26,7 @@ from .errors import (
     SelfLoop,
     SingleEdge,
     TooLarge,
+    instance,
     integer,
 )
 
@@ -120,6 +121,7 @@ def motif_from_edge_list(edges: Iterable[Sequence[int]]) -> Motif:
     """The motif on the given unordered vertex pairs, its vertices
     renumbered densely to ``0..v-1`` in label order; original labels are
     not retained.  Validation is :class:`Motif`'s."""
+    edges = instance(edges, "motif edges", Iterable, error=InvalidMotifError)
     pairs = [_pair(e) for e in edges]
     remap = {lab: i for i, lab in enumerate(sorted({x for e in pairs for x in e}))}
     return Motif(len(remap), tuple((remap[u], remap[w]) for u, w in pairs))
@@ -186,6 +188,7 @@ def parse_edge_lines(text: str, error: type[Exception] = ValueError) -> Iterator
     comments and blank lines skipped; any other line raises ``error``.
     The pairs are yielded as the lines are read, so a large graph's text is
     never held as a list of lines or of pairs."""
+    instance(text, "edge-list text", str, error=error)
     start = 0
     while start <= len(text):
         end = text.find("\n", start)
@@ -206,7 +209,7 @@ def parse_edge_lines(text: str, error: type[Exception] = ValueError) -> Iterator
 
 def motif_from_text(text: str) -> Motif:
     """Parse edge-list text: one ``u v`` pair per line, ``#`` comments."""
-    return motif_from_edge_list(parse_edge_lines(text))
+    return motif_from_edge_list(parse_edge_lines(text, InvalidMotifError))
 
 
 def motif_arg(m) -> Motif:

@@ -29,10 +29,10 @@ from .bounds import (
     mu_sbm,
 )
 from . import counting, models
-from .errors import InvalidParams, NotStrictlyBalanced, instance, integer, rate
-from .models import _SEED_MASK, GraphonSpec, SbmParams, check_graph_size, substream_seed
+from .errors import InvalidParams, NotStrictlyBalanced, instance, integer, rate, seed_of
+from .models import GraphonSpec, SbmParams, check_graph_size, substream_seed
 from .motif import Motif, check_fits, motif_arg
-from .poisson import poisson_pmf, tv_distance_empirical
+from .poisson import frequencies, poisson_pmf, tv_distance_empirical
 
 _BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0x0B005EED  # offset separating bootstrap from replicate seeds
@@ -53,12 +53,11 @@ class SimulationPlan:
     def __post_init__(self):
         instance(self.model, "simulate model", SbmParams, GraphonSpec)
         motif_arg(self.motif)
-        for key in ("n", "replicates", "seed"):
+        for key in ("n", "replicates"):
             object.__setattr__(self, key, integer(getattr(self, key), f"simulate {key}"))
+        object.__setattr__(self, "seed", seed_of(self.seed, "simulate seed"))
         if self.replicates < 1:
             raise InvalidParams("replicates must be >= 1")
-        if not 0 <= self.seed <= _SEED_MASK:
-            raise InvalidParams("seed must be an unsigned 64-bit integer")
         check_fits(self.motif, self.n)
         check_graph_size(self.n)
 
@@ -110,8 +109,8 @@ def tv_standard_error(
     evaluated there once and all resamples are scored in one array step by
     the positive-part sum of :func:`tv_distance_empirical`.
     """
-    lam = rate(lam, "lam")
-    replicates, seed = integer(replicates, "replicates"), integer(seed, "seed")
+    lam, histogram = rate(lam, "lam"), frequencies(histogram)
+    replicates, seed = integer(replicates, "replicates"), seed_of(seed)
     if replicates < 2:
         return 0.0
     keys = sorted(histogram)
@@ -196,7 +195,7 @@ def run(plan: SimulationPlan, threads: int = 1) -> SimulationSummary:
 def histogram_csv(histogram: Mapping[int, float]) -> str:
     """RFC 4180 rendering of the empirical law, one (count, frequency) row
     per observed value."""
-    buf = io.StringIO()
+    histogram, buf = frequencies(histogram), io.StringIO()
     buf.write("count,frequency\r\n")
     for k in sorted(histogram):
         buf.write(f"{k},{histogram[k]!r}\r\n")

@@ -97,6 +97,23 @@ CAUGHT = (
         ("tests/test_models.py::TestOneCall::test_first_chunk_of_arrays_is_elementwise",),
     ),
     Mutant(
+        "block b continues in key (s, b)",
+        "models.py",
+        "rng = self._keyed(self.seeds[g], 1 + b)",
+        "rng = self._keyed(self.seeds[g], b)",
+        ("tests/test_models.py::TestOneCall::test_overflowing_block_goes_on_in_its_own_stream",),
+    ),
+    Mutant(
+        "thinning uniform i thins gap i + 1",
+        "models.py",
+        "thin = thins[lead][keep] if self.keep else None",
+        "thin = np.roll(thins[lead], 1)[keep] if self.keep else None",
+        (
+            "tests/test_models.py::test_sampled_graphs_pinned",
+            "tests/test_models.py::test_batch_equals_its_graphs_drawn_alone",
+        ),
+    ),
+    Mutant(
         "non-stable argsort of the class keys",
         "models.py",
         'key.argsort(kind="stable")',

@@ -627,7 +627,7 @@ class TestSimulateCommand:
         ):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
-            assert json.loads(out)["manifest"]["versions"]["sampler"] == 3
+            assert json.loads(out)["manifest"]["versions"]["sampler"] == 4
 
     def test_graphon_model_end_to_end(self, capsys):
         graphon = json.dumps(

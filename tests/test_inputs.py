@@ -36,13 +36,18 @@ from motif_poisson import (
     graph_from_edge_text,
     graphon_to_sbm,
     h_star,
+    histogram_csv,
     lambda_value,
+    motif_from_edge_list,
     motif_from_string,
+    motif_from_text,
     mu_graphon,
     mu_sbm,
     poisson_pmf,
     sample_graphon,
     sample_sbm,
+    substream_seed,
+    tv_distance_empirical,
     tv_standard_error,
 )
 from motif_poisson.cli import main
@@ -452,6 +457,53 @@ def test_motif_arguments_refuse_other_types(name, x):
     # a spec string or an edge list is not read as the motif it names
     with pytest.raises(InvalidMotifError, match="must be a Motif"):
         MOTIF_ARGUMENTS[name](x)
+
+
+#: Each call of a library entry point with a value it refuses, and the error
+#: it raises: each of these raised a bare ValueError, TypeError,
+#: AttributeError or IndexError, or (a negative seed) returned a value.
+REFUSED_VALUES = {
+    "NuTable key not a tuple": (lambda: NuTable({"x": 1}), InvalidParams),
+    "NuTable key of two": (lambda: NuTable({("1", 3): 0.5}), InvalidParams),
+    "NuTable entries a list": (lambda: NuTable([1, 2]), InvalidParams),
+    "bound_nu table a dict": (lambda: bound_nu(K3, 10, 1, 0.1, {"a": 1}), InvalidParams),
+    "tv_distance_empirical list": (
+        lambda: tv_distance_empirical([0.5, 0.5], 1.0),
+        InvalidParams,
+    ),
+    "tv_distance_empirical str count": (
+        lambda: tv_distance_empirical({"a": 1.0}, 1.0),
+        InvalidParams,
+    ),
+    "tv_distance_empirical str frequency": (
+        lambda: tv_distance_empirical({0: "1"}, 1.0),
+        InvalidParams,
+    ),
+    "tv_standard_error empty": (lambda: tv_standard_error({}, 10, 1.0, 1), InvalidParams),
+    "tv_standard_error negative frequency": (
+        lambda: tv_standard_error({0: -1.0, 1: 2.0}, 10, 1.0, 1),
+        InvalidParams,
+    ),
+    "poisson_pmf negative k": (lambda: poisson_pmf(1.0, -1), InvalidParams),
+    "graph_from_edge_text int": (lambda: graph_from_edge_text(5), InvalidParams),
+    "motif_from_text int": (lambda: motif_from_text(5), InvalidMotifError),
+    "motif_from_edge_list int": (lambda: motif_from_edge_list(5), InvalidMotifError),
+    "substream_seed str": (lambda: substream_seed("a", 3), InvalidParams),
+    "substream_seed negative": (lambda: substream_seed(-1, 3), InvalidParams),
+    "substream_seed past 64 bits": (lambda: substream_seed(1 << 64, 3), InvalidParams),
+    "GraphonSpec.evaluate str": (
+        lambda: GraphonSpec("product", 0.5).evaluate("a", 1),
+        InvalidParams,
+    ),
+    "histogram_csv list": (lambda: histogram_csv([1, 2]), InvalidParams),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_VALUES))
+def test_refused_values_raise_typed_errors(name):
+    call, error = REFUSED_VALUES[name]
+    with pytest.raises(error):
+        call()
 
 
 #: Each library entry point that takes a model or a graph, as the call with

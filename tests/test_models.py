@@ -13,6 +13,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motif_poisson import (
     MAX_GRAPH_VERTICES,
@@ -268,41 +270,43 @@ PIN_MODELS = {
     "sbm_mixed": SbmParams(
         3, (0.3, 0.3, 0.4), ((1.0, 0.0, 0.1), (0.0, 0.05, 1.0), (0.1, 1.0, 0.0))
     ),
-    # a block at exactly 1/3, where NumPy's geometric takes another path
+    # a block at exactly 1/3, where version 3 took NumPy's geometric search
     "sbm_third": SbmParams(2, (0.5, 0.5), ((1 / 3, 0.05), (0.05, 0.1))),
 }
 
 # sha256 prefixes of edge text + the reprs of the replayed class labels and
 # latent uniforms (None where the model has none), recorded at sampler
-# version 2 except those marked version 3: each of these graphs lost the
-# edge that version 2 set in a block with no success, and no other graph
-# changed; a change to the random stream must update these and bump
-# SAMPLER_VERSION
+# version 2 except those marked with a later version.  Version 3: each of
+# these graphs lost the edge that version 2 set in a block with no success.
+# Version 4: each of these graphs has a coin in [1/3, 1) that version 3
+# drew by NumPy's geometric search, or a thinned block whose uniforms
+# version 3 drew in the stream of its latents; no other graph changed.  A
+# change to the random stream must update these and bump SAMPLER_VERSION
 PINNED_DIGESTS = {
-    ("sbm1", 2): "7f5d981dd6e172db",  # version 3
-    ("sbm1", 3): "e49253da979bf5bf",
-    ("sbm1", 60): "2d5fb5b910ed65be",
-    ("sbm1", 257): "7aac2b19fea74b66",
+    ("sbm1", 2): "9bad26590c294d5b",  # version 4
+    ("sbm1", 3): "518d41d4a9b3a7ab",  # version 4
+    ("sbm1", 60): "fc2192313efa8dc7",  # version 4
+    ("sbm1", 257): "2d12887838589f69",  # version 4
     ("sbm2", 2): "7b57f5e106cd84aa",  # version 3
     ("sbm2", 3): "22b243f1d6fea948",  # version 3
-    ("sbm2", 60): "acceca258494ab0d",
-    ("sbm2", 257): "d2afde35f1c7544b",
+    ("sbm2", 60): "b3eb961c12ac733c",  # version 4
+    ("sbm2", 257): "65789a4323b9e30e",  # version 4
     ("sbm3", 2): "0f84b257fe56927a",  # version 3
     ("sbm3", 3): "54fbdc0c862b2f00",  # version 3
-    ("sbm3", 60): "ca39f0c3ba765e65",
-    ("sbm3", 257): "6e6b4bb4ba9b9813",
+    ("sbm3", 60): "018d629373079bf2",  # version 4
+    ("sbm3", 257): "b1e50cf32a9fccd5",  # version 4
     ("product", 2): "0c87986cadf08ebf",
-    ("product", 3): "e9792fdb7513ea4a",
-    ("product", 60): "5ac86e0d910c6016",
-    ("product", 257): "5e9dd9ab24d66070",
+    ("product", 3): "4f98dcfb90e3b82b",  # version 4
+    ("product", 60): "b50f8348e1d86cc4",  # version 4
+    ("product", 257): "05ae2592b6f6f530",  # version 4
     ("affine_mean", 2): "0d082088544f15b7",
     ("affine_mean", 3): "399f1fdc695db5c1",
-    ("affine_mean", 60): "e4248c6552869ca9",
-    ("affine_mean", 257): "c77f420bde960b62",
+    ("affine_mean", 60): "bfeb13ed9041b1dd",  # version 4
+    ("affine_mean", 257): "c2add1103b3b3863",  # version 4
     ("piecewise_constant", 2): "851f5e525bee01cf",
     ("piecewise_constant", 3): "3b4dd66d63a81c0e",
-    ("piecewise_constant", 60): "e1370fa63e4dd969",
-    ("piecewise_constant", 257): "1f299ad6c8a588e4",
+    ("piecewise_constant", 60): "c82ab5be179a3754",  # version 4
+    ("piecewise_constant", 257): "6fc771d5119f3b38",  # version 4
     # recorded while every gap was a geometric draw, before sparse graphs
     # drew their gaps as one run of exponentials
     ("er_sparse", 2): "7f5d981dd6e172db",  # version 3
@@ -332,16 +336,15 @@ PINNED_DIGESTS = {
     ("sbm_mixed", 1000): "4c8f6de6f2694424",
     ("sbm_third", 2): "7f5d981dd6e172db",  # version 3
     ("sbm_third", 3): "5f041365e4d9cd8b",
-    ("sbm_third", 60): "134ecbd70dd4ac7e",
-    ("sbm_third", 257): "9dc8cb20caed4a0a",
-    ("sbm_third", 1000): "781d0652db252e71",
+    ("sbm_third", 60): "5ca9422c0edc79de",  # version 4
+    ("sbm_third", 257): "9a919eed11f3d934",  # version 4
+    ("sbm_third", 1000): "600f70082abe5b12",  # version 4
 }
 
 
 @pytest.mark.parametrize("name,n", sorted(PINNED_DIGESTS))
 def test_sampled_graphs_pinned(name, n, monkeypatch):
-    # the graph drawn alone, block by block, and first in a batch of two,
-    # where a sparse graph draws its gaps as one run of exponentials
+    # the graph drawn alone and first in a batch of two
     model = PIN_MODELS[name]
     seed = 1000 * list(PIN_MODELS).index(name) + n
     if isinstance(model, SbmParams):
@@ -355,12 +358,14 @@ def test_sampled_graphs_pinned(name, n, monkeypatch):
         assert digest[:16] == PINNED_DIGESTS[name, n]
 
 
-@pytest.mark.parametrize("p,n", [(0.05, 2), (0.05, 3), (0.3, 3)])
+@pytest.mark.parametrize(
+    "p,n", [(0.05, 2), (0.05, 3), (0.3, 3), (1 / 3, 3), (0.5, 2), (0.9, 3)]
+)
 def test_small_block_edge_frequency_is_p(p, n):
     # a block with no success has no edge: at sampler version 2 it got one
     # at its last pair, so ER(0.05) at n = 2 had its edge in every seed;
-    # drawn alone block by block, and in one batch as one run of
-    # exponentials per graph
+    # drawn alone and in one batch, on both sides of 1/3, where version 3
+    # changed how it drew a gap
     model, seeds = erdos_renyi(p), [substream_seed(n, r) for r in range(4000)]
     assert bitrows.run_length(n) >= len(seeds)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -371,10 +376,96 @@ def test_small_block_edge_frequency_is_p(p, n):
 
 
 def test_block_with_no_success_yields_no_chunk():
+    # on both sides of 1/3, where version 3 changed how it drew a gap
     rng = np.random.Generator(np.random.Philox(key=5))
-    chunks = [list(models._skip_positions(rng, 0.05, 3)) for _ in range(1000)]
-    assert all(len(c) for block in chunks for c in block)
-    assert 0 < sum(map(len, chunks)) < 400
+    for p in (0.05, 0.5):
+        chunks = [list(models._skip_positions(rng, p, 3)) for _ in range(1000)]
+        assert all(len(c) for block in chunks for c in block)
+        # one chunk for each block with a success
+        assert abs(sum(map(len, chunks)) - 1000 * (1 - (1 - p) ** 3)) < 100
+        # past the last position nothing is left
+        assert not list(models._skip_positions(rng, p, 3, last=2))
+
+
+def stream_of(seed: int, stream: int) -> np.random.Generator:
+    """The generator keyed (seed, stream): at sampler version 4 the graph of
+    ``seed`` draws its first pass from key (seed, 0), and its block b goes
+    on in key (seed, 1 + b)."""
+    return np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
+
+
+def replayed_gaps(rng, p: float, size: int, last) -> np.ndarray:
+    """Positions after ``last`` at ``size`` gaps of p-coins, each gap
+    ⌈E / -log1p(-p)⌉ of one standard exponential E of ``rng``."""
+    return last + np.cumsum(np.ceil(rng.standard_exponential(size) / -math.log1p(-p)))
+
+
+def replayed_block(seed: int, b: int, p: float, total: int, first, size: int):
+    """The positions of the successes of block b of ``total`` p-coins whose
+    first chunk gave the positions ``first`` (all of them, past the block
+    too, or none), as stream 4 defines them: where that chunk ends inside
+    the block, or there is none, the block goes on in key (seed, 1 + b),
+    ``size`` gaps a chunk."""
+    found = [k for k in first if k < total]
+    last = first[-1] if len(first) else -1
+    rng = stream_of(seed, 1 + b)
+    while last < total:
+        pos = replayed_gaps(rng, p, size, last)
+        found += [k for k in pos.tolist() if k < total]
+        last = pos[-1]
+    return [int(k) for k in found]
+
+
+def chunks_of(size: int):
+    """A ``_first_chunk`` of ``size`` gaps for every block."""
+    return lambda p, total: np.full(np.broadcast(p, total).shape, size, np.int64)
+
+
+@pytest.mark.parametrize(
+    "p", [1e-3, 0.05, math.nextafter(1 / 3, 0), 1 / 3, 0.5, 0.9]
+)
+@pytest.mark.parametrize("size", [None, 3])
+def test_gaps_are_inverted_exponentials(p, size, monkeypatch):
+    # ER(p) at n = 30, in one batch: key (s, 0) holds the latents, then the
+    # block's first chunk of gaps, one exponential each on either side of
+    # 1/3; cut to chunks of 3 gaps, the block goes on in key (s, 1)
+    n, total = 30, 435
+    if size is None:
+        size = int(models._first_chunk(p, total))
+        assert size == models._gap_bound([p], n)
+    else:
+        monkeypatch.setattr(models, "_first_chunk", chunks_of(size))
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    seeds = [substream_seed(n, r) for r in range(20)]
+    went_on = 0
+    for seed, g in zip(seeds, batched(erdos_renyi(p), n, seeds)):
+        rng = stream_of(seed, 0)
+        rng.random(n)
+        first = replayed_gaps(rng, p, size, -1).tolist()
+        went_on += first[-1] < total
+        found = replayed_block(seed, 0, p, total, first, size)
+        assert sorted(g.edges()) == [tuple(map(int, pairs[k])) for k in found]
+    assert went_on > 10 if size == 3 and p > 0.01 else went_on == 0
+
+
+@pytest.mark.parametrize(
+    "p",
+    # tiny coins, the criterion-6 coins, the last float below 1/3, and 1/3
+    [1e-12, 1e-8, 0.0277, 0.01385, 1.5 / 60, 0.02, 0.005]
+    + [math.nextafter(1 / 3, 0), 1 / 3],
+)
+def test_geometric_is_one_exponential_below_a_third(p):
+    # the pins recorded at versions 2 and 3 by NumPy's geometric draws hold
+    # at version 4 for graphs whose coins are all below 1/3, because below
+    # 1/3 alone NumPy's geometric is this inversion of one exponential
+    geometric = np.random.Generator(np.random.Philox(key=99))
+    exponential = np.random.Generator(np.random.Philox(key=99))
+    gaps = geometric.geometric(p, 500)
+    inverted = np.ceil(-exponential.standard_exponential(500) / math.log1p(-p))
+    below = p < 1 / 3
+    assert np.array_equal(gaps, inverted) == below
+    if below:
+        assert geometric.random() == exponential.random()
 
 
 #: How the row check tests symmetry: ``SPARSE_SHARE`` and, where set,
@@ -444,8 +535,8 @@ class TestBatches:
         assert reference == [single(model, n, seed) for seed in seeds]
 
     def test_positions_flush_across_graphs(self, monkeypatch):
-        # with 64-position chunks, one flush holds chunks of several graphs
-        # and blocks, and one graph's chunks span several flushes (the
+        # with 64-gap chunks, the gap bound passes _CHUNK: every block of
+        # every graph goes on in its own stream, several chunks each (the
         # chunk size is part of the stream, so the singles use it too)
         model, n = PIN_MODELS["sbm3"], 40
         seeds = [substream_seed(9, r) for r in range(20)]
@@ -622,100 +713,139 @@ class TestBatches:
         assert listings[-1][0] >= (last + 192) * w
 
 
-@pytest.mark.parametrize(
-    "p",
-    # tiny coins, the criterion-6 coins, the last float below 1/3, and 1/3
-    [1e-12, 1e-8, 0.0277, 0.01385, 1.5 / 60, 0.02, 0.005]
-    + [math.nextafter(1 / 3, 0), 1 / 3],
+@st.composite
+def sampled_models(draw):
+    """A block model of at most 3 classes, or a thinned graphon, with coins
+    of 0, below 1/3, at least 1/3 and 1."""
+    coin = st.one_of(
+        st.just(0.0), st.floats(1e-4, 0.33), st.floats(1 / 3, 0.99), st.just(1.0)
+    )
+    family = draw(st.sampled_from(["sbm", "product", "affine_mean"]))
+    if family != "sbm":
+        return GraphonSpec(family, draw(coin))
+    q = draw(st.integers(1, 3))
+    grid = [[0.0] * q for _ in range(q)]
+    for a, b in itertools.combinations_with_replacement(range(q), 2):
+        grid[a][b] = grid[b][a] = draw(coin)
+    weights = draw(st.lists(st.integers(1, 4), min_size=q, max_size=q))
+    f = tuple(w / sum(weights) for w in weights)
+    return SbmParams(q, f, tuple(map(tuple, grid)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    model=sampled_models(),
+    n=st.integers(2, 40),
+    count=st.integers(2, 6),
+    chunk=st.sampled_from([None, 16, 64, 200]),
+    shrink=st.booleans(),
+    length=st.integers(1, 7),
 )
-def test_geometric_is_one_exponential_below_a_third(p):
-    # sparse graphs draw their gaps as standard exponentials and keep the
-    # stream of geometric draws only while NumPy's geometric is this
-    # inversion of one exponential, which it is below 1/3 alone
-    geometric = np.random.Generator(np.random.Philox(key=99))
-    exponential = np.random.Generator(np.random.Philox(key=99))
-    gaps = geometric.geometric(p, 500)
-    inverted = np.ceil(-exponential.standard_exponential(500) / math.log1p(-p))
-    below = p < models._EXPONENTIAL_BELOW
-    assert below == (p < 1 / 3)
-    assert np.array_equal(gaps, inverted) == below
-    if below:
-        assert geometric.random() == exponential.random()
+def test_batch_equals_its_graphs_drawn_alone(model, n, count, chunk, shrink, length):
+    # a small _CHUNK cuts first chunks short and leaves the gap bound None
+    # or room for a few graphs' runs; shrunk first chunks leave blocks
+    # unfinished where it is not None
+    seeds = [substream_seed(n, r) for r in range(count)]
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(models, "_CHUNK", chunk)
+        if shrink:
+            first_chunk = models._first_chunk
+            patch.setattr(
+                models, "_first_chunk", lambda p, total: first_chunk(p, total) // 4 + 1
+            )
+        alone = [single(model, n, seed) for seed in seeds]
+        patch.setattr(bitrows, "run_length", lambda n: length)
+        assert batched(model, n, seeds) == alone
 
 
 class TestOneCall:
-    """A sparse graph draws its blocks' first chunks of gaps as one run of
-    standard exponentials.  Each graph equals the one drawn block by block
-    by geometric draws, which ``_EXPONENTIAL_BELOW = 0`` forces."""
+    """Every graph is drawn by one pass: its latents and a run of
+    exponentials whose first are its blocks' first chunks of gaps.  A block
+    that its first chunk does not finish goes on in its own stream."""
 
     @staticmethod
-    def assert_per_block(model, n, seeds):
-        """Assert that the graphs of ``seeds``, batched and single, equal
-        those drawn block by block, and that the single ones, with no draws
-        to batch, are; return the graphs of each call of ``_draw_runs``
-        of the batch and the graphs it drew again."""
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(models, "_EXPONENTIAL_BELOW", 0.0)
-            reference = [single(model, n, seed) for seed in seeds]
-        runs, keyed = [], []
-        draw_runs, key = models._Sampler._draw_runs, models._Sampler._keyed
+    def passes_of(model, n, seeds) -> list[tuple[int, int]]:
+        """Assert that the graphs of ``seeds`` batched equal those drawn
+        alone, and return the (lo, hi) graphs of each first pass."""
+        reference = [single(model, n, seed) for seed in seeds]
+        passes, draw = [], models._Sampler._draw
 
-        def spy_runs(batch, lo, hi):
-            runs.append(list(range(lo, hi)))
-            draw_runs(batch, lo, hi)
-
-        def spy_keyed(batch, g):
-            keyed.append(g)
-            return key(batch, g)
+        def spy(sampler, lo, hi):
+            passes.append((lo, hi))
+            draw(sampler, lo, hi)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(models._Sampler, "_draw_runs", spy_runs)
-            patch.setattr(models._Sampler, "_keyed", spy_keyed)
-            assert [single(model, n, seed) for seed in seeds] == reference
-            assert not runs
-            keyed.clear()
+            patch.setattr(models._Sampler, "_draw", spy)
             assert batched(model, n, seeds) == reference
-        redrawn = sorted(g for g, count in Counter(keyed).items() if count > 1)
-        return runs, redrawn
+        return passes
 
-    def test_short_first_chunk_draws_the_graph_again(self, monkeypatch):
-        # first chunks one standard deviation past the mean: some blocks
-        # need a second chunk, so their graphs are drawn again
-        def first_chunk(p, total):
-            return (p * total + np.sqrt(p * total)).astype(np.int64) + 1
-
-        monkeypatch.setattr(models, "_first_chunk", first_chunk)
-        seeds = [substream_seed(3, r) for r in range(20)]
-        runs, redrawn = self.assert_per_block(PIN_MODELS["sbm2_sparse"], 60, seeds)
-        assert runs == [list(range(20))]
-        assert 0 < len(redrawn) < 20
+    @pytest.mark.parametrize(
+        "name,n", [("er_sparse", 60), ("sbm1", 60), ("sbm2_sparse", 60), ("sbm_mixed", 30)]
+    )
+    def test_overflowing_block_goes_on_in_its_own_stream(self, monkeypatch, name, n):
+        # the last block with p < 1, its first chunk cut to 3 gaps: the
+        # other blocks keep the edges of the unforced draw, as their first
+        # chunks keep their places in the run, and the cut block keeps its
+        # first 3 positions, then goes on in key (s, 1 + b)
+        model = PIN_MODELS[name]
+        layout = models._Sampler(model, n)
+        b = max(i for i, p in enumerate(layout.probs) if p < 1.0)
+        p, cls = layout.probs[b], int(layout.a[b])
+        assert layout.diagonal[b] and layout.probs.count(p) == 1
+        seeds = [substream_seed(n, r) for r in range(20)]
+        unforced = batched(model, n, seeds)
+        first_chunk = models._first_chunk
+        monkeypatch.setattr(
+            models,
+            "_first_chunk",
+            lambda x, total: np.where(x == p, 3, first_chunk(x, total)),
+        )
+        went_on = 0
+        for seed, g, forced in zip(seeds, unforced, batched(model, n, seeds)):
+            labels = replayed_labels(model, n, seed)
+            members = [v for v in range(n) if labels[v] == cls]
+            inside = {(u, v) for u, v in itertools.combinations(members, 2)}
+            index = {pair: k for k, pair in enumerate(sorted(inside))}
+            assert set(forced.edges()) - inside == set(g.edges()) - inside
+            before = sorted(index[e] for e in set(g.edges()) & inside)
+            found = before
+            if len(before) >= 3:  # else the 3 gaps passed the block's end
+                went_on += 1
+                found = replayed_block(seed, b, p, len(inside), before[:3], 3)
+            assert sorted(index[e] for e in set(forced.edges()) & inside) == found
+        assert went_on >= 5
 
     def test_runs_drawn_in_sub_batches(self, monkeypatch):
-        # with room for three graphs' runs in _CHUNK, the runs are drawn
+        # with room for three graphs' runs in _CHUNK, the first pass draws
         # three graphs at a time
         model, n = PIN_MODELS["sbm2_sparse"], 30
         gaps = models._gap_bound([0.3, 0.02, 0.1], n)
         monkeypatch.setattr(models, "_CHUNK", 3 * gaps + 2)
         seeds = [substream_seed(3, r) for r in range(20)]
-        runs, redrawn = self.assert_per_block(model, n, seeds)
-        assert runs == [list(range(lo, min(lo + 3, 20))) for lo in range(0, 20, 3)]
-        assert not redrawn
+        passes = self.passes_of(model, n, seeds)
+        assert passes == [(lo, min(lo + 3, 20)) for lo in range(0, 20, 3)]
 
-    def test_runs_flush_across_chunks(self, monkeypatch):
-        # runs of several graphs and the chunks of their p = 1 blocks held
-        # together, and flushed every 200 positions
+    def test_p1_blocks_go_on_beside_the_runs(self, monkeypatch):
+        # the p = 1 blocks of graphs whose runs are drawn several at a time
+        # go on 200 positions a chunk, with no draw
         monkeypatch.setattr(models, "_CHUNK", 200)
         seeds = [substream_seed(3, r) for r in range(20)]
-        runs, redrawn = self.assert_per_block(PIN_MODELS["sbm_mixed"], 12, seeds)
-        assert len(runs) > 1 and max(map(len, runs)) > 1 and not redrawn
+        passes = self.passes_of(PIN_MODELS["sbm_mixed"], 12, seeds)
+        assert len(passes) > 1 and max(hi - lo for lo, hi in passes) > 1
 
     def test_first_chunk_cut_to_chunk_is_drawn_by_blocks(self, monkeypatch):
         # ER(0.3) at n = 20 wants 103-gap first chunks, cut to 64: its gap
-        # bound passes _CHUNK, so every graph is drawn block by block
+        # bound passes _CHUNK, so the first pass draws the latents alone,
+        # all graphs at once, and the block goes on in key (s, 1)
         monkeypatch.setattr(models, "_CHUNK", 64)
+        assert models._gap_bound([0.3], 20) is None
         seeds = [substream_seed(3, r) for r in range(20)]
-        runs, redrawn = self.assert_per_block(erdos_renyi(0.3), 20, seeds)
-        assert not runs and not redrawn
+        assert self.passes_of(erdos_renyi(0.3), 20, seeds) == [(0, 20)]
+        pairs = list(zip(*np.triu_indices(20, 1)))
+        for seed, g in zip(seeds, batched(erdos_renyi(0.3), 20, seeds)):
+            found = replayed_block(seed, 0, 0.3, 190, [], 64)
+            assert sorted(g.edges()) == [tuple(map(int, pairs[k])) for k in found]
 
     def test_first_chunk_of_arrays_is_elementwise(self):
         # one definition for scalars and arrays, with the float steps of
@@ -744,11 +874,11 @@ class TestOneCall:
 
     def test_gap_bound_holds_every_composition(self):
         # every split of n <= 12 vertices into Q <= 3 classes, empty ones
-        # included, under coins equal (where Cauchy-Schwarz is tightest),
-        # mixed with 0 and 1, and at random below 1/3
+        # included, under coins equal (where Cauchy-Schwarz is tightest) on
+        # both sides of 1/3, mixed with 0 and 1, and at random below 1/3
         rng = np.random.default_rng(5)
         for q in (1, 2, 3):
-            grids = [np.full((q, q), x) for x in (0.3, 0.05, 1e-6)]
+            grids = [np.full((q, q), x) for x in (0.9, 0.5, 0.3, 0.05, 1e-6)]
             mixed = rng.choice([0.0, 1.0, 0.2, 0.01], (q, q))
             grids += [mixed, np.maximum(rng.uniform(0, 1 / 3, (q, q)), 1e-9)]
             for grid in grids:

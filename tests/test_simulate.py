@@ -239,15 +239,16 @@ PINNED_PLANS = {
 }
 
 # sha256 prefixes of json.dumps(run(plan).to_dict()), recorded with
-# replicates sampled one graph at a time at sampler version 2, except the
-# one marked version 3, whose small blocks are often empty
+# replicates sampled one graph at a time at sampler version 2, except those
+# marked later: version 3, whose small blocks are often empty, and version
+# 4, whose coins in [1/3, 1) or thinning uniforms version 3 drew otherwise
 PINNED_RUN_DIGESTS = {
     "crit6_a": "e33c226077d3b835",
     "crit6_b": "c502b85944f80304",
     "crit6_c": "c882c3006dc50310",
-    "sbm3_sparse_class": "6ebab6031c148e2e",  # version 3
+    "sbm3_sparse_class": "db113bd8bf1370a8",  # version 4
     "sbm_p1_p0": "71ea7dd5d196f3b3",
-    "product": "2880833200696f51",
+    "product": "3a8ca45e7dac7c48",  # version 4
     "affine_mean": "652d0d1f4103e8e1",
 }
 
