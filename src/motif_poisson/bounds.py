@@ -48,12 +48,14 @@ from .models import GraphonSpec, SbmParams, graphon_to_sbm, h_star
 from .motif import Motif, MotifStats, check_fits, compute_stats, motif_arg
 
 
-def _binom_float(n: int, k: int) -> float:
-    """C(n, k) as a float, in product form to avoid huge intermediates."""
+def _lambda(m: Motif, n: int, mu: float) -> float:
+    """:func:`lambda_value` of a checked ``n`` and ``mu``, with C(n, v) in
+    product form to avoid huge intermediates: inf, or OverflowError, past
+    the float range."""
     out = 1.0
-    for i in range(k):
+    for i in range(m.vertex_count):
         out *= (n - i) / (i + 1)
-    return out
+    return out * compute_stats(m).rho * mu
 
 
 def _require_strictly_balanced(m: Motif) -> MotifStats:
@@ -108,11 +110,18 @@ def _legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def lambda_value(m: Motif, n: int, mu: float) -> float:
     """Expected copy count: positions times copies per position times the
-    single-copy occurrence probability ``mu``, which must lie in [0, 1]."""
+    single-copy occurrence probability ``mu``, which must lie in [0, 1];
+    InvalidParams where it is not a finite float."""
     n = integer(n, "n")
     mu = probability(mu, "mu")
     check_fits(m, n)
-    return _binom_float(n, m.vertex_count) * compute_stats(m).rho * mu
+    try:
+        lam = _lambda(m, n, mu)
+    except OverflowError:
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise InvalidParams(f"lambda is not finite at n={n}")
+    return lam
 
 
 # --------------------------------------------------------------- reports
@@ -184,11 +193,13 @@ def _assemble(
     read in that order: a whole copy, one edge, then one per overlap size."""
     triples = NuTable.required_triples(m)
     pair_prob, same_prob, *overlap_probs = (prob(*t) for t in triples)
+    n, mu = integer(n, "n"), probability(mu, "mu")
+    check_fits(m, n)
     v = m.vertex_count
     rho = compute_stats(m).rho
     where = f"n={n}, g={g}, motif with {v} vertices and {m.edge_count} edges"
     try:
-        lam = lambda_value(m, n, mu)
+        lam = _lambda(m, n, mu)
         nf, gf = float(n), float(g)
         pair = 2.0 * v * v / math.factorial(v) * nf ** (v - 1) * pair_prob
         overlaps = {

@@ -137,12 +137,16 @@ def _recorded_command(argv: list[str]) -> list[str]:
     return out
 
 
-def _manifest(args: argparse.Namespace, config: dict, stamp: bool) -> dict:
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
+def _manifest(args: argparse.Namespace, record: dict, stamp: bool) -> dict:
+    """The manifest of a report computed from the input record ``record``,
+    which the report embeds: its hash is the SHA-256 of the record as
+    sorted JSON, so two reports share it exactly when their inputs are
+    equal."""
+    blob = json.dumps(record, sort_keys=True).encode()
     return {
         "command": _recorded_command(args.argv),
         "config_hash": hashlib.sha256(blob).hexdigest(),
-        "seed": config.get("seed"),
+        "seed": record.get("seed"),
         "versions": {
             "motif_poisson": __version__,
             "numpy": np.__version__,
@@ -155,6 +159,10 @@ def _manifest(args: argparse.Namespace, config: dict, stamp: bool) -> dict:
             else None
         ),
     }
+
+
+def _motif_record(m: Motif) -> dict:
+    return {"vertex_count": m.vertex_count, "edges": [list(e) for e in m.edges]}
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -172,14 +180,11 @@ def _cmd_motif(args) -> int:
     m = _load_motif(args.motif)
     stats = compute_stats(m)
     if args.format == "json":
+        record = {"motif": {**_motif_record(m), "edge_count": m.edge_count}}
         payload = {
-            "motif": {
-                "vertex_count": m.vertex_count,
-                "edge_count": m.edge_count,
-                "edges": [list(e) for e in m.edges],
-            },
+            **record,
             "stats": stats_to_dict(stats),
-            "manifest": _manifest(args, {"motif": args.motif}, args.stamp),
+            "manifest": _manifest(args, record, args.stamp),
         }
         _emit(payload, args.out)
     else:
@@ -200,16 +205,7 @@ def _cmd_motif(args) -> int:
 
 def _cmd_bound(args) -> int:
     m = _load_motif(args.motif)
-    config = {
-        "motif": args.motif,
-        "model": args.model,
-        "n": args.n,
-        "variant": args.variant,
-    }
-    inputs: dict = {
-        "motif": {"vertex_count": m.vertex_count, "edges": [list(e) for e in m.edges]},
-        "n": args.n,
-    }
+    inputs: dict = {"motif": _motif_record(m), "n": args.n}
     if args.variant == "scaled":
         if args.c is None or args.C is None:
             raise InvalidParams("variant scaled requires --c and --C")
@@ -240,7 +236,7 @@ def _cmd_bound(args) -> int:
         "report": reported,
         "stats": stats_to_dict(compute_stats(m)),
         "inputs": inputs,
-        "manifest": _manifest(args, config, args.stamp),
+        "manifest": _manifest(args, inputs, args.stamp),
     }
     _emit(payload, args.out)
     return 0
@@ -251,13 +247,14 @@ def _cmd_count(args) -> int:
     graph = graph_from_edge_text(Path(args.graph).read_text(), n=args.n)
     counter = count_copies_bruteforce if args.bruteforce else count_copies
     count = counter(graph, m)
+    rows = hashlib.sha256(np.ascontiguousarray(graph.adjacency, dtype="<u8"))
+    facts = {"n": graph.n, "edges": graph.edge_count, "rows_sha256": rows.hexdigest()}
+    record = {"motif": _motif_record(m), "graph": facts}
     payload = {
         "count": count,
         "injections": count * compute_stats(m).automorphism_count,
-        "graph": {"n": graph.n, "edges": graph.edge_count},
-        "manifest": _manifest(
-            args, {"motif": args.motif, "graph": args.graph}, args.stamp
-        ),
+        **record,
+        "manifest": _manifest(args, record, args.stamp),
     }
     _emit(payload, args.out)
     return 0
@@ -282,29 +279,16 @@ def _cmd_simulate(args) -> int:
             raise InvalidParams(f"simulate requires {key} (flag or --config)")
     model = _load_model(config["model"])
     m = _load_motif(config["motif"])
-    plan = SimulationPlan(
-        model=model,
-        motif=m,
-        n=config["n"],
-        replicates=config["replicates"],
-        seed=config["seed"],
-    )
+    plan = SimulationPlan(model, m, config["n"], config["replicates"], config["seed"])
     summary = run(plan, threads=args.threads)
     if args.hist_csv:
         Path(args.hist_csv).write_text(histogram_csv(summary.histogram), newline="")
+    inputs = {"model": model.to_dict(), "motif": _motif_record(m)}
+    inputs.update(n=plan.n, replicates=plan.replicates, seed=plan.seed)
     payload = {
         "summary": summary.to_dict(deterministic=not args.stamp),
-        "inputs": {
-            "model": model.to_dict(),
-            "motif": {
-                "vertex_count": m.vertex_count,
-                "edges": [list(e) for e in m.edges],
-            },
-            "n": plan.n,
-            "replicates": plan.replicates,
-            "seed": plan.seed,
-        },
-        "manifest": _manifest(args, config, args.stamp),
+        "inputs": inputs,
+        "manifest": _manifest(args, inputs, args.stamp),
     }
     _emit(payload, args.out)
     print(

@@ -105,13 +105,18 @@ class _SearchPlan(NamedTuple):
     search order: the earlier positions holding already-mapped neighbors;
     the degree its image needs, or 0 where those neighbors already
     guarantee it; the symmetry-breaking floor (the earlier position whose
-    image its own must exceed, or -1); and the earlier positions off its
-    floor chain, whose images it must still avoid."""
+    image its own must exceed, or -1); the earlier positions off its
+    floor chain, whose images it must still avoid; and what the expected
+    frontier at it takes: the edges among the positions before it, the
+    product of the subtree sizes of their floor forest (a map of k vertices
+    keeps its images in the forest's order with chance one over it), and
+    the rows that a frontier row reads to list its candidates."""
 
     back_edges: tuple[tuple[int, ...], ...]
     need_deg: tuple[int, ...]
     floor: tuple[int, ...]
     avoid: tuple[tuple[int, ...], ...]
+    levels: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +167,7 @@ def _search_plan(m: Motif) -> _SearchPlan:
         max((k for k in range(i) if (orbits[k] >> i) & 1), default=-1)
         for i in range(v)
     )
-    avoid = []
+    avoid, levels = [], []
     for i in range(v):
         chain = set()
         k = floor[i]
@@ -170,7 +175,13 @@ def _search_plan(m: Motif) -> _SearchPlan:
             chain.add(k)
             k = floor[k]
         avoid.append(tuple(k for k in range(i) if k not in chain))
-    return _SearchPlan(back_edges, need_deg, floor, tuple(avoid))
+        size = [1] * i
+        for j in reversed(range(i)):
+            if floor[j] >= 0:
+                size[floor[j]] += size[j]
+        edges = sum(map(len, back_edges[:i]))
+        levels.append((edges, math.prod(size), len(back_edges[i]) + 1))
+    return _SearchPlan(back_edges, need_deg, floor, tuple(avoid), tuple(levels))
 
 
 def _candidates(rows, n, masks, words, step, gid, img):
@@ -272,24 +283,6 @@ def _row_words(batch: Batch) -> tuple[_Words | None, np.ndarray]:
     return None, np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _levels(m: Motif) -> tuple[tuple[int, int, int], ...]:
-    """For each position k of the search order, what the expected frontier
-    at it takes: the edges among the k positions before it, the product of
-    the subtree sizes of their floor forest (a map of k vertices keeps its
-    images in the forest's order with chance one over it), and the rows
-    that a frontier row reads to list the candidates for position k."""
-    back_edges, _, floor, _ = _search_plan(m)
-    levels = []
-    for k, backs in enumerate(back_edges):
-        size = [1] * k
-        for i in reversed(range(k)):
-            if floor[i] >= 0:
-                size[floor[i]] += size[i]
-        levels.append((sum(map(len, back_edges[:k])), math.prod(size), len(backs) + 1))
-    return tuple(levels)
-
-
 def _search_ns(m: Motif, n: int, graphs: int, w: int, words, degrees) -> float:
     """Planned nanoseconds of the search over a batch: the expected
     frontier rows at each position, in a random graph of the batch's own
@@ -300,7 +293,7 @@ def _search_ns(m: Motif, n: int, graphs: int, w: int, words, degrees) -> float:
     p = float(degrees.sum()) / (graphs * n * max(1, n - 1))
     sparse = w if words is None else len(words.word) / len(degrees)
     total, falling = 0.0, float(graphs)
-    for k, (edges, hook, reads) in enumerate(_levels(m)):
+    for k, (edges, hook, reads) in enumerate(_search_plan(m).levels):
         width = sparse if reads > 1 else w
         total += falling * p**edges / hook * (_NODE_NS + _WORD_NS * width * reads)
         falling *= n - k
@@ -325,7 +318,7 @@ def _search_rows(rows, n, graphs, m, words, degrees) -> np.ndarray:
     candidates from each pivot row's nonzero words where
     :func:`_row_words` listed them as ``words``, and from whole rows
     elsewhere."""
-    back_edges, need_deg, floor, avoid = _search_plan(m)
+    back_edges, need_deg, floor, avoid, _ = _search_plan(m)
     w = rows.shape[1]
     wide = np.zeros((graphs, 64 * w), dtype=bool)
     masks = {}

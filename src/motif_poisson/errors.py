@@ -56,11 +56,14 @@ class InvalidParams(MotifPoissonError, ValueError):
 
 def integer(x, what: str, error: type[Exception] = InvalidParams) -> int:
     """``x`` as an int if it is an integer, NumPy ints too (as
-    ``operator.index`` reads them); bools, floats and strings are refused
-    with ``error``."""
-    if isinstance(x, bool) or not hasattr(x, "__index__"):
-        raise error(f"{what} must be an integer, got {type(x).__name__}")
-    return operator.index(x)
+    ``operator.index`` reads them); bools, floats, strings and arrays are
+    refused with ``error``."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {type(x).__name__}")
 
 
 def seed_of(x, what: str = "seed") -> int:

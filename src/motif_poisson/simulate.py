@@ -111,6 +111,8 @@ def tv_standard_error(
     """
     lam, histogram = rate(lam, "lam"), frequencies(histogram)
     replicates, seed = integer(replicates, "replicates"), seed_of(seed)
+    if replicates >= 1 << 63:  # the multinomial takes a C long
+        raise InvalidParams("replicates must be below 2^63")
     if replicates < 2:
         return 0.0
     keys = sorted(histogram)

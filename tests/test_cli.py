@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, deterministic JSON."""
 
+import hashlib
 import json
 import math
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +176,20 @@ class TestBoundCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["report"]["A"] == pytest.approx(0.004, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "variant, given, needs",
+        [
+            ("scaled", ["--c", "1"], "--c and --C"),
+            ("independent", [], "--nu-max"),
+            ("nu", ["--mu", "0.1"], "--nu-table and --mu"),
+            ("auto", [], "--model"),
+        ],
+    )
+    def test_variant_without_its_inputs_exits_2(self, capsys, variant, given, needs):
+        argv = ["bound", "--motif", "complete:3", "-n", "100", "--variant", variant]
+        code, out, err = run_cli(capsys, *argv, *given)
+        assert code == 2 and out == "" and f"requires {needs}" in err
 
     @pytest.mark.parametrize("C", ["1e300", "1e120", "inf"])
     def test_scaled_variant_huge_C_exits_2(self, capsys, C):
@@ -458,6 +474,18 @@ class TestSimulateCommand:
         assert payload["manifest"]["seed"] == 11
         assert payload["summary"]["replicates"] == 80
 
+    def test_stamp_adds_wall_clock_data_only(self, capsys):
+        argv = ["simulate", "--model", self.MODEL, "--motif", "complete:3"]
+        argv += ["-n", "20", "-R", "10", "--seed", "3"]
+        _, plain, _ = run_cli(capsys, *argv)
+        code, stamped, _ = run_cli(capsys, *argv, "--stamp")
+        plain, stamped = json.loads(plain), json.loads(stamped)
+        assert code == 0 and "wall_time" not in plain["summary"]
+        assert stamped["summary"].pop("wall_time") >= 0
+        assert stamped["summary"] == plain["summary"]
+        assert stamped["manifest"]["timestamp"] is not None
+        assert stamped["manifest"]["config_hash"] == plain["manifest"]["config_hash"]
+
     def test_histogram_csv_written(self, capsys, tmp_path):
         hist = tmp_path / "hist.csv"
         code, _, _ = run_cli(
@@ -655,6 +683,115 @@ class TestSimulateCommand:
         payload = json.loads(out)
         assert payload["summary"]["lambda"] > 0
         assert payload["summary"]["theoretical_bound"] is not None
+
+
+def input_record(payload: dict) -> dict:
+    """The input record a report embeds: ``inputs`` where it has one, and
+    otherwise its ``motif`` and, for ``count``, its ``graph``."""
+    if "inputs" in payload:
+        return payload["inputs"]
+    return {key: payload[key] for key in ("motif", "graph") if key in payload}
+
+
+class TestManifestHash:
+    SBM = json.dumps({"Q": 1, "f": [1.0], "pi": [[0.05]]})
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        from motif_poisson import NuTable, builtin_motif
+
+        table = NuTable.from_power(0.05, builtin_motif("complete", 3))
+        paths = {
+            "nu": tmp_path / "nu.json",
+            "graph": tmp_path / "g.txt",
+            "graph-again": tmp_path / "again.txt",
+            "model": tmp_path / "model.json",
+        }
+        paths["nu"].write_text(json.dumps(table.to_dict()))
+        paths["graph"].write_text("0 1\n1 2\n2 0\n2 3\n")
+        paths["graph-again"].write_text("# the same graph\n3 2\n0 2\n\n2 1\n1 0\n")
+        paths["model"].write_text(self.SBM)
+        return {key: str(path) for key, path in paths.items()}
+
+    def argvs(self, files) -> dict:
+        bound = ["bound", "--motif", "complete:3", "-n", "100"]
+        nu = [*bound, "--variant", "nu", "--nu-table", files["nu"], "--mu", "1e-4"]
+        count = ["count", "--motif", "complete:3", "--graph"]
+        simulate = ["simulate", "--model", self.SBM, "--motif", "complete:3"]
+        return {
+            "motif": ["motif", "cycle:4", "--format", "json"],
+            "bound auto": [*bound, "--model", self.SBM],
+            "bound auto, model file": [*bound, "--model", files["model"]],
+            "bound graphon": [*bound, "--model", '{"family": "product", "c": 0.5}'],
+            "bound scaled C 2": [*bound, "--variant", "scaled", "--c", "1", "--C", "2"],
+            "bound scaled C 3": [*bound, "--variant", "scaled", "--c", "1", "--C", "3"],
+            "bound independent 0.1": [*bound, "--variant", "independent", "--nu-max", "0.1"],
+            "bound independent 0.2": [*bound, "--variant", "independent", "--nu-max", "0.2"],
+            "bound nu g 1": [*nu, "--g", "1"],
+            "bound nu g 2": [*nu, "--g", "2"],
+            "count": [*count, files["graph"]],
+            "count, other file": [*count, files["graph-again"]],
+            "count n 5": [*count, files["graph"], "-n", "5"],
+            "count n 9": [*count, files["graph"], "-n", "9"],
+            "simulate": [*simulate, "-n", "20", "-R", "10", "--seed", "3"],
+        }
+
+    def reports(self, capsys, files) -> dict:
+        reports = {}
+        for name, argv in self.argvs(files).items():
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (name, err)
+            reports[name] = json.loads(out)
+        return reports
+
+    def test_hash_is_the_sha256_of_the_input_record(self, capsys, files):
+        for name, payload in self.reports(capsys, files).items():
+            record = input_record(payload)
+            assert record, name
+            blob = json.dumps(record, sort_keys=True).encode()
+            expected = hashlib.sha256(blob).hexdigest()
+            assert payload["manifest"]["config_hash"] == expected, name
+            assert payload["manifest"]["seed"] == record.get("seed"), name
+
+    def test_hash_apart_exactly_when_the_inputs_differ(self, capsys, files):
+        reports = self.reports(capsys, files)
+        hashes = {name: r["manifest"]["config_hash"] for name, r in reports.items()}
+        alike = [
+            ("bound auto", "bound auto, model file"),
+            ("count", "count, other file"),
+        ]
+        apart = [
+            ("bound scaled C 2", "bound scaled C 3"),
+            ("bound independent 0.1", "bound independent 0.2"),
+            ("bound nu g 1", "bound nu g 2"),
+            ("count n 5", "count n 9"),
+        ]
+        for a, b in alike:
+            assert hashes[a] == hashes[b], (a, b)
+        for a, b in apart:
+            assert hashes[a] != hashes[b], (a, b)
+        assert len(set(hashes.values())) == len(hashes) - len(alike)
+
+    def test_count_reports_its_motif_and_graph_rows(self, capsys, files):
+        from motif_poisson import graph_from_edge_text
+
+        argv = ["count", "--motif", "tree:3", "--graph", files["graph"]]
+        code, out, _ = run_cli(capsys, *argv, "--bruteforce")
+        payload = json.loads(out)
+        rows = graph_from_edge_text(Path(files["graph"]).read_text()).adjacency
+        assert code == 0 and payload["motif"] == {
+            "vertex_count": 3,
+            "edges": [[0, 1], [1, 2]],
+        }
+        assert payload["graph"] == {
+            "n": 4,
+            "edges": 4,
+            "rows_sha256": hashlib.sha256(rows.astype("<u8").tobytes()).hexdigest(),
+        }
+        # the oracle and the fast counter count from the same inputs
+        _, fast, _ = run_cli(capsys, *argv)
+        hashes = {json.loads(r)["manifest"]["config_hash"] for r in (out, fast)}
+        assert len(hashes) == 1
 
 
 class TestTablesCommand:

@@ -185,7 +185,7 @@ def test_search_equals_homs_and_oracle_property(edges, size, p, graphs, seed):
     v = m.vertex_count
 
     def quick(n: int) -> bool:
-        levels = enumerate(counting._levels(m))
+        levels = enumerate(counting._search_plan(m).levels)
         frontier = sum(falling(n, k) * p**e / hook for k, (e, hook, _) in levels)
         planned = sum(homs._ns(q, n, 1) for q in homs._quotients(m))
         return frontier < 10**5 and planned < 10**7

@@ -18,6 +18,7 @@ from motif_poisson import (
     GraphonSpec,
     InvalidMotifError,
     InvalidParams,
+    Motif,
     MotifPoissonError,
     NuTable,
     SampledGraph,
@@ -496,6 +497,74 @@ REFUSED_VALUES = {
         InvalidParams,
     ),
     "histogram_csv list": (lambda: histogram_csv([1, 2]), InvalidParams),
+    # an integer array passed the __index__ test, and operator.index raised
+    "poisson_pmf k array": (lambda: poisson_pmf(1.0, np.array([1, 2])), InvalidParams),
+    "sample_sbm n array": (
+        lambda: sample_sbm(erdos_renyi(0.3), np.array([5, 6]), 1),
+        InvalidParams,
+    ),
+    "SimulationPlan replicates array": (
+        lambda: SimulationPlan(erdos_renyi(0.1), K3, 10, np.array([5, 6]), 1),
+        InvalidParams,
+    ),
+    "Motif vertex count array": (
+        lambda: Motif(np.array([3, 4]), ((0, 1), (1, 2))),
+        InvalidMotifError,
+    ),
+    "bound_nu g array": (
+        lambda: bound_nu(K3, 10, np.array([1, 2]), 0.1, NuTable.from_power(0.1, K3)),
+        InvalidParams,
+    ),
+    "substream_seed int64 index array": (
+        lambda: substream_seed(1, np.array([1, 2])),
+        InvalidParams,
+    ),
+    # C(n, 3) raised OverflowError, or was inf
+    "lambda_value n 10^400": (lambda: lambda_value(K3, 10**400, 0.5), InvalidParams),
+    "lambda_value n 10^200": (lambda: lambda_value(K3, 10**200, 0.5), InvalidParams),
+    # the multinomial takes a C long
+    "tv_standard_error replicates 2^63": (
+        lambda: tv_standard_error({0: 1.0}, 2**63, 1.0, 1),
+        InvalidParams,
+    ),
+    # refusals that no other test reached
+    "bound_nu g below 1": (
+        lambda: bound_nu(K3, 100, 0, 1e-6, NuTable.from_power(0.01, K3)),
+        InvalidParams,
+    ),
+    "copy_indicators two vertices": (
+        lambda: copy_indicators(G10, K3, (0, 1)),
+        InvalidParams,
+    ),
+    "bound_scaled c past floats": (
+        lambda: bound_scaled(K3, 100, 10**400, 10**400),
+        InvalidParams,
+    ),
+    "NuTable row a list": (
+        lambda: NuTable.from_dict({"entries": [[3, 3, 3, 0.1]]}),
+        InvalidParams,
+    ),
+    "SbmParams matrix not square": (
+        lambda: SbmParams(2, (0.5, 0.5), ((0.1, 0.1), (0.1,))),
+        InvalidParams,
+    ),
+    "SbmParams no class": (lambda: SbmParams(0, (), ((0.1,),)), InvalidParams),
+    "SbmParams proportions of another length": (
+        lambda: SbmParams(2, (1.0,), ((0.1, 0.1), (0.1, 0.1))),
+        InvalidParams,
+    ),
+    "GraphonSpec values of another shape": (
+        lambda: GraphonSpec("piecewise_constant", None, (0.0, 0.5, 1.0), ((0.1,),)),
+        InvalidParams,
+    ),
+    "GraphonSpec.evaluate bool array": (
+        lambda: GraphonSpec("product", 0.5).evaluate(np.array([True]), 0.5),
+        InvalidParams,
+    ),
+    "tv_distance_empirical negative count": (
+        lambda: tv_distance_empirical({-1: 1.0}, 1.0),
+        InvalidParams,
+    ),
 }
 
 

@@ -208,6 +208,10 @@ class TestDeterminism:
         params = erdos_renyi(0.5)
         assert sample_sbm(params, 40, seed=1) != sample_sbm(params, 40, seed=2)
 
+    def test_graph_compares_only_with_graphs(self):
+        g = sample_sbm(erdos_renyi(0.5), 10, seed=1)
+        assert g.__eq__(5) is NotImplemented and g != 5
+
     def test_graphon_same_seed(self):
         spec = GraphonSpec(family="product", scale=0.9)
         assert sample_graphon(spec, 30, seed=7) == sample_graphon(spec, 30, seed=7)

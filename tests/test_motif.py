@@ -204,6 +204,10 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin_motif("cycle", 2)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown family 'star'"):
+            builtin_motif("star", 4)
+
     def test_from_string(self):
         assert motif_from_string("cycle:5").edge_count == 5
         assert motif_from_string("tree:4") == builtin_motif("tree_path", 4)
